@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import NonFiniteState, NotContracting
-from .laws import CoefficientLaw, check_stationarity
+from .laws import CoeffDraw, CoefficientLaw, check_stationarity
 
 __all__ = [
     "SimConfig",
@@ -35,8 +35,9 @@ __all__ = [
     "triangular_opnorm",
 ]
 
-_RENORM_EVERY = 64       # a^n underflows doubles near n ~ 1500 for a = 0.5
 _FINITE_CHECK_EVERY = 64
+_SLAB_ELEMENTS = 1 << 15  # coefficient draws per slab array (256 KiB of float64)
+_SLAB_ROWS = 64           # also the renormalization interval: a^n underflows near n ~ 1500 for a = 0.5
 _TAIL_MASS_TARGET = 1e-8  # (E A^eps)^depth below this picks the auto truncation depth
 
 
@@ -166,11 +167,96 @@ def iterate_forward(
     )
 
 
+def slab_rows(n_chains: int) -> int:
+    """Steps per coefficient slab for ``n_chains`` parallel chains.
+
+    Sized by an element budget: 64 rows at pipeline widths, one row from
+    32768 chains up, so a slab never holds more than a few MB.
+    """
+    return max(1, min(_SLAB_ROWS, _SLAB_ELEMENTS // n_chains))
+
+
+def _slabs(total: int, rows_max: int):
+    """(steps done, rows) of the consecutive slabs covering steps 1..total."""
+    for t in range(0, total, rows_max):
+        yield t, min(rows_max, total - t)
+
+
+def forward_slabs(draw, w1: np.ndarray, w2: np.ndarray, config: SimConfig, per_chain: int):
+    """Run chains of the recursion through burn-in and kept steps, one slab at a time.
+
+    ``w1`` and ``w2`` are (L+1, chains) state buffers whose row 0 holds the
+    start state; ``draw(rows)`` returns the coefficients of the next ``rows``
+    (at most L) steps as a :class:`CoeffDraw` of (rows, chains) arrays.  Each
+    row is the plain update ``W1 = A1 W1 + A2 W2 + B1``, ``W2 = A4 W2 + B2``,
+    so the states equal a per-step recursion over the same draws bit for bit.
+
+    After each slab the buffers hold its states in rows 1..rows (row i is the
+    state after step t+i) and the generator yields ``(j, sel)``: rows ``sel``
+    are kept states ``j, j+1, ...`` of every chain.  Slabs with no kept state
+    are not yielded.
+    """
+    burn_in, thinning = config.burn_in, config.thinning
+    total = burn_in + per_chain * thinning
+    tmp = np.empty(w1.shape[1])
+    last = 0
+    for t, rows in _slabs(total, w1.shape[0] - 1):
+        w1[0] = w1[last]
+        w2[0] = w2[last]
+        d = draw(rows)
+        rows_in = zip(d.a1, d.a2, d.a4, d.b1, d.b2, w1, w2, w1[1:], w2[1:])
+        for a1, a2, a4, b1, b2, prev1, prev2, next1, next2 in rows_in:
+            np.multiply(a1, prev1, out=next1)
+            np.multiply(a2, prev2, out=tmp)
+            np.add(next1, tmp, out=next1)
+            np.add(next1, b1, out=next1)
+            np.multiply(a4, prev2, out=next2)
+            np.add(next2, b2, out=next2)
+        last = rows
+        end = t + rows
+        if end // _FINITE_CHECK_EVERY > t // _FINITE_CHECK_EVERY or end == total:
+            _check_state_finite(w1[rows], w2[rows], end)
+        # First kept step after t: burn_in + k*thinning for the least k >= 1.
+        k = max(1, -(-(t + 1 - burn_in) // thinning))
+        first = burn_in + k * thinning - t
+        if first <= rows:
+            yield k - 1, slice(first, rows + 1, thinning)
+
+
+def store_kept(dst: np.ndarray, j: int, block: np.ndarray, per_chain: int) -> None:
+    """Write kept states ``j..`` of every chain into a chain-major flat array.
+
+    ``block`` rows are kept steps and its columns chains; ``dst`` holds the
+    first ``dst.size`` states of the chain-major sample (``per_chain`` per
+    chain), so a trailing chain may be trimmed and later columns dropped.
+    """
+    full, rem = divmod(dst.size, per_chain)
+    m = block.shape[0]
+    if full:
+        dst[: full * per_chain].reshape(full, per_chain)[:, j : j + m] = block[:, :full].T
+    if j < rem:
+        dst[full * per_chain + j : full * per_chain + min(j + m, rem)] = block[: rem - j, full]
+
+
+def chain_plan(n: int, n_chains: int) -> tuple[int, int]:
+    """(chains, kept states per chain) for a chain-major sample of n states.
+
+    ``n_chains=0`` picks about one chain per thousand draws.
+    """
+    if n_chains < 0:
+        raise ValueError("n_chains must be >= 0")
+    if n_chains == 0:
+        n_chains = min(-(-n // 1000), 65536)
+    n_chains = min(n_chains, n)
+    return n_chains, -(-n // n_chains)
+
+
 def stationary_sample(
     law: CoefficientLaw,
     config: SimConfig,
     rng: np.random.Generator,
     n_chains: int = 0,
+    out: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ) -> PathSample:
     """Draw a large batch of approximately stationary states via parallel chains.
 
@@ -180,35 +266,27 @@ def stationary_sample(
     exist in total.  The result is chain-major: draws ``[c*chain_len, (c+1)*chain_len)``
     are consecutive states of chain ``c``, so windowed estimators can respect
     boundaries via ``PathSample.chain_len``.
-    """
-    n = config.n_draws
-    if n_chains < 0:
-        raise ValueError("n_chains must be >= 0")
-    if n_chains == 0:
-        n_chains = min(-(-n // 1000), 65536)
-    n_chains = min(n_chains, n)
-    per_chain = -(-n // n_chains)
 
-    total_steps = config.burn_in + per_chain * config.thinning
-    out1 = np.empty((n_chains, per_chain))
-    out2 = np.empty((n_chains, per_chain))
-    w1 = np.zeros(n_chains)
-    w2 = np.zeros(n_chains)
-    kept = 0
-    for t in range(1, total_steps + 1):
-        d = law.sample(rng, n_chains)
-        w1 = d.a1 * w1 + d.a2 * w2 + d.b1
-        w2 = d.a4 * w2 + d.b2
-        if t % _FINITE_CHECK_EVERY == 0:
-            _check_state_finite(w1, w2, t)
-        if t > config.burn_in and (t - config.burn_in) % config.thinning == 0:
-            out1[:, kept] = w1
-            out2[:, kept] = w2
-            kept += 1
-    _check_state_finite(out1, out2, total_steps)
+    ``out`` is an optional (w1, w2) pair of flat arrays that receives the
+    first ``len(out[0])`` states of that sample in place; the returned sample
+    then wraps them.
+    """
+    n_chains, per_chain = chain_plan(config.n_draws, n_chains)
+    if out is None:
+        out = (np.empty(config.n_draws), np.empty(config.n_draws))
+    rows = slab_rows(n_chains)
+    w1 = np.zeros((rows + 1, n_chains))
+    w2 = np.zeros((rows + 1, n_chains))
+
+    def draw(rows: int) -> CoeffDraw:
+        return law.sample(rng, (rows, n_chains))
+
+    for j, sel in forward_slabs(draw, w1, w2, config, per_chain):
+        store_kept(out[0], j, w1[sel], per_chain)
+        store_kept(out[1], j, w2[sel], per_chain)
     return PathSample(
-        w1=out1.reshape(-1)[:n].copy(),
-        w2=out2.reshape(-1)[:n].copy(),
+        w1=out[0],
+        w2=out[1],
         mode="forward_burnin",
         config=config,
         chain_len=per_chain,
@@ -343,11 +421,12 @@ def lyapunov_estimate(
 ) -> LyapunovEstimate:
     """Estimate the top Lyapunov exponent of the coefficient products.
 
-    Each chain accumulates ``log ||Pi_n||`` with the product renormalized every
-    64 steps (the running log-scale is carried separately, so neither entry
-    ever under- or overflows).  ``upper_bound`` is ``log(rho)/eps`` from the
-    stationarity witness, or +inf when no grid point qualifies; for any witness
-    eps in (0, 1] the bound dominates the true exponent.
+    Each chain accumulates ``log ||Pi_n||`` with the product renormalized at
+    the end of every coefficient slab of at most 64 steps (the running
+    log-scale is carried separately, so neither entry ever under- or
+    overflows).  ``upper_bound`` is ``log(rho)/eps`` from the stationarity
+    witness, or +inf when no grid point qualifies; for any witness eps in
+    (0, 1] the bound dominates the true exponent.
     """
     if n < 100:
         raise ValueError("n must be >= 100")
@@ -357,20 +436,23 @@ def lyapunov_estimate(
     p1 = np.ones(n_chains)
     u = np.zeros(n_chains)
     p4 = np.ones(n_chains)
+    tmp = np.empty(n_chains)
     log_scale = np.zeros(n_chains)
-    for t in range(1, n + 1):
-        d = law.sample(rng, n_chains)
-        u = d.a1 * u + d.a2 * p4
-        p1 = d.a1 * p1
-        p4 = d.a4 * p4
-        if t % _RENORM_EVERY == 0 or t == n:
-            scale = triangular_opnorm(p1, u, p4)
-            if not np.isfinite(scale).all() or (scale <= 0.0).any():
-                raise NonFiniteState(f"matrix product degenerated by step {t}")
-            log_scale += np.log(scale)
-            p1 /= scale
-            u /= scale
-            p4 /= scale
+    for t, rows in _slabs(n, slab_rows(n_chains)):
+        d = law.sample(rng, (rows, n_chains))
+        for a1, a2, a4 in zip(d.a1, d.a2, d.a4):
+            np.multiply(a2, p4, out=tmp)
+            u *= a1
+            u += tmp
+            p1 *= a1
+            p4 *= a4
+        scale = triangular_opnorm(p1, u, p4)
+        if not np.isfinite(scale).all() or (scale <= 0.0).any():
+            raise NonFiniteState(f"matrix product degenerated by step {t + rows}")
+        log_scale += np.log(scale)
+        p1 /= scale
+        u /= scale
+        p4 /= scale
     # After the final renormalization the matrix has unit norm: log||Pi_n|| is
     # exactly the accumulated log-scale.
     per_chain = log_scale / n

@@ -10,7 +10,7 @@ reverse) follows exactly the triangular recursion of :mod:`tritail.engine`:
 with the A entries built from the PREVIOUS step's noise and the return pair
 assembled from the fresh one (X_t = sigma_t Z_t).  Getting that off-by-one
 wrong silently shifts every tail constant, so the timing lives in exactly one
-place here (:func:`_advance`).
+place here (:func:`_noise_slabs`).
 
 Besides the simulators this module verifies the model's tail chain — solver
 roots, Hill estimates of sigma^2 / X^2 / |X| with their doubling relation, the
@@ -24,7 +24,14 @@ from typing import Optional
 
 import numpy as np
 
-from .engine import PathSample, SimConfig, _check_state_finite
+from .engine import (
+    PathSample,
+    SimConfig,
+    chain_plan,
+    forward_slabs,
+    slab_rows,
+    store_kept,
+)
 from .errors import RegimeMismatch, TooFewExceedances
 from .laws import (
     REGIME_A1_DOMINANT,
@@ -58,6 +65,7 @@ __all__ = [
     "GarchVerifyReport",
     "GarchSpectralReport",
     "to_sre_coefficients",
+    "return_hill_k",
     "simulate_garch",
     "stationary_garch_sample",
     "verify_tail_relations",
@@ -223,19 +231,37 @@ class GarchPath:
         )
 
 
-def _advance(params: GarchParams, s1, s2, z_prev, rng, width):
-    """One model step for `width` parallel chains: new state, fresh noise, returns.
+def _noise_slabs(params: GarchParams, rng, z1: np.ndarray, z2: np.ndarray):
+    """Coefficient-slab source for the GARCH forward kernel.
 
-    The coefficients come from ``z_prev`` (last step's noise) and the returned
-    X pair uses the fresh noise — the single place the timing convention lives.
+    ``z1``/``z2`` are (L+1, chains) noise buffers aligned with the kernel's
+    state rows: row 0 holds the previous slab's last noise (the initial pair
+    before the first slab) and rows 1..rows the fresh noise of each step.
+    The coefficients of a step come from the PREVIOUS row's noise, and the
+    return of a kept state is sqrt(sigma^2) times its own row's noise — the
+    single place the timing convention lives.
     """
-    a1, a2, a4, b1, b2 = to_sre_coefficients(params, z_prev)
-    s1 = a1 * s1 + a2 * s2 + b1
-    s2 = a4 * s2 + b2
-    z1, z2 = _correlated_normals(params.rho, width, rng)
-    x1 = np.sqrt(s1) * z1
-    x2 = np.sqrt(s2) * z2
-    return s1, s2, (z1, z2), x1, x2
+    c = math.sqrt(1.0 - params.rho * params.rho)
+    shape = (z1.shape[0] - 1, z1.shape[1])
+    b1 = np.broadcast_to(params.alpha0[0], shape)
+    b2 = np.broadcast_to(params.alpha0[1], shape)
+    last = 0
+
+    def draw(rows: int) -> CoeffDraw:
+        nonlocal last
+        z1[0] = z1[last]
+        z2[0] = z2[last]
+        n1, n2 = z1[1 : rows + 1], z2[1 : rows + 1]
+        rng.standard_normal(out=n1)
+        rng.standard_normal(out=n2)
+        # rho*n1 + c*n2, in place: the same sum as _correlated_normals.
+        n2 *= c
+        n2 += params.rho * n1
+        last = rows
+        a1, a2, a4, _, _ = to_sre_coefficients(params, (z1[:rows], z2[:rows]))
+        return CoeffDraw(a1=a1, a2=a2, a4=a4, b1=b1, b2=b2)
+
+    return draw
 
 
 def stationary_garch_sample(
@@ -243,51 +269,35 @@ def stationary_garch_sample(
     config: SimConfig,
     rng: np.random.Generator,
     n_chains: int = 0,
+    out: Optional[tuple] = None,
 ) -> GarchPath:
     """Draw a chain-major batch of approximately stationary GARCH states.
 
-    Same chain layout and trimming rules as
+    Same chain layout, trimming rules and ``out`` convention as
     :func:`tritail.engine.stationary_sample` (auto: about one chain per
-    thousand draws); volatilities start at their floor alpha0 and burn in.
+    thousand draws); ``out`` holds six flat arrays in the order
+    (x1, x2, sigma1_sq, sigma2_sq, z1, z2).  Volatilities start at their
+    floor alpha0 and burn in.
     """
-    n = config.n_draws
-    if n_chains < 0:
-        raise ValueError("n_chains must be >= 0")
-    if n_chains == 0:
-        n_chains = min(-(-n // 1000), 65536)
-    n_chains = min(n_chains, n)
-    per_chain = -(-n // n_chains)
-
-    total_steps = config.burn_in + per_chain * config.thinning
-    out = {k: np.empty((n_chains, per_chain)) for k in ("x1", "x2", "s1", "s2", "z1", "z2")}
-    s1 = np.full(n_chains, params.alpha0[0])
-    s2 = np.full(n_chains, params.alpha0[1])
-    z = _correlated_normals(params.rho, n_chains, rng)
-    kept = 0
-    for t in range(1, total_steps + 1):
-        s1, s2, z, x1, x2 = _advance(params, s1, s2, z, rng, n_chains)
-        if t % 64 == 0:
-            _check_state_finite(s1, s2, t)
-        if t > config.burn_in and (t - config.burn_in) % config.thinning == 0:
-            out["x1"][:, kept] = x1
-            out["x2"][:, kept] = x2
-            out["s1"][:, kept] = s1
-            out["s2"][:, kept] = s2
-            out["z1"][:, kept] = z[0]
-            out["z2"][:, kept] = z[1]
-            kept += 1
-    _check_state_finite(out["s1"], out["s2"], total_steps)
-
-    def flat(key):
-        return out[key].reshape(-1)[:n].copy()
-
+    n_chains, per_chain = chain_plan(config.n_draws, n_chains)
+    if out is None:
+        out = tuple(np.empty(config.n_draws) for _ in range(6))
+    rows = slab_rows(n_chains)
+    s1 = np.empty((rows + 1, n_chains))
+    s2 = np.empty((rows + 1, n_chains))
+    s1[0] = params.alpha0[0]
+    s2[0] = params.alpha0[1]
+    z1 = np.empty((rows + 1, n_chains))
+    z2 = np.empty((rows + 1, n_chains))
+    z1[0], z2[0] = _correlated_normals(params.rho, n_chains, rng)
+    draw = _noise_slabs(params, rng, z1, z2)
+    for j, sel in forward_slabs(draw, s1, s2, config, per_chain):
+        v1, v2, e1, e2 = s1[sel], s2[sel], z1[sel], z2[sel]
+        kept = (np.sqrt(v1) * e1, np.sqrt(v2) * e2, v1, v2, e1, e2)
+        for dst, block in zip(out, kept):
+            store_kept(dst, j, block, per_chain)
     return GarchPath(
-        x1=flat("x1"),
-        x2=flat("x2"),
-        sigma1_sq=flat("s1"),
-        sigma2_sq=flat("s2"),
-        z1=flat("z1"),
-        z2=flat("z2"),
+        *out,
         params=params,
         config=config,
         chain_len=per_chain,
@@ -351,6 +361,15 @@ class GarchVerifyReport:
 _DEFAULT_VERIFY_SIM = SimConfig(burn_in=1000, n_draws=1, thinning=1)
 
 
+def return_hill_k(n: int) -> int:
+    """Default Hill k for return series: floor(n^0.5).
+
+    Returns mix the Z^4 moments into the slowly varying part, so their Hill
+    transition zone sits lower than the volatilities' n^0.6.
+    """
+    return max(2, int(n**0.5))
+
+
 def _resolve_path(params, n, rng, sim, path):
     if path is not None:
         return path
@@ -396,9 +415,7 @@ def verify_tail_relations(
     path = _resolve_path(params, n, rng, sim, path)
     records: list[CheckRecord] = []
     k_used = k or default_hill_k(len(path))
-    # Squared returns mix the Z^4 moments into the slowly varying part, so
-    # their Hill transition zone sits lower: back off to n^0.5 by default.
-    k_x_used = k_x or max(2, int(len(path) ** 0.5))
+    k_x_used = k_x or return_hill_k(len(path))
 
     hill_targets = [
         ("hill_sigma1_sq", path.sigma1_sq, a_min, k_used),

@@ -78,7 +78,12 @@ class LogNormal:
             raise ValueError("LogNormal requires finite mu and sigma > 0")
 
     def sample(self, rng: np.random.Generator, size=None) -> np.ndarray:
-        return rng.lognormal(self.mu, self.sigma, size)
+        # exp of a normal buffer, in place: cheaper than rng.lognormal and
+        # within 1 ulp of it (numpy's exp, not libm's).
+        x = np.asarray(rng.standard_normal(size))
+        x *= self.sigma
+        x += self.mu
+        return np.exp(x, out=x)
 
 
 @dataclass(frozen=True)

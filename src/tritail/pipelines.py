@@ -6,9 +6,9 @@ Every pipeline follows the same discipline:
   config's base seed, a fixed purpose tag, and (for bulk sampling) a chunk
   index — never from shared mutable generator state;
 * bulk samples are assembled from fixed-size chunks whose content is a pure
-  function of the chunk index, fanned out over a thread pool and merged in
-  index order — so the merged sample, and therefore every downstream record,
-  is byte-identical for any worker count;
+  function of the chunk index, fanned out over a thread pool, each writing
+  its own slice of the preallocated merged arrays — so the merged sample, and
+  therefore every downstream record, is byte-identical for any worker count;
 * failures degrade to ``passed=False`` records instead of aborting sibling
   steps, so a full sweep always yields a complete scorecard.
 
@@ -31,7 +31,14 @@ from . import engine, renewal, spectral, tailstats
 from .config import ExperimentConfig, canonical_json
 from .engine import PathSample, SimConfig
 from .errors import PipelineMismatch, TritailError
-from .garch import GarchLaw, GarchPath, stationary_garch_sample, verify_tail_relations, return_spectral_check
+from .garch import (
+    GarchLaw,
+    GarchPath,
+    return_hill_k,
+    return_spectral_check,
+    stationary_garch_sample,
+    verify_tail_relations,
+)
 from .laws import (
     REGIME_A1_DOMINANT,
     REGIME_A2_DOMINANT,
@@ -50,7 +57,7 @@ __all__ = [
 ]
 
 _CHUNK_DRAWS = 200_000
-_CHUNK_CHAIN_LEN = 500
+_CHUNK_CHAIN_LEN = 1000
 
 
 # ============================================================================
@@ -162,88 +169,75 @@ class RunReport:
 # Deterministic chunked sampling
 # ============================================================================
 
-def _chunk_sizes(n: int) -> list:
-    sizes = [_CHUNK_DRAWS] * (n // _CHUNK_DRAWS)
-    if n % _CHUNK_DRAWS:
-        sizes.append(n % _CHUNK_DRAWS)
-    return sizes
+def _chunked(sample_chunk: Callable, n: int, n_arrays: int, workers: int) -> list:
+    """Fill ``n_arrays`` flat arrays of n states from fixed-size chunks.
+
+    Chunk i covers states ``[i*_CHUNK_DRAWS, ...)`` and ``sample_chunk(i, size,
+    out)`` writes them into ``out``, views of the merged arrays; a chunk is a
+    pure function of its index, so the worker count never changes the result.
+    """
+    merged = [np.empty(n) for _ in range(n_arrays)]
+
+    def one(start: int) -> None:
+        stop = min(start + _CHUNK_DRAWS, n)
+        sample_chunk(start // _CHUNK_DRAWS, stop - start,
+                     tuple(a[start:stop] for a in merged))
+
+    starts = range(0, n, _CHUNK_DRAWS)
+    if workers <= 1 or len(starts) <= 1:
+        for start in starts:
+            one(start)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(one, starts))
+    return merged
 
 
-def _map_chunks(fn: Callable, sizes: list, workers: int) -> list:
-    if workers <= 1 or len(sizes) <= 1:
-        return [fn(i, s) for i, s in enumerate(sizes)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(len(sizes)), sizes))
+def _chain_chunks(sampler: Callable, model, sim: SimConfig, workers: int,
+                  purpose: str, n_arrays: int) -> list:
+    """A forward sampler's merged arrays, each chunk whole chains of _CHUNK_CHAIN_LEN.
+
+    Only the final chunk can be a non-multiple; its last chain is trimmed, so
+    the merged arrays keep the chain-major invariant with that chain length.
+    """
+    def one(i: int, size: int, out) -> None:
+        n_chains = -(-size // _CHUNK_CHAIN_LEN)
+        cfg = replace(sim, n_draws=n_chains * _CHUNK_CHAIN_LEN)
+        sampler(model, cfg, substream(sim.base_seed, purpose, i), n_chains=n_chains, out=out)
+
+    return _chunked(one, sim.n_draws, n_arrays, workers)
 
 
 def _stationary_chunked(law, sim: SimConfig, workers: int, purpose: str = "stationary") -> PathSample:
-    """Chain-major stationary sample built from order-merged fixed chunks.
-
-    Every chunk runs ceil(size/500) chains of exactly 500 kept states and trims
-    to its size; only the final chunk can be a non-multiple, so the merged
-    array keeps the chain-major invariant with ``chain_len=500``.
-    """
-    n = sim.n_draws
-
-    def one(i: int, size: int):
-        n_chains = -(-size // _CHUNK_CHAIN_LEN)
-        cfg = replace(sim, n_draws=n_chains * _CHUNK_CHAIN_LEN)
-        s = engine.stationary_sample(
-            law, cfg, substream(sim.base_seed, purpose, i), n_chains=n_chains
-        )
-        return s.w1[:size], s.w2[:size]
-
-    parts = _map_chunks(one, _chunk_sizes(n), workers)
+    w1, w2 = _chain_chunks(engine.stationary_sample, law, sim, workers, purpose, 2)
     return PathSample(
-        w1=np.concatenate([p[0] for p in parts]),
-        w2=np.concatenate([p[1] for p in parts]),
+        w1=w1,
+        w2=w2,
         mode="forward_burnin",
         config=sim,
-        chain_len=min(_CHUNK_CHAIN_LEN, n),
+        chain_len=min(_CHUNK_CHAIN_LEN, sim.n_draws),
     )
 
 
 def _backward_chunked(law, sim: SimConfig, workers: int) -> PathSample:
-    def one(i: int, size: int):
+    def one(i: int, size: int, out) -> None:
         cfg = replace(sim, n_draws=size)
         s = engine.backward_truncated(law, cfg, substream(sim.base_seed, "backward", i))
-        return s.w1, s.w2
+        out[0][:] = s.w1
+        out[1][:] = s.w2
 
-    parts = _map_chunks(one, _chunk_sizes(sim.n_draws), workers)
+    w1, w2 = _chunked(one, sim.n_draws, 2, workers)
     return PathSample(
-        w1=np.concatenate([p[0] for p in parts]),
-        w2=np.concatenate([p[1] for p in parts]),
-        mode="backward_truncated",
-        config=sim,
-        chain_len=1,
+        w1=w1, w2=w2, mode="backward_truncated", config=sim, chain_len=1
     )
 
 
 def _garch_chunked(params, sim: SimConfig, workers: int) -> GarchPath:
-    n = sim.n_draws
-
-    def one(i: int, size: int):
-        n_chains = -(-size // _CHUNK_CHAIN_LEN)
-        cfg = replace(sim, n_draws=n_chains * _CHUNK_CHAIN_LEN)
-        p = stationary_garch_sample(
-            params, cfg, substream(sim.base_seed, "garch", i), n_chains=n_chains
-        )
-        return tuple(
-            arr[:size] for arr in (p.x1, p.x2, p.sigma1_sq, p.sigma2_sq, p.z1, p.z2)
-        )
-
-    parts = _map_chunks(one, _chunk_sizes(n), workers)
-    merged = [np.concatenate([p[j] for p in parts]) for j in range(6)]
     return GarchPath(
-        x1=merged[0],
-        x2=merged[1],
-        sigma1_sq=merged[2],
-        sigma2_sq=merged[3],
-        z1=merged[4],
-        z2=merged[5],
+        *_chain_chunks(stationary_garch_sample, params, sim, workers, "garch", 6),
         params=params,
         config=sim,
-        chain_len=min(_CHUNK_CHAIN_LEN, n),
+        chain_len=min(_CHUNK_CHAIN_LEN, sim.n_draws),
     )
 
 
@@ -410,9 +404,8 @@ def _step_simulate(ctx: _Ctx) -> None:
         _summary_stats(ctx, "w2", sample.w2)
 
 
-def _hill_record(ctx: _Ctx, name: str, series, target: Optional[float]) -> None:
-    k = int(ctx.param("hill_k", 0))
-    est = tailstats.hill(series, k=k)
+def _hill_record(ctx: _Ctx, name: str, series, target: Optional[float], k: int = 0) -> None:
+    est = tailstats.hill(series, k=k or int(ctx.param("hill_k", 0)))
     if target is None:
         ctx.add(name=name, value=est.alpha_hat, std_error=est.std_error,
                 passed=None, note=f"k={est.k}")
@@ -466,8 +459,9 @@ def _step_tails(ctx: _Ctx) -> None:
         path = ctx.garch_path()
         _hill_record(ctx, "hill_sigma1_sq", path.sigma1_sq, a_min)
         _hill_record(ctx, "hill_sigma2_sq", path.sigma2_sq, a2)
-        _hill_record(ctx, "hill_abs_x1", np.abs(path.x1), 2.0 * a_min)
-        _hill_record(ctx, "hill_abs_x2", np.abs(path.x2), 2.0 * a2)
+        k_x = int(ctx.param("hill_k_x", 0)) or return_hill_k(len(path))
+        _hill_record(ctx, "hill_abs_x1", np.abs(path.x1), 2.0 * a_min, k=k_x)
+        _hill_record(ctx, "hill_abs_x2", np.abs(path.x2), 2.0 * a2, k=k_x)
         _plateau_record(ctx, "plateau_sigma1_sq", path.sigma1_sq, a_min)
         _plateau_record(ctx, "plateau_sigma2_sq", path.sigma2_sq, a2)
     else:
@@ -726,15 +720,6 @@ _PIPELINE_STEPS = {
     "spectral": (("spectral", _step_spectral),),
     "garch_verify": (("garch_verify", _step_garch_verify),),
 }
-_PIPELINE_STEPS["full_report"] = (
-    ("solve_index", _step_solve_index),
-    ("stationarity", _step_stationarity),
-    ("simulate", _step_simulate),
-    ("tails", _step_tails),
-    ("constants", _step_constants),
-    ("cross_validate", _step_cross_validate),
-    ("spectral", _step_spectral),
-)
 
 
 def _full_report_steps(cfg: ExperimentConfig):
@@ -746,15 +731,24 @@ def _full_report_steps(cfg: ExperimentConfig):
             ("tails", _step_tails),
             ("garch_verify", _step_garch_verify),
         )
-    return _PIPELINE_STEPS["full_report"]
+    return (
+        ("solve_index", _step_solve_index),
+        ("stationarity", _step_stationarity),
+        ("simulate", _step_simulate),
+        ("tails", _step_tails),
+        ("constants", _step_constants),
+        ("cross_validate", _step_cross_validate),
+        ("spectral", _step_spectral),
+    )
 
 
 def run(config: ExperimentConfig, workers: Optional[int] = None) -> RunReport:
     """Execute one pipeline and write its artifacts and report.
 
-    Every step's failure is captured as a ``passed=False`` record named
-    ``<step>_error``; sibling steps still run.  The report is saved as
-    ``report.json`` in the output directory and returned.
+    Every step's failure, whatever the exception type, is captured as a
+    ``passed=False`` record named ``<step>_error``; sibling steps still run.
+    The report is saved as ``report.json`` in the output directory and
+    returned.
     """
     t0 = time.perf_counter()
     workers = workers if workers is not None else config.workers
@@ -772,7 +766,7 @@ def run(config: ExperimentConfig, workers: Optional[int] = None) -> RunReport:
     for step_name, step_fn in steps:
         try:
             step_fn(ctx)
-        except (TritailError, ArithmeticError, ValueError, FloatingPointError) as e:
+        except Exception as e:
             ctx.records.append(
                 ResultRecord(
                     name=f"{step_name}_error",

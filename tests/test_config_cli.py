@@ -519,6 +519,22 @@ def test_cli_gated_failure_exits_one(tmp_path, capsys):
     assert "[FAIL] solve_index_error" in captured.out
 
 
+def test_cli_step_error_of_any_type_is_captured(tmp_path, capsys):
+    # A scalar s_schedule parses but makes the constants step raise TypeError:
+    # it becomes a constants_error record and report.json is still written.
+    cfg = base_config(params={"s_schedule": 4})
+    cfg["sim"].update(n_draws=200_000, burn_in=200)
+    cfg_path = _write_config(tmp_path, "scalar_schedule.json", cfg)
+    out = tmp_path / "o"
+    rc = main(["constants", "--config", str(cfg_path), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "[FAIL] constants_error" in captured.out
+    report = RunReport.load(out / "report.json")
+    err = next(r for r in report.results if r.name == "constants_error")
+    assert err.note.startswith("TypeError: ")
+
+
 def test_cli_unusable_inputs_exit_two(tmp_path, capsys):
     rc = main(["solve-index", "--config", str(tmp_path / "missing.json")])
     assert rc == 2

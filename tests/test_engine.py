@@ -17,11 +17,14 @@ from tritail.engine import (
     lyapunov_estimate,
     product_chain,
     product_chain_batch,
+    slab_rows,
     stationary_sample,
     triangular_opnorm,
 )
 from tritail.errors import NonFiniteState, NotContracting
 from tritail.laws import Constant, IndependentLaw
+from tritail.pipelines import _CHUNK_CHAIN_LEN, _CHUNK_DRAWS, _stationary_chunked
+from tritail.streams import substream
 from tritail.tailstats import ks_2sample
 
 from conftest import LAW_C8, make_law
@@ -118,6 +121,102 @@ def test_stationary_sample_overflow_raises():
     law = make_law(Constant(0.5), Constant(0.25), Constant(1.5))
     with np.errstate(over="ignore"), pytest.raises(NonFiniteState):
         stationary_sample(law, SimConfig(burn_in=0, n_draws=4000), rng(), n_chains=2)
+
+
+class RecordingLaw:
+    """A coefficient law that keeps every slab it draws."""
+
+    def __init__(self, law):
+        self.law = law
+        self.mode = law.mode
+        self.slabs = []
+
+    def sample(self, rng, size=None):
+        d = self.law.sample(rng, size)
+        self.slabs.append(d)
+        return d
+
+    def marginal(self, name):
+        return self.law.marginal(name)
+
+
+def step_rows(slabs):
+    """The recorded slabs as one coefficient tuple per step."""
+    return [tuple(x[r] for x in d) for d in slabs for r in range(d.a1.shape[0])]
+
+
+def reference_forward(slabs, cfg, n_chains):
+    """Plain per-step recursion over recorded draws, kept chain-major."""
+    per_chain = -(-cfg.n_draws // n_chains)
+    out1 = np.empty((n_chains, per_chain))
+    out2 = np.empty((n_chains, per_chain))
+    w1 = np.zeros(n_chains)
+    w2 = np.zeros(n_chains)
+    kept = 0
+    for t, (a1, a2, a4, b1, b2) in enumerate(step_rows(slabs), start=1):
+        w1 = a1 * w1 + a2 * w2 + b1
+        w2 = a4 * w2 + b2
+        if t > cfg.burn_in and (t - cfg.burn_in) % cfg.thinning == 0:
+            out1[:, kept] = w1
+            out2[:, kept] = w2
+            kept += 1
+    assert kept == per_chain
+    return out1.reshape(-1)[: cfg.n_draws], out2.reshape(-1)[: cfg.n_draws]
+
+
+@pytest.mark.parametrize(
+    "burn_in, n_draws, thinning, n_chains",
+    [
+        (0, 700, 1, 7),          # no burn-in, whole chains
+        (150, 1001, 3, 3),       # thinning, burn-in not a multiple of 64, trimmed chain
+        (70, 999, 2, 10),        # ten chains of 100 with the last trimmed to 99
+        (3, 40_000, 1, 40_000),  # wide enough to force one-row slabs
+    ],
+)
+def test_stationary_sample_equals_per_step_recursion(burn_in, n_draws, thinning, n_chains):
+    law = RecordingLaw(LAW_C8)
+    cfg = SimConfig(burn_in=burn_in, n_draws=n_draws, thinning=thinning)
+    path = stationary_sample(law, cfg, rng(3), n_chains=n_chains)
+    rows = slab_rows(n_chains)
+    assert all(d.a1.shape == (rows, n_chains) for d in law.slabs[:-1])
+    ref1, ref2 = reference_forward(law.slabs, cfg, n_chains)
+    np.testing.assert_array_equal(path.w1, ref1)
+    np.testing.assert_array_equal(path.w2, ref2)
+
+
+def test_slab_rows_element_budget():
+    assert slab_rows(1) == 64 and slab_rows(400) == 64
+    assert slab_rows(10_000) == 3
+    assert slab_rows(100_000) == 1
+
+
+def test_stationary_sample_writes_into_out():
+    cfg = SimConfig(burn_in=20, n_draws=500)
+    full = stationary_sample(LAW_C8, cfg, rng(4), n_chains=4)
+    out = (np.full(333, np.nan), np.full(333, np.nan))
+    part = stationary_sample(LAW_C8, cfg, rng(4), n_chains=4, out=out)
+    assert part.w1 is out[0] and part.w2 is out[1]
+    np.testing.assert_array_equal(out[0], full.w1[:333])
+    np.testing.assert_array_equal(out[1], full.w2[:333])
+
+
+def test_chunked_sample_independent_of_workers():
+    # Two full chunks plus a remainder that trims the last chain.
+    n = 2 * _CHUNK_DRAWS + _CHUNK_CHAIN_LEN + 17
+    sim = SimConfig(burn_in=30, n_draws=n, base_seed=5)
+    one = _stationary_chunked(LAW_C8, sim, workers=1)
+    for workers in (2, 3):  # 3 threads share the merged arrays on fewer cores
+        many = _stationary_chunked(LAW_C8, sim, workers=workers)
+        np.testing.assert_array_equal(one.w1, many.w1)
+        np.testing.assert_array_equal(one.w2, many.w2)
+    assert one.chain_len == _CHUNK_CHAIN_LEN and len(one) == n
+    # Each chunk is a pure function of its index: whole chains, then trimmed.
+    tail = n - 2 * _CHUNK_DRAWS
+    alone = stationary_sample(
+        LAW_C8, SimConfig(burn_in=30, n_draws=2 * _CHUNK_CHAIN_LEN),
+        substream(5, "stationary", 2), n_chains=2,
+    )
+    np.testing.assert_array_equal(one.w1[2 * _CHUNK_DRAWS:], alone.w1[:tail])
 
 
 # ---------------------------------------------------------------------------
@@ -247,3 +346,29 @@ def test_lyapunov_validation():
         lyapunov_estimate(LAW_C8, n=99, n_chains=2, rng=rng())
     with pytest.raises(ValueError):
         lyapunov_estimate(LAW_C8, n=100, n_chains=0, rng=rng())
+
+
+@pytest.mark.parametrize("n, n_chains", [(200, 5), (130, 40_000)])
+def test_lyapunov_equals_per_step_products(n, n_chains):
+    # Renormalization happens at slab ends; the reference does the same over
+    # the recorded slabs with plain per-step products.
+    law = RecordingLaw(LAW_C8)
+    est = lyapunov_estimate(law, n=n, n_chains=n_chains, rng=rng(31))
+    p1, u, p4 = np.ones(n_chains), np.zeros(n_chains), np.ones(n_chains)
+    log_scale = np.zeros(n_chains)
+    steps = 0
+    for d in law.slabs:
+        for a1, a2, a4, _, _ in step_rows([d]):
+            u = a1 * u + a2 * p4
+            p1 = a1 * p1
+            p4 = a4 * p4
+            steps += 1
+        scale = triangular_opnorm(p1, u, p4)
+        log_scale += np.log(scale)
+        p1, u, p4 = p1 / scale, u / scale, p4 / scale
+    assert steps == n
+    per_chain = log_scale / n
+    np.testing.assert_array_equal(est.gamma_hat, per_chain.mean())
+    np.testing.assert_array_equal(
+        est.std_error, per_chain.std(ddof=1) / math.sqrt(n_chains)
+    )

@@ -5,13 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from tritail.engine import SimConfig
+from tritail.engine import SimConfig, slab_rows
 from tritail.errors import NonFiniteState, RegimeMismatch
 from tritail.garch import (
     CheckRecord,
     GarchLaw,
     GarchParams,
     GarchVerifyReport,
+    _correlated_normals,
+    return_hill_k,
     return_spectral_check,
     simulate_garch,
     stationary_garch_sample,
@@ -19,6 +21,7 @@ from tritail.garch import (
     verify_tail_relations,
 )
 from tritail.laws import ChiSqAffine, Constant, moment, solve_tail_index
+from tritail.pipelines import _CHUNK_CHAIN_LEN, _CHUNK_DRAWS, _garch_chunked
 
 from conftest import GARCH_P10
 
@@ -119,6 +122,70 @@ def test_recursion_timing_from_stored_noise():
     np.testing.assert_allclose(s2[1:], a4 * s2[:-1] + p.alpha0[1], rtol=1e-12)
     np.testing.assert_allclose(path.x1, np.sqrt(s1) * z1, rtol=1e-12)
     np.testing.assert_allclose(path.x2, np.sqrt(s2) * z2, rtol=1e-12)
+
+
+def reference_garch(params, cfg, seed, n_chains):
+    """Per-step GARCH recursion replaying the sampler's noise stream.
+
+    The sampler draws the initial noise pair, then the fresh noise of each
+    slab of ``slab_rows(n_chains)`` steps as two (rows, chains) normal arrays.
+    """
+    g = rng(seed)
+    per_chain = -(-cfg.n_draws // n_chains)
+    total = cfg.burn_in + per_chain * cfg.thinning
+    z = _correlated_normals(params.rho, n_chains, g)
+    L = slab_rows(n_chains)
+    noise = []
+    for t in range(0, total, L):
+        z1, z2 = _correlated_normals(params.rho, (min(L, total - t), n_chains), g)
+        noise.extend(zip(z1, z2))
+    s1 = np.full(n_chains, params.alpha0[0])
+    s2 = np.full(n_chains, params.alpha0[1])
+    out = {k: np.empty((n_chains, per_chain)) for k in ("x1", "x2", "s1", "s2", "z1", "z2")}
+    kept = 0
+    for t, fresh in enumerate(noise, start=1):
+        a1, a2, a4, b1, b2 = to_sre_coefficients(params, z)
+        s1 = a1 * s1 + a2 * s2 + b1
+        s2 = a4 * s2 + b2
+        z = fresh
+        if t > cfg.burn_in and (t - cfg.burn_in) % cfg.thinning == 0:
+            for key, v in (("x1", np.sqrt(s1) * z[0]), ("x2", np.sqrt(s2) * z[1]),
+                           ("s1", s1), ("s2", s2), ("z1", z[0]), ("z2", z[1])):
+                out[key][:, kept] = v
+            kept += 1
+    return {k: v.reshape(-1)[: cfg.n_draws] for k, v in out.items()}
+
+
+@pytest.mark.parametrize(
+    "burn_in, n_draws, thinning, n_chains",
+    [
+        (37, 1001, 2, 3),        # thinning, burn-in not a multiple of 64, trimmed chain
+        (100, 640, 1, 1),        # single chain
+        (2, 40_000, 1, 40_000),  # wide enough to force one-row slabs
+    ],
+)
+def test_stationary_garch_sample_equals_per_step_recursion(burn_in, n_draws, thinning, n_chains):
+    cfg = SimConfig(burn_in=burn_in, n_draws=n_draws, thinning=thinning)
+    path = stationary_garch_sample(GARCH_P10, cfg, rng(12), n_chains=n_chains)
+    ref = reference_garch(GARCH_P10, cfg, 12, n_chains)
+    for key, got in (("x1", path.x1), ("x2", path.x2), ("s1", path.sigma1_sq),
+                     ("s2", path.sigma2_sq), ("z1", path.z1), ("z2", path.z2)):
+        np.testing.assert_array_equal(got, ref[key], err_msg=key)
+
+
+def test_garch_chunked_independent_of_workers():
+    n = _CHUNK_DRAWS + _CHUNK_CHAIN_LEN // 2 + 3
+    sim = SimConfig(burn_in=20, n_draws=n, base_seed=9)
+    one = _garch_chunked(GARCH_P10, sim, workers=1)
+    two = _garch_chunked(GARCH_P10, sim, workers=2)
+    for name in ("x1", "x2", "sigma1_sq", "sigma2_sq", "z1", "z2"):
+        np.testing.assert_array_equal(getattr(one, name), getattr(two, name))
+    assert len(one) == n and one.chain_len == _CHUNK_CHAIN_LEN
+
+
+def test_return_hill_k_is_square_root_rule():
+    assert return_hill_k(10_000_000) == 3162
+    assert return_hill_k(3) == 2
 
 
 def test_volatility_floor_and_chain_layout():
