@@ -12,12 +12,9 @@ from .config import ExperimentConfig, canonical_json, load_config, parse_config
 from .engine import (
     LyapunovEstimate,
     PathSample,
-    ProductChain,
     SimConfig,
     backward_truncated,
-    iterate_forward,
     lyapunov_estimate,
-    product_chain,
     product_chain_batch,
     stationary_sample,
     triangular_opnorm,
@@ -43,7 +40,6 @@ from .garch import (
     GarchParams,
     GarchPath,
     return_spectral_check,
-    simulate_garch,
     stationary_garch_sample,
     to_sre_coefficients,
     verify_tail_relations,
@@ -68,7 +64,8 @@ from .laws import (
     moment,
     solve_tail_index,
 )
-from .pipelines import ResultRecord, RunReport, compare_reports, run
+from .pipelines import RunReport, compare_reports, run
+from .records import ResultRecord
 from .renewal import (
     RenewalConstant,
     SeriesWeightBounds,
@@ -81,7 +78,6 @@ from .renewal import (
 )
 from .spectral import (
     AngularSample,
-    SpectralProcessDraw,
     SpectralProcessSample,
     angular_ks,
     angular_measure_threshold,

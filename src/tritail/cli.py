@@ -107,7 +107,7 @@ def _do_diff(args: argparse.Namespace) -> int:
     try:
         a = RunReport.load(args.report_a)
         b = RunReport.load(args.report_b)
-    except (OSError, KeyError, ValueError) as e:
+    except (OSError, KeyError, TypeError, ValueError) as e:
         print(f"error: cannot load reports: {e}", file=sys.stderr)
         return 2
     try:

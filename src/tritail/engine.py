@@ -24,12 +24,9 @@ from .laws import CoeffDraw, CoefficientLaw, check_stationarity
 __all__ = [
     "SimConfig",
     "PathSample",
-    "ProductChain",
     "LyapunovEstimate",
-    "iterate_forward",
     "stationary_sample",
     "backward_truncated",
-    "product_chain",
     "product_chain_batch",
     "lyapunov_estimate",
     "triangular_opnorm",
@@ -98,19 +95,6 @@ class PathSample:
         return -(-self.w1.size // self.chain_len)
 
 
-@dataclass(eq=False)
-class ProductChain:
-    """Running coefficient-matrix products Pi_t = A_t ... A_1, t = 0..h.
-
-    Index 0 is the empty product (identity).  ``pi1`` and ``pi4`` are the
-    diagonal scalar products; ``pi_mat[t]`` is the full upper-triangular matrix.
-    """
-
-    pi1: np.ndarray
-    pi4: np.ndarray
-    pi_mat: np.ndarray
-
-
 def _check_state_finite(w1: np.ndarray, w2: np.ndarray, t: int) -> None:
     if not (np.isfinite(w1).all() and np.isfinite(w2).all()):
         raise NonFiniteState(
@@ -121,51 +105,6 @@ def _check_state_finite(w1: np.ndarray, w2: np.ndarray, t: int) -> None:
 # ============================================================================
 # Forward simulation
 # ============================================================================
-
-def iterate_forward(
-    law: CoefficientLaw,
-    w0: tuple[float, float],
-    config: SimConfig,
-    rng: np.random.Generator,
-) -> PathSample:
-    """Run one chain of the exact recursion and keep thinned post-burn-in states.
-
-    Keeps ``config.n_draws`` states, one every ``config.thinning`` steps after
-    discarding ``config.burn_in`` steps.  Raises :class:`NonFiniteState` as
-    soon as the state overflows (the tell-tale of a non-contracting law).
-    """
-    if not (w0[0] >= 0 and w0[1] >= 0):
-        raise ValueError("w0 must be componentwise nonnegative")
-
-    total = config.burn_in + config.n_draws * config.thinning
-    out1 = np.empty(config.n_draws)
-    out2 = np.empty(config.n_draws)
-    w1, w2 = float(w0[0]), float(w0[1])
-    kept = 0
-    step = 0
-    chunk = 8192
-    while step < total:
-        width = min(chunk, total - step)
-        d = law.sample(rng, width)
-        # Python-scalar inner loop: lists beat per-element ndarray indexing.
-        a1l, a2l, a4l = d.a1.tolist(), d.a2.tolist(), d.a4.tolist()
-        b1l, b2l = d.b1.tolist(), d.b2.tolist()
-        for i in range(width):
-            w1 = a1l[i] * w1 + a2l[i] * w2 + b1l[i]
-            w2 = a4l[i] * w2 + b2l[i]
-            step += 1
-            if step > config.burn_in and (step - config.burn_in) % config.thinning == 0:
-                out1[kept] = w1
-                out2[kept] = w2
-                kept += 1
-        if not (math.isfinite(w1) and math.isfinite(w2)):
-            raise NonFiniteState(
-                f"state overflowed by step {step}; configuration is not stationary"
-            )
-    return PathSample(
-        w1=out1, w2=out2, mode="forward_burnin", config=config, chain_len=config.n_draws
-    )
-
 
 def slab_rows(n_chains: int) -> int:
     """Steps per coefficient slab for ``n_chains`` parallel chains.
@@ -341,19 +280,6 @@ def backward_truncated(
 # ============================================================================
 # Coefficient products
 # ============================================================================
-
-def product_chain(law: CoefficientLaw, h: int, rng: np.random.Generator) -> ProductChain:
-    """Running products of h fresh coefficient matrices (index 0 = identity)."""
-    if h < 1:
-        raise ValueError("h must be >= 1")
-    p1, u, p4 = product_chain_batch(law, h, 1, rng)
-    p1, u, p4 = p1[0], u[0], p4[0]
-    mats = np.zeros((h + 1, 2, 2))
-    mats[:, 0, 0] = p1
-    mats[:, 0, 1] = u
-    mats[:, 1, 1] = p4
-    return ProductChain(pi1=p1, pi4=p4, pi_mat=mats)
-
 
 def product_chain_batch(
     law: CoefficientLaw, h: int, n: int, rng: np.random.Generator

@@ -42,6 +42,7 @@ from .laws import (
     classify_regime,
     solve_tail_index,
 )
+from .records import ResultRecord
 from .renewal import univariate_constant
 from .spectral import (
     MIN_EXCEEDANCES,
@@ -61,12 +62,10 @@ __all__ = [
     "GarchParams",
     "GarchLaw",
     "GarchPath",
-    "CheckRecord",
     "GarchVerifyReport",
     "GarchSpectralReport",
     "to_sre_coefficients",
     "return_hill_k",
-    "simulate_garch",
     "stationary_garch_sample",
     "verify_tail_relations",
     "return_spectral_check",
@@ -200,14 +199,14 @@ class GarchLaw:
 
 @dataclass(eq=False)
 class GarchPath:
-    """Simulated returns, squared volatilities, and the driving noise.
+    """Simulated squared volatilities and the driving noise.
 
-    Arrays are chain-major like :class:`tritail.engine.PathSample`;
-    ``X_{i,t} = sigma_{i,t} Z_{i,t}`` holds exactly at every kept state.
+    The four stored arrays are chain-major like
+    :class:`tritail.engine.PathSample`.  The returns ``x1``/``x2`` are not
+    stored: each access computes ``X_i = sqrt(sigma_i^2) * Z_i`` as a fresh
+    array over the whole path.
     """
 
-    x1: np.ndarray
-    x2: np.ndarray
     sigma1_sq: np.ndarray
     sigma2_sq: np.ndarray
     z1: np.ndarray
@@ -218,7 +217,20 @@ class GarchPath:
     mode: str = "garch"
 
     def __len__(self) -> int:
-        return self.x1.size
+        return self.sigma1_sq.size
+
+    @property
+    def x1(self) -> np.ndarray:
+        return np.sqrt(self.sigma1_sq) * self.z1
+
+    @property
+    def x2(self) -> np.ndarray:
+        return np.sqrt(self.sigma2_sq) * self.z2
+
+    def head(self, m: int) -> "GarchPath":
+        """The first m states, as views of the stored arrays."""
+        return replace(self, sigma1_sq=self.sigma1_sq[:m], sigma2_sq=self.sigma2_sq[:m],
+                       z1=self.z1[:m], z2=self.z2[:m])
 
     def vol_sample(self) -> PathSample:
         """The squared-volatility pair as a plain recursion sample."""
@@ -237,9 +249,9 @@ def _noise_slabs(params: GarchParams, rng, z1: np.ndarray, z2: np.ndarray):
     ``z1``/``z2`` are (L+1, chains) noise buffers aligned with the kernel's
     state rows: row 0 holds the previous slab's last noise (the initial pair
     before the first slab) and rows 1..rows the fresh noise of each step.
-    The coefficients of a step come from the PREVIOUS row's noise, and the
-    return of a kept state is sqrt(sigma^2) times its own row's noise — the
-    single place the timing convention lives.
+    The coefficients of a step come from the PREVIOUS row's noise, and a
+    kept state stores its own row's noise, whose return is sqrt(sigma^2)
+    times that noise — the single place the timing convention lives.
     """
     c = math.sqrt(1.0 - params.rho * params.rho)
     shape = (z1.shape[0] - 1, z1.shape[1])
@@ -275,13 +287,13 @@ def stationary_garch_sample(
 
     Same chain layout, trimming rules and ``out`` convention as
     :func:`tritail.engine.stationary_sample` (auto: about one chain per
-    thousand draws); ``out`` holds six flat arrays in the order
-    (x1, x2, sigma1_sq, sigma2_sq, z1, z2).  Volatilities start at their
-    floor alpha0 and burn in.
+    thousand draws); ``out`` holds the four stored flat arrays in the order
+    (sigma1_sq, sigma2_sq, z1, z2), and the returned path derives the returns
+    from them.  Volatilities start at their floor alpha0 and burn in.
     """
     n_chains, per_chain = chain_plan(config.n_draws, n_chains)
     if out is None:
-        out = tuple(np.empty(config.n_draws) for _ in range(6))
+        out = tuple(np.empty(config.n_draws) for _ in range(4))
     rows = slab_rows(n_chains)
     s1 = np.empty((rows + 1, n_chains))
     s2 = np.empty((rows + 1, n_chains))
@@ -292,10 +304,8 @@ def stationary_garch_sample(
     z1[0], z2[0] = _correlated_normals(params.rho, n_chains, rng)
     draw = _noise_slabs(params, rng, z1, z2)
     for j, sel in forward_slabs(draw, s1, s2, config, per_chain):
-        v1, v2, e1, e2 = s1[sel], s2[sel], z1[sel], z2[sel]
-        kept = (np.sqrt(v1) * e1, np.sqrt(v2) * e2, v1, v2, e1, e2)
-        for dst, block in zip(out, kept):
-            store_kept(dst, j, block, per_chain)
+        for dst, block in zip(out, (s1, s2, z1, z2)):
+            store_kept(dst, j, block[sel], per_chain)
     return GarchPath(
         *out,
         params=params,
@@ -304,41 +314,18 @@ def stationary_garch_sample(
     )
 
 
-def simulate_garch(
-    params: GarchParams, config: SimConfig, rng: np.random.Generator
-) -> GarchPath:
-    """Run one GARCH chain and keep thinned post-burn-in states."""
-    return stationary_garch_sample(params, config, rng, n_chains=1)
-
-
 # ============================================================================
 # Tail-chain verification
 # ============================================================================
 
-@dataclass(frozen=True)
-class CheckRecord:
-    """One named numeric check: value, its uncertainty, and the accepted band.
-
-    ``passed`` is None for purely informational entries (no gate defined).
-    """
-
-    name: str
-    value: float
-    std_error: float
-    low: float
-    high: float
-    passed: Optional[bool]
-    note: str = ""
-
-
-def _band_record(name, estimate, se, target, se_mult, note="") -> CheckRecord:
+def _band_record(name, estimate, se, target, se_mult, note="") -> ResultRecord:
     half = se_mult * se
-    return CheckRecord(
+    return ResultRecord(
         name=name,
         value=estimate,
         std_error=se,
-        low=target - half,
-        high=target + half,
+        bound_low=target - half,
+        bound_high=target + half,
         passed=bool(abs(estimate - target) <= half),
         note=note,
     )
@@ -351,7 +338,7 @@ class GarchVerifyReport:
     alpha1: float
     alpha2: float
     regime: str
-    records: tuple[CheckRecord, ...]
+    records: tuple[ResultRecord, ...]
 
     @property
     def all_passed(self) -> bool:
@@ -413,7 +400,7 @@ def verify_tail_relations(
     a_min = min(a1, a2)
 
     path = _resolve_path(params, n, rng, sim, path)
-    records: list[CheckRecord] = []
+    records: list[ResultRecord] = []
     k_used = k or default_hill_k(len(path))
     k_x_used = k_x or return_hill_k(len(path))
 
@@ -448,35 +435,33 @@ def verify_tail_relations(
     plateau = tail_constant(path.sigma2_sq, a2)
     rel = abs(plateau.c_hat - c2.c_hat) / c2.c_hat
     records.append(
-        CheckRecord(
+        ResultRecord(
             name="sigma2_sq_constant_vs_plateau",
             value=plateau.c_hat,
             std_error=c2.std_error,
-            low=c2.c_hat * (1 - rel_tol),
-            high=c2.c_hat * (1 + rel_tol),
+            bound_low=c2.c_hat * (1 - rel_tol),
+            bound_high=c2.c_hat * (1 + rel_tol),
             passed=bool(rel <= rel_tol),
             note=f"renewal constant {c2.c_hat:.6g}",
         )
     )
     records.append(
-        CheckRecord(
+        ResultRecord(
             name="plateau_dispersion_sigma2_sq",
             value=plateau.dispersion,
-            std_error=0.0,
-            low=0.0,
-            high=0.15,
+            bound_low=0.0,
+            bound_high=0.15,
             passed=bool(plateau.dispersion < 0.15),
         )
     )
 
     classified = classify_regime(GarchLaw(params))
     records.append(
-        CheckRecord(
+        ResultRecord(
             name="regime_coherent",
             value=1.0 if classified.regime == regime else 0.0,
-            std_error=0.0,
-            low=1.0,
-            high=1.0,
+            bound_low=1.0,
+            bound_high=1.0,
             passed=bool(classified.regime == regime),
             note=f"solver {regime}, classifier {classified.regime}",
         )
@@ -528,7 +513,7 @@ class GarchSpectralReport:
     branch: str
     alpha1: float
     alpha2: float
-    records: tuple[CheckRecord, ...]
+    records: tuple[ResultRecord, ...]
     threshold: float
     n_exceedances: int
 
@@ -544,7 +529,7 @@ class GarchSpectralReport:
         return all(r.passed is not False for r in self.records)
 
 
-def _sign_symmetry_records(coords: np.ndarray, ks_bound: float) -> list[CheckRecord]:
+def _sign_symmetry_records(coords: np.ndarray, ks_bound: float) -> list[ResultRecord]:
     """Antipodal-symmetry checks on signed window coordinates (m, d).
 
     Two statistics per report: the largest per-coordinate KS distance between
@@ -563,20 +548,19 @@ def _sign_symmetry_records(coords: np.ndarray, ks_bound: float) -> list[CheckRec
     frac = coords > 0
     z_max = float(np.abs(frac.mean(axis=0) - 0.5).max() * 2.0 * math.sqrt(m))
     return [
-        CheckRecord(
+        ResultRecord(
             name="sign_symmetry_ks",
             value=float(ks_sym),
-            std_error=0.0,
-            low=0.0,
-            high=ks_gate,
+            bound_low=0.0,
+            bound_high=ks_gate,
             passed=bool(ks_sym <= ks_gate),
         ),
-        CheckRecord(
+        ResultRecord(
             name="sign_symmetry_z",
             value=z_max,
             std_error=1.0,
-            low=0.0,
-            high=4.0,
+            bound_low=0.0,
+            bound_high=4.0,
             passed=bool(z_max <= 4.0),
         ),
     ]
@@ -622,12 +606,11 @@ def _prop_heavier_cross(params, path, h, u_quantile, n_limit, ks_bound, a2, rng)
         for i in range(2):
             stat, _ = ks_2sample(sim_win[:, t, i], limit[:, t, i])
             records.append(
-                CheckRecord(
+                ResultRecord(
                     name=f"ks_x{i + 1}_t{t + 1}",
                     value=float(stat),
-                    std_error=0.0,
-                    low=0.0,
-                    high=ks_bound,
+                    bound_low=0.0,
+                    bound_high=ks_bound,
                     passed=bool(stat <= ks_bound),
                 )
             )
@@ -636,12 +619,11 @@ def _prop_heavier_cross(params, path, h, u_quantile, n_limit, ks_bound, a2, rng)
         np.linalg.norm(limit.reshape(n_limit, -1), axis=1),
     )
     records.append(
-        CheckRecord(
+        ResultRecord(
             name="ks_window_norm",
             value=float(stat),
-            std_error=0.0,
-            low=0.0,
-            high=ks_bound,
+            bound_low=0.0,
+            bound_high=ks_bound,
             passed=bool(stat <= ks_bound),
         )
     )
@@ -687,12 +669,11 @@ def _prop_heavier_own(params, path, h, u_quantile, n_limit, ks_bound, alphas, rn
         for t in range(h):
             stat = ks_distance(angles[:, t], limit_angles[:, t], None, weights)
             records.append(
-                CheckRecord(
+                ResultRecord(
                     name=f"ks_x{i}_angle_t{t + 1}",
                     value=float(stat),
-                    std_error=0.0,
-                    low=0.0,
-                    high=ks_bound,
+                    bound_low=0.0,
+                    bound_high=ks_bound,
                     passed=bool(stat <= ks_bound),
                 )
             )

@@ -8,8 +8,10 @@ coupling entry A2, and the additive terms B1 and B2.  This module holds
   :class:`ScaledUniformPow`, :class:`ParetoLomax`, :class:`Constant`,
   :class:`ChiSqAffine`),
 * the moment functional ``m(h) = E X^h`` with closed forms where they exist,
-  adaptive quadrature for the chi-square-affine kind, and a Monte Carlo fallback,
+  adaptive quadrature for the chi-square-affine kind, and an explicit Monte
+  Carlo estimate for cross-checking them,
 * the tail-index solver for the root of ``m(alpha) = 1`` (Cramer condition),
+  always on a deterministic path,
 * stationarity and regime checks for a full coefficient law.
 
 Conventions: ``LogNormal(mu, sigma)`` takes the log-scale standard deviation
@@ -400,19 +402,12 @@ class TailIndexSolution:
     residual: float
     method: str
     bracket: tuple[float, float]
-    std_error: float = 0.0
 
 
 _MAX_POWER = 64.0
 
 
-def solve_tail_index(
-    dist: PositiveDistribution,
-    *,
-    tol: float = 1e-10,
-    n_mc: int = 400_000,
-    rng: Optional[np.random.Generator] = None,
-) -> TailIndexSolution:
+def solve_tail_index(dist: PositiveDistribution, *, tol: float = 1e-10) -> TailIndexSolution:
     """Solve E X^alpha = 1 for the unique positive root.
 
     The map ``h -> E X^h`` is convex with slope ``E log X < 0`` at zero, so on a
@@ -420,11 +415,10 @@ def solve_tail_index(
     once from below.  The solver brackets that crossing by doubling h up to 64,
     halves down when m(1) >= 1 already, and finishes with Brent's method.
 
-    Moments are evaluated on the best deterministic path for the kind (closed
-    form, or adaptive quadrature for :class:`ChiSqAffine`).  If neither exists
-    the solver falls back to Monte Carlo with common random numbers: one fixed
-    sample of log X serves every h, so the solver sees a deterministic convex
-    function instead of a noisy one.
+    Moments come from the closed form, or from adaptive quadrature for
+    :class:`ChiSqAffine`, whose closed forms exist only at special orders.
+    Every other kind has a closed form at all orders, so the root carries no
+    sampling error.
 
     Raises
     ------
@@ -447,23 +441,9 @@ def solve_tail_index(
     if not elog < 0.0:
         raise NotContracting(f"E log X = {elog:.6g} >= 0")
 
-    log_x = None
-    if isinstance(dist, ChiSqAffine):
-        # Closed forms exist only at special orders; the bracketing walk needs
-        # arbitrary h, so this kind is solved entirely on the quadrature path.
-        method = "quadrature"
-    elif _closed_moment(dist, 1.0) is not None:
-        method = "closed_form"
-    else:
-        method = "monte_carlo"
-        if rng is None:
-            rng = np.random.default_rng(0)
-        log_x = np.log(np.asarray(dist.sample(rng, n_mc), dtype=float))
+    method = "quadrature" if isinstance(dist, ChiSqAffine) else "closed_form"
 
     def m(h: float) -> float:
-        if method == "monte_carlo":
-            # logsumexp keeps h up to 64 from overflowing the power.
-            return math.exp(special.logsumexp(h * log_x) - math.log(log_x.size))
         if method == "quadrature":
             return _chisq_affine_quad(dist, h)
         val = _closed_moment(dist, h)
@@ -471,22 +451,9 @@ def solve_tail_index(
             raise DivergentMoment(f"E X^{h} = +inf")
         return val
 
-    def se_at(alpha: float) -> float:
-        if method != "monte_carlo":
-            return 0.0
-        powers = np.exp(alpha * log_x)
-        se_m = float(powers.std(ddof=1) / math.sqrt(powers.size))
-        slope = float(np.mean(powers * log_x))  # m'(alpha)
-        return se_m / abs(slope) if slope > 0 else math.inf
-
     def solution(lo: float, hi: float, root: float) -> TailIndexSolution:
-        return TailIndexSolution(
-            alpha=root,
-            residual=m(root) - 1.0,
-            method=method,
-            bracket=(lo, hi),
-            std_error=se_at(root),
-        )
+        return TailIndexSolution(alpha=root, residual=m(root) - 1.0, method=method,
+                                 bracket=(lo, hi))
 
     # --- bracket the crossing -------------------------------------------------
     lo, hi = None, None
@@ -605,7 +572,7 @@ def check_stationarity(law: CoefficientLaw, eps_grid=None) -> StationarityReport
 
 REGIME_A1_DOMINANT = "a1_dominant"   # alpha1 < alpha2: W1's own multiplier rules its tail
 REGIME_A2_DOMINANT = "a2_dominant"   # alpha1 > alpha2: the coupling channel rules W1's tail
-REGIME_UNRESOLVED = "unresolved"     # indistinguishable within 3 combined SE
+REGIME_UNRESOLVED = "unresolved"     # alpha1 == alpha2: neither channel dominates
 
 
 @dataclass(frozen=True)
@@ -619,22 +586,19 @@ class RegimeReport:
     cross_moment: Optional[MomentValue]
 
 
-def classify_regime(law: CoefficientLaw, *, tol: float = 1e-10,
-                    n_mc: int = 400_000, rng: Optional[np.random.Generator] = None) -> RegimeReport:
+def classify_regime(law: CoefficientLaw, *, tol: float = 1e-10) -> RegimeReport:
     """Solve both diagonal tail indices and compare them.
 
-    The regime is decided only beyond 3 combined standard errors (zero on the
-    deterministic solver paths, so any strict inequality decides); within that
-    band the report says "unresolved", which callers must treat as out of
-    scope.  ``cross_moment_ok`` records whether E A2^min(alpha1,alpha2) is
-    finite — the hypothesis that lets the lighter channel be neglected.
+    The roots are deterministic, so any strict inequality decides the regime;
+    equal roots give "unresolved", which callers must treat as out of scope.
+    ``cross_moment_ok`` records whether E A2^min(alpha1,alpha2) is finite —
+    the hypothesis that lets the lighter channel be neglected.
     """
-    sol1 = solve_tail_index(law.marginal("a1"), tol=tol, n_mc=n_mc, rng=rng)
-    sol2 = solve_tail_index(law.marginal("a4"), tol=tol, n_mc=n_mc, rng=rng)
-    band = 3.0 * math.hypot(sol1.std_error, sol2.std_error)
-    if sol1.alpha < sol2.alpha - band:
+    sol1 = solve_tail_index(law.marginal("a1"), tol=tol)
+    sol2 = solve_tail_index(law.marginal("a4"), tol=tol)
+    if sol1.alpha < sol2.alpha:
         regime = REGIME_A1_DOMINANT
-    elif sol1.alpha > sol2.alpha + band:
+    elif sol1.alpha > sol2.alpha:
         regime = REGIME_A2_DOMINANT
     else:
         regime = REGIME_UNRESOLVED

@@ -44,8 +44,8 @@ from .laws import (
     REGIME_A2_DOMINANT,
     check_stationarity,
     classify_regime,
-    solve_tail_index,
 )
+from .records import ResultRecord
 from .streams import substream
 
 __all__ = [
@@ -63,57 +63,6 @@ _CHUNK_CHAIN_LEN = 1000
 # ============================================================================
 # Report containers
 # ============================================================================
-
-def _json_num(v: Optional[float]):
-    """JSON-safe number: None passes through, non-finite becomes its repr string."""
-    if v is None:
-        return None
-    v = float(v)
-    return v if math.isfinite(v) else repr(v)
-
-
-@dataclass(frozen=True)
-class ResultRecord:
-    """One named scorecard entry.
-
-    ``passed`` is None for purely informational values (nothing to gate).
-    Bounds are the accepted interval when a gate exists.
-    """
-
-    name: str
-    value: Optional[float] = None
-    std_error: float = 0.0
-    bound_low: Optional[float] = None
-    bound_high: Optional[float] = None
-    passed: Optional[bool] = None
-    note: str = ""
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "value": _json_num(self.value),
-            "std_error": _json_num(self.std_error),
-            "bound_low": _json_num(self.bound_low),
-            "bound_high": _json_num(self.bound_high),
-            "pass": self.passed,
-            "note": self.note,
-        }
-
-
-def _record_from_dict(d: dict) -> ResultRecord:
-    def num(x):
-        return None if x is None else float(x)
-
-    return ResultRecord(
-        name=d["name"],
-        value=num(d["value"]),
-        std_error=float(d["std_error"]) if d["std_error"] is not None else 0.0,
-        bound_low=num(d["bound_low"]),
-        bound_high=num(d["bound_high"]),
-        passed=d["pass"],
-        note=d.get("note", ""),
-    )
-
 
 @dataclass(eq=False)
 class RunReport:
@@ -159,7 +108,7 @@ class RunReport:
             name=d["name"],
             pipeline=d["pipeline"],
             config_digest=d["config_digest"],
-            results=tuple(_record_from_dict(r) for r in d["results"]),
+            results=tuple(ResultRecord.from_dict(r) for r in d["results"]),
             artifacts=tuple(d["artifacts"]),
             wall_time=float(d.get("wall_time", 0.0)),
         )
@@ -234,7 +183,7 @@ def _backward_chunked(law, sim: SimConfig, workers: int) -> PathSample:
 
 def _garch_chunked(params, sim: SimConfig, workers: int) -> GarchPath:
     return GarchPath(
-        *_chain_chunks(stationary_garch_sample, params, sim, workers, "garch", 6),
+        *_chain_chunks(stationary_garch_sample, params, sim, workers, "garch", 4),
         params=params,
         config=sim,
         chain_len=min(_CHUNK_CHAIN_LEN, sim.n_draws),
@@ -289,9 +238,7 @@ class _Ctx:
 
     def regime(self):
         if "regime" not in self.cache:
-            self.cache["regime"] = classify_regime(
-                self.cfg.law, rng=substream(self.seed, "regime")
-            )
+            self.cache["regime"] = classify_regime(self.cfg.law)
         return self.cache["regime"]
 
     def write_csv(self, filename: str, header, rows) -> None:
@@ -303,15 +250,13 @@ class _Ctx:
 
 
 def _solution_record(ctx: _Ctx, name: str, sol) -> None:
-    deterministic = sol.method in ("closed_form", "quadrature")
     tol = ctx.tol("alpha_residual", 1e-8)
     ctx.add(
         name=name,
         value=sol.alpha,
-        std_error=sol.std_error,
-        bound_low=-tol if deterministic else None,
-        bound_high=tol if deterministic else None,
-        passed=bool(abs(sol.residual) <= tol) if deterministic else None,
+        bound_low=-tol,
+        bound_high=tol,
+        passed=bool(abs(sol.residual) <= tol),
         note=f"method={sol.method} residual={sol.residual:.3g} "
              f"bracket=({sol.bracket[0]:.4g}, {sol.bracket[1]:.4g})",
     )
@@ -382,11 +327,11 @@ def _step_simulate(ctx: _Ctx) -> None:
     rows = int(ctx.param("csv_rows", 100_000))
     if ctx.is_garch():
         path = ctx.garch_path()
-        m = min(rows, len(path))
+        head = path.head(min(rows, len(path)))
         ctx.write_csv(
             "garch_path.csv",
             ("t", "x1", "x2", "sigma1_sq", "sigma2_sq"),
-            zip(range(m), path.x1[:m], path.x2[:m], path.sigma1_sq[:m], path.sigma2_sq[:m]),
+            zip(range(len(head)), head.x1, head.x2, head.sigma1_sq, head.sigma2_sq),
         )
         ctx.add(name="n_draws", value=float(len(path)), passed=None)
         _summary_stats(ctx, "sigma1_sq", path.sigma1_sq)
@@ -633,19 +578,6 @@ def _step_spectral(ctx: _Ctx) -> None:
                 note=f"regime {rep.regime}: no spectral construction defined")
 
 
-def _garch_check_records(ctx: _Ctx, prefix: str, records) -> None:
-    for r in records:
-        ctx.add(
-            name=f"{prefix}{r.name}",
-            value=r.value,
-            std_error=r.std_error,
-            bound_low=r.low,
-            bound_high=r.high,
-            passed=r.passed,
-            note=r.note,
-        )
-
-
 def _step_garch_verify(ctx: _Ctx) -> None:
     path = ctx.garch_path()
     params = ctx.cfg.law.params
@@ -664,7 +596,7 @@ def _step_garch_verify(ctx: _Ctx) -> None:
     ctx.add(name="verify_alpha1", value=verify.alpha1, passed=None, note="quadrature root")
     ctx.add(name="verify_alpha2", value=verify.alpha2, passed=None, note="quadrature root")
     ctx.add(name="verify_regime", value=None, passed=None, note=verify.regime)
-    _garch_check_records(ctx, "verify_", verify.records)
+    ctx.records.extend(replace(r, name=f"verify_{r.name}") for r in verify.records)
 
     spect = return_spectral_check(
         params,
@@ -677,7 +609,7 @@ def _step_garch_verify(ctx: _Ctx) -> None:
         path=path,
     )
     ctx.add(name="spectral_branch", value=None, passed=None, note=spect.branch)
-    _garch_check_records(ctx, "spectral_", spect.records)
+    ctx.records.extend(replace(r, name=f"spectral_{r.name}") for r in spect.records)
 
 
 def _step_cross_validate(ctx: _Ctx) -> None:

@@ -30,7 +30,6 @@ from .tailstats import ks_2sample, ks_distance
 
 __all__ = [
     "AngularSample",
-    "SpectralProcessDraw",
     "SpectralProcessSample",
     "ConditionalWindows",
     "MIN_EXCEEDANCES",
@@ -95,11 +94,6 @@ class AngularSample:
     def mean_direction(self) -> np.ndarray:
         """Weighted mean of the angular points (not renormalized)."""
         return self.weights @ self.points
-
-
-def _normalize_rows(points: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(points, axis=1, keepdims=True)
-    return points / norms
 
 
 def angular_measure_threshold(
@@ -298,15 +292,6 @@ def unit_pareto(alpha: float, n: int, rng: np.random.Generator) -> np.ndarray:
     return (1.0 - rng.random(n)) ** (-1.0 / alpha)
 
 
-@dataclass(frozen=True)
-class SpectralProcessDraw:
-    """One draw of the forward limit: norm factor, angle, and pushed path."""
-
-    y0_norm: float
-    theta0: np.ndarray
-    path: np.ndarray  # (h, 2): row t-1 holds Pi_t . theta0
-
-
 @dataclass(eq=False)
 class SpectralProcessSample:
     """n draws of the forward limit of scaled post-exceedance windows.
@@ -323,11 +308,6 @@ class SpectralProcessSample:
 
     def __len__(self) -> int:
         return self.y0.size
-
-    def __getitem__(self, k: int) -> SpectralProcessDraw:
-        return SpectralProcessDraw(
-            y0_norm=float(self.y0[k]), theta0=self.theta0[k], path=self.path[k]
-        )
 
     def limit_paths(self) -> np.ndarray:
         """The limit windows y0 * (Pi_t theta0)_t, shape (n, h, 2)."""

@@ -591,3 +591,21 @@ def test_cli_diff(tmp_path, capsys):
     _report_of({"x": 1.0}, pipeline="stationarity").save(foreign)
     assert main(["diff", str(out_a / "report.json"), str(foreign)]) == 2
     assert main(["diff", str(tmp_path / "nope.json"), str(foreign)]) == 2
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        [],
+        {"name": "r", "pipeline": "tails", "config_digest": "d", "results": [1],
+         "artifacts": []},
+    ],
+    ids=["top_level_list", "result_not_object"],
+)
+def test_cli_diff_malformed_report_is_usage_error(tmp_path, capsys, content):
+    good = tmp_path / "good.json"
+    _report_of({"x": 1.0}).save(good)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(content), encoding="utf-8")
+    assert main(["diff", str(good), str(bad)]) == 2
+    assert "error: cannot load reports:" in capsys.readouterr().err

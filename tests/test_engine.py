@@ -13,9 +13,7 @@ from tritail.engine import (
     SimConfig,
     backward_truncated,
     default_truncation_depth,
-    iterate_forward,
     lyapunov_estimate,
-    product_chain,
     product_chain_batch,
     slab_rows,
     stationary_sample,
@@ -66,44 +64,40 @@ def test_path_sample_validation():
 # forward iteration
 # ---------------------------------------------------------------------------
 
+def one_chain(law, cfg):
+    """A single forward chain from the zero state."""
+    return stationary_sample(law, cfg, rng(), n_chains=1)
+
+
 def test_iterate_forward_exact_trajectory():
     # Constant coefficients make the path a hand-checkable linear recursion.
-    cfg = SimConfig(burn_in=0, n_draws=4)
-    path = iterate_forward(CONST_LAW, (0.0, 0.0), cfg, rng())
-    np.testing.assert_allclose(path.w2, [1.0, 1.5, 1.75, 1.875], rtol=0, atol=0)
-    np.testing.assert_allclose(path.w1, [1.0, 1.75, 2.25, 2.5625], rtol=0, atol=0)
+    path = one_chain(CONST_LAW, SimConfig(burn_in=0, n_draws=4))
+    np.testing.assert_array_equal(path.w2, [1.0, 1.5, 1.75, 1.875])
+    np.testing.assert_array_equal(path.w1, [1.0, 1.75, 2.25, 2.5625])
     assert path.mode == "forward_burnin"
     assert path.chain_len == 4
 
 
 def test_iterate_forward_burnin_and_thinning_offsets():
-    full = iterate_forward(CONST_LAW, (0.0, 0.0), SimConfig(burn_in=0, n_draws=4), rng())
-    burnt = iterate_forward(CONST_LAW, (0.0, 0.0), SimConfig(burn_in=2, n_draws=2), rng())
+    full = one_chain(CONST_LAW, SimConfig(burn_in=0, n_draws=4))
+    burnt = one_chain(CONST_LAW, SimConfig(burn_in=2, n_draws=2))
     np.testing.assert_array_equal(burnt.w1, full.w1[2:])
-    thinned = iterate_forward(
-        CONST_LAW, (0.0, 0.0), SimConfig(burn_in=0, n_draws=2, thinning=2), rng()
-    )
+    thinned = one_chain(CONST_LAW, SimConfig(burn_in=0, n_draws=2, thinning=2))
     # Thinning keeps steps 2 and 4, not 1 and 3.
     np.testing.assert_array_equal(thinned.w1, full.w1[1::2])
 
 
 def test_iterate_forward_reaches_fixed_point():
-    cfg = SimConfig(burn_in=200, n_draws=3)
-    path = iterate_forward(CONST_LAW, (0.0, 0.0), cfg, rng())
+    path = one_chain(CONST_LAW, SimConfig(burn_in=200, n_draws=3))
     # W2* = 1/(1-0.5) = 2;  W1* = (0.25*2 + 1)/(1-0.5) = 3.
     np.testing.assert_allclose(path.w2, 2.0, rtol=1e-12)
     np.testing.assert_allclose(path.w1, 3.0, rtol=1e-12)
 
 
-def test_iterate_forward_rejects_bad_start():
-    with pytest.raises(ValueError):
-        iterate_forward(CONST_LAW, (-1.0, 0.0), SimConfig(burn_in=0, n_draws=1), rng())
-
-
 def test_iterate_forward_overflow_raises():
     law = make_law(Constant(2.0), Constant(0.1), Constant(0.5))
-    with pytest.raises(NonFiniteState, match="overflowed"):
-        iterate_forward(law, (1.0, 1.0), SimConfig(burn_in=0, n_draws=3000), rng())
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteState, match="overflowed"):
+        one_chain(law, SimConfig(burn_in=0, n_draws=3000))
 
 
 def test_stationary_sample_layout():
@@ -274,15 +268,6 @@ def test_product_chain_batch_constant_law_closed_form():
     np.testing.assert_allclose(u, np.broadcast_to(expected_u, (5, h + 1)), rtol=1e-14)
 
 
-def test_product_chain_matrix_layout():
-    chain = product_chain(CONST_LAW, 3, rng())
-    assert chain.pi_mat.shape == (4, 2, 2)
-    np.testing.assert_array_equal(chain.pi_mat[0], np.eye(2))
-    np.testing.assert_array_equal(chain.pi_mat[:, 0, 0], chain.pi1)
-    np.testing.assert_array_equal(chain.pi_mat[:, 1, 1], chain.pi4)
-    np.testing.assert_array_equal(chain.pi_mat[:, 1, 0], 0.0)
-
-
 def test_product_chain_batch_mean_growth():
     # E pi4_t = (E A4)^t for independent steps.
     h, n = 4, 200_000
@@ -294,7 +279,7 @@ def test_product_chain_batch_mean_growth():
 
 def test_product_chain_validation():
     with pytest.raises(ValueError):
-        product_chain(CONST_LAW, 0, rng())
+        product_chain_batch(CONST_LAW, 0, 5, rng())
     with pytest.raises(ValueError):
         product_chain_batch(CONST_LAW, 2, 0, rng())
 

@@ -8,20 +8,19 @@ import pytest
 from tritail.engine import SimConfig, slab_rows
 from tritail.errors import NonFiniteState, RegimeMismatch
 from tritail.garch import (
-    CheckRecord,
     GarchLaw,
     GarchParams,
     GarchVerifyReport,
     _correlated_normals,
     return_hill_k,
     return_spectral_check,
-    simulate_garch,
     stationary_garch_sample,
     to_sre_coefficients,
     verify_tail_relations,
 )
 from tritail.laws import ChiSqAffine, Constant, moment, solve_tail_index
 from tritail.pipelines import _CHUNK_CHAIN_LEN, _CHUNK_DRAWS, _garch_chunked
+from tritail.records import ResultRecord
 
 from conftest import GARCH_P10
 
@@ -112,7 +111,7 @@ def test_recursion_timing_from_stored_noise():
     # Coefficients must come from the PREVIOUS step's noise; returns from the
     # fresh one. Both identities are exact on consecutive unthinned states.
     p = GARCH_P10
-    path = simulate_garch(p, SimConfig(burn_in=5, n_draws=200), rng(4))
+    path = stationary_garch_sample(p, SimConfig(burn_in=5, n_draws=200), rng(4), n_chains=1)
     s1, s2, z1, z2 = path.sigma1_sq, path.sigma2_sq, path.z1, path.z2
     a1 = p.alpha11 * z1[:-1] ** 2 + p.beta11
     a2 = p.alpha12 * z2[:-1] ** 2 + p.beta12
@@ -201,7 +200,8 @@ def test_volatility_floor_and_chain_layout():
 
 
 def test_single_chain_mode():
-    path = simulate_garch(GARCH_P10, SimConfig(burn_in=10, n_draws=500), rng(6))
+    path = stationary_garch_sample(GARCH_P10, SimConfig(burn_in=10, n_draws=500), rng(6),
+                                   n_chains=1)
     assert path.chain_len == 500 and len(path) == 500
 
 
@@ -267,8 +267,8 @@ def test_verify_tail_relations_structure():
 
 def test_all_passed_treats_informational_as_pass():
     def rec(passed):
-        return CheckRecord(name="r", value=0.0, std_error=0.0, low=0.0,
-                           high=0.0, passed=passed)
+        return ResultRecord(name="r", value=0.0, bound_low=0.0, bound_high=0.0,
+                            passed=passed)
 
     assert GarchVerifyReport(1.0, 0.5, "x", (rec(True), rec(None))).all_passed
     assert not GarchVerifyReport(1.0, 0.5, "x", (rec(True), rec(False))).all_passed

@@ -173,7 +173,6 @@ def test_root_chisq_affine_quadrature():
     sol = solve_tail_index(ChiSqAffine(0.5, 0.5))
     assert sol.method == "quadrature"
     assert sol.alpha == pytest.approx(1.0, abs=1e-6)
-    assert sol.std_error == 0.0
 
 
 def test_root_crossing_below_one():

@@ -227,6 +227,8 @@ def test_spectral_process_draws_deterministic_chain():
     law = make_law(Constant(0.5), Constant(0.25), Constant(0.5))
     n, h = 1000, 3
     sample = spectral_process_draws(law, 1.5, h, n, atom_angular(), rng(8))
+    assert len(sample) == n
+    assert sample.y0.shape == (n,) and sample.path.shape == (n, h, 2)
     np.testing.assert_array_equal(sample.theta0, [[0.6, 0.8]] * n)
     # Pi entries are exact powers: pi1 = pi4 = 0.5^t, u = t 0.25 0.5^(t-1).
     for t in range(1, h + 1):
@@ -241,9 +243,6 @@ def test_spectral_process_draws_deterministic_chain():
     np.testing.assert_allclose(
         sample.limit_paths(), sample.y0[:, None, None] * sample.path
     )
-    one = sample[3]
-    assert one.y0_norm == sample.y0[3]
-    np.testing.assert_array_equal(one.path, sample.path[3])
 
 
 def test_spectral_process_draws_h0_and_validation():

@@ -1,23 +1,32 @@
-"""Print the SHA-256 of the first 10^5 kept states of each forward sampler.
+"""Print the SHA-256 of a fixed-seed output of each sampler.
 
 Run from the root of a source checkout:
 
     PYTHONPATH=src python3 tools/stream_digest.py
 
-Each sampler runs at a fixed seed on a fixed law with the pipeline's chain
-shape (100 chains of 1000 kept states).  The digest covers the raw float64
-bytes of every array the sampler returns, in order, so two checkouts print
-the same line for a sampler exactly when its random stream and arithmetic
-agree bit for bit.
+Each sampler runs at a fixed seed on a fixed law.  The forward samplers keep
+the first 10^5 states in the pipeline's chain shape (100 chains of 1000 kept
+states); the backward sampler draws 10^5 states, the product chains 10^5
+strips of 16 steps, and the series weights 10^5 strips at each of
+s = 1, 4, 16, 64 on the C8 law.  The digest covers the raw float64 bytes of
+every array the sampler returns, in order, so two checkouts print the same
+line for a sampler exactly when its random stream and arithmetic agree bit
+for bit.
 """
 
 import hashlib
 
 import numpy as np
 
-from tritail.engine import SimConfig, stationary_sample
+from tritail.engine import (
+    SimConfig,
+    backward_truncated,
+    product_chain_batch,
+    stationary_sample,
+)
 from tritail.garch import GarchParams, stationary_garch_sample
 from tritail.laws import Constant, IndependentLaw, LogNormal
+from tritail.renewal import series_weight
 from tritail.streams import substream
 
 N_STATES = 100_000
@@ -33,6 +42,16 @@ DEMO_LAW = IndependentLaw(
     b1=Constant(1.0),
     b2=Constant(1.0),
 )
+# The suite's C8 law (regime A2, alpha2 = -2 mu4 / sigma4^2 = 1.5): the law
+# whose W1 tail is inherited through the series weights.
+C8_LAW = IndependentLaw(
+    a1=LogNormal(-0.75, ROOT_HALF),
+    a2=LogNormal(-0.5, 0.5),
+    a4=LogNormal(-0.375, ROOT_HALF),
+    b1=Constant(1.0),
+    b2=Constant(1.0),
+)
+C8_ALPHA2 = 1.5
 GARCH_PARAMS = GarchParams(
     alpha0=(0.05, 0.05), alpha11=0.10, alpha12=0.05, alpha22=0.35,
     beta11=0.85, beta12=0.05, beta22=0.60, rho=0.5,
@@ -62,6 +81,20 @@ def main() -> None:
     )
     arrays = (garch.x1, garch.x2, garch.sigma1_sq, garch.sigma2_sq, garch.z1, garch.z2)
     print(f"stationary_garch_sample  {digest(*arrays)}")
+    backward = backward_truncated(
+        DEMO_LAW,
+        SimConfig(burn_in=0, n_draws=N_STATES, base_seed=SEED),
+        substream(SEED, "stream_digest"),
+    )
+    print(f"backward_truncated       {digest(backward.w1, backward.w2)}")
+    products = product_chain_batch(DEMO_LAW, 16, N_STATES, substream(SEED, "stream_digest"))
+    print(f"product_chain_batch      {digest(*products)}")
+    weights = [
+        series_weight(C8_LAW, C8_ALPHA2, s, N_STATES, substream(SEED, "stream_digest", s))
+        for s in (1, 4, 16, 64)
+    ]
+    values = [(w.value, w.std_error) for w in weights]
+    print(f"series_weight            {digest(values)}")
 
 
 if __name__ == "__main__":
