@@ -15,7 +15,6 @@ from .engine import (
     SimConfig,
     backward_truncated,
     lyapunov_estimate,
-    product_chain_batch,
     stationary_sample,
     triangular_opnorm,
 )

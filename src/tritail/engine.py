@@ -6,10 +6,12 @@ Componentwise the recursion reads
     W2_t = A4_t * W2_{t-1} + B2_t
 
 so the second coordinate runs autonomously and feeds the first through the
-coupling entry A2.  This module provides two independent routes to the
-stationary law (forward iteration past a burn-in, and the truncated backward
-series), running coefficient products with overflow-safe renormalization, and a
-top-Lyapunov-exponent estimator with its analytic upper bound.
+coupling entry A2.  One slab kernel, :func:`forward_slabs`, applies that
+update everywhere: forward iteration past a burn-in, the truncated backward
+series (the same recursion from zero, one level per step), and the
+coefficient products Pi_t theta of the spectral limit laws (the recursion
+with B = 0 started at theta).  The top-Lyapunov-exponent estimator,
+which needs the whole 2x2 product, keeps its own renormalized loop.
 """
 
 import math
@@ -27,7 +29,7 @@ __all__ = [
     "LyapunovEstimate",
     "stationary_sample",
     "backward_truncated",
-    "product_chain_batch",
+    "product_path",
     "lyapunov_estimate",
     "triangular_opnorm",
 ]
@@ -256,56 +258,52 @@ def backward_truncated(
     The stationary vector is the series  B_0 + A_0 B_{-1} + A_0 A_{-1} B_{-2} + ...
     truncated at ``config.truncation_depth`` terms (0 = derive the depth from
     the stationarity witness).  Accumulation runs deepest-term-first (Horner
-    form), so the smallest contributions are summed before the large ones and
-    no term is lost to floating-point absorption.
+    form), so no small term is lost to floating-point absorption: that is the
+    forward recursion from zero run ``depth`` steps, one level per slab.
 
     All ``config.n_draws`` draws are mutually independent (``chain_len == 1``).
     """
     depth = config.truncation_depth or default_truncation_depth(law)
     n = config.n_draws
-    acc1 = np.zeros(n)
-    acc2 = np.zeros(n)
-    # Horner: acc <- A_j acc + B_j walking j from the deepest level to 0.  The
-    # deepest level multiplies A into zero, which is the truncation itself.
-    for _ in range(depth):
-        d = law.sample(rng, n)
-        acc1 = d.a1 * acc1 + d.a2 * acc2 + d.b1
-        acc2 = d.a4 * acc2 + d.b2
-    _check_state_finite(acc1, acc2, depth)
-    return PathSample(
-        w1=acc1, w2=acc2, mode="backward_truncated", config=config, chain_len=1
-    )
+    w1 = np.zeros((2, n))
+    w2 = np.zeros((2, n))
+    levels = SimConfig(burn_in=depth - 1, n_draws=1)
+    for _ in forward_slabs(lambda rows: law.sample(rng, (rows, n)), w1, w2, levels, 1):
+        pass
+    return PathSample(w1=w1[1].copy(), w2=w2[1].copy(), mode="backward_truncated",
+                      config=config, chain_len=1)
 
 
 # ============================================================================
 # Coefficient products
 # ============================================================================
 
-def product_chain_batch(
-    law: CoefficientLaw, h: int, n: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """n independent product chains of length h, as (pi1, upper, pi4) arrays.
+def product_path(
+    draw, theta1: np.ndarray, theta2: np.ndarray, h: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The products Pi_t theta = A_t ... A_1 theta for t = 1..h, per chain.
 
-    Each array has shape (n, h+1) with column t holding the entry of
-    Pi_t = A_t ... A_1 (column 0 is the identity).  The top-right entry obeys
-    u_t = a1_t * u_{t-1} + a2_t * pi4_{t-1}.
+    This is the recursion with B = 0 started at theta, run one step per slab:
+    ``draw(1)`` returns the next step's coefficients as a :class:`CoeffDraw`
+    of (1, n) arrays, and its B entries are ignored.  Returns the two
+    coordinates as (n, h) arrays, column t-1 holding Pi_t theta; h may be 0.
     """
-    if h < 1:
-        raise ValueError("h must be >= 1")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    p1 = np.empty((n, h + 1))
-    u = np.empty((n, h + 1))
-    p4 = np.empty((n, h + 1))
-    p1[:, 0] = 1.0
-    u[:, 0] = 0.0
-    p4[:, 0] = 1.0
-    for t in range(1, h + 1):
-        d = law.sample(rng, n)
-        p1[:, t] = d.a1 * p1[:, t - 1]
-        u[:, t] = d.a1 * u[:, t - 1] + d.a2 * p4[:, t - 1]
-        p4[:, t] = d.a4 * p4[:, t - 1]
-    return p1, u, p4
+    n = theta1.size
+    w1 = np.empty((2, n))
+    w2 = np.empty((2, n))
+    w1[0] = theta1
+    w2[0] = theta2
+    zero = np.zeros((1, n))
+    out1 = np.empty((n, h))
+    out2 = np.empty((n, h))
+
+    def draw_a(rows: int) -> CoeffDraw:
+        return draw(rows)._replace(b1=zero, b2=zero)
+
+    for j, _ in forward_slabs(draw_a, w1, w2, SimConfig(burn_in=0, n_draws=1), h):
+        out1[:, j] = w1[1]
+        out2[:, j] = w2[1]
+    return out1, out2
 
 
 def triangular_opnorm(p: np.ndarray, u: np.ndarray, q: np.ndarray) -> np.ndarray:

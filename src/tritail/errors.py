@@ -29,7 +29,7 @@ class TritailError(Exception):
 
 
 class ConfigInvalid(TritailError, ValueError):
-    """An experiment config failed validation.
+    """An experiment config, or a saved run report, failed validation.
 
     Parameters
     ----------

@@ -9,8 +9,9 @@ reverse) follows exactly the triangular recursion of :mod:`tritail.engine`:
 
 with the A entries built from the PREVIOUS step's noise and the return pair
 assembled from the fresh one (X_t = sigma_t Z_t).  Getting that off-by-one
-wrong silently shifts every tail constant, so the timing lives in exactly one
-place here (:func:`_noise_slabs`).
+wrong silently shifts every tail constant.  Two places here apply it: the
+sampler's coefficient source (:func:`_noise_slabs`) and the limit products
+of :func:`_prop_heavier_cross`; both feed :func:`tritail.engine.forward_slabs`.
 
 Besides the simulators this module verifies the model's tail chain — solver
 roots, Hill estimates of sigma^2 / X^2 / |X| with their doubling relation, the
@@ -29,6 +30,7 @@ from .engine import (
     SimConfig,
     chain_plan,
     forward_slabs,
+    product_path,
     slab_rows,
     store_kept,
 )
@@ -345,9 +347,6 @@ class GarchVerifyReport:
         return all(r.passed is not False for r in self.records)
 
 
-_DEFAULT_VERIFY_SIM = SimConfig(burn_in=1000, n_draws=1, thinning=1)
-
-
 def return_hill_k(n: int) -> int:
     """Default Hill k for return series: floor(n^0.5).
 
@@ -357,30 +356,21 @@ def return_hill_k(n: int) -> int:
     return max(2, int(n**0.5))
 
 
-def _resolve_path(params, n, rng, sim, path):
-    if path is not None:
-        return path
-    cfg = replace(sim or _DEFAULT_VERIFY_SIM, n_draws=n)
-    return stationary_garch_sample(params, cfg, rng)
-
-
 def verify_tail_relations(
     params: GarchParams,
-    n: int,
     rng: np.random.Generator,
+    path: GarchPath,
     *,
     se_mult: float = 4.0,
     rel_tol: float = 0.25,
     k: int = 0,
     k_x: int = 0,
     constant_draws: int = 1_000_000,
-    sim: Optional[SimConfig] = None,
-    path: Optional[GarchPath] = None,
 ) -> GarchVerifyReport:
     """Verify the model's tail chain end to end on a simulated sample.
 
-    Solves the two diagonal tail indices from their ChiSqAffine marginals,
-    simulates n stationary states (or reuses ``path``), and checks:
+    Solves the two diagonal tail indices from their ChiSqAffine marginals
+    and checks, on the stationary ``path``:
 
     * Hill estimates of sigma1^2, sigma2^2, X1^2, X2^2 against the solver
       targets (the first coordinate's index is min(alpha1, alpha2) in either
@@ -399,7 +389,6 @@ def verify_tail_relations(
     regime = REGIME_A1_DOMINANT if a1 < a2 else REGIME_A2_DOMINANT
     a_min = min(a1, a2)
 
-    path = _resolve_path(params, n, rng, sim, path)
     records: list[ResultRecord] = []
     k_used = k or default_hill_k(len(path))
     k_x_used = k_x or return_hill_k(len(path))
@@ -472,39 +461,6 @@ def verify_tail_relations(
 # ============================================================================
 # Regime-specific limit laws of return windows
 # ============================================================================
-
-def _noise_tensor(rho: float, n: int, h: int, rng) -> np.ndarray:
-    """Fresh correlated noise of shape (n, h+1, 2) for limit constructions."""
-    z1, z2 = _correlated_normals(rho, (n, h + 1), rng)
-    return np.stack((z1, z2), axis=2)
-
-
-def _diagonal_products(params: GarchParams, z: np.ndarray):
-    """Running products of the coefficient matrices A_s = f(z[:, s-1]).
-
-    Returns (p1, u, p4), each (n, h), column t-1 holding the entry of
-    Pi_t = A_t ... A_1.  Only z[:, :h] enters; the last noise column is left
-    for the window values, which couple to the NEXT matrix — the same shared
-    index that links X_{t} to A_{t+1} in the recursion.
-    """
-    n, hp1, _ = z.shape
-    h = hp1 - 1
-    p1 = np.empty((n, h))
-    u = np.empty((n, h))
-    p4 = np.empty((n, h))
-    c1 = np.ones(n)
-    cu = np.zeros(n)
-    c4 = np.ones(n)
-    for s in range(1, h + 1):
-        a1, a2, a4, _, _ = to_sre_coefficients(params, (z[:, s - 1, 0], z[:, s - 1, 1]))
-        cu = a1 * cu + a2 * c4
-        c1 = a1 * c1
-        c4 = a4 * c4
-        p1[:, s - 1] = c1
-        u[:, s - 1] = cu
-        p4[:, s - 1] = c4
-    return p1, u, p4
-
 
 @dataclass(eq=False)
 class GarchSpectralReport:
@@ -593,13 +549,21 @@ def _prop_heavier_cross(params, path, h, u_quantile, n_limit, ks_bound, a2, rng)
     theta0 = theta[pick]
 
     v = unit_pareto(2.0 * a2, n_limit, rng)
-    z = _noise_tensor(params.rho, n_limit, h, rng)
-    p1, u, p4 = _diagonal_products(params, z)
-    vol1 = p1 * theta0[:, 0, None] + u * theta0[:, 1, None]
-    vol2 = p4 * theta0[:, 1, None]
+    z1, z2 = _correlated_normals(params.rho, (n_limit, h + 1), rng)
+    # Step t's matrix A_t comes from noise column t-1 and the window value at
+    # t from column t: the last column is left for the window values, which
+    # couple to the NEXT matrix — the same shared index that links X_t to
+    # A_{t+1} in the recursion.
+    cols = iter(range(h))
+
+    def draw(rows: int) -> CoeffDraw:
+        s = next(cols)
+        return CoeffDraw(*to_sre_coefficients(params, (z1[None, :, s], z2[None, :, s])))
+
+    vol1, vol2 = product_path(draw, theta0[:, 0], theta0[:, 1], h)
     limit = np.empty((n_limit, h, 2))
-    limit[:, :, 0] = v[:, None] * np.sqrt(vol1) * z[:, 1:, 0]
-    limit[:, :, 1] = v[:, None] * np.sqrt(vol2) * z[:, 1:, 1]
+    limit[:, :, 0] = v[:, None] * np.sqrt(vol1) * z1[:, 1:]
+    limit[:, :, 1] = v[:, None] * np.sqrt(vol2) * z2[:, 1:]
 
     records = []
     for t in range(h):
@@ -656,10 +620,11 @@ def _prop_heavier_own(params, path, h, u_quantile, n_limit, ks_bound, alphas, rn
             )
         angles = wins[keep] / norms[keep][:, None]
 
-        z = _noise_tensor(params.rho, n_limit, h, rng)
-        p1, _, p4 = _diagonal_products(params, z)
-        pi_diag = p1 if i == 1 else p4
-        y = np.abs(z[:, 1:, i - 1]) * np.sqrt(pi_diag)
+        z1, z2 = _correlated_normals(params.rho, (n_limit, h + 1), rng)
+        # A_t from noise column t-1, the window value at t from column t.
+        a1, _, a4, _, _ = to_sre_coefficients(params, (z1[:, :h], z2[:, :h]))
+        a_i, z_i = (a1, z1) if i == 1 else (a4, z2)
+        y = np.abs(z_i[:, 1:]) * np.sqrt(np.cumprod(a_i, axis=1))
         y_norm = np.linalg.norm(y, axis=1)
         weights = y_norm ** (2.0 * alpha_i)
         weights /= weights.sum()
@@ -689,21 +654,19 @@ def _prop_heavier_own(params, path, h, u_quantile, n_limit, ks_bound, alphas, rn
 def return_spectral_check(
     params: GarchParams,
     h: int,
-    n: int,
     rng: np.random.Generator,
+    path: GarchPath,
     *,
     u_quantile: float = 0.999,
     n_limit: int = 200_000,
     ks_bound: float = 0.05,
-    sim: Optional[SimConfig] = None,
-    path: Optional[GarchPath] = None,
 ) -> GarchSpectralReport:
     """Check the regime-appropriate limit law of threshold-conditioned returns.
 
-    Solves the two tail indices, simulates (or reuses) a stationary path, and
-    dispatches on the regime: alpha1 > alpha2 conditions on volatility-norm
-    exceedances and rebuilds the forward limit with an exact Pareto(2 alpha2)
-    factor; alpha1 < alpha2 compares per-component window angles against the
+    Solves the two tail indices and, on the stationary ``path``, dispatches
+    on the regime: alpha1 > alpha2 conditions on volatility-norm exceedances
+    and rebuilds the forward limit with an exact Pareto(2 alpha2) factor;
+    alpha1 < alpha2 compares per-component window angles against the
     sign-symmetrized weighted product law.  Sign-symmetry statistics of the
     conditioned windows are reported in both branches.
     """
@@ -719,7 +682,6 @@ def return_spectral_check(
     if a1 == a2:
         raise RegimeMismatch("tail indices coincide; no regime branch applies")
 
-    path = _resolve_path(params, n, rng, sim, path)
     if a1 > a2:
         records, x, m = _prop_heavier_cross(
             params, path, h, u_quantile, n_limit, ks_bound, a2, rng

@@ -28,9 +28,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import engine, renewal, spectral, tailstats
-from .config import ExperimentConfig, canonical_json
+from .config import ExperimentConfig, _check_object, canonical_json
 from .engine import PathSample, SimConfig
-from .errors import PipelineMismatch, TritailError
+from .errors import ConfigInvalid, PipelineMismatch, TritailError
 from .garch import (
     GarchLaw,
     GarchPath,
@@ -58,6 +58,9 @@ __all__ = [
 
 _CHUNK_DRAWS = 200_000
 _CHUNK_CHAIN_LEN = 1000
+
+_REPORT_FIELDS = ("name", "pipeline", "config_digest", "results", "artifacts")
+_RECORD_FIELDS = ("name", "value", "std_error", "bound_low", "bound_high", "pass")
 
 
 # ============================================================================
@@ -102,13 +105,31 @@ class RunReport:
 
     @classmethod
     def load(cls, path) -> "RunReport":
+        """Read a saved report.
+
+        A malformed report raises :class:`ConfigInvalid`, whose message starts
+        with the JSON pointer of the offending field.
+        """
         with open(path, "r", encoding="utf-8") as f:
             d = json.load(f)
+        if not isinstance(d, dict):
+            raise ConfigInvalid("/", f"expected an object, got {type(d).__name__}")
+        _check_object(d, "", {*_REPORT_FIELDS, "wall_time"}, _REPORT_FIELDS)
+        for key in ("results", "artifacts"):
+            if not isinstance(d[key], list):
+                raise ConfigInvalid(f"/{key}", f"expected a list, got {type(d[key]).__name__}")
+        results = []
+        for i, r in enumerate(d["results"]):
+            _check_object(r, f"/results/{i}", {*_RECORD_FIELDS, "note"}, _RECORD_FIELDS)
+            try:
+                results.append(ResultRecord.from_dict(r))
+            except (TypeError, ValueError) as e:
+                raise ConfigInvalid(f"/results/{i}", str(e)) from None
         return cls(
             name=d["name"],
             pipeline=d["pipeline"],
             config_digest=d["config_digest"],
-            results=tuple(ResultRecord.from_dict(r) for r in d["results"]),
+            results=tuple(results),
             artifacts=tuple(d["artifacts"]),
             wall_time=float(d.get("wall_time", 0.0)),
         )
@@ -583,13 +604,12 @@ def _step_garch_verify(ctx: _Ctx) -> None:
     params = ctx.cfg.law.params
     verify = verify_tail_relations(
         params,
-        len(path),
         substream(ctx.seed, "verify"),
+        path,
         se_mult=ctx.tol("se_mult", 4.0),
         rel_tol=ctx.tol("c2_rel_tol", 0.25),
         k=int(ctx.param("hill_k", 0)),
         k_x=int(ctx.param("hill_k_x", 0)),
-        path=path,
     )
     # Prefixed so a full report keeps unique record names next to the
     # solve-index and tails steps (diff matches records by name).
@@ -601,12 +621,11 @@ def _step_garch_verify(ctx: _Ctx) -> None:
     spect = return_spectral_check(
         params,
         int(ctx.param("h", 2)),
-        len(path),
         substream(ctx.seed, "garch_spectral"),
+        path,
         u_quantile=float(ctx.param("u_quantile", 0.999)),
         n_limit=int(ctx.param("limit_draws", 200_000)),
         ks_bound=ctx.tol("ks_bound", 0.05),
-        path=path,
     )
     ctx.add(name="spectral_branch", value=None, passed=None, note=spect.branch)
     ctx.records.extend(replace(r, name=f"spectral_{r.name}") for r in spect.records)

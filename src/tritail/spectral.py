@@ -23,7 +23,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import stats
 
-from .engine import PathSample, product_chain_batch
+from .engine import PathSample, product_path
 from .errors import RegimeMismatch, TooFewExceedances
 from .laws import CoefficientLaw
 from .tailstats import ks_2sample, ks_distance
@@ -296,10 +296,11 @@ def unit_pareto(alpha: float, n: int, rng: np.random.Generator) -> np.ndarray:
 class SpectralProcessSample:
     """n draws of the forward limit of scaled post-exceedance windows.
 
-    ``path[k, t-1] = Pi_t . theta0[k]`` exactly for the k-th drawn coefficient
-    chain; the limiting window itself is ``y0`` times the path (see
-    :meth:`limit_paths`), matching windows scaled by the conditioning
-    threshold.
+    ``path[k, t-1] = Pi_t theta0[k]`` for the k-th drawn coefficient chain,
+    computed as the recursion ``w_t = A_t w_{t-1}`` from ``w_0 = theta0[k]``
+    (:func:`tritail.engine.product_path`); the limiting window itself is
+    ``y0`` times the path (see :meth:`limit_paths`), matching windows scaled
+    by the conditioning threshold.
     """
 
     y0: np.ndarray
@@ -350,15 +351,8 @@ def spectral_process_draws(
     y0 = unit_pareto(alpha2, n, rng)
     pick = rng.choice(len(angular), size=n, p=angular.weights)
     theta0 = angular.points[pick]
-    if h == 0:
-        path = np.empty((n, 0, 2))
-    else:
-        p1, u, p4 = product_chain_batch(law, h, n, rng)
-        path = np.empty((n, h, 2))
-        # Pi_t theta = (p1 theta1 + u theta2, p4 theta2); columns 1..h of the chain.
-        path[:, :, 0] = p1[:, 1:] * theta0[:, 0, None] + u[:, 1:] * theta0[:, 1, None]
-        path[:, :, 1] = p4[:, 1:] * theta0[:, 1, None]
-    return SpectralProcessSample(y0=y0, theta0=theta0, path=path)
+    y1, y2 = product_path(lambda rows: law.sample(rng, (rows, n)), theta0[:, 0], theta0[:, 1], h)
+    return SpectralProcessSample(y0=y0, theta0=theta0, path=np.stack((y1, y2), axis=2))
 
 
 def pareto_gof(sample, alpha: float) -> tuple[float, float]:

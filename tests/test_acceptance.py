@@ -450,7 +450,6 @@ def test_criterion_10_garch_tail_relations(garch_thinned, garch_windows):
     # the true index (about +0.05 at 1e7 draws on every probed stream).
     verify = verify_tail_relations(
         GARCH_P10,
-        len(garch_thinned),
         substream(3, "acceptance", 1),
         path=garch_thinned,
         k=int(len(garch_thinned) ** 0.5),
@@ -458,7 +457,6 @@ def test_criterion_10_garch_tail_relations(garch_thinned, garch_windows):
     spect = return_spectral_check(
         GARCH_P10,
         2,
-        len(garch_windows),
         substream(3, "acceptance", 2),
         path=garch_windows,
     )

@@ -594,18 +594,22 @@ def test_cli_diff(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "content",
+    "content, pointer",
     [
-        [],
-        {"name": "r", "pipeline": "tails", "config_digest": "d", "results": [1],
-         "artifacts": []},
+        ([], "/"),
+        ({"name": "r", "pipeline": "tails", "config_digest": "d", "results": [1],
+          "artifacts": []}, "/results/0"),
+        ({"name": "r", "pipeline": "tails", "config_digest": "d", "artifacts": [],
+          "results": [{"name": "x", "std_error": 0.0, "bound_low": None,
+                       "bound_high": None, "pass": None}]}, "/results/0/value"),
     ],
-    ids=["top_level_list", "result_not_object"],
+    ids=["top_level_list", "result_not_object", "result_missing_value"],
 )
-def test_cli_diff_malformed_report_is_usage_error(tmp_path, capsys, content):
+def test_cli_diff_malformed_report_is_usage_error(tmp_path, capsys, content, pointer):
     good = tmp_path / "good.json"
     _report_of({"x": 1.0}).save(good)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(content), encoding="utf-8")
     assert main(["diff", str(good), str(bad)]) == 2
-    assert "error: cannot load reports:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot load reports: {pointer}: "), err

@@ -14,7 +14,6 @@ from tritail.engine import (
     backward_truncated,
     default_truncation_depth,
     lyapunov_estimate,
-    product_chain_batch,
     slab_rows,
     stationary_sample,
     triangular_opnorm,
@@ -22,6 +21,7 @@ from tritail.engine import (
 from tritail.errors import NonFiniteState, NotContracting
 from tritail.laws import Constant, IndependentLaw
 from tritail.pipelines import _CHUNK_CHAIN_LEN, _CHUNK_DRAWS, _stationary_chunked
+from tritail.spectral import AngularSample, spectral_process_draws
 from tritail.streams import substream
 from tritail.tailstats import ks_2sample
 
@@ -250,38 +250,49 @@ def test_forward_and_backward_routes_agree():
         assert pvalue > 0.01, f"{name}: KS={stat:.4f} p={pvalue:.4g}"
 
 
+def test_backward_truncated_matches_horner_loop():
+    # 70 levels cross the kernel's 64-step finite check; each level is one
+    # (1, n) slab holding the numbers of an n-sized draw.
+    n, depth = 300, 70
+    law = RecordingLaw(LAW_C8)
+    got = backward_truncated(law, SimConfig(burn_in=0, n_draws=n, truncation_depth=depth), rng(5))
+    assert [d.a1.shape for d in law.slabs] == [(1, n)] * depth
+    g = rng(5)
+    acc1, acc2 = np.zeros(n), np.zeros(n)
+    for rows in step_rows(law.slabs):
+        a1, a2, a4, b1, b2 = LAW_C8.sample(g, n)
+        for drawn, recorded in zip((a1, a2, a4, b1, b2), rows):
+            np.testing.assert_array_equal(drawn, recorded)
+        acc1 = a1 * acc1 + a2 * acc2 + b1
+        acc2 = a4 * acc2 + b2
+    np.testing.assert_array_equal(got.w1, acc1)
+    np.testing.assert_array_equal(got.w2, acc2)
+
+
+def test_backward_truncated_explosive_law_raises():
+    explosive = make_law(Constant(1e3), Constant(1e3), Constant(1e3))
+    cfg = SimConfig(burn_in=0, n_draws=10, truncation_depth=200)
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteState, match="overflowed"):
+        backward_truncated(explosive, cfg, rng())
+
+
 # ---------------------------------------------------------------------------
 # coefficient products
 # ---------------------------------------------------------------------------
 
-def test_product_chain_batch_constant_law_closed_form():
-    h = 8
-    p1, u, p4 = product_chain_batch(CONST_LAW, h, 5, rng())
-    np.testing.assert_array_equal(p1[:, 0], 1.0)
-    np.testing.assert_array_equal(u[:, 0], 0.0)
-    np.testing.assert_array_equal(p4[:, 0], 1.0)
-    t = np.arange(h + 1)
-    np.testing.assert_allclose(p1, np.broadcast_to(0.5**t, (5, h + 1)), rtol=1e-15)
-    np.testing.assert_allclose(p4, np.broadcast_to(0.5**t, (5, h + 1)), rtol=1e-15)
-    # u_t = sum_i a1^(i-1) a2 a4^(t-i) = t * 0.25 * 0.5^(t-1)
-    expected_u = t * 0.25 * 0.5 ** np.maximum(t - 1, 0)
-    np.testing.assert_allclose(u, np.broadcast_to(expected_u, (5, h + 1)), rtol=1e-14)
-
-
-def test_product_chain_batch_mean_growth():
-    # E pi4_t = (E A4)^t for independent steps.
-    h, n = 4, 200_000
-    _, _, p4 = product_chain_batch(LAW_C8, h, n, rng(23))
-    target = math.exp(-0.125 * h)
-    se = p4[:, h].std(ddof=1) / math.sqrt(n)
-    assert abs(p4[:, h].mean() - target) <= 4 * se
-
-
-def test_product_chain_validation():
-    with pytest.raises(ValueError):
-        product_chain_batch(CONST_LAW, 0, 5, rng())
-    with pytest.raises(ValueError):
-        product_chain_batch(CONST_LAW, 2, 0, rng())
+def test_limit_path_matches_product_loop():
+    n, h = 400, 5
+    law = RecordingLaw(LAW_C8)
+    angles = np.linspace(0.0, 0.5 * np.pi, 5)
+    angular = AngularSample(points=np.column_stack((np.cos(angles), np.sin(angles))),
+                            weights=np.ones(5), threshold_u=None, n_exceedances=5)
+    sample = spectral_process_draws(law, 1.5, h, n, angular, rng(6))
+    assert [d.a1.shape for d in law.slabs] == [(1, n)] * h
+    w1, w2 = sample.theta0[:, 0], sample.theta0[:, 1]
+    for t, (a1, a2, a4, _, _) in enumerate(step_rows(law.slabs)):
+        w1, w2 = a1 * w1 + a2 * w2, a4 * w2
+        np.testing.assert_array_equal(sample.path[:, t, 0], w1)
+        np.testing.assert_array_equal(sample.path[:, t, 1], w2)
 
 
 @settings(max_examples=200, deadline=None)

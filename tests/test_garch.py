@@ -241,8 +241,15 @@ def test_igarch_boundary_root():
     assert sol.alpha == pytest.approx(1.0, abs=1e-6)
 
 
+def garch_path(params, n, g):
+    """The stationary path the GARCH checks run on, drawn from ``g``."""
+    return stationary_garch_sample(params, SimConfig(burn_in=1000, n_draws=n), g)
+
+
 def test_verify_tail_relations_structure():
-    report = verify_tail_relations(GARCH_P10, 400_000, rng(8), k=5000, k_x=3000)
+    g = rng(8)
+    report = verify_tail_relations(GARCH_P10, g, garch_path(GARCH_P10, 400_000, g),
+                                   k=5000, k_x=3000)
     assert isinstance(report, GarchVerifyReport)
     assert report.regime == "a2_dominant"
     assert report.alpha1 > report.alpha2
@@ -282,8 +289,9 @@ def test_return_spectral_check_cross_feed_branch():
     # Reduced scale: ~2000 clustered exceedances put the KS noise floor near
     # 0.04 on probed streams, so the per-record bound is opened to 0.08 here.
     # The release gate (0.05 at 1e7 draws) lives in the acceptance suite.
+    g = rng(9)
     report = return_spectral_check(
-        GARCH_P10, h=2, n=2_000_000, rng=rng(9), u_quantile=0.999,
+        GARCH_P10, 2, g, garch_path(GARCH_P10, 2_000_000, g), u_quantile=0.999,
         n_limit=100_000, ks_bound=0.08,
     )
     assert report.branch == "heavier_cross_feed"
@@ -302,8 +310,9 @@ def test_return_spectral_check_own_tail_branch():
     # Same reduced-scale bound as the cross-feed test; anchors on the lighter
     # return series cluster heavily, so the mirror-KS spread across streams
     # reaches ~0.09 at ~2000 exceedances (measured over four seeds).
+    g = rng(30)
     report = return_spectral_check(
-        OWN_TAIL_PARAMS, h=2, n=2_000_000, rng=rng(30), u_quantile=0.999,
+        OWN_TAIL_PARAMS, 2, g, garch_path(OWN_TAIL_PARAMS, 2_000_000, g), u_quantile=0.999,
         n_limit=200_000, ks_bound=0.10,
     )
     assert report.branch == "heavier_own_tail"
@@ -315,19 +324,20 @@ def test_return_spectral_check_own_tail_branch():
         "sign_symmetry_ks_x2", "sign_symmetry_z_x2",
     }
     assert report.all_passed, [
-        (r.name, r.value, r.high) for r in report.records if r.passed is False
+        (r.name, r.value, r.bound_high) for r in report.records if r.passed is False
     ]
 
 
 def test_return_spectral_check_validation():
+    path = garch_path(GARCH_P10, 1000, rng())
     with pytest.raises(ValueError):
-        return_spectral_check(GARCH_P10, h=0, n=1000, rng=rng())
+        return_spectral_check(GARCH_P10, 0, rng(), path)
     with pytest.raises(ValueError):
-        return_spectral_check(GARCH_P10, h=2, n=1000, rng=rng(), u_quantile=1.5)
+        return_spectral_check(GARCH_P10, 2, rng(), path, u_quantile=1.5)
     with pytest.raises(ValueError):
-        return_spectral_check(GARCH_P10, h=2, n=1000, rng=rng(), n_limit=10)
+        return_spectral_check(GARCH_P10, 2, rng(), path, n_limit=10)
     symmetric = GarchParams(alpha0=(0.05, 0.05), alpha11=0.35, alpha12=0.05,
                             alpha22=0.35, beta11=0.60, beta12=0.05,
                             beta22=0.60, rho=0.5)
     with pytest.raises(RegimeMismatch):
-        return_spectral_check(symmetric, h=2, n=1000, rng=rng())
+        return_spectral_check(symmetric, 2, rng(), path)

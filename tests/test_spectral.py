@@ -1,5 +1,7 @@
 """Angular laws, window extraction, and the forward spectral limit."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -243,6 +245,30 @@ def test_spectral_process_draws_deterministic_chain():
     np.testing.assert_allclose(
         sample.limit_paths(), sample.y0[:, None, None] * sample.path
     )
+
+
+def test_spectral_process_draws_constant_law_closed_form():
+    # The unit angles pick out the columns of Pi_t: Pi_t e1 = (pi1, 0) and
+    # Pi_t e2 = (u, pi4), with pi1 = pi4 = 0.5^t and u_t = t 0.25 0.5^(t-1).
+    law = make_law(Constant(0.5), Constant(0.25), Constant(0.5))
+    h = 8
+    t = np.arange(1, h + 1)
+    e1 = spectral_process_draws(law, 1.5, h, 5, atom_angular(1.0, 0.0), rng()).path
+    e2 = spectral_process_draws(law, 1.5, h, 5, atom_angular(0.0, 1.0), rng()).path
+    np.testing.assert_allclose(e1[:, :, 0], np.broadcast_to(0.5**t, (5, h)), rtol=1e-15)
+    np.testing.assert_array_equal(e1[:, :, 1], 0.0)
+    np.testing.assert_allclose(e2[:, :, 0], np.broadcast_to(t * 0.25 * 0.5 ** (t - 1), (5, h)),
+                               rtol=1e-14)
+    np.testing.assert_allclose(e2[:, :, 1], np.broadcast_to(0.5**t, (5, h)), rtol=1e-15)
+
+
+def test_spectral_process_draws_mean_growth():
+    # E (Pi_t theta)_2 = theta2 (E A4)^t for independent steps; E A4 = exp(-0.125) on C8.
+    h, n = 4, 200_000
+    second = spectral_process_draws(LAW_C8, 1.5, h, n, atom_angular(), rng(23)).path[:, h - 1, 1]
+    target = 0.8 * math.exp(-0.125 * h)
+    se = second.std(ddof=1) / math.sqrt(n)
+    assert abs(second.mean() - target) <= 4 * se
 
 
 def test_spectral_process_draws_h0_and_validation():

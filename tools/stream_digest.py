@@ -6,8 +6,9 @@ Run from the root of a source checkout:
 
 Each sampler runs at a fixed seed on a fixed law.  The forward samplers keep
 the first 10^5 states in the pipeline's chain shape (100 chains of 1000 kept
-states); the backward sampler draws 10^5 states, the product chains 10^5
-strips of 16 steps, and the series weights 10^5 strips at each of
+states); the backward sampler draws 10^5 states, the forward spectral limit 10^5
+draws of 16 steps on the demo law from a fixed angular sample (eight angles,
+uniform weights), and the series weights 10^5 strips at each of
 s = 1, 4, 16, 64 on the C8 law.  The digest covers the raw float64 bytes of
 every array the sampler returns, in order, so two checkouts print the same
 line for a sampler exactly when its random stream and arithmetic agree bit
@@ -18,15 +19,11 @@ import hashlib
 
 import numpy as np
 
-from tritail.engine import (
-    SimConfig,
-    backward_truncated,
-    product_chain_batch,
-    stationary_sample,
-)
+from tritail.engine import SimConfig, backward_truncated, stationary_sample
 from tritail.garch import GarchParams, stationary_garch_sample
 from tritail.laws import Constant, IndependentLaw, LogNormal
 from tritail.renewal import series_weight
+from tritail.spectral import AngularSample, spectral_process_draws
 from tritail.streams import substream
 
 N_STATES = 100_000
@@ -41,6 +38,15 @@ DEMO_LAW = IndependentLaw(
     a4=LogNormal(-0.75, ROOT_HALF),
     b1=Constant(1.0),
     b2=Constant(1.0),
+)
+DEMO_ALPHA2 = 3.0  # -2 mu4 / sigma4^2
+# Eight angles spread over the quarter circle, equally weighted.
+ANGLES = np.linspace(0.0, 0.5 * np.pi, 8)
+ANGULAR = AngularSample(
+    points=np.column_stack((np.cos(ANGLES), np.sin(ANGLES))),
+    weights=np.ones(8),
+    threshold_u=None,
+    n_exceedances=8,
 )
 # The suite's C8 law (regime A2, alpha2 = -2 mu4 / sigma4^2 = 1.5): the law
 # whose W1 tail is inherited through the series weights.
@@ -87,8 +93,10 @@ def main() -> None:
         substream(SEED, "stream_digest"),
     )
     print(f"backward_truncated       {digest(backward.w1, backward.w2)}")
-    products = product_chain_batch(DEMO_LAW, 16, N_STATES, substream(SEED, "stream_digest"))
-    print(f"product_chain_batch      {digest(*products)}")
+    limit = spectral_process_draws(
+        DEMO_LAW, DEMO_ALPHA2, 16, N_STATES, ANGULAR, substream(SEED, "stream_digest")
+    )
+    print(f"spectral_process_draws   {digest(limit.y0, limit.theta0, limit.path)}")
     weights = [
         series_weight(C8_LAW, C8_ALPHA2, s, N_STATES, substream(SEED, "stream_digest", s))
         for s in (1, 4, 16, 64)
