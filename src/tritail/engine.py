@@ -288,6 +288,10 @@ def product_path(
     of (1, n) arrays, and its B entries are ignored.  Returns the two
     coordinates as (n, h) arrays, column t-1 holding Pi_t theta; h may be 0.
     """
+    if h < 0:
+        raise ValueError("h must be >= 0")
+    if theta1.ndim != 1 or theta1.shape != theta2.shape:
+        raise ValueError("theta1 and theta2 must be 1-d arrays of one shape")
     n = theta1.size
     w1 = np.empty((2, n))
     w2 = np.empty((2, n))

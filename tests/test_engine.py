@@ -14,6 +14,7 @@ from tritail.engine import (
     backward_truncated,
     default_truncation_depth,
     lyapunov_estimate,
+    product_path,
     slab_rows,
     stationary_sample,
     triangular_opnorm,
@@ -293,6 +294,19 @@ def test_limit_path_matches_product_loop():
         w1, w2 = a1 * w1 + a2 * w2, a4 * w2
         np.testing.assert_array_equal(sample.path[:, t, 0], w1)
         np.testing.assert_array_equal(sample.path[:, t, 1], w2)
+
+
+def test_product_chain_validation():
+    def draw(rows):
+        return CONST_LAW.sample(rng(), (rows, 3))
+
+    theta = np.ones(3)
+    with pytest.raises(ValueError):
+        product_path(draw, theta, theta, -1)
+    with pytest.raises(ValueError):
+        product_path(draw, theta, np.ones(2), 2)
+    y1, y2 = product_path(draw, theta, theta, 0)
+    assert y1.shape == y2.shape == (3, 0)
 
 
 @settings(max_examples=200, deadline=None)
