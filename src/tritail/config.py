@@ -1,15 +1,16 @@
 """Experiment configuration: JSON schema, validation, and canonical hashing.
 
 One JSON file describes one experiment: a name, a pipeline, a coefficient law
-(five independent marginals, or GARCH parameters), simulation sizes, optional
-tolerance overrides, and free pipeline knobs under ``params``.  Every
-validation failure raises :class:`ConfigInvalid` carrying a JSON-pointer to
-the offending field.
+(five independent marginals, or GARCH parameters), simulation sizes, and the
+optional knobs under ``params`` and ``tolerances`` that :data:`KNOBS` declares.
+Every validation failure raises :class:`ConfigInvalid` carrying a JSON-pointer
+to the offending field.
 
 The experiment identity is the SHA-256 of the canonicalized (sorted-keys,
 minimal-separator) normalized config with execution-only fields — workers,
 output_dir — removed, so the same experiment run with different parallelism
-or into a different directory hashes identically.
+or into a different directory hashes identically.  Only the knobs a config
+sets are hashed, not their defaults.
 """
 
 import hashlib
@@ -29,9 +30,11 @@ from .laws import (
     ParetoLomax,
     ScaledUniformPow,
 )
+from .spectral import MIN_EXCEEDANCES
 
 __all__ = [
     "PIPELINES",
+    "KNOBS",
     "ExperimentConfig",
     "parse_config",
     "load_config",
@@ -66,6 +69,35 @@ _SIM_DEFAULTS = {"burn_in": 500, "thinning": 1, "truncation_depth": 0}
 # Count-valued fields keep integer JSON representation; everything else is real.
 _SIM_FIELDS = ("burn_in", "n_draws", "thinning", "truncation_depth", "base_seed")
 
+# Every pipeline knob: name -> (section, kind, minimum, default).  A "count" is
+# an integer >= minimum, a "k" 0 (the default Hill rule) or a count, a "schedule"
+# >= 3 strictly increasing counts, a "fraction" a real in (0, 1) and a "positive"
+# a finite real > 0.  A dict default is keyed by the step that reads it.
+KNOBS = {
+    "csv_rows": ("params", "count", 0, 100_000),
+    "lyapunov_steps": ("params", "count", 100, 20_000),
+    "lyapunov_chains": ("params", "count", 1, 200),
+    "hill_k": ("params", "k", 2, 0),
+    "hill_k_x": ("params", "k", 2, 0),
+    "constant_draws": ("params", "count", 2, 1_000_000),
+    "s_schedule": ("params", "schedule", 1, (1, 2, 4, 8, 16, 32, 64)),
+    "weight_draws": ("params", "count", 2, 200_000),
+    "u_quantile": ("params", "fraction", None, 0.999),
+    "limit_draws": ("params", "count", MIN_EXCEEDANCES, 200_000),
+    "h": ("params", "count", 1, {"spectral_cross_feed": 3, "spectral_own_tail": 2,
+                                 "garch_verify": 2}),
+    "crossval_draws": ("params", "count", 1, 100_000),
+    "crossval_thinning": ("params", "count", 1, 20),
+    "alpha_residual": ("tolerances", "positive", None, 1e-8),
+    "se_mult": ("tolerances", "positive", None, 4.0),
+    "dispersion_max": ("tolerances", "positive", None, 0.15),
+    "c1_rel_tol": ("tolerances", "positive", None, 0.25),
+    "c2_rel_tol": ("tolerances", "positive", None, {"constants": 0.2, "garch_verify": 0.25}),
+    "ks_bound": ("tolerances", "positive", None, 0.05),
+    "pareto_level": ("tolerances", "positive", None, 0.01),
+    "ks_level": ("tolerances", "positive", None, 0.01),
+}
+
 
 def _require(node: dict, key: str, path: str) -> Any:
     if key not in node:
@@ -98,7 +130,7 @@ def _as_count(value: Any, path: str, minimum: int = 0) -> int:
 
 def _check_object(node: Any, path: str, allowed: set, required: tuple = ()) -> None:
     if not isinstance(node, dict):
-        raise ConfigInvalid(path, f"expected an object, got {type(node).__name__}")
+        raise ConfigInvalid(path or "/", f"expected an object, got {type(node).__name__}")
     unknown = set(node) - allowed
     if unknown:
         raise ConfigInvalid(
@@ -177,46 +209,45 @@ def _parse_sim(node: Any, path: str):
     return sim, counts
 
 
-def _parse_tolerances(node: Any, path: str) -> dict:
-    if node is None:
-        return {}
-    if not isinstance(node, dict):
-        raise ConfigInvalid(path, f"expected an object, got {type(node).__name__}")
-    out = {}
-    for key, value in node.items():
-        v = _as_real(value, f"{path}/{key}")
-        if v <= 0:
-            raise ConfigInvalid(f"{path}/{key}", f"tolerances must be positive, got {v}")
-        out[key] = v
-    return out
+def _knob_value(name: str, value: Any, path: str):
+    """``value`` checked against the KNOBS row of ``name``."""
+    _, kind, minimum, _ = KNOBS[name]
+    if kind in ("positive", "fraction"):
+        real = _as_real(value, path)
+        if not 0.0 < real < (1.0 if kind == "fraction" else math.inf):
+            bound = "lie in (0, 1)" if kind == "fraction" else "be positive"
+            raise ConfigInvalid(path, f"must {bound}, got {real}")
+        return real
+    if kind == "schedule":
+        items = value if isinstance(value, list) else []
+        counts = [_as_count(v, f"{path}/{i}", minimum) for i, v in enumerate(items)]
+        if len(counts) < 3:
+            raise ConfigInvalid(path, f"expected a list of >= 3 integers, got {value!r}")
+        for i in range(1, len(counts)):
+            if counts[i] <= counts[i - 1]:
+                raise ConfigInvalid(f"{path}/{i}", f"must exceed the entry before, {counts[i - 1]}")
+        return counts
+    count = _as_count(value, path, 0 if kind == "k" else minimum)
+    if kind == "k" and 0 < count < minimum:
+        raise ConfigInvalid(path, f"must be 0 (the default rule) or >= {minimum}, got {count}")
+    return count
 
 
-def _parse_params(node: Any, path: str) -> dict:
+def _parse_knobs(node: Any, section: str) -> dict:
+    """The knobs one section sets, validated; an absent or null section sets none."""
     if node is None:
         return {}
-    if not isinstance(node, dict):
-        raise ConfigInvalid(path, f"expected an object, got {type(node).__name__}")
-    out = {}
-    for key, value in node.items():
-        p = f"{path}/{key}"
-        if isinstance(value, bool) or isinstance(value, (int, float, str)):
-            out[key] = value
-        elif isinstance(value, list) and all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
-        ):
-            out[key] = list(value)
-        else:
-            raise ConfigInvalid(p, "params values must be scalars or numeric lists")
-    return out
+    _check_object(node, f"/{section}", {n for n, row in KNOBS.items() if row[0] == section})
+    return {name: _knob_value(name, v, f"/{section}/{name}") for name, v in node.items()}
 
 
 @dataclass(eq=False)
 class ExperimentConfig:
     """One validated experiment: what to run, on which law, at what size.
 
-    ``normalized`` is the fully-defaulted plain-dict form (the basis of
-    :attr:`digest`); ``params`` carries free pipeline knobs that the schema
-    does not interpret.
+    ``normalized`` is the plain-dict form behind :attr:`digest`; ``params``
+    and ``tolerances`` hold the validated knobs the config sets, and
+    :meth:`knob` reads them or their :data:`KNOBS` defaults.
     """
 
     name: str
@@ -232,6 +263,11 @@ class ExperimentConfig:
     @property
     def digest(self) -> str:
         return config_digest(self.normalized)
+
+    def knob(self, name: str):
+        """The value the config sets for knob ``name``, else its KNOBS default."""
+        section, _, _, default = KNOBS[name]
+        return getattr(self, section).get(name, default)
 
 
 _TOP_FIELDS = {
@@ -254,8 +290,8 @@ def parse_config(obj: Any) -> ExperimentConfig:
     if pipeline == "garch_verify" and not isinstance(law, GarchLaw):
         raise ConfigInvalid("/pipeline", "garch_verify requires a law with mode garch")
     sim, sim_norm = _parse_sim(obj["sim"], "/sim")
-    tolerances = _parse_tolerances(obj.get("tolerances"), "/tolerances")
-    params = _parse_params(obj.get("params"), "/params")
+    tolerances = _parse_knobs(obj.get("tolerances"), "tolerances")
+    params = _parse_knobs(obj.get("params"), "params")
     output_dir = obj.get("output_dir", "out")
     if not isinstance(output_dir, str) or not output_dir:
         raise ConfigInvalid("/output_dir", "expected a nonempty string")

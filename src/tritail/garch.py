@@ -41,8 +41,7 @@ from .laws import (
     ChiSqAffine,
     CoeffDraw,
     Constant,
-    classify_regime,
-    solve_tail_index,
+    RegimeReport,
 )
 from .records import ResultRecord
 from .renewal import univariate_constant
@@ -358,6 +357,7 @@ def return_hill_k(n: int) -> int:
 
 def verify_tail_relations(
     params: GarchParams,
+    regime: RegimeReport,
     rng: np.random.Generator,
     path: GarchPath,
     *,
@@ -369,8 +369,9 @@ def verify_tail_relations(
 ) -> GarchVerifyReport:
     """Verify the model's tail chain end to end on a simulated sample.
 
-    Solves the two diagonal tail indices from their ChiSqAffine marginals
-    and checks, on the stationary ``path``:
+    Takes the two diagonal tail indices from ``regime``, the
+    :func:`~tritail.laws.classify_regime` report on ``GarchLaw(params)``, and
+    checks, on the stationary ``path``:
 
     * Hill estimates of sigma1^2, sigma2^2, X1^2, X2^2 against the solver
       targets (the first coordinate's index is min(alpha1, alpha2) in either
@@ -380,13 +381,11 @@ def verify_tail_relations(
       exact, so these inherit the squared checks' verdicts at doubled scale);
     * the second coordinate's renewal constant against its tail plateau
       (relative tolerance ``rel_tol``);
-    * regime coherence between the solver comparison and the generic
-      classifier run on the induced coefficient law.
+    * regime coherence between the order of the two roots and the
+      classifier's regime (equal roots leave the classifier unresolved).
     """
-    sol1 = solve_tail_index(ChiSqAffine(params.alpha11, params.beta11))
-    sol2 = solve_tail_index(ChiSqAffine(params.alpha22, params.beta22))
-    a1, a2 = sol1.alpha, sol2.alpha
-    regime = REGIME_A1_DOMINANT if a1 < a2 else REGIME_A2_DOMINANT
+    a1, a2 = regime.alpha1.alpha, regime.alpha2.alpha
+    ordered = REGIME_A1_DOMINANT if a1 < a2 else REGIME_A2_DOMINANT
     a_min = min(a1, a2)
 
     records: list[ResultRecord] = []
@@ -444,18 +443,17 @@ def verify_tail_relations(
         )
     )
 
-    classified = classify_regime(GarchLaw(params))
     records.append(
         ResultRecord(
             name="regime_coherent",
-            value=1.0 if classified.regime == regime else 0.0,
+            value=1.0 if regime.regime == ordered else 0.0,
             bound_low=1.0,
             bound_high=1.0,
-            passed=bool(classified.regime == regime),
-            note=f"solver {regime}, classifier {classified.regime}",
+            passed=bool(regime.regime == ordered),
+            note=f"solver {ordered}, classifier {regime.regime}",
         )
     )
-    return GarchVerifyReport(alpha1=a1, alpha2=a2, regime=regime, records=tuple(records))
+    return GarchVerifyReport(alpha1=a1, alpha2=a2, regime=ordered, records=tuple(records))
 
 
 # ============================================================================
@@ -653,6 +651,7 @@ def _prop_heavier_own(params, path, h, u_quantile, n_limit, ks_bound, alphas, rn
 
 def return_spectral_check(
     params: GarchParams,
+    regime: RegimeReport,
     h: int,
     rng: np.random.Generator,
     path: GarchPath,
@@ -663,8 +662,9 @@ def return_spectral_check(
 ) -> GarchSpectralReport:
     """Check the regime-appropriate limit law of threshold-conditioned returns.
 
-    Solves the two tail indices and, on the stationary ``path``, dispatches
-    on the regime: alpha1 > alpha2 conditions on volatility-norm exceedances
+    Takes the two tail indices from ``regime`` (as in
+    :func:`verify_tail_relations`) and, on the stationary ``path``, dispatches
+    on their order: alpha1 > alpha2 conditions on volatility-norm exceedances
     and rebuilds the forward limit with an exact Pareto(2 alpha2) factor;
     alpha1 < alpha2 compares per-component window angles against the
     sign-symmetrized weighted product law.  Sign-symmetry statistics of the
@@ -676,9 +676,7 @@ def return_spectral_check(
         raise ValueError("u_quantile must lie in (0, 1)")
     if n_limit < MIN_EXCEEDANCES:
         raise ValueError(f"n_limit must be >= {MIN_EXCEEDANCES}")
-    sol1 = solve_tail_index(ChiSqAffine(params.alpha11, params.beta11))
-    sol2 = solve_tail_index(ChiSqAffine(params.alpha22, params.beta22))
-    a1, a2 = sol1.alpha, sol2.alpha
+    a1, a2 = regime.alpha1.alpha, regime.alpha2.alpha
     if a1 == a2:
         raise RegimeMismatch("tail indices coincide; no regime branch applies")
 

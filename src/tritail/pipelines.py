@@ -112,8 +112,6 @@ class RunReport:
         """
         with open(path, "r", encoding="utf-8") as f:
             d = json.load(f)
-        if not isinstance(d, dict):
-            raise ConfigInvalid("/", f"expected an object, got {type(d).__name__}")
         _check_object(d, "", {*_REPORT_FIELDS, "wall_time"}, _REPORT_FIELDS)
         for key in ("results", "artifacts"):
             if not isinstance(d[key], list):
@@ -228,11 +226,8 @@ class _Ctx:
     def seed(self) -> int:
         return self.cfg.sim.base_seed
 
-    def tol(self, name: str, default: float) -> float:
-        return self.cfg.tolerances.get(name, default)
-
-    def param(self, name: str, default):
-        return self.cfg.params.get(name, default)
+    def knob(self, name: str):
+        return self.cfg.knob(name)
 
     def add(self, **kwargs) -> None:
         self.records.append(ResultRecord(**kwargs))
@@ -270,8 +265,13 @@ class _Ctx:
         self.artifacts.append(filename)
 
 
+def _by_step(value, step: str):
+    """A knob value, with a step-dependent KNOBS default resolved for ``step``."""
+    return value[step] if isinstance(value, dict) else value
+
+
 def _solution_record(ctx: _Ctx, name: str, sol) -> None:
-    tol = ctx.tol("alpha_residual", 1e-8)
+    tol = ctx.knob("alpha_residual")
     ctx.add(
         name=name,
         value=sol.alpha,
@@ -309,10 +309,9 @@ def _step_stationarity(ctx: _Ctx) -> None:
         passed=rep.holds,
         note=f"witness_eps={rep.witness_eps} rho={rep.rho:.6g}",
     )
-    steps = int(ctx.param("lyapunov_steps", 20_000))
-    chains = int(ctx.param("lyapunov_chains", 200))
     est = engine.lyapunov_estimate(
-        ctx.cfg.law, steps, chains, substream(ctx.seed, "lyapunov")
+        ctx.cfg.law, ctx.knob("lyapunov_steps"), ctx.knob("lyapunov_chains"),
+        substream(ctx.seed, "lyapunov"),
     )
     ctx.add(
         name="lyapunov_gamma",
@@ -345,7 +344,7 @@ def _summary_stats(ctx: _Ctx, name: str, series: np.ndarray) -> None:
 
 
 def _step_simulate(ctx: _Ctx) -> None:
-    rows = int(ctx.param("csv_rows", 100_000))
+    rows = ctx.knob("csv_rows")
     if ctx.is_garch():
         path = ctx.garch_path()
         head = path.head(min(rows, len(path)))
@@ -371,12 +370,12 @@ def _step_simulate(ctx: _Ctx) -> None:
 
 
 def _hill_record(ctx: _Ctx, name: str, series, target: Optional[float], k: int = 0) -> None:
-    est = tailstats.hill(series, k=k or int(ctx.param("hill_k", 0)))
+    est = tailstats.hill(series, k=k or ctx.knob("hill_k"))
     if target is None:
         ctx.add(name=name, value=est.alpha_hat, std_error=est.std_error,
                 passed=None, note=f"k={est.k}")
         return
-    half = ctx.tol("se_mult", 4.0) * est.std_error
+    half = ctx.knob("se_mult") * est.std_error
     ctx.add(
         name=name,
         value=est.alpha_hat,
@@ -392,7 +391,7 @@ def _plateau_record(ctx: _Ctx, name: str, series, alpha: float,
                     reference: Optional[float] = None, rel_tol: Optional[float] = None,
                     csv_name: Optional[str] = None) -> None:
     est = tailstats.tail_constant(series, alpha)
-    disp_max = ctx.tol("dispersion_max", 0.15)
+    disp_max = ctx.knob("dispersion_max")
     ctx.add(
         name=f"{name}_dispersion",
         value=est.dispersion,
@@ -425,7 +424,7 @@ def _step_tails(ctx: _Ctx) -> None:
         path = ctx.garch_path()
         _hill_record(ctx, "hill_sigma1_sq", path.sigma1_sq, a_min)
         _hill_record(ctx, "hill_sigma2_sq", path.sigma2_sq, a2)
-        k_x = int(ctx.param("hill_k_x", 0)) or return_hill_k(len(path))
+        k_x = ctx.knob("hill_k_x") or return_hill_k(len(path))
         _hill_record(ctx, "hill_abs_x1", np.abs(path.x1), 2.0 * a_min, k=k_x)
         _hill_record(ctx, "hill_abs_x2", np.abs(path.x2), 2.0 * a2, k=k_x)
         _plateau_record(ctx, "plateau_sigma1_sq", path.sigma1_sq, a_min)
@@ -443,12 +442,11 @@ def _step_constants(ctx: _Ctx) -> None:
     a1, a2 = rep.alpha1.alpha, rep.alpha2.alpha
     law = ctx.cfg.law
     sample = ctx.path_sample()
-    rel_tol = ctx.tol("c2_rel_tol", 0.2)
+    rel_tol = _by_step(ctx.knob("c2_rel_tol"), "constants")
 
-    cap = int(ctx.param("constant_draws", min(len(sample), 1_000_000)))
     c2 = renewal.univariate_constant(
         law.marginal("a4"), law.marginal("b2"), a2,
-        sample.w2[:cap], substream(ctx.seed, "c2"),
+        sample.w2[:ctx.knob("constant_draws")], substream(ctx.seed, "c2"),
     )
     ctx.add(
         name="c2_renewal",
@@ -459,17 +457,15 @@ def _step_constants(ctx: _Ctx) -> None:
     )
     _plateau_record(ctx, "c2_plateau", sample.w2, a2, reference=c2.c_hat, rel_tol=rel_tol)
 
-    rel_tol1 = ctx.tol("c1_rel_tol", 0.25)
+    rel_tol1 = ctx.knob("c1_rel_tol")
     if rep.regime == REGIME_A2_DOMINANT:
         try:
             bounds = renewal.series_weight_bounds(law, a2)
             bounds_note = f"[{bounds.lower:.6g}, {bounds.upper:.6g}] tau={bounds.tau:.6g}"
         except TritailError as e:
             bounds, bounds_note = None, f"bounds unavailable: {e}"
-        schedule = [int(s) for s in ctx.param("s_schedule", [1, 2, 4, 8, 16, 32, 64])]
         coupled = renewal.coupled_component_constant(
-            law, a2, c2, schedule,
-            int(ctx.param("weight_draws", 200_000)),
+            law, a2, c2, ctx.knob("s_schedule"), ctx.knob("weight_draws"),
             substream(ctx.seed, "weight"),
         )
         in_bounds = None
@@ -534,12 +530,12 @@ def _step_spectral(ctx: _Ctx) -> None:
     a1, a2 = rep.alpha1.alpha, rep.alpha2.alpha
     law = ctx.cfg.law
     sample = ctx.path_sample()
-    u_quantile = float(ctx.param("u_quantile", 0.999))
-    ks_bound = ctx.tol("ks_bound", 0.05)
-    n_limit = int(ctx.param("limit_draws", 200_000))
+    u_quantile = ctx.knob("u_quantile")
+    ks_bound = ctx.knob("ks_bound")
+    n_limit = ctx.knob("limit_draws")
 
     if rep.regime == REGIME_A2_DOMINANT:
-        h = int(ctx.param("h", 3))
+        h = _by_step(ctx.knob("h"), "spectral_cross_feed")
         ang = spectral.angular_measure_threshold(sample, u_quantile)
         _write_angular_csv(ctx, "angular.csv", ang)
         cond = spectral.conditional_exceedance_windows(sample, h, u_quantile)
@@ -547,12 +543,13 @@ def _step_spectral(ctx: _Ctx) -> None:
             law, a2, h, n_limit, ang, substream(ctx.seed, "limit"), alpha1=a1
         )
         stat, pvalue = spectral.pareto_gof(limit.y0, a2)
+        level = ctx.knob("pareto_level")
         ctx.add(
             name="pareto_norm_pvalue",
             value=pvalue,
-            bound_low=ctx.tol("pareto_level", 0.01),
+            bound_low=level,
             bound_high=None,
-            passed=bool(pvalue >= ctx.tol("pareto_level", 0.01)),
+            passed=bool(pvalue >= level),
             note=f"ks_stat={stat:.4g}",
         )
         for fname, stat in spectral.forward_limit_ks(cond, limit).items():
@@ -576,7 +573,7 @@ def _step_spectral(ctx: _Ctx) -> None:
             ),
         )
     elif rep.regime == REGIME_A1_DOMINANT:
-        h = int(ctx.param("h", 2))
+        h = _by_step(ctx.knob("h"), "spectral_own_tail")
         for component, alpha_i in ((1, a1), (2, a2)):
             weighted = spectral.componentwise_spectral(
                 law, alpha_i, h, n_limit,
@@ -604,12 +601,14 @@ def _step_garch_verify(ctx: _Ctx) -> None:
     params = ctx.cfg.law.params
     verify = verify_tail_relations(
         params,
+        ctx.regime(),
         substream(ctx.seed, "verify"),
         path,
-        se_mult=ctx.tol("se_mult", 4.0),
-        rel_tol=ctx.tol("c2_rel_tol", 0.25),
-        k=int(ctx.param("hill_k", 0)),
-        k_x=int(ctx.param("hill_k_x", 0)),
+        se_mult=ctx.knob("se_mult"),
+        rel_tol=_by_step(ctx.knob("c2_rel_tol"), "garch_verify"),
+        k=ctx.knob("hill_k"),
+        k_x=ctx.knob("hill_k_x"),
+        constant_draws=ctx.knob("constant_draws"),
     )
     # Prefixed so a full report keeps unique record names next to the
     # solve-index and tails steps (diff matches records by name).
@@ -620,12 +619,13 @@ def _step_garch_verify(ctx: _Ctx) -> None:
 
     spect = return_spectral_check(
         params,
-        int(ctx.param("h", 2)),
+        ctx.regime(),
+        _by_step(ctx.knob("h"), "garch_verify"),
         substream(ctx.seed, "garch_spectral"),
         path,
-        u_quantile=float(ctx.param("u_quantile", 0.999)),
-        n_limit=int(ctx.param("limit_draws", 200_000)),
-        ks_bound=ctx.tol("ks_bound", 0.05),
+        u_quantile=ctx.knob("u_quantile"),
+        n_limit=ctx.knob("limit_draws"),
+        ks_bound=ctx.knob("ks_bound"),
     )
     ctx.add(name="spectral_branch", value=None, passed=None, note=spect.branch)
     ctx.records.extend(replace(r, name=f"spectral_{r.name}") for r in spect.records)
@@ -640,8 +640,8 @@ def _step_cross_validate(ctx: _Ctx) -> None:
     """
     if ctx.is_garch():
         return
-    n = int(ctx.param("crossval_draws", 100_000))
-    thinning = max(ctx.cfg.sim.thinning, int(ctx.param("crossval_thinning", 20)))
+    n = ctx.knob("crossval_draws")
+    thinning = max(ctx.cfg.sim.thinning, ctx.knob("crossval_thinning"))
     fwd = _stationary_chunked(
         ctx.cfg.law,
         replace(ctx.cfg.sim, n_draws=n, thinning=thinning),
@@ -649,7 +649,7 @@ def _step_cross_validate(ctx: _Ctx) -> None:
         purpose="crossval",
     )
     back = _backward_chunked(ctx.cfg.law, replace(ctx.cfg.sim, n_draws=n), ctx.workers)
-    level = ctx.tol("ks_level", 0.01)
+    level = ctx.knob("ks_level")
     for name, f, b in (("w1", fwd.w1, back.w1), ("w2", fwd.w2, back.w2)):
         stat, pvalue = tailstats.ks_2sample(f, b)
         ctx.add(

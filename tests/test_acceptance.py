@@ -38,6 +38,7 @@ from tritail import (
     angular_ks,
     angular_measure_threshold,
     backward_truncated,
+    classify_regime,
     componentwise_spectral,
     conditional_exceedance_windows,
     coupled_component_constant,
@@ -448,14 +449,17 @@ def test_criterion_10_garch_tail_relations(garch_thinned, garch_windows):
     # k = sqrt(n) for the vol hills: the cross-fed coordinate inherits its
     # tail, and at k = n**0.6 the pre-asymptotic slope sits measurably above
     # the true index (about +0.05 at 1e7 draws on every probed stream).
+    regime = classify_regime(GarchLaw(GARCH_P10))
     verify = verify_tail_relations(
         GARCH_P10,
+        regime,
         substream(3, "acceptance", 1),
         path=garch_thinned,
         k=int(len(garch_thinned) ** 0.5),
     )
     spect = return_spectral_check(
         GARCH_P10,
+        regime,
         2,
         substream(3, "acceptance", 2),
         path=garch_windows,

@@ -2,11 +2,18 @@
 
 import csv
 import json
+import math
+import re
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tritail import pipelines
 from tritail.cli import main
 from tritail.config import (
+    KNOBS,
     apply_overrides,
     canonical_json,
     load_config,
@@ -78,7 +85,7 @@ def test_minimal_config_fills_defaults():
     assert cfg.params == {}
     assert cfg.output_dir == "out"
     assert cfg.workers == 1
-    # The normalized form carries only identity-relevant fields, fully defaulted.
+    # The normalized form carries only identity-relevant fields, sim fully defaulted.
     assert set(cfg.normalized) == {"name", "pipeline", "law", "sim", "tolerances", "params"}
     assert cfg.normalized["sim"]["burn_in"] == 500
 
@@ -99,17 +106,91 @@ def test_params_accept_scalars_and_numeric_lists():
             params={
                 "hill_k": 100,
                 "u_quantile": 0.99,
-                "label": "check",
-                "verbose": True,
                 "s_schedule": [1, 2, 4],
             }
         )
     )
     assert cfg.params["hill_k"] == 100
     assert cfg.params["u_quantile"] == 0.99
-    assert cfg.params["label"] == "check"
-    assert cfg.params["verbose"] is True
     assert cfg.params["s_schedule"] == [1, 2, 4]
+
+
+def test_knob_returns_the_set_value_or_the_table_default():
+    cfg = parse_config(base_config(params={"hill_k": 100.0}, tolerances={"se_mult": 3}))
+    assert cfg.knob("hill_k") == 100 and isinstance(cfg.knob("hill_k"), int)
+    assert cfg.knob("se_mult") == 3.0 and isinstance(cfg.knob("se_mult"), float)
+    assert cfg.knob("lyapunov_steps") == KNOBS["lyapunov_steps"][3]
+    # Defaults are not hashed: only the set knobs, as validated values.
+    assert cfg.normalized["params"] == {"hill_k": 100}
+    assert cfg.normalized["tolerances"] == {"se_mult": 3.0}
+    assert cfg.digest == parse_config(
+        base_config(params={"hill_k": 100}, tolerances={"se_mult": 3.0})
+    ).digest
+    # The two step-dependent defaults are keyed by the step that reads them.
+    assert cfg.knob("h") == {"spectral_cross_feed": 3, "spectral_own_tail": 2,
+                             "garch_verify": 2}
+    assert cfg.knob("c2_rel_tol") == {"constants": 0.2, "garch_verify": 0.25}
+
+
+def test_knob_table_rows():
+    assert sorted(n for n, row in KNOBS.items() if row[0] == "params") == sorted(
+        "csv_rows lyapunov_steps lyapunov_chains hill_k hill_k_x constant_draws s_schedule "
+        "weight_draws u_quantile limit_draws h crossval_draws crossval_thinning".split()
+    )
+    assert sorted(n for n, row in KNOBS.items() if row[0] == "tolerances") == sorted(
+        "alpha_residual se_mult dispersion_max c1_rel_tol c2_rel_tol ks_bound "
+        "pareto_level ks_level".split()
+    )
+    for name, (_, kind, _, default) in KNOBS.items():
+        defaults = default.values() if isinstance(default, dict) else [default]
+        for d in defaults:
+            _assert_in_row(name, list(d) if kind == "schedule" else d)
+
+
+def _assert_in_row(name, value):
+    """``value`` has the type and range of knob ``name``'s KNOBS row."""
+    _, kind, minimum, _ = KNOBS[name]
+    if kind == "positive":
+        assert type(value) is float and math.isfinite(value) and value > 0
+    elif kind == "fraction":
+        assert type(value) is float and 0.0 < value < 1.0
+    elif kind == "schedule":
+        assert type(value) is list and len(value) >= 3
+        assert all(type(v) is int and v >= minimum for v in value)
+        assert all(b > a for a, b in zip(value, value[1:]))
+    else:
+        assert type(value) is int
+        assert value >= minimum or (kind == "k" and value == 0)
+
+
+_KNOB_VALUES = st.one_of(
+    st.integers(-3, 300),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=3),
+    st.lists(st.one_of(st.integers(-2, 80), st.floats(-2, 80), st.booleans()), max_size=5),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+)
+_KNOB_KEYS = st.one_of(st.sampled_from(sorted(KNOBS)), st.text(max_size=6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    params=st.dictionaries(_KNOB_KEYS, _KNOB_VALUES, max_size=4),
+    tolerances=st.dictionaries(_KNOB_KEYS, _KNOB_VALUES, max_size=4),
+)
+def test_knob_sections_parse_into_their_rows_or_point_at_the_field(params, tolerances):
+    try:
+        cfg = parse_config(base_config(params=params, tolerances=tolerances))
+    except ConfigInvalid as e:
+        assert e.path.startswith(("/params/", "/tolerances/")), e
+        return
+    for name, row in KNOBS.items():
+        value = cfg.knob(name)
+        if isinstance(row[3], dict) and value is row[3]:
+            continue  # an unset step-dependent knob; its defaults are checked above
+        _assert_in_row(name, list(value) if row[1] == "schedule" else value)
 
 
 def test_digest_ignores_execution_fields_only():
@@ -242,6 +323,13 @@ def _param_mixed_list(c):
     c["params"] = {"s_schedule": [1, True]}
 
 
+def _knob(section, key, value):
+    def mutate(c):
+        c[section] = {key: value}
+
+    return mutate
+
+
 def _workers_zero(c):
     c["workers"] = 0
 
@@ -275,8 +363,23 @@ INVALID_CASES = [
     ("sim-negative", _sim_negative, "/sim/thinning", ">= 0"),
     ("tol-not-object", _tol_not_object, "/tolerances", "expected an object"),
     ("tol-nonpositive", _tol_nonpositive, "/tolerances/ks_bound", "positive"),
-    ("param-nested", _param_nested, "/params/grid", "scalars or numeric lists"),
-    ("param-mixed-list", _param_mixed_list, "/params/s_schedule", "scalars or numeric lists"),
+    ("param-nested", _param_nested, "/params/grid", "unknown field (allowed: "),
+    ("param-mixed-list", _param_mixed_list, "/params/s_schedule/1", "expected an integer"),
+    ("param-unknown", _knob("params", "weight_drws", 1000), "/params/weight_drws",
+     "unknown field (allowed: constant_draws, "),
+    ("tol-unknown", _knob("tolerances", "c1_rel_tl", 0.1), "/tolerances/c1_rel_tl",
+     "unknown field (allowed: alpha_residual, "),
+    ("hill-k-fractional", _knob("params", "hill_k", 2.7), "/params/hill_k",
+     "expected an integer"),
+    ("hill-k-bool", _knob("params", "hill_k", True), "/params/hill_k", "expected an integer"),
+    ("hill-k-one", _knob("params", "hill_k", 1), "/params/hill_k",
+     "must be 0 (the default rule) or >= 2"),
+    ("u-quantile-above-one", _knob("params", "u_quantile", 1.5), "/params/u_quantile",
+     "must lie in (0, 1)"),
+    ("schedule-scalar", _knob("params", "s_schedule", 4), "/params/s_schedule",
+     "expected a list of >= 3 integers"),
+    ("schedule-unsorted", _knob("params", "s_schedule", [1, 4, 2]), "/params/s_schedule/2",
+     "must exceed the entry before, 4"),
     ("workers-zero", _workers_zero, "/workers", ">= 1"),
     ("workers-bool", _workers_bool, "/workers", "expected an integer"),
     ("outdir-empty", _outdir_empty, "/output_dir", "nonempty"),
@@ -333,7 +436,7 @@ def test_garch_alpha0_must_be_a_pair():
 def test_top_level_must_be_an_object():
     with pytest.raises(ConfigInvalid) as ei:
         parse_config([1, 2, 3])
-    assert ei.value.path == ""
+    assert ei.value.path == "/"
     assert "expected an object" in ei.value.message
 
 
@@ -403,6 +506,22 @@ def test_run_worker_count_does_not_change_results(tmp_path):
     assert int(rows[1][0]) == 0
     for cell in rows[1][1:]:
         float(cell)
+
+
+def test_garch_verify_reads_constant_draws(tmp_path):
+    def constant_record(params):
+        cfg = garch_config(params={"limit_draws": 200, **params},
+                           output_dir=str(tmp_path / f"p{len(params)}"))
+        cfg["sim"].update(n_draws=50_000, burn_in=200)
+        report = run(parse_config(cfg))
+        return next(r for r in report.results
+                    if r.name == "verify_sigma2_sq_constant_vs_plateau")
+
+    full, capped = constant_record({}), constant_record({"constant_draws": 1000})
+    # The plateau uses the whole path; the renewal constant only its first
+    # constant_draws states.
+    assert capped.value == full.value
+    assert capped.std_error != full.std_error
 
 
 def test_report_roundtrip_including_nonfinite_values(tmp_path):
@@ -519,12 +638,14 @@ def test_cli_gated_failure_exits_one(tmp_path, capsys):
     assert "[FAIL] solve_index_error" in captured.out
 
 
-def test_cli_step_error_of_any_type_is_captured(tmp_path, capsys):
-    # A scalar s_schedule parses but makes the constants step raise TypeError:
-    # it becomes a constants_error record and report.json is still written.
-    cfg = base_config(params={"s_schedule": 4})
-    cfg["sim"].update(n_draws=200_000, burn_in=200)
-    cfg_path = _write_config(tmp_path, "scalar_schedule.json", cfg)
+def test_cli_step_error_of_any_type_is_captured(tmp_path, capsys, monkeypatch):
+    # A step raising a non-tritail exception becomes a constants_error record
+    # and report.json is still written.
+    def step(ctx):
+        raise TypeError("unsupported operand")
+
+    monkeypatch.setitem(pipelines._PIPELINE_STEPS, "constants", (("constants", step),))
+    cfg_path = _write_config(tmp_path, "exp.json", base_config())
     out = tmp_path / "o"
     rc = main(["constants", "--config", str(cfg_path), "--out", str(out)])
     captured = capsys.readouterr()
@@ -553,9 +674,40 @@ def test_cli_unusable_inputs_exit_two(tmp_path, capsys):
     assert "/law/a1/kind" in capsys.readouterr().err
 
     listy = tmp_path / "list.json"
-    listy.write_text("[1, 2]", encoding="utf-8")
+    listy.write_text("[]", encoding="utf-8")
     assert main(["solve-index", "--config", str(listy)]) == 2
-    assert "expected an object" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: /: expected an object, got list\n"
+
+
+@pytest.mark.parametrize(
+    "section, key, value, pointer",
+    [
+        ("tolerances", "se_mlt", 0.001, "/tolerances/se_mlt"),
+        ("params", "hill_k", 2.7, "/params/hill_k"),
+        ("params", "hill_k", "abc", "/params/hill_k"),
+        ("params", "hill_k", True, "/params/hill_k"),
+        ("params", "hill_k", -5, "/params/hill_k"),
+        ("params", "hill_k", 1, "/params/hill_k"),
+        ("params", "u_quantile", 1.5, "/params/u_quantile"),
+        ("params", "weight_drws", 1000, "/params/weight_drws"),
+        ("tolerances", "c1_rel_tl", 0.1, "/tolerances/c1_rel_tl"),
+        ("params", "s_schedule", 4, "/params/s_schedule"),
+        ("params", "s_schedule", [1, 4, 2], "/params/s_schedule/2"),
+    ],
+)
+def test_cli_bad_knob_exits_two_before_running(tmp_path, capsys, section, key, value, pointer):
+    cfg_path = _write_config(tmp_path, "exp.json", base_config(**{section: {key: value}}))
+    out = tmp_path / "o"
+    assert main(["tails", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {pointer}: ")
+    assert not out.exists()
+
+
+def test_readme_knob_table_names_every_knob():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Knobs", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \|", section, flags=re.MULTILINE)
+    assert sorted(rows) == sorted(KNOBS)
 
 
 def test_cli_diff(tmp_path, capsys):

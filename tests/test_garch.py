@@ -18,7 +18,7 @@ from tritail.garch import (
     to_sre_coefficients,
     verify_tail_relations,
 )
-from tritail.laws import ChiSqAffine, Constant, moment, solve_tail_index
+from tritail.laws import ChiSqAffine, Constant, classify_regime, moment, solve_tail_index
 from tritail.pipelines import _CHUNK_CHAIN_LEN, _CHUNK_DRAWS, _garch_chunked
 from tritail.records import ResultRecord
 
@@ -248,8 +248,8 @@ def garch_path(params, n, g):
 
 def test_verify_tail_relations_structure():
     g = rng(8)
-    report = verify_tail_relations(GARCH_P10, g, garch_path(GARCH_P10, 400_000, g),
-                                   k=5000, k_x=3000)
+    report = verify_tail_relations(GARCH_P10, classify_regime(GarchLaw(GARCH_P10)), g,
+                                   garch_path(GARCH_P10, 400_000, g), k=5000, k_x=3000)
     assert isinstance(report, GarchVerifyReport)
     assert report.regime == "a2_dominant"
     assert report.alpha1 > report.alpha2
@@ -291,7 +291,8 @@ def test_return_spectral_check_cross_feed_branch():
     # The release gate (0.05 at 1e7 draws) lives in the acceptance suite.
     g = rng(9)
     report = return_spectral_check(
-        GARCH_P10, 2, g, garch_path(GARCH_P10, 2_000_000, g), u_quantile=0.999,
+        GARCH_P10, classify_regime(GarchLaw(GARCH_P10)), 2, g,
+        garch_path(GARCH_P10, 2_000_000, g), u_quantile=0.999,
         n_limit=100_000, ks_bound=0.08,
     )
     assert report.branch == "heavier_cross_feed"
@@ -312,7 +313,8 @@ def test_return_spectral_check_own_tail_branch():
     # reaches ~0.09 at ~2000 exceedances (measured over four seeds).
     g = rng(30)
     report = return_spectral_check(
-        OWN_TAIL_PARAMS, 2, g, garch_path(OWN_TAIL_PARAMS, 2_000_000, g), u_quantile=0.999,
+        OWN_TAIL_PARAMS, classify_regime(GarchLaw(OWN_TAIL_PARAMS)), 2, g,
+        garch_path(OWN_TAIL_PARAMS, 2_000_000, g), u_quantile=0.999,
         n_limit=200_000, ks_bound=0.10,
     )
     assert report.branch == "heavier_own_tail"
@@ -330,14 +332,15 @@ def test_return_spectral_check_own_tail_branch():
 
 def test_return_spectral_check_validation():
     path = garch_path(GARCH_P10, 1000, rng())
+    regime = classify_regime(GarchLaw(GARCH_P10))
     with pytest.raises(ValueError):
-        return_spectral_check(GARCH_P10, 0, rng(), path)
+        return_spectral_check(GARCH_P10, regime, 0, rng(), path)
     with pytest.raises(ValueError):
-        return_spectral_check(GARCH_P10, 2, rng(), path, u_quantile=1.5)
+        return_spectral_check(GARCH_P10, regime, 2, rng(), path, u_quantile=1.5)
     with pytest.raises(ValueError):
-        return_spectral_check(GARCH_P10, 2, rng(), path, n_limit=10)
+        return_spectral_check(GARCH_P10, regime, 2, rng(), path, n_limit=10)
     symmetric = GarchParams(alpha0=(0.05, 0.05), alpha11=0.35, alpha12=0.05,
                             alpha22=0.35, beta11=0.60, beta12=0.05,
                             beta22=0.60, rho=0.5)
     with pytest.raises(RegimeMismatch):
-        return_spectral_check(symmetric, 2, rng(), path)
+        return_spectral_check(symmetric, classify_regime(GarchLaw(symmetric)), 2, rng(), path)
