@@ -94,7 +94,6 @@ from .tailstats import (
     hill,
     ks_2sample,
     ks_distance,
-    rv_ratio_diagnostic,
     tail_constant,
 )
 

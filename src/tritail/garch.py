@@ -20,7 +20,7 @@ of threshold-conditioned return windows.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -52,6 +52,8 @@ from .spectral import (
     valid_window_starts,
 )
 from .tailstats import (
+    TailConstantEstimate,
+    TailEstimate,
     default_hill_k,
     hill,
     ks_2sample,
@@ -206,6 +208,12 @@ class GarchPath:
     :class:`tritail.engine.PathSample`.  The returns ``x1``/``x2`` are not
     stored: each access computes ``X_i = sqrt(sigma_i^2) * Z_i`` as a fresh
     array over the whole path.
+
+    The Hill and plateau estimates of a stored volatility series are shared:
+    :meth:`vol_hill` and :meth:`vol_tail_constant` compute each (series,
+    estimator, k or alpha) once per path, so the tails step and
+    :func:`verify_tail_relations` read the same estimate.  Estimates of the
+    returns are not kept.
     """
 
     sigma1_sq: np.ndarray
@@ -216,9 +224,24 @@ class GarchPath:
     config: SimConfig
     chain_len: int
     mode: str = "garch"
+    _estimates: dict = field(default_factory=dict, init=False, repr=False)
 
     def __len__(self) -> int:
         return self.sigma1_sq.size
+
+    def vol_hill(self, name: str, k: int) -> TailEstimate:
+        """Hill estimate of the stored series ``name``; ``k=0`` is the default k."""
+        key = ("hill", name, k or default_hill_k(len(self)))
+        if key not in self._estimates:
+            self._estimates[key] = hill(getattr(self, name), k=key[2])
+        return self._estimates[key]
+
+    def vol_tail_constant(self, name: str, alpha: float) -> TailConstantEstimate:
+        """Plateau tail-constant estimate of the stored series ``name``."""
+        key = ("tail_constant", name, alpha)
+        if key not in self._estimates:
+            self._estimates[key] = tail_constant(getattr(self, name), alpha)
+        return self._estimates[key]
 
     @property
     def x1(self) -> np.ndarray:
@@ -366,6 +389,7 @@ def verify_tail_relations(
     k: int = 0,
     k_x: int = 0,
     constant_draws: int = 1_000_000,
+    dispersion_max: float = 0.15,
 ) -> GarchVerifyReport:
     """Verify the model's tail chain end to end on a simulated sample.
 
@@ -380,7 +404,8 @@ def verify_tail_relations(
       the squared-return estimates — log|X| = log X^2 / 2 makes the doubling
       exact, so these inherit the squared checks' verdicts at doubled scale);
     * the second coordinate's renewal constant against its tail plateau
-      (relative tolerance ``rel_tol``);
+      (relative tolerance ``rel_tol``), and the plateau's dispersion below
+      ``dispersion_max``;
     * regime coherence between the order of the two roots and the
       classifier's regime (equal roots leave the classifier unresolved).
     """
@@ -389,17 +414,15 @@ def verify_tail_relations(
     a_min = min(a1, a2)
 
     records: list[ResultRecord] = []
-    k_used = k or default_hill_k(len(path))
     k_x_used = k_x or return_hill_k(len(path))
 
     hill_targets = [
-        ("hill_sigma1_sq", path.sigma1_sq, a_min, k_used),
-        ("hill_sigma2_sq", path.sigma2_sq, a2, k_used),
-        ("hill_x1_sq", np.square(path.x1), a_min, k_x_used),
-        ("hill_x2_sq", np.square(path.x2), a2, k_x_used),
+        ("hill_sigma1_sq", path.vol_hill("sigma1_sq", k), a_min),
+        ("hill_sigma2_sq", path.vol_hill("sigma2_sq", k), a2),
+        ("hill_x1_sq", hill(np.square(path.x1), k=k_x_used), a_min),
+        ("hill_x2_sq", hill(np.square(path.x2), k=k_x_used), a2),
     ]
-    for name, series, target, k_i in hill_targets:
-        est = hill(series, k=k_i)
+    for name, est, target in hill_targets:
         records.append(
             _band_record(name, est.alpha_hat, est.std_error, target, se_mult,
                          note=f"k={est.k}")
@@ -420,7 +443,7 @@ def verify_tail_relations(
         sub,
         rng,
     )
-    plateau = tail_constant(path.sigma2_sq, a2)
+    plateau = path.vol_tail_constant("sigma2_sq", a2)
     rel = abs(plateau.c_hat - c2.c_hat) / c2.c_hat
     records.append(
         ResultRecord(
@@ -438,8 +461,8 @@ def verify_tail_relations(
             name="plateau_dispersion_sigma2_sq",
             value=plateau.dispersion,
             bound_low=0.0,
-            bound_high=0.15,
-            passed=bool(plateau.dispersion < 0.15),
+            bound_high=dispersion_max,
+            passed=bool(plateau.dispersion < dispersion_max),
         )
     )
 
@@ -539,7 +562,9 @@ def _prop_heavier_cross(params, path, h, u_quantile, n_limit, ks_bound, a2, rng)
         )
     steps = idx[:, None] + np.arange(1, h + 1)[None, :]
     scale = 1.0 / math.sqrt(x)
-    sim_win = np.stack((path.x1[steps], path.x2[steps]), axis=2) * scale
+    # The returns of the window cells only, not of the whole path.
+    sim_win = np.stack((np.sqrt(path.sigma1_sq[steps]) * path.z1[steps],
+                        np.sqrt(path.sigma2_sq[steps]) * path.z2[steps]), axis=2) * scale
 
     # Empirical angle of the conditioning volatility vector.
     theta = np.column_stack((path.sigma1_sq[idx], path.sigma2_sq[idx])) / r[idx][:, None]

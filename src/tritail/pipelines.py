@@ -369,12 +369,7 @@ def _step_simulate(ctx: _Ctx) -> None:
         _summary_stats(ctx, "w2", sample.w2)
 
 
-def _hill_record(ctx: _Ctx, name: str, series, target: Optional[float], k: int = 0) -> None:
-    est = tailstats.hill(series, k=k or ctx.knob("hill_k"))
-    if target is None:
-        ctx.add(name=name, value=est.alpha_hat, std_error=est.std_error,
-                passed=None, note=f"k={est.k}")
-        return
+def _hill_record(ctx: _Ctx, name: str, est, target: float) -> None:
     half = ctx.knob("se_mult") * est.std_error
     ctx.add(
         name=name,
@@ -387,10 +382,9 @@ def _hill_record(ctx: _Ctx, name: str, series, target: Optional[float], k: int =
     )
 
 
-def _plateau_record(ctx: _Ctx, name: str, series, alpha: float,
+def _plateau_record(ctx: _Ctx, name: str, est,
                     reference: Optional[float] = None, rel_tol: Optional[float] = None,
                     csv_name: Optional[str] = None) -> None:
-    est = tailstats.tail_constant(series, alpha)
     disp_max = ctx.knob("dispersion_max")
     ctx.add(
         name=f"{name}_dispersion",
@@ -398,10 +392,10 @@ def _plateau_record(ctx: _Ctx, name: str, series, alpha: float,
         bound_low=0.0,
         bound_high=disp_max,
         passed=bool(est.dispersion < disp_max),
-        note=f"alpha={alpha:.6g}",
+        note=f"alpha={est.alpha:.6g}",
     )
     if reference is None:
-        ctx.add(name=name, value=est.c_hat, passed=None, note=f"alpha={alpha:.6g}")
+        ctx.add(name=name, value=est.c_hat, passed=None, note=f"alpha={est.alpha:.6g}")
     else:
         rel = abs(est.c_hat - reference) / abs(reference)
         ctx.add(
@@ -420,21 +414,25 @@ def _step_tails(ctx: _Ctx) -> None:
     rep = ctx.regime()
     a1, a2 = rep.alpha1.alpha, rep.alpha2.alpha
     a_min = min(a1, a2)
+    k = ctx.knob("hill_k")
     if ctx.is_garch():
+        # The volatility estimates are shared with garch_verify through the path.
         path = ctx.garch_path()
-        _hill_record(ctx, "hill_sigma1_sq", path.sigma1_sq, a_min)
-        _hill_record(ctx, "hill_sigma2_sq", path.sigma2_sq, a2)
+        _hill_record(ctx, "hill_sigma1_sq", path.vol_hill("sigma1_sq", k), a_min)
+        _hill_record(ctx, "hill_sigma2_sq", path.vol_hill("sigma2_sq", k), a2)
         k_x = ctx.knob("hill_k_x") or return_hill_k(len(path))
-        _hill_record(ctx, "hill_abs_x1", np.abs(path.x1), 2.0 * a_min, k=k_x)
-        _hill_record(ctx, "hill_abs_x2", np.abs(path.x2), 2.0 * a2, k=k_x)
-        _plateau_record(ctx, "plateau_sigma1_sq", path.sigma1_sq, a_min)
-        _plateau_record(ctx, "plateau_sigma2_sq", path.sigma2_sq, a2)
+        _hill_record(ctx, "hill_abs_x1", tailstats.hill(np.abs(path.x1), k=k_x), 2.0 * a_min)
+        _hill_record(ctx, "hill_abs_x2", tailstats.hill(np.abs(path.x2), k=k_x), 2.0 * a2)
+        _plateau_record(ctx, "plateau_sigma1_sq", path.vol_tail_constant("sigma1_sq", a_min))
+        _plateau_record(ctx, "plateau_sigma2_sq", path.vol_tail_constant("sigma2_sq", a2))
     else:
         sample = ctx.path_sample()
-        _hill_record(ctx, "hill_w1", sample.w1, a_min)
-        _hill_record(ctx, "hill_w2", sample.w2, a2)
-        _plateau_record(ctx, "plateau_w1", sample.w1, a_min, csv_name="plateau_w1.csv")
-        _plateau_record(ctx, "plateau_w2", sample.w2, a2, csv_name="plateau_w2.csv")
+        _hill_record(ctx, "hill_w1", tailstats.hill(sample.w1, k=k), a_min)
+        _hill_record(ctx, "hill_w2", tailstats.hill(sample.w2, k=k), a2)
+        _plateau_record(ctx, "plateau_w1", tailstats.tail_constant(sample.w1, a_min),
+                        csv_name="plateau_w1.csv")
+        _plateau_record(ctx, "plateau_w2", tailstats.tail_constant(sample.w2, a2),
+                        csv_name="plateau_w2.csv")
 
 
 def _step_constants(ctx: _Ctx) -> None:
@@ -455,7 +453,8 @@ def _step_constants(ctx: _Ctx) -> None:
         passed=None,
         note=f"m_alpha={c2.m_alpha:.6g} cramer_residual={c2.cramer_residual:.3g}",
     )
-    _plateau_record(ctx, "c2_plateau", sample.w2, a2, reference=c2.c_hat, rel_tol=rel_tol)
+    _plateau_record(ctx, "c2_plateau", tailstats.tail_constant(sample.w2, a2),
+                    reference=c2.c_hat, rel_tol=rel_tol)
 
     rel_tol1 = ctx.knob("c1_rel_tol")
     if rep.regime == REGIME_A2_DOMINANT:
@@ -493,7 +492,7 @@ def _step_constants(ctx: _Ctx) -> None:
             passed=bool(coupled.converged),
             note="c2 * series weight; gate is weight convergence",
         )
-        _plateau_record(ctx, "c1_plateau", sample.w1, a2,
+        _plateau_record(ctx, "c1_plateau", tailstats.tail_constant(sample.w1, a2),
                         reference=coupled.constant.c_hat, rel_tol=rel_tol1)
     elif rep.regime == REGIME_A1_DOMINANT:
         goldie = renewal.first_component_constant(
@@ -512,7 +511,7 @@ def _step_constants(ctx: _Ctx) -> None:
             passed=None,
             note="literal 2/alpha1 prefactor; informational — plateau adjudicates",
         )
-        _plateau_record(ctx, "c1_plateau", sample.w1, a1,
+        _plateau_record(ctx, "c1_plateau", tailstats.tail_constant(sample.w1, a1),
                         reference=goldie.c_hat, rel_tol=rel_tol1)
     else:
         ctx.add(name="c1_skipped", value=None, passed=None,
@@ -609,6 +608,7 @@ def _step_garch_verify(ctx: _Ctx) -> None:
         k=ctx.knob("hill_k"),
         k_x=ctx.knob("hill_k_x"),
         constant_draws=ctx.knob("constant_draws"),
+        dispersion_max=ctx.knob("dispersion_max"),
     )
     # Prefixed so a full report keeps unique record names next to the
     # solve-index and tails steps (diff matches records by name).

@@ -96,13 +96,6 @@ class SeriesWeightBounds:
     branch: str
     ea2: float
 
-    def finite_s_upper(self, s: int) -> float:
-        """Upper bound valid for w_s at finite s (alpha2 > 1 branch argument)."""
-        if s < 1:
-            raise ValueError("s must be >= 1")
-        r = self.tau ** (1.0 / self.alpha2)
-        return self.ea2 * ((1.0 - r**s) / (1.0 - r)) ** self.alpha2
-
 
 def _tail_moment_heuristic(values: np.ndarray) -> bool:
     """Cauchy check of running means across doubling prefixes (finiteness flag)."""
@@ -120,51 +113,24 @@ def _ratio_constant(
     alpha: float,
     a_draws: np.ndarray,
     a_dist: PositiveDistribution,
-    m_alpha_method: str,
 ) -> tuple[float, float, float, bool]:
     """Shared core: c = mean(numerator) / (alpha * m_alpha) with its SE.
 
-    Returns (c_hat, std_error, m_alpha, tail_moment_ok).  With the
-    deterministic m_alpha path the SE comes from the numerator alone; on the
-    Monte Carlo path m_alpha is estimated from the same coefficient draws and
-    the delta method propagates both variances and their covariance.
+    Returns (c_hat, std_error, m_alpha, tail_moment_ok).  The normalizer
+    m_alpha = E A^alpha log A is exact (:func:`~tritail.laws.log_weighted_moment`
+    of ``a_dist``), so the SE comes from the numerator alone; ``a_draws`` only
+    feed the tail-moment heuristic.
     """
     n = numerator.size
     num_mean = float(numerator.mean())
     num_var = float(numerator.var(ddof=1))
+    tail_ok = _tail_moment_heuristic(a_draws**alpha * np.maximum(np.log(a_draws), 0.0))
 
-    log_a = np.log(a_draws)
-    powers = a_draws**alpha
-    tail_ok = _tail_moment_heuristic(powers * np.maximum(log_a, 0.0))
-
-    if m_alpha_method == "auto":
-        m_alpha = log_weighted_moment(a_dist, alpha)
-        if m_alpha <= 0.0:
-            raise NonPositiveM(f"E A^alpha log A = {m_alpha:.6g} <= 0: alpha is wrong")
-        c_hat = num_mean / (alpha * m_alpha)
-        se = math.sqrt(num_var / n) / (alpha * m_alpha)
-        return c_hat, se, m_alpha, tail_ok
-
-    if m_alpha_method != "monte_carlo":
-        raise ValueError(f"unknown m_alpha_method {m_alpha_method!r}")
-    m_draws = powers * log_a
-    m_alpha = float(m_draws.mean())
-    se_m = float(m_draws.std(ddof=1)) / math.sqrt(n)
-    if m_alpha <= 3.0 * se_m:
-        raise NonPositiveM(
-            f"E A^alpha log A = {m_alpha:.6g} (SE {se_m:.2g}) is not positive "
-            "beyond 3 SE: alpha is wrong"
-        )
+    m_alpha = log_weighted_moment(a_dist, alpha)
+    if m_alpha <= 0.0:
+        raise NonPositiveM(f"E A^alpha log A = {m_alpha:.6g} <= 0: alpha is wrong")
     c_hat = num_mean / (alpha * m_alpha)
-    # Delta method on the ratio N / (alpha M), using Cov(N, M) from the pairing.
-    cov = float(np.cov(numerator, m_draws, ddof=1)[0, 1])
-    var_m = float(m_draws.var(ddof=1))
-    grad_sq = (
-        num_var / (alpha * m_alpha) ** 2
-        - 2.0 * num_mean * cov / (alpha**2 * m_alpha**3)
-        + num_mean**2 * var_m / (alpha**2 * m_alpha**4)
-    )
-    se = math.sqrt(max(grad_sq, 0.0) / n)
+    se = math.sqrt(num_var / n) / (alpha * m_alpha)
     return c_hat, se, m_alpha, tail_ok
 
 
@@ -174,12 +140,13 @@ def univariate_constant(
     alpha: float,
     stationary_w,
     rng: np.random.Generator,
-    m_alpha_method: str = "auto",
 ) -> RenewalConstant:
     """Renewal constant for the scalar recursion X = A X' + B at the root alpha.
 
     ``stationary_w`` must be (approximately) stationary draws independent of
-    the fresh (A, B) pairs sampled here, one pair per draw.
+    the fresh (A, B) pairs sampled here, one pair per draw.  The numerator
+    E[(A X + B)^alpha - (A X)^alpha] is the sample mean over those pairs; the
+    normalizer E A^alpha log A is computed exactly from ``a_dist``.
 
     Raises :class:`NonPositiveM` when the normalizer E A^alpha log A is not
     positive (the unmistakable sign that alpha does not solve E A^alpha = 1).
@@ -193,9 +160,7 @@ def univariate_constant(
     b = np.asarray(b_dist.sample(rng, w.size), dtype=float)
     aw = a * w
     numerator = (aw + b) ** alpha - aw**alpha
-    c_hat, se, m_alpha, tail_ok = _ratio_constant(
-        numerator, alpha, a, a_dist, m_alpha_method
-    )
+    c_hat, se, m_alpha, tail_ok = _ratio_constant(numerator, alpha, a, a_dist)
     return RenewalConstant(
         c_hat=c_hat,
         std_error=se,
@@ -213,7 +178,6 @@ def first_component_constant(
     alpha2: float,
     draws: PathSample,
     rng: np.random.Generator,
-    m_alpha_method: str = "auto",
 ) -> RenewalConstant:
     """Tail constant of the first coordinate when its own multiplier dominates.
 
@@ -237,7 +201,7 @@ def first_component_constant(
     aw = d.a1 * w1
     numerator = (aw + dd) ** alpha1 - aw**alpha1
     c_hat, se, m_alpha, tail_ok = _ratio_constant(
-        numerator, alpha1, d.a1, law.marginal("a1"), m_alpha_method
+        numerator, alpha1, d.a1, law.marginal("a1")
     )
     num_mean = float(numerator.mean())
     return RenewalConstant(

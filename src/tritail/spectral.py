@@ -91,10 +91,6 @@ class AngularSample:
     def dim(self) -> int:
         return self.points.shape[1]
 
-    def mean_direction(self) -> np.ndarray:
-        """Weighted mean of the angular points (not renormalized)."""
-        return self.weights @ self.points
-
 
 def angular_measure_threshold(
     draws: PathSample, u_quantile: float = 0.999

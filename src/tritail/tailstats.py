@@ -2,8 +2,8 @@
 
 Everything here is a pure function of its sample argument.  The estimators are
 deliberately standard: Hill for the index, the x^alpha * CCDF plateau for the
-constant, survival-ratio curves as a regular-variation diagnostic, and a
-weighted two-sample Kolmogorov distance used by the spectral comparisons.
+constant, and a weighted two-sample Kolmogorov distance used by the spectral
+comparisons.
 """
 
 import math
@@ -20,7 +20,6 @@ __all__ = [
     "hill",
     "default_hill_k",
     "tail_constant",
-    "rv_ratio_diagnostic",
     "ks_distance",
     "ks_2sample",
 ]
@@ -142,34 +141,6 @@ def tail_constant(
         alpha=alpha,
         n=n,
     )
-
-
-def rv_ratio_diagnostic(
-    sample,
-    c: float = 2.0,
-    threshold_quantiles=(0.99, 0.995, 0.999, 0.9995, 0.9999),
-) -> list[tuple[float, float]]:
-    """Survival-ratio curve P(X > c x)/P(X > x) across thresholds.
-
-    For a regularly varying tail the ratios flatten at c^-alpha; for a light
-    tail they decay toward 0 as x grows.  Returns (x, ratio) pairs.
-    """
-    if c < 1.0:
-        raise ValueError("c must be >= 1")
-    qs = tuple(threshold_quantiles)
-    if any(not (0.5 <= q < 1.0) for q in qs):
-        raise ValueError("threshold quantiles must lie in [0.5, 1)")
-    x = np.sort(_positive_sample(sample))
-    thresholds = np.quantile(x, qs)
-    n_tail = int(x.size - np.searchsorted(x, thresholds.min(), side="right"))
-    if n_tail < 50:
-        raise EmptyTail(f"only {n_tail} sample points above the lowest threshold")
-    out = []
-    for t in thresholds:
-        p_x = _ccdf(x, np.array([t]))[0]
-        p_cx = _ccdf(x, np.array([c * t]))[0]
-        out.append((float(t), float(p_cx / p_x)))
-    return out
 
 
 def ks_distance(a, b, weights_a=None, weights_b=None) -> float:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tritail import pipelines
+from tritail import garch, pipelines, tailstats
 from tritail.cli import main
 from tritail.config import (
     KNOBS,
@@ -522,6 +522,50 @@ def test_garch_verify_reads_constant_draws(tmp_path):
     # constant_draws states.
     assert capped.value == full.value
     assert capped.std_error != full.std_error
+
+
+def small_garch_report(tmp_path, **overrides):
+    cfg = garch_config(pipeline="full_report",
+                       params={"limit_draws": 200, "u_quantile": 0.99},
+                       output_dir=str(tmp_path), **overrides)
+    cfg["sim"].update(n_draws=50_000, burn_in=200)
+    report = run(parse_config(cfg))
+    assert not [r.name for r in report.results if r.name.endswith("_error")]
+    return {r.name: r for r in report.results}
+
+
+def test_garch_verify_reads_dispersion_max(tmp_path):
+    records = small_garch_report(tmp_path, tolerances={"dispersion_max": 0.01})
+    for name in ("plateau_sigma2_sq_dispersion", "verify_plateau_dispersion_sigma2_sq"):
+        r = records[name]
+        assert r.bound_high == 0.01
+        assert r.passed == (r.value < 0.01)
+
+
+def test_garch_full_report_computes_each_estimate_once(tmp_path, monkeypatch):
+    # pipelines calls tailstats.hill/tail_constant, garch its own imported
+    # names; wrap both.  ``calls`` holds each sample, so no id is reused by
+    # a later temporary.
+    calls = []
+
+    def counted(fn, resolved):
+        def wrapper(sample, *args, **kwargs):
+            est = fn(sample, *args, **kwargs)
+            calls.append((sample, fn.__name__, resolved(est)))
+            return est
+        return wrapper
+
+    hill = counted(tailstats.hill, lambda est: est.k)
+    tail_constant = counted(tailstats.tail_constant, lambda est: est.alpha)
+    for module in (tailstats, garch):
+        monkeypatch.setattr(module, "hill", hill)
+        monkeypatch.setattr(module, "tail_constant", tail_constant)
+
+    small_garch_report(tmp_path)
+    keys = [(id(sample), name, arg) for sample, name, arg in calls]
+    assert len(set(keys)) == len(keys), f"an estimate computed twice: {keys}"
+    # sigma1^2, sigma2^2, |x1|, |x2|, x1^2, x2^2; plateaus of sigma1^2, sigma2^2.
+    assert sorted(name for _, name, _ in calls) == ["hill"] * 6 + ["tail_constant"] * 2
 
 
 def test_report_roundtrip_including_nonfinite_values(tmp_path):

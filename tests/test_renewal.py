@@ -62,26 +62,11 @@ def test_univariate_constant_quadratic_oracle():
     assert est.tail_moment_ok
 
 
-def test_univariate_constant_monte_carlo_normalizer():
-    a, b = LAW_C2.a4, LAW_C2.b2
-    w = backward_truncated(
-        LAW_C2, SimConfig(burn_in=0, n_draws=100_000), rng(4)
-    ).w2
-    auto = univariate_constant(a, b, 2.0, w, rng(5))
-    mc = univariate_constant(a, b, 2.0, w, rng(5), m_alpha_method="monte_carlo")
-    assert mc.m_alpha == pytest.approx(0.5, rel=0.05)
-    assert mc.c_hat == pytest.approx(auto.c_hat, rel=0.10)
-    assert mc.std_error > 0.0
-
-
 def test_univariate_constant_rejects_wrong_alpha():
     w = np.ones(1000)
     a = LAW_C2.a4  # root is 2; the normalizer at 0.5 is negative
     with pytest.raises(NonPositiveM):
         univariate_constant(a, Constant(1.0), 0.5, w, rng(6))
-    with pytest.raises(NonPositiveM):
-        univariate_constant(a, Constant(1.0), 0.5, w, rng(6),
-                            m_alpha_method="monte_carlo")
 
 
 def test_univariate_constant_validation():
@@ -89,9 +74,6 @@ def test_univariate_constant_validation():
         univariate_constant(LAW_C2.a4, LAW_C2.b2, 2.0, np.ones(1), rng())
     with pytest.raises(ValueError):
         univariate_constant(LAW_C2.a4, LAW_C2.b2, -1.0, np.ones(100), rng())
-    with pytest.raises(ValueError):
-        univariate_constant(LAW_C2.a4, LAW_C2.b2, 2.0, np.ones(100), rng(),
-                            m_alpha_method="bootstrap")
 
 
 # ---------------------------------------------------------------------------
@@ -192,16 +174,6 @@ def test_series_weight_bounds_tau_not_contracting():
     law = make_law(LogNormal(0.0, 0.5), LogNormal(-0.5, 0.5), LogNormal(-0.6, 0.3))
     with pytest.raises(TauNotContracting):
         series_weight_bounds(law, 1.5)
-
-
-def test_finite_s_upper_interpolates_to_the_limit():
-    b = series_weight_bounds(LAW_C3, 1.5)
-    uppers = [b.finite_s_upper(s) for s in (1, 2, 4, 16, 10**6)]
-    assert uppers[0] == pytest.approx(b.ea2, rel=1e-12)
-    assert all(x < y for x, y in zip(uppers, uppers[1:]))
-    assert uppers[-1] == pytest.approx(b.upper, rel=1e-9)
-    with pytest.raises(ValueError):
-        b.finite_s_upper(0)
 
 
 # ---------------------------------------------------------------------------

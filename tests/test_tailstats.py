@@ -1,4 +1,4 @@
-"""Hill, plateau-constant, survival-ratio, and KS estimators on known tails."""
+"""Hill, plateau-constant, and KS estimators on known tails."""
 
 import math
 
@@ -14,7 +14,6 @@ from tritail.tailstats import (
     hill,
     ks_2sample,
     ks_distance,
-    rv_ratio_diagnostic,
     tail_constant,
 )
 
@@ -123,35 +122,6 @@ def test_tail_constant_validation():
         # still sit above it, so the tie check fires rather than EmptyTail.
         tied = np.r_[np.ones(50), np.full(50, 2.0), np.full(60, 5.0)]
         tail_constant(tied, alpha=1.0, quantile_range=(0.5, 0.55), grid_points=3)
-
-
-# ---------------------------------------------------------------------------
-# regular-variation diagnostic
-# ---------------------------------------------------------------------------
-
-def test_rv_ratio_flattens_for_pareto():
-    x = pareto(2.0, 1_000_000, seed=8)
-    pairs = rv_ratio_diagnostic(x, c=2.0, threshold_quantiles=(0.9, 0.99, 0.999))
-    assert len(pairs) == 3
-    for _, ratio in pairs:
-        assert ratio == pytest.approx(2.0**-2.0, rel=0.15)
-
-
-def test_rv_ratio_decays_for_light_tail():
-    x = np.abs(np.random.default_rng(9).standard_normal(1_000_000)) + 0.01
-    pairs = rv_ratio_diagnostic(x, c=2.0, threshold_quantiles=(0.9, 0.999))
-    assert pairs[1][1] < pairs[0][1] < 2.0**-2.0
-
-
-def test_rv_ratio_validation():
-    x = pareto(2.0, 10_000, seed=10)
-    with pytest.raises(ValueError):
-        rv_ratio_diagnostic(x, c=0.5)
-    with pytest.raises(ValueError):
-        rv_ratio_diagnostic(x, threshold_quantiles=(0.3,))
-    with pytest.raises(EmptyTail):
-        rv_ratio_diagnostic(pareto(2.0, 1000, seed=11),
-                            threshold_quantiles=(0.9999,))
 
 
 # ---------------------------------------------------------------------------
