@@ -88,10 +88,10 @@ def _do_run(args: argparse.Namespace) -> int:
         apply_overrides(obj, seed=args.seed, workers=args.workers, out=args.out)
     try:
         cfg = parse_config(obj)
+        report = run(cfg)
     except ConfigInvalid as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    report = run(cfg)
     for record in report.results:
         print(_format_record(record))
     gated = [r for r in report.results if r.passed is not None]

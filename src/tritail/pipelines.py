@@ -16,7 +16,6 @@ Reports serialize to JSON with sorted keys; the canonical byte form (identity
 and hashing) excludes the one volatile field, ``wall_time``.
 """
 
-import csv
 import json
 import math
 import time
@@ -58,6 +57,7 @@ __all__ = [
 
 _CHUNK_DRAWS = 200_000
 _CHUNK_CHAIN_LEN = 1000
+_CSV_BLOCK_ROWS = 65_536
 
 _REPORT_FIELDS = ("name", "pipeline", "config_digest", "results", "artifacts")
 _RECORD_FIELDS = ("name", "value", "std_error", "bound_low", "bound_high", "pass")
@@ -257,12 +257,37 @@ class _Ctx:
             self.cache["regime"] = classify_regime(self.cfg.law)
         return self.cache["regime"]
 
-    def write_csv(self, filename: str, header, rows) -> None:
-        with open(self.outdir / filename, "w", newline="", encoding="utf-8") as f:
-            w = csv.writer(f, lineterminator="\n")
-            w.writerow(header)
-            w.writerows(rows)
+    def write_csv(self, filename: str, header, columns) -> None:
+        _write_csv(self.outdir / filename, header, columns)
         self.artifacts.append(filename)
+
+
+def _write_csv(path, header, columns) -> None:
+    """Write equal-length 1-d columns as a CSV file, one block of rows at a time.
+
+    The format contract: UTF-8, ``,`` between cells, ``\n`` after every line
+    (the header included), no quoting.  A cell is ``repr`` of the Python
+    scalar that ``.tolist()`` gives for it, which for float64 is the shortest
+    round-trip form (``nan``, ``inf`` and ``-0.0`` included) and for an
+    integer its decimal digits.  These are the bytes ``csv.writer`` with
+    ``lineterminator="\n"`` writes for rows of numpy float64 and integer
+    scalars.  Header names must need no quoting.  Columns are float64 or
+    integer arrays, or sequences ``np.asarray`` makes one of; columns of
+    unequal length or of more than one dimension raise :class:`ValueError`
+    before anything is written.
+    """
+    columns = [np.asarray(c) for c in columns]
+    if any(c.ndim != 1 for c in columns):
+        raise ValueError("CSV columns must be 1-d")
+    lengths = {len(c) for c in columns}
+    if len(lengths) != 1:
+        raise ValueError(f"CSV columns differ in length: {sorted(lengths)}")
+    (n,) = lengths
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        f.write(",".join(header) + "\n")
+        for start in range(0, n, _CSV_BLOCK_ROWS):
+            cells = [map(repr, c[start:start + _CSV_BLOCK_ROWS].tolist()) for c in columns]
+            f.write("\n".join(map(",".join, zip(*cells, strict=True))) + "\n")
 
 
 def _by_step(value, step: str):
@@ -351,7 +376,7 @@ def _step_simulate(ctx: _Ctx) -> None:
         ctx.write_csv(
             "garch_path.csv",
             ("t", "x1", "x2", "sigma1_sq", "sigma2_sq"),
-            zip(range(len(head)), head.x1, head.x2, head.sigma1_sq, head.sigma2_sq),
+            (np.arange(len(head)), head.x1, head.x2, head.sigma1_sq, head.sigma2_sq),
         )
         ctx.add(name="n_draws", value=float(len(path)), passed=None)
         _summary_stats(ctx, "sigma1_sq", path.sigma1_sq)
@@ -362,7 +387,7 @@ def _step_simulate(ctx: _Ctx) -> None:
         ctx.write_csv(
             "path.csv",
             ("t", "w1", "w2"),
-            zip(range(m), sample.w1[:m], sample.w2[:m]),
+            (np.arange(m), sample.w1[:m], sample.w2[:m]),
         )
         ctx.add(name="n_draws", value=float(len(sample)), passed=None)
         _summary_stats(ctx, "w1", sample.w1)
@@ -407,7 +432,7 @@ def _plateau_record(ctx: _Ctx, name: str, est,
             note=f"reference={reference:.6g} rel={rel:.4g}",
         )
     if csv_name:
-        ctx.write_csv(csv_name, ("x", "plateau"), zip(est.x_grid, est.plateau_values))
+        ctx.write_csv(csv_name, ("x", "plateau"), (est.x_grid, est.plateau_values))
 
 
 def _step_tails(ctx: _Ctx) -> None:
@@ -480,10 +505,11 @@ def _step_constants(ctx: _Ctx) -> None:
             passed=in_bounds if bounds else None,
             note=f"converged={coupled.converged} {bounds_note}",
         )
+        trace = coupled.trace
         ctx.write_csv(
             "weight_trace.csv",
             ("s", "value", "std_error"),
-            ((t.s, t.value, t.std_error) for t in coupled.trace),
+            ([t.s for t in trace], [t.value for t in trace], [t.std_error for t in trace]),
         )
         ctx.add(
             name="c1_inherited",
@@ -520,8 +546,7 @@ def _step_constants(ctx: _Ctx) -> None:
 
 def _write_angular_csv(ctx: _Ctx, filename: str, ang: spectral.AngularSample) -> None:
     header = tuple(f"theta{j + 1}" for j in range(ang.dim)) + ("weight",)
-    rows = (tuple(p) + (w,) for p, w in zip(ang.points, ang.weights))
-    ctx.write_csv(filename, header, rows)
+    ctx.write_csv(filename, header, (*ang.points.T, ang.weights))
 
 
 def _step_spectral(ctx: _Ctx) -> None:
@@ -565,11 +590,8 @@ def _step_spectral(ctx: _Ctx) -> None:
         ctx.write_csv(
             "spectral_draws.csv",
             ("draw_id", "t", "y1", "y2"),
-            (
-                (k, t + 1, paths[k, t, 0], paths[k, t, 1])
-                for k in range(m)
-                for t in range(h)
-            ),
+            (np.repeat(np.arange(m), h), np.tile(np.arange(1, h + 1), m),
+             paths[:m, :, 0].ravel(), paths[:m, :, 1].ravel()),
         )
     elif rep.regime == REGIME_A1_DOMINANT:
         h = _by_step(ctx.knob("h"), "spectral_own_tail")
@@ -699,12 +721,16 @@ def run(config: ExperimentConfig, workers: Optional[int] = None) -> RunReport:
     Every step's failure, whatever the exception type, is captured as a
     ``passed=False`` record named ``<step>_error``; sibling steps still run.
     The report is saved as ``report.json`` in the output directory and
-    returned.
+    returned.  An output directory that cannot be created raises
+    :class:`ConfigInvalid` at ``/output_dir`` before any step runs.
     """
     t0 = time.perf_counter()
     workers = workers if workers is not None else config.workers
     outdir = Path(config.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ConfigInvalid("/output_dir", f"cannot create {outdir}: {e.strerror}") from None
     ctx = _Ctx(
         cfg=config, workers=workers, outdir=outdir,
         records=[], artifacts=[], cache={},

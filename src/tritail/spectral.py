@@ -148,7 +148,7 @@ def sliding_windows(series: np.ndarray, chain_len: int, h: int) -> np.ndarray:
         return np.empty((0, h))
     wins = sliding_window_view(series, h)
     mask = valid_window_starts(series.size, chain_len, h)[: wins.shape[0]]
-    return wins[mask].copy()
+    return wins[mask]
 
 
 def window_angles(

@@ -96,12 +96,6 @@ def hill(sample, k: int = 0) -> TailEstimate:
     )
 
 
-def _ccdf(sorted_x: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """Empirical P(X > x) on a grid, given the sample pre-sorted ascending."""
-    idx = np.searchsorted(sorted_x, grid, side="right")
-    return (sorted_x.size - idx) / sorted_x.size
-
-
 def tail_constant(
     sample,
     alpha: float,
@@ -121,17 +115,18 @@ def tail_constant(
         raise ValueError("alpha must be positive")
     if grid_points < 3:
         raise ValueError("grid_points must be >= 3")
-    x = np.sort(_positive_sample(sample))
+    x = _positive_sample(sample)
     n = x.size
-    x_lo = float(np.quantile(x, lo))
-    x_hi = float(np.quantile(x, hi))
-    n_tail = int(n - np.searchsorted(x, x_lo, side="right"))
-    if n_tail < 50:
-        raise EmptyTail(f"only {n_tail} sample points above the {lo} quantile")
+    x_lo, x_hi = np.quantile(x, [lo, hi]).tolist()
+    # Every grid point is >= x_lo, so the points above x_lo give the same
+    # exceedance counts as the whole sample; only they are sorted.
+    tail = np.sort(x[x > x_lo])
+    if tail.size < 50:
+        raise EmptyTail(f"only {tail.size} sample points above the {lo} quantile")
     if not x_hi > x_lo:
         raise DegenerateTail("tail quantiles are tied")
     grid = np.geomspace(x_lo, x_hi, grid_points)
-    plateau = grid**alpha * _ccdf(x, grid)
+    plateau = grid**alpha * ((tail.size - np.searchsorted(tail, grid, side="right")) / n)
     q25, med, q75 = np.percentile(plateau, [25.0, 50.0, 75.0])
     return TailConstantEstimate(
         c_hat=float(med),

@@ -6,6 +6,7 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -508,6 +509,55 @@ def test_run_worker_count_does_not_change_results(tmp_path):
         float(cell)
 
 
+def _csv_writer_bytes(path, header, columns) -> bytes:
+    """What csv.writer writes for rows of numpy scalars: the writer's contract."""
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        w = csv.writer(f, lineterminator="\n")
+        w.writerow(header)
+        w.writerows(zip(*columns))
+    return path.read_bytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1),
+                          st.integers(-2**63, 2**63 - 1)), max_size=40))
+def test_write_csv_matches_csv_writer_bytes(tmp_path_factory, rows):
+    # Raw bit patterns reach NaN payloads, +-inf, +-0 and subnormals.
+    bits = np.array([r[:2] for r in rows], dtype=np.uint64).reshape(-1, 2)
+    floats = bits.view(np.float64)
+    specials = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, 2.2250738585072014e-308,
+                         1e16, 9999999999999998.0, 1e-5, 0.0001, 1.0, -1.5])
+    x = np.concatenate([floats[:, 0], specials])
+    y = np.concatenate([floats[:, 1], specials[::-1]])
+    ints = np.array([r[2] for r in rows] + list(range(len(specials))), dtype=np.int64)
+    columns = (range(len(x)), x, ints, y)
+    header = ("t", "x", "k", "y")
+    d = tmp_path_factory.mktemp("csv")
+    pipelines._write_csv(d / "bulk.csv", header, columns)
+    assert (d / "bulk.csv").read_bytes() == _csv_writer_bytes(d / "rows.csv", header, columns)
+
+
+def test_write_csv_blocks_and_edge_shapes(tmp_path):
+    # Zero rows write the header line only.
+    pipelines._write_csv(tmp_path / "empty.csv", ("a", "b"), (np.empty(0), range(0)))
+    assert (tmp_path / "empty.csv").read_bytes() == b"a,b\n"
+
+    # Rows beyond one block continue the same lines across the boundary.
+    n = 2 * pipelines._CSV_BLOCK_ROWS + 3
+    x = np.random.default_rng(1).standard_normal(n)
+    columns = (range(n), x, np.arange(n) % 7)
+    pipelines._write_csv(tmp_path / "big.csv", ("t", "x", "r"), columns)
+    assert (tmp_path / "big.csv").read_bytes() == _csv_writer_bytes(
+        tmp_path / "rows.csv", ("t", "x", "r"), columns)
+
+    # Unequal or 2-d columns are refused before a file is opened.
+    with pytest.raises(ValueError, match="differ in length"):
+        pipelines._write_csv(tmp_path / "bad.csv", ("a", "b"), (np.zeros(3), range(2)))
+    with pytest.raises(ValueError, match="1-d"):
+        pipelines._write_csv(tmp_path / "bad.csv", ("a",), (np.zeros((3, 2)),))
+    assert not (tmp_path / "bad.csv").exists()
+
+
 def test_garch_verify_reads_constant_draws(tmp_path):
     def constant_record(params):
         cfg = garch_config(params={"limit_draws": 200, **params},
@@ -721,6 +771,19 @@ def test_cli_unusable_inputs_exit_two(tmp_path, capsys):
     listy.write_text("[]", encoding="utf-8")
     assert main(["solve-index", "--config", str(listy)]) == 2
     assert capsys.readouterr().err == "error: /: expected an object, got list\n"
+
+
+@pytest.mark.parametrize("where", ["parent_is_file", "path_is_file"])
+def test_cli_unusable_output_dir_exits_two(tmp_path, capsys, where):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory", encoding="utf-8")
+    out = blocker / "sub" if where == "parent_is_file" else blocker
+    cfg_path = _write_config(tmp_path, "exp.json", base_config(pipeline="simulate"))
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: /output_dir: cannot create "), captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize(

@@ -115,6 +115,10 @@ def test_sliding_windows_exact():
     np.testing.assert_array_equal(
         wins, [[s, s + 1, s + 2] for s in starts]
     )
+    # The result is the caller's own array, not a view of the series.
+    series = np.arange(10.0)
+    sliding_windows(series, chain_len=5, h=3)[:] = -1.0
+    np.testing.assert_array_equal(series, np.arange(10.0))
     assert sliding_windows(np.arange(2.0), chain_len=2, h=3).shape == (0, 3)
     with pytest.raises(ValueError):
         sliding_windows(np.arange(10.0), chain_len=5, h=0)

@@ -104,6 +104,25 @@ def test_tail_constant_flags_wrong_index():
     assert est.dispersion > 0.5
 
 
+@pytest.mark.parametrize("tied", [False, True], ids=["untied", "tied"])
+def test_tail_constant_matches_the_full_sort(tied):
+    # Sorting only the points above the lower quantile gives the plateau of
+    # the sort-based formula exactly; the tied sample rounds to a 0.01 grid,
+    # so grid points and quantiles fall on runs of equal values.
+    x = pareto(1.5, 400_000, seed=8)
+    if tied:
+        x = np.ceil(x * 100.0) / 100.0
+    est = tail_constant(x, alpha=1.5, quantile_range=(0.99, 0.999))
+
+    xs = np.sort(x)
+    grid = np.geomspace(float(np.quantile(xs, 0.99)), float(np.quantile(xs, 0.999)), 25)
+    plateau = grid**1.5 * ((xs.size - np.searchsorted(xs, grid, side="right")) / xs.size)
+    np.testing.assert_array_equal(est.x_grid, grid)
+    np.testing.assert_array_equal(est.plateau_values, plateau)
+    assert est.c_hat == float(np.median(plateau))
+    assert est.n == x.size
+
+
 def test_tail_constant_validation():
     x = pareto(2.0, 10_000, seed=6)
     with pytest.raises(ValueError):
