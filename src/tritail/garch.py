@@ -182,8 +182,8 @@ class GarchLaw:
             a1=np.asarray(a1, dtype=float),
             a2=np.asarray(a2, dtype=float),
             a4=np.asarray(a4, dtype=float),
-            b1=np.full(shape, b1),
-            b2=np.full(shape, b2),
+            b1=np.broadcast_to(b1, shape),
+            b2=np.broadcast_to(b2, shape),
         )
 
     def marginal(self, name: str):

@@ -7,9 +7,8 @@ coupling entry A2, and the additive terms B1 and B2.  This module holds
 * the parametric families those coefficients may follow (:class:`LogNormal`,
   :class:`ScaledUniformPow`, :class:`ParetoLomax`, :class:`Constant`,
   :class:`ChiSqAffine`),
-* the moment functional ``m(h) = E X^h`` with closed forms where they exist,
-  adaptive quadrature for the chi-square-affine kind, and an explicit Monte
-  Carlo estimate for cross-checking them,
+* the moment functional ``m(h) = E X^h`` with closed forms where they exist
+  and adaptive quadrature for the chi-square-affine kind,
 * the tail-index solver for the root of ``m(alpha) = 1`` (Cramer condition),
   always on a deterministic path,
 * stationarity and regime checks for a full coefficient law.
@@ -132,7 +131,8 @@ class Constant:
             raise ValueError("Constant requires a finite value > 0")
 
     def sample(self, rng: np.random.Generator, size=None) -> np.ndarray:
-        return np.full(() if size is None else size, self.value)
+        # A read-only view of one float: no buffer, no random numbers.
+        return np.broadcast_to(np.float64(self.value), () if size is None else size)
 
 
 @dataclass(frozen=True)
@@ -218,16 +218,10 @@ class CoefficientLaw(Protocol):
 
 @dataclass(frozen=True)
 class MomentValue:
-    """A computed E X^h with provenance.
-
-    ``method`` is one of "closed_form", "quadrature", "monte_carlo";
-    ``std_error`` and ``n_samples`` are zero except on the Monte Carlo path.
-    """
+    """A computed E X^h with provenance: ``method`` is "closed_form" or "quadrature"."""
 
     value: float
     method: str
-    std_error: float = 0.0
-    n_samples: int = 0
 
 
 def _closed_moment(dist: PositiveDistribution, h: float) -> Optional[float]:
@@ -286,29 +280,11 @@ def _chisq_affine_quad(dist: ChiSqAffine, h: float, weight=None) -> float:
     return 2.0 * total
 
 
-def moment(
-    dist: PositiveDistribution,
-    h: float,
-    *,
-    prefer: str = "auto",
-    n_mc: int = 200_000,
-    rng: Optional[np.random.Generator] = None,
-) -> MomentValue:
+def moment(dist: PositiveDistribution, h: float) -> MomentValue:
     """Compute m(h) = E X^h for one coefficient law.
 
-    Parameters
-    ----------
-    dist : PositiveDistribution
-    h : float
-        Moment order; any real value.
-    prefer : {"auto", "closed_form", "quadrature", "monte_carlo"}
-        "auto" uses the closed form when the kind has one, adaptive quadrature
-        for :class:`ChiSqAffine` at non-special orders, and never silently
-        samples.  Explicit "monte_carlo" estimates from ``n_mc`` fresh draws.
-    n_mc, rng
-        Monte Carlo budget and stream (only read on the Monte Carlo path; a
-        fixed default stream is used if ``rng`` is None so results stay
-        reproducible).
+    Uses the closed form when the kind has one and adaptive quadrature for
+    :class:`ChiSqAffine` at the other orders; it never samples.
 
     Raises
     ------
@@ -317,28 +293,11 @@ def moment(
     """
     if not math.isfinite(h):
         raise ValueError("moment order h must be finite")
-    if prefer not in ("auto", "closed_form", "quadrature", "monte_carlo"):
-        raise ValueError(f"unknown moment preference {prefer!r}")
-
-    if prefer == "monte_carlo":
-        if rng is None:
-            rng = np.random.default_rng(0)
-        x = np.asarray(dist.sample(rng, n_mc), dtype=float)
-        vals = x**h
-        value = float(vals.mean())
-        se = float(vals.std(ddof=1) / math.sqrt(n_mc))
-        return MomentValue(value=value, method="monte_carlo", std_error=se, n_samples=n_mc)
-
     closed = _closed_moment(dist, h)
     if closed is not None:
         if math.isinf(closed):
             raise DivergentMoment(f"E X^{h} = +inf for {dist!r}")
-        if prefer == "quadrature" and isinstance(dist, ChiSqAffine):
-            return MomentValue(value=_chisq_affine_quad(dist, h), method="quadrature")
         return MomentValue(value=closed, method="closed_form")
-
-    if prefer == "closed_form":
-        raise ValueError(f"no closed-form moment for {type(dist).__name__} at h={h}")
     if isinstance(dist, ChiSqAffine):
         return MomentValue(value=_chisq_affine_quad(dist, h), method="quadrature")
     raise ValueError(f"no deterministic moment path for {type(dist).__name__} at h={h}")

@@ -13,6 +13,7 @@ from tritail.engine import (
     SimConfig,
     backward_truncated,
     default_truncation_depth,
+    forward_slabs,
     lyapunov_estimate,
     product_path,
     slab_rows,
@@ -177,6 +178,32 @@ def test_stationary_sample_equals_per_step_recursion(burn_in, n_draws, thinning,
     ref1, ref2 = reference_forward(law.slabs, cfg, n_chains)
     np.testing.assert_array_equal(path.w1, ref1)
     np.testing.assert_array_equal(path.w2, ref2)
+
+
+def test_forward_states_equal_with_constant_b_as_views_or_arrays():
+    law = RecordingLaw(make_law(LAW_C8.a1, LAW_C8.a2, LAW_C8.a4, b1=0.3, b2=1.7))
+    cfg = SimConfig(burn_in=150, n_draws=1001, thinning=3)
+    n_chains = 3
+    stationary_sample(law, cfg, rng(3), n_chains=n_chains)
+    per_chain = -(-cfg.n_draws // n_chains)
+    runs = []
+    for full in (False, True):
+        slabs = iter(
+            d._replace(b1=np.full(d.b1.shape, 0.3), b2=np.full(d.b2.shape, 1.7)) if full else d
+            for d in law.slabs
+        )
+        w1 = np.zeros((slab_rows(n_chains) + 1, n_chains))
+        w2 = np.zeros_like(w1)
+        runs.append([
+            (j, w1[sel].copy(), w2[sel].copy())
+            for j, sel in forward_slabs(lambda rows: next(slabs), w1, w2, cfg, per_chain)
+        ])
+    assert all(d.b1.strides == (0, 0) for d in law.slabs)
+    assert len(runs[0]) == len(runs[1]) > 1
+    for (j, v1, v2), (k, f1, f2) in zip(*runs):
+        assert j == k
+        np.testing.assert_array_equal(v1, f1)
+        np.testing.assert_array_equal(v2, f2)
 
 
 def test_slab_rows_element_budget():

@@ -18,7 +18,13 @@ from tritail.garch import (
     to_sre_coefficients,
     verify_tail_relations,
 )
-from tritail.laws import ChiSqAffine, Constant, classify_regime, moment, solve_tail_index
+from tritail.laws import (
+    ChiSqAffine,
+    Constant,
+    _chisq_affine_quad,
+    classify_regime,
+    solve_tail_index,
+)
 from tritail.pipelines import _CHUNK_CHAIN_LEN, _CHUNK_DRAWS, _garch_chunked
 from tritail.records import ResultRecord
 
@@ -80,6 +86,20 @@ def test_garch_law_comonotone_coupling():
         rtol=1e-9, atol=1e-12,
     )
     assert np.all(d.b1 == p.alpha0[0]) and np.all(d.b2 == p.alpha0[1])
+
+
+def test_garch_law_b_entries_are_read_only_views():
+    d = GarchLaw(GARCH_P10).sample(rng(1), (300, 200))
+    for b, value in zip((d.b1, d.b2), GARCH_P10.alpha0):
+        assert b.shape == (300, 200) and b.dtype == np.float64
+        assert b.strides == (0, 0) and not b.flags.writeable
+        np.testing.assert_array_equal(b, value)
+    # B draws no random numbers: the stream advanced by the two normal slabs
+    # of (z1, z2) alone.
+    after, ref = rng(1), rng(1)
+    GarchLaw(GARCH_P10).sample(after, (300, 200))
+    ref.standard_normal((2, 300, 200))
+    assert after.bit_generator.state == ref.bit_generator.state
 
 
 def test_garch_law_marginals():
@@ -231,8 +251,8 @@ def test_marginal_roots_certified():
     sol2 = solve_tail_index(ChiSqAffine(GARCH_P10.alpha22, GARCH_P10.beta22))
     assert sol1.alpha > sol2.alpha  # cross-feed-dominant configuration
     for sol, a, b in ((sol1, 0.10, 0.85), (sol2, 0.35, 0.60)):
-        cert = moment(ChiSqAffine(a, b), sol.alpha, prefer="quadrature")
-        assert cert.value == pytest.approx(1.0, abs=1e-8)
+        cert = _chisq_affine_quad(ChiSqAffine(a, b), sol.alpha)
+        assert cert == pytest.approx(1.0, abs=1e-8)
 
 
 def test_igarch_boundary_root():

@@ -8,18 +8,19 @@ Each sampler runs at a fixed seed on a fixed law.  The forward samplers keep
 the first 10^5 states in the pipeline's chain shape (100 chains of 1000 kept
 states); the backward sampler draws 10^5 states, the forward spectral limit 10^5
 draws of 16 steps on the demo law from a fixed angular sample (eight angles,
-uniform weights), and the series weights 10^5 strips at each of
-s = 1, 4, 16, 64 on the C8 law.  The digest covers the raw float64 bytes of
-every array the sampler returns, in order, so two checkouts print the same
-line for a sampler exactly when its random stream and arithmetic agree bit
-for bit.
+uniform weights), the series weights 10^5 strips at each of
+s = 1, 4, 16, 64 on the C8 law, and the Lyapunov estimate 100 chains of
+1000 steps on the demo law (its ``gamma_hat`` and ``std_error``).  The
+digest covers the raw float64 bytes of every array the sampler returns, in
+order, so two checkouts print the same line for a sampler exactly when its
+random stream and arithmetic agree bit for bit.
 """
 
 import hashlib
 
 import numpy as np
 
-from tritail.engine import SimConfig, backward_truncated, stationary_sample
+from tritail.engine import SimConfig, backward_truncated, lyapunov_estimate, stationary_sample
 from tritail.garch import GarchParams, stationary_garch_sample
 from tritail.laws import Constant, IndependentLaw, LogNormal
 from tritail.renewal import series_weight
@@ -103,6 +104,10 @@ def main() -> None:
     ]
     values = [(w.value, w.std_error) for w in weights]
     print(f"series_weight            {digest(values)}")
+    lyap = lyapunov_estimate(
+        DEMO_LAW, N_STATES // N_CHAINS, N_CHAINS, substream(SEED, "stream_digest")
+    )
+    print(f"lyapunov_estimate        {digest((lyap.gamma_hat, lyap.std_error))}")
 
 
 if __name__ == "__main__":
