@@ -12,6 +12,14 @@ series (the same recursion from zero, one level per step), and the
 coefficient products Pi_t theta of the spectral limit laws (the recursion
 with B = 0 started at theta).  The top-Lyapunov-exponent estimator,
 which needs the whole 2x2 product, keeps its own renormalized loop.
+
+The forward sampler runs a group of chain blocks side by side: each block
+draws its coefficients from its own generator, exactly as a solo run of its
+width would, into its columns of one wide slab, and every numpy call of the
+update then spans the whole group.  The update is elementwise across chains,
+so a block's states are bit-identical to the solo run's; the wide rows cut
+the per-call overhead and let numpy release the interpreter lock, so groups
+on a thread pool run in parallel.
 """
 
 import math
@@ -109,12 +117,34 @@ def _check_state_finite(w1: np.ndarray, w2: np.ndarray, t: int) -> None:
 # ============================================================================
 
 def slab_rows(n_chains: int) -> int:
-    """Steps per coefficient slab for ``n_chains`` parallel chains.
+    """Steps per coefficient slab for a block of ``n_chains`` parallel chains.
 
     Sized by an element budget: 64 rows at pipeline widths, one row from
-    32768 chains up, so a slab never holds more than a few MB.
+    32768 chains up, so a slab never holds more than a few MB.  A group of
+    blocks run side by side uses its blocks' height, never the group width's,
+    so that each block draws its coefficients as a solo run would.
     """
     return max(1, min(_SLAB_ROWS, _SLAB_ELEMENTS // n_chains))
+
+
+def chain_blocks(rng, n_chains: int) -> tuple[list, int]:
+    """The generator blocks that drive ``n_chains`` side-by-side chains.
+
+    ``rng`` is one generator for all chains, or a sequence of ``(generator,
+    chains)`` pairs for consecutive column blocks.  Returns the blocks as
+    ``(generator, columns)`` with ``columns`` a slice, and their common slab
+    height; blocks whose widths give different heights are rejected, since
+    one of them would then draw in another order than it does alone.
+    """
+    pairs = [(rng, n_chains)] if isinstance(rng, np.random.Generator) else rng
+    blocks, start = [], 0
+    for gen, chains in pairs:
+        blocks.append((gen, slice(start, start + chains)))
+        start += chains
+    heights = {slab_rows(chains) for _, chains in pairs}
+    if start != n_chains or len(heights) != 1:
+        raise ValueError("blocks must cover n_chains chains and share one slab height")
+    return blocks, heights.pop()
 
 
 def _slabs(total: int, rows_max: int):
@@ -208,19 +238,25 @@ def stationary_sample(
     are consecutive states of chain ``c``, so windowed estimators can respect
     boundaries via ``PathSample.chain_len``.
 
-    ``out`` is an optional (w1, w2) pair of flat arrays that receives the
-    first ``len(out[0])`` states of that sample in place; the returned sample
-    then wraps them.
+    ``rng`` is one generator, or ``(generator, chains)`` blocks as in
+    :func:`chain_blocks`: each block's chains then equal a solo run of that
+    block on its generator bit for bit.  ``out`` is an optional (w1, w2) pair
+    of flat arrays that receives the first ``len(out[0])`` states of that
+    sample in place; the returned sample then wraps them.
     """
     n_chains, per_chain = chain_plan(config.n_draws, n_chains)
     if out is None:
         out = (np.empty(config.n_draws), np.empty(config.n_draws))
-    rows = slab_rows(n_chains)
+    blocks, rows = chain_blocks(rng, n_chains)
     w1 = np.zeros((rows + 1, n_chains))
     w2 = np.zeros((rows + 1, n_chains))
+    coeffs = np.empty((len(CoeffDraw._fields), rows, n_chains))
 
     def draw(rows: int) -> CoeffDraw:
-        return law.sample(rng, (rows, n_chains))
+        for gen, cols in blocks:
+            for wide, block in zip(coeffs, law.sample(gen, (rows, cols.stop - cols.start))):
+                wide[:rows, cols] = block
+        return CoeffDraw(*coeffs[:, :rows])
 
     for j, sel in forward_slabs(draw, w1, w2, config, per_chain):
         store_kept(out[0], j, w1[sel], per_chain)

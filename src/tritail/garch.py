@@ -28,10 +28,10 @@ import numpy as np
 from .engine import (
     PathSample,
     SimConfig,
+    chain_blocks,
     chain_plan,
     forward_slabs,
     product_path,
-    slab_rows,
     store_kept,
 )
 from .errors import RegimeMismatch, TooFewExceedances
@@ -138,21 +138,23 @@ class GarchParams:
         )
 
 
-def to_sre_coefficients(params: GarchParams, z):
+def to_sre_coefficients(params: GarchParams, z, out=None):
     """Coefficient tuple (A1, A2, A4, B1, B2) from one noise pair (vectorized).
 
     A2 and A4 share z2, so their comonotone dependence is preserved exactly.
+    ``out`` is an optional triple of arrays that receives (A1, A2, A4).
     """
     z1, z2 = z
-    z1sq = np.square(z1)
-    z2sq = np.square(z2)
-    return (
-        params.alpha11 * z1sq + params.beta11,
-        params.alpha12 * z2sq + params.beta12,
-        params.alpha22 * z2sq + params.beta22,
-        params.alpha0[0],
-        params.alpha0[1],
-    )
+    a1, a2, a4 = (None, None, None) if out is None else out
+    a1 = np.square(z1, out=a1)
+    a1 *= params.alpha11
+    a1 += params.beta11
+    a2 = np.square(z2, out=a2)
+    a4 = np.multiply(a2, params.alpha22, out=a4)
+    a4 += params.beta22
+    a2 *= params.alpha12
+    a2 += params.beta12
+    return a1, a2, a4, params.alpha0[0], params.alpha0[1]
 
 
 def _correlated_normals(rho: float, size, rng: np.random.Generator):
@@ -267,7 +269,7 @@ class GarchPath:
         )
 
 
-def _noise_slabs(params: GarchParams, rng, z1: np.ndarray, z2: np.ndarray):
+def _noise_slabs(params: GarchParams, blocks, z1: np.ndarray, z2: np.ndarray):
     """Coefficient-slab source for the GARCH forward kernel.
 
     ``z1``/``z2`` are (L+1, chains) noise buffers aligned with the kernel's
@@ -276,11 +278,14 @@ def _noise_slabs(params: GarchParams, rng, z1: np.ndarray, z2: np.ndarray):
     The coefficients of a step come from the PREVIOUS row's noise, and a
     kept state stores its own row's noise, whose return is sqrt(sigma^2)
     times that noise — the single place the timing convention lives.
+    ``blocks`` are the ``(generator, columns)`` pairs of
+    :func:`tritail.engine.chain_blocks`; each block draws its own columns.
     """
     c = math.sqrt(1.0 - params.rho * params.rho)
     shape = (z1.shape[0] - 1, z1.shape[1])
     b1 = np.broadcast_to(params.alpha0[0], shape)
     b2 = np.broadcast_to(params.alpha0[1], shape)
+    coeffs = np.empty((3,) + shape)
     last = 0
 
     def draw(rows: int) -> CoeffDraw:
@@ -288,13 +293,18 @@ def _noise_slabs(params: GarchParams, rng, z1: np.ndarray, z2: np.ndarray):
         z1[0] = z1[last]
         z2[0] = z2[last]
         n1, n2 = z1[1 : rows + 1], z2[1 : rows + 1]
-        rng.standard_normal(out=n1)
-        rng.standard_normal(out=n2)
-        # rho*n1 + c*n2, in place: the same sum as _correlated_normals.
+        for gen, cols in blocks:
+            # A solo run's order: the block's z1 slab, then its z2 slab.
+            n1[:, cols] = gen.standard_normal((rows, cols.stop - cols.start))
+            n2[:, cols] = gen.standard_normal((rows, cols.stop - cols.start))
+        a = coeffs[:, :rows]
+        # rho*n1 + c*n2, in place: the same sum as _correlated_normals.  A1's
+        # buffer holds rho*n1 until A1 itself is computed.
+        np.multiply(n1, params.rho, out=a[0])
         n2 *= c
-        n2 += params.rho * n1
+        n2 += a[0]
         last = rows
-        a1, a2, a4, _, _ = to_sre_coefficients(params, (z1[:rows], z2[:rows]))
+        a1, a2, a4, _, _ = to_sre_coefficients(params, (z1[:rows], z2[:rows]), out=a)
         return CoeffDraw(a1=a1, a2=a2, a4=a4, b1=b1, b2=b2)
 
     return draw
@@ -309,24 +319,26 @@ def stationary_garch_sample(
 ) -> GarchPath:
     """Draw a chain-major batch of approximately stationary GARCH states.
 
-    Same chain layout, trimming rules and ``out`` convention as
-    :func:`tritail.engine.stationary_sample` (auto: about one chain per
-    thousand draws); ``out`` holds the four stored flat arrays in the order
-    (sigma1_sq, sigma2_sq, z1, z2), and the returned path derives the returns
-    from them.  Volatilities start at their floor alpha0 and burn in.
+    Same chain layout, trimming rules, generator blocks and ``out``
+    convention as :func:`tritail.engine.stationary_sample` (auto: about one
+    chain per thousand draws); ``out`` holds the four stored flat arrays in
+    the order (sigma1_sq, sigma2_sq, z1, z2), and the returned path derives
+    the returns from them.  Volatilities start at their floor alpha0 and burn
+    in.
     """
     n_chains, per_chain = chain_plan(config.n_draws, n_chains)
     if out is None:
         out = tuple(np.empty(config.n_draws) for _ in range(4))
-    rows = slab_rows(n_chains)
+    blocks, rows = chain_blocks(rng, n_chains)
     s1 = np.empty((rows + 1, n_chains))
     s2 = np.empty((rows + 1, n_chains))
     s1[0] = params.alpha0[0]
     s2[0] = params.alpha0[1]
     z1 = np.empty((rows + 1, n_chains))
     z2 = np.empty((rows + 1, n_chains))
-    z1[0], z2[0] = _correlated_normals(params.rho, n_chains, rng)
-    draw = _noise_slabs(params, rng, z1, z2)
+    for gen, cols in blocks:
+        z1[0, cols], z2[0, cols] = _correlated_normals(params.rho, cols.stop - cols.start, gen)
+    draw = _noise_slabs(params, blocks, z1, z2)
     for j, sel in forward_slabs(draw, s1, s2, config, per_chain):
         for dst, block in zip(out, (s1, s2, z1, z2)):
             store_kept(dst, j, block[sel], per_chain)

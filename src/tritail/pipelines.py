@@ -6,9 +6,11 @@ Every pipeline follows the same discipline:
   config's base seed, a fixed purpose tag, and (for bulk sampling) a chunk
   index — never from shared mutable generator state;
 * bulk samples are assembled from fixed-size chunks whose content is a pure
-  function of the chunk index, fanned out over a thread pool, each writing
-  its own slice of the preallocated merged arrays — so the merged sample, and
-  therefore every downstream record, is byte-identical for any worker count;
+  function of the chunk index; consecutive chunks run side by side as one
+  group in a single wide sampler call, and the groups are fanned out over a
+  pool of at most one thread per group, each writing its own slice of the
+  preallocated merged arrays — so the merged sample, and therefore every
+  downstream record, is byte-identical for any worker count;
 * failures degrade to ``passed=False`` records instead of aborting sibling
   steps, so a full sweep always yields a complete scorecard.
 
@@ -57,6 +59,7 @@ __all__ = [
 
 _CHUNK_DRAWS = 200_000
 _CHUNK_CHAIN_LEN = 1000
+_GROUP_ELEMENTS = 1 << 17  # per group slab buffer: 10 chunks of 200 chains x 64 rows, about 1 MB
 _CSV_BLOCK_ROWS = 65_536
 
 _REPORT_FIELDS = ("name", "pipeline", "config_digest", "results", "artifacts")
@@ -137,26 +140,28 @@ class RunReport:
 # Deterministic chunked sampling
 # ============================================================================
 
-def _chunked(sample_chunk: Callable, n: int, n_arrays: int, workers: int) -> list:
-    """Fill ``n_arrays`` flat arrays of n states from fixed-size chunks.
+def _chunked(sample_span: Callable, n: int, n_arrays: int, workers: int,
+             span: int = _CHUNK_DRAWS) -> list:
+    """Fill ``n_arrays`` flat arrays of n states, ``span`` states at a time.
 
-    Chunk i covers states ``[i*_CHUNK_DRAWS, ...)`` and ``sample_chunk(i, size,
-    out)`` writes them into ``out``, views of the merged arrays; a chunk is a
-    pure function of its index, so the worker count never changes the result.
+    ``sample_span(start, stop, out)`` writes states ``[start, stop)`` into
+    ``out``, views of the merged arrays; a span is a pure function of its
+    bounds, so the worker count never changes the result.  The spans run on
+    a pool of ``min(workers, spans)`` threads.
     """
     merged = [np.empty(n) for _ in range(n_arrays)]
 
     def one(start: int) -> None:
-        stop = min(start + _CHUNK_DRAWS, n)
-        sample_chunk(start // _CHUNK_DRAWS, stop - start,
-                     tuple(a[start:stop] for a in merged))
+        stop = min(start + span, n)
+        sample_span(start, stop, tuple(a[start:stop] for a in merged))
 
-    starts = range(0, n, _CHUNK_DRAWS)
-    if workers <= 1 or len(starts) <= 1:
+    starts = range(0, n, span)
+    threads = min(workers, len(starts))
+    if threads <= 1:
         for start in starts:
             one(start)
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(one, starts))
     return merged
 
@@ -165,15 +170,26 @@ def _chain_chunks(sampler: Callable, model, sim: SimConfig, workers: int,
                   purpose: str, n_arrays: int) -> list:
     """A forward sampler's merged arrays, each chunk whole chains of _CHUNK_CHAIN_LEN.
 
-    Only the final chunk can be a non-multiple; its last chain is trimmed, so
-    the merged arrays keep the chain-major invariant with that chain length.
+    Chunk i covers states ``[i*_CHUNK_DRAWS, ...)`` and draws from substream i.
+    Consecutive chunks run side by side as one group, a single sampler call
+    whose generator blocks are the chunks, up to _GROUP_ELEMENTS per slab
+    buffer; a chunk's states equal a solo run's, so neither the grouping nor
+    the worker count changes the result.  Only the final chunk can be a
+    non-multiple; its last chain is trimmed, so the merged arrays keep the
+    chain-major invariant with that chain length.
     """
-    def one(i: int, size: int, out) -> None:
-        n_chains = -(-size // _CHUNK_CHAIN_LEN)
-        cfg = replace(sim, n_draws=n_chains * _CHUNK_CHAIN_LEN)
-        sampler(model, cfg, substream(sim.base_seed, purpose, i), n_chains=n_chains, out=out)
+    chunk_chains = _CHUNK_DRAWS // _CHUNK_CHAIN_LEN
+    per_group = max(1, _GROUP_ELEMENTS // (engine.slab_rows(chunk_chains) * chunk_chains))
 
-    return _chunked(one, sim.n_draws, n_arrays, workers)
+    def one(start: int, stop: int, out) -> None:
+        blocks = [(substream(sim.base_seed, purpose, c // _CHUNK_DRAWS),
+                   -(-(min(c + _CHUNK_DRAWS, stop) - c) // _CHUNK_CHAIN_LEN))
+                  for c in range(start, stop, _CHUNK_DRAWS)]
+        n_chains = sum(chains for _, chains in blocks)
+        cfg = replace(sim, n_draws=n_chains * _CHUNK_CHAIN_LEN)
+        sampler(model, cfg, blocks, n_chains=n_chains, out=out)
+
+    return _chunked(one, sim.n_draws, n_arrays, workers, per_group * _CHUNK_DRAWS)
 
 
 def _stationary_chunked(law, sim: SimConfig, workers: int, purpose: str = "stationary") -> PathSample:
@@ -188,9 +204,10 @@ def _stationary_chunked(law, sim: SimConfig, workers: int, purpose: str = "stati
 
 
 def _backward_chunked(law, sim: SimConfig, workers: int) -> PathSample:
-    def one(i: int, size: int, out) -> None:
-        cfg = replace(sim, n_draws=size)
-        s = engine.backward_truncated(law, cfg, substream(sim.base_seed, "backward", i))
+    def one(start: int, stop: int, out) -> None:
+        cfg = replace(sim, n_draws=stop - start)
+        s = engine.backward_truncated(
+            law, cfg, substream(sim.base_seed, "backward", start // _CHUNK_DRAWS))
         out[0][:] = s.w1
         out[1][:] = s.w2
 

@@ -128,11 +128,12 @@ def valid_window_starts(n: int, chain_len: int, h: int, offset: int = 0) -> np.n
 
     Chain-major layout: position p belongs to chain p // chain_len.  The mask
     also cuts windows that would run past the end of the (possibly short) last
-    chain.
+    chain.  It is one chain's pattern tiled to length n, so it allocates no
+    n-sized integer temporaries.
     """
-    g = np.arange(n)
-    local = g % chain_len
-    return (local + offset + h <= chain_len) & (g + offset + h <= n)
+    mask = np.resize(np.arange(chain_len) + offset + h <= chain_len, n)
+    mask[max(0, n - offset - h + 1):] = False
+    return mask
 
 
 def sliding_windows(series: np.ndarray, chain_len: int, h: int) -> np.ndarray:

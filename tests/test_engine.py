@@ -1,6 +1,7 @@
 """Forward/backward simulators, coefficient products, Lyapunov estimation."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from tritail.engine import (
     PathSample,
     SimConfig,
     backward_truncated,
+    chain_blocks,
     default_truncation_depth,
     forward_slabs,
     lyapunov_estimate,
@@ -22,7 +24,13 @@ from tritail.engine import (
 )
 from tritail.errors import NonFiniteState, NotContracting
 from tritail.laws import Constant, IndependentLaw
-from tritail.pipelines import _CHUNK_CHAIN_LEN, _CHUNK_DRAWS, _stationary_chunked
+from tritail import pipelines
+from tritail.pipelines import (
+    _CHUNK_CHAIN_LEN,
+    _CHUNK_DRAWS,
+    _GROUP_ELEMENTS,
+    _stationary_chunked,
+)
 from tritail.spectral import AngularSample, spectral_process_draws
 from tritail.streams import substream
 from tritail.tailstats import ks_2sample
@@ -30,6 +38,7 @@ from tritail.tailstats import ks_2sample
 from conftest import LAW_C8, make_law
 
 CONST_LAW = make_law(Constant(0.5), Constant(0.25), Constant(0.5))
+CHUNK_CHAINS = _CHUNK_DRAWS // _CHUNK_CHAIN_LEN
 
 
 def rng(seed=0):
@@ -223,9 +232,11 @@ def test_stationary_sample_writes_into_out():
 
 
 def test_chunked_sample_independent_of_workers():
-    # Two full chunks plus a remainder that trims the last chain.
-    n = 2 * _CHUNK_DRAWS + _CHUNK_CHAIN_LEN + 17
-    sim = SimConfig(burn_in=30, n_draws=n, base_seed=5)
+    # Two groups (a full one, then two chunks) with a trimmed last chunk;
+    # thinning 2 and a burn-in that is not a multiple of the slab height.
+    per_group = _GROUP_ELEMENTS // (slab_rows(CHUNK_CHAINS) * CHUNK_CHAINS)
+    n = (per_group + 1) * _CHUNK_DRAWS + _CHUNK_CHAIN_LEN + 17
+    sim = SimConfig(burn_in=30, n_draws=n, thinning=2, base_seed=5)
     one = _stationary_chunked(LAW_C8, sim, workers=1)
     for workers in (2, 3):  # 3 threads share the merged arrays on fewer cores
         many = _stationary_chunked(LAW_C8, sim, workers=workers)
@@ -233,12 +244,77 @@ def test_chunked_sample_independent_of_workers():
         np.testing.assert_array_equal(one.w2, many.w2)
     assert one.chain_len == _CHUNK_CHAIN_LEN and len(one) == n
     # Each chunk is a pure function of its index: whole chains, then trimmed.
-    tail = n - 2 * _CHUNK_DRAWS
-    alone = stationary_sample(
-        LAW_C8, SimConfig(burn_in=30, n_draws=2 * _CHUNK_CHAIN_LEN),
-        substream(5, "stationary", 2), n_chains=2,
-    )
-    np.testing.assert_array_equal(one.w1[2 * _CHUNK_DRAWS:], alone.w1[:tail])
+    for i, start in enumerate(range(0, n, _CHUNK_DRAWS)):
+        size = min(_CHUNK_DRAWS, n - start)
+        chains = -(-size // _CHUNK_CHAIN_LEN)
+        alone = stationary_sample(
+            LAW_C8, replace(sim, n_draws=chains * _CHUNK_CHAIN_LEN),
+            substream(5, "stationary", i), n_chains=chains,
+        )
+        np.testing.assert_array_equal(one.w1[start:start + size], alone.w1[:size])
+        np.testing.assert_array_equal(one.w2[start:start + size], alone.w2[:size])
+
+
+def test_blocks_equal_solo_runs():
+    cfg = SimConfig(burn_in=100, n_draws=1200, thinning=3)
+    got = stationary_sample(LAW_C8, cfg, [(rng(1), 2), (rng(2), 1), (rng(3), 3)], n_chains=6)
+    for seed, cols in ((1, slice(0, 2)), (2, slice(2, 3)), (3, slice(3, 6))):
+        chains = cols.stop - cols.start
+        alone = stationary_sample(LAW_C8, replace(cfg, n_draws=200 * chains), rng(seed),
+                                  n_chains=chains)
+        np.testing.assert_array_equal(got.w1[200 * cols.start:200 * cols.stop], alone.w1)
+        np.testing.assert_array_equal(got.w2[200 * cols.start:200 * cols.stop], alone.w2)
+
+
+def test_chain_blocks_validation():
+    blocks, rows = chain_blocks(rng(), 7)
+    assert len(blocks) == 1 and blocks[0][1] == slice(0, 7) and rows == slab_rows(7)
+    with pytest.raises(ValueError, match="cover"):
+        chain_blocks([(rng(), 3), (rng(), 3)], 7)
+    # 200 and 600 chains give different slab heights: neither could draw as alone.
+    assert slab_rows(200) != slab_rows(600)
+    with pytest.raises(ValueError, match="slab height"):
+        chain_blocks([(rng(), 200), (rng(), 600)], 800)
+
+
+def test_pool_threads_never_exceed_groups(monkeypatch):
+    pools, calls = [], []
+
+    class RecordingPool:
+        """Runs the map inline and records the thread count it was asked for."""
+
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    def sampler(model, config, blocks, n_chains, out):
+        calls.append(([chains for _, chains in blocks], n_chains, config.n_draws, out[0].size))
+
+    monkeypatch.setattr(pipelines, "ThreadPoolExecutor", RecordingPool)
+    per_group = _GROUP_ELEMENTS // (slab_rows(CHUNK_CHAINS) * CHUNK_CHAINS)
+    n = (per_group + 2) * _CHUNK_DRAWS + 1
+    sim = SimConfig(burn_in=0, n_draws=n)
+    pipelines._chain_chunks(sampler, None, sim, 10**6, "stationary", 2)
+    assert pools == [2]
+    assert calls == [
+        ([CHUNK_CHAINS] * per_group, per_group * CHUNK_CHAINS, per_group * _CHUNK_DRAWS,
+         per_group * _CHUNK_DRAWS),
+        ([CHUNK_CHAINS, CHUNK_CHAINS, 1], 2 * CHUNK_CHAINS + 1,
+         (2 * CHUNK_CHAINS + 1) * _CHUNK_CHAIN_LEN, 2 * _CHUNK_DRAWS + 1),
+    ]
+    # One group, or one worker: no pool at all.
+    pipelines._chain_chunks(sampler, None, replace(sim, n_draws=_CHUNK_DRAWS), 10**6,
+                            "stationary", 2)
+    pipelines._chain_chunks(sampler, None, sim, 1, "stationary", 2)
+    assert pools == [2]
 
 
 # ---------------------------------------------------------------------------

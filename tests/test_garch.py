@@ -1,6 +1,7 @@
 """CCC-GARCH mapping onto the triangular recursion and its tail verification."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,8 +26,9 @@ from tritail.laws import (
     classify_regime,
     solve_tail_index,
 )
-from tritail.pipelines import _CHUNK_CHAIN_LEN, _CHUNK_DRAWS, _garch_chunked
+from tritail.pipelines import _CHUNK_CHAIN_LEN, _CHUNK_DRAWS, _GROUP_ELEMENTS, _garch_chunked
 from tritail.records import ResultRecord
+from tritail.streams import substream
 
 from conftest import GARCH_P10
 
@@ -74,6 +76,20 @@ def test_to_sre_coefficients_anchor_points():
     assert a1 == pytest.approx(p.alpha11 + p.beta11)
     assert a2 == pytest.approx(p.alpha12 + p.beta12)
     assert a4 == pytest.approx(p.alpha22 + p.beta22)
+
+
+def test_to_sre_coefficients_out_is_the_same_formula():
+    p = GARCH_P10
+    z1, z2 = _correlated_normals(p.rho, (4, 50), rng(2))
+    out = np.empty((3, 4, 50))
+    got = to_sre_coefficients(p, (z1, z2), out=out)
+    assert all(np.shares_memory(a, b) for a, b in zip(got[:3], out))
+    for a, b in zip(got[:3], to_sre_coefficients(p, (z1, z2))):
+        np.testing.assert_array_equal(a, b)
+    # alpha * z^2 + beta, bit for bit.
+    np.testing.assert_array_equal(got[0], p.alpha11 * np.square(z1) + p.beta11)
+    np.testing.assert_array_equal(got[1], p.alpha12 * np.square(z2) + p.beta12)
+    np.testing.assert_array_equal(got[2], p.alpha22 * np.square(z2) + p.beta22)
 
 
 def test_garch_law_comonotone_coupling():
@@ -193,13 +209,30 @@ def test_stationary_garch_sample_equals_per_step_recursion(burn_in, n_draws, thi
 
 
 def test_garch_chunked_independent_of_workers():
-    n = _CHUNK_DRAWS + _CHUNK_CHAIN_LEN // 2 + 3
-    sim = SimConfig(burn_in=20, n_draws=n, base_seed=9)
+    # Two groups with a trimmed last chunk; thinning 2 and a burn-in that is
+    # not a multiple of the slab height.
+    chunk_chains = _CHUNK_DRAWS // _CHUNK_CHAIN_LEN
+    per_group = _GROUP_ELEMENTS // (slab_rows(chunk_chains) * chunk_chains)
+    n = (per_group + 1) * _CHUNK_DRAWS + _CHUNK_CHAIN_LEN // 2 + 3
+    sim = SimConfig(burn_in=20, n_draws=n, thinning=2, base_seed=9)
     one = _garch_chunked(GARCH_P10, sim, workers=1)
-    two = _garch_chunked(GARCH_P10, sim, workers=2)
-    for name in ("x1", "x2", "sigma1_sq", "sigma2_sq", "z1", "z2"):
-        np.testing.assert_array_equal(getattr(one, name), getattr(two, name))
+    names = ("sigma1_sq", "sigma2_sq", "z1", "z2")
+    for workers in (2, 3):
+        many = _garch_chunked(GARCH_P10, sim, workers=workers)
+        for name in names + ("x1", "x2"):
+            np.testing.assert_array_equal(getattr(one, name), getattr(many, name))
     assert len(one) == n and one.chain_len == _CHUNK_CHAIN_LEN
+    # Each chunk equals a solo run on its own substream.
+    for i, start in enumerate(range(0, n, _CHUNK_DRAWS)):
+        size = min(_CHUNK_DRAWS, n - start)
+        chains = -(-size // _CHUNK_CHAIN_LEN)
+        alone = stationary_garch_sample(
+            GARCH_P10, replace(sim, n_draws=chains * _CHUNK_CHAIN_LEN),
+            substream(9, "garch", i), n_chains=chains,
+        )
+        for name in names:
+            np.testing.assert_array_equal(getattr(one, name)[start:start + size],
+                                          getattr(alone, name)[:size], err_msg=name)
 
 
 def test_return_hill_k_is_square_root_rule():

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tritail.engine import PathSample, SimConfig, stationary_sample
 from tritail.errors import RegimeMismatch, TooFewExceedances
@@ -106,6 +108,21 @@ def test_valid_window_starts_short_last_chain():
     # n = 7 with chain_len = 5: the second chain has only 2 positions.
     got = valid_window_starts(7, chain_len=5, h=3, offset=0)
     expected = [True, True, True, False, False, False, False]
+    np.testing.assert_array_equal(got, expected)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(0, 60),
+    chain_len=st.integers(1, 25),
+    h=st.integers(1, 8),
+    offset=st.integers(0, 3),
+)
+def test_valid_window_starts_matches_arithmetic_formula(n, chain_len, h, offset):
+    g = np.arange(n)
+    expected = (g % chain_len + offset + h <= chain_len) & (g + offset + h <= n)
+    got = valid_window_starts(n, chain_len, h, offset)
+    assert got.dtype == bool and got.shape == (n,)
     np.testing.assert_array_equal(got, expected)
 
 

@@ -6,7 +6,9 @@ Run from the root of a source checkout:
 
 Each sampler runs at a fixed seed on a fixed law.  The forward samplers keep
 the first 10^5 states in the pipeline's chain shape (100 chains of 1000 kept
-states); the backward sampler draws 10^5 states, the forward spectral limit 10^5
+states); the pipelines' chunked forward samplers (demo law and GARCH law)
+draw 2,200,517 states, eleven full chunks and a trimmed one, which the
+pipeline runs as two groups; the backward sampler draws 10^5 states, the forward spectral limit 10^5
 draws of 16 steps on the demo law from a fixed angular sample (eight angles,
 uniform weights), the series weights 10^5 strips at each of
 s = 1, 4, 16, 64 on the C8 law, and the Lyapunov estimate 100 chains of
@@ -23,11 +25,13 @@ import numpy as np
 from tritail.engine import SimConfig, backward_truncated, lyapunov_estimate, stationary_sample
 from tritail.garch import GarchParams, stationary_garch_sample
 from tritail.laws import Constant, IndependentLaw, LogNormal
+from tritail.pipelines import _garch_chunked, _stationary_chunked
 from tritail.renewal import series_weight
 from tritail.spectral import AngularSample, spectral_process_draws
 from tritail.streams import substream
 
 N_STATES = 100_000
+N_CHUNKED = 2_200_517
 N_CHAINS = 100
 SEED = 7
 
@@ -88,6 +92,14 @@ def main() -> None:
     )
     arrays = (garch.x1, garch.x2, garch.sigma1_sq, garch.sigma2_sq, garch.z1, garch.z2)
     print(f"stationary_garch_sample  {digest(*arrays)}")
+    chunked = _stationary_chunked(
+        DEMO_LAW, SimConfig(burn_in=2000, n_draws=N_CHUNKED, base_seed=SEED), workers=1
+    )
+    print(f"stationary_chunked       {digest(chunked.w1, chunked.w2)}")
+    garch = _garch_chunked(
+        GARCH_PARAMS, SimConfig(burn_in=1000, n_draws=N_CHUNKED, base_seed=SEED), workers=1
+    )
+    print(f"garch_chunked            {digest(garch.sigma1_sq, garch.sigma2_sq, garch.z1, garch.z2)}")
     backward = backward_truncated(
         DEMO_LAW,
         SimConfig(burn_in=0, n_draws=N_STATES, base_seed=SEED),
