@@ -104,6 +104,10 @@ def _do_run(args: argparse.Namespace) -> int:
 
 
 def _do_diff(args: argparse.Namespace) -> int:
+    if not args.rel_tol >= 0.0:
+        print(f"error: --rel-tol: must be a non-negative number, got {args.rel_tol!r}",
+              file=sys.stderr)
+        return 2
     try:
         a = RunReport.load(args.report_a)
         b = RunReport.load(args.report_b)

@@ -52,13 +52,17 @@ from .spectral import (
     valid_window_starts,
 )
 from .tailstats import (
-    TailConstantEstimate,
-    TailEstimate,
+    UpperTail,
+    block_bounds,
     default_hill_k,
+    estimator_depth,
     hill,
     ks_2sample,
     ks_distance,
     tail_constant,
+    tail_depth,
+    upper_quantile,
+    upper_tail,
 )
 
 __all__ = [
@@ -211,11 +215,10 @@ class GarchPath:
     stored: each access computes ``X_i = sqrt(sigma_i^2) * Z_i`` as a fresh
     array over the whole path.
 
-    The Hill and plateau estimates of a stored volatility series are shared:
-    :meth:`vol_hill` and :meth:`vol_tail_constant` compute each (series,
-    estimator, k or alpha) once per path, so the tails step and
-    :func:`verify_tail_relations` read the same estimate.  Estimates of the
-    returns are not kept.
+    The tail estimators read :meth:`tail`, one streaming pass per series and
+    path, shared by the tails step and :func:`verify_tail_relations`.  The
+    tails of the absolute returns are built block by block from
+    (sigma_i^2, Z_i), so the returns are never materialised for them.
     """
 
     sigma1_sq: np.ndarray
@@ -226,24 +229,30 @@ class GarchPath:
     config: SimConfig
     chain_len: int
     mode: str = "garch"
-    _estimates: dict = field(default_factory=dict, init=False, repr=False)
+    _tails: dict = field(default_factory=dict, init=False, repr=False)
 
     def __len__(self) -> int:
         return self.sigma1_sq.size
 
-    def vol_hill(self, name: str, k: int) -> TailEstimate:
-        """Hill estimate of the stored series ``name``; ``k=0`` is the default k."""
-        key = ("hill", name, k or default_hill_k(len(self)))
-        if key not in self._estimates:
-            self._estimates[key] = hill(getattr(self, name), k=key[2])
-        return self._estimates[key]
+    def tail(self, name: str, k: int = 0) -> UpperTail:
+        """Upper tail of ``sigma1_sq``, ``sigma2_sq``, ``abs_x1`` or ``abs_x2``.
 
-    def vol_tail_constant(self, name: str, alpha: float) -> TailConstantEstimate:
-        """Plateau tail-constant estimate of the stored series ``name``."""
-        key = ("tail_constant", name, alpha)
-        if key not in self._estimates:
-            self._estimates[key] = tail_constant(getattr(self, name), alpha)
-        return self._estimates[key]
+        Deep enough for Hill at k (``k=0``: :func:`default_hill_k` for the
+        volatilities, :func:`return_hill_k` for the returns) and for the
+        default plateau and 0.999 quantile.  Each (series, depth) is streamed
+        once per path and kept.
+        """
+        n = len(self)
+        returns = name.startswith("abs_x")
+        key = (name, estimator_depth(n, k or (return_hill_k(n) if returns else default_hill_k(n))))
+        if key not in self._tails:
+            if returns:
+                s, z = (self.sigma1_sq, self.z1) if name == "abs_x1" else (self.sigma2_sq, self.z2)
+                series = (np.abs(np.sqrt(s[lo:hi]) * z[lo:hi]) for lo, hi in block_bounds(n))
+            else:
+                series = getattr(self, name)
+            self._tails[key] = upper_tail(series, key[1])
+        return self._tails[key]
 
     @property
     def x1(self) -> np.ndarray:
@@ -428,11 +437,17 @@ def verify_tail_relations(
     records: list[ResultRecord] = []
     k_x_used = k_x or return_hill_k(len(path))
 
+    def squared(name: str) -> UpperTail:
+        # Squaring is monotone on |X|, so the squares of its top order
+        # statistics are the top order statistics of X^2.
+        t = path.tail(name, k_x)
+        return replace(t, top=np.square(t.top), minimum=t.minimum**2)
+
     hill_targets = [
-        ("hill_sigma1_sq", path.vol_hill("sigma1_sq", k), a_min),
-        ("hill_sigma2_sq", path.vol_hill("sigma2_sq", k), a2),
-        ("hill_x1_sq", hill(np.square(path.x1), k=k_x_used), a_min),
-        ("hill_x2_sq", hill(np.square(path.x2), k=k_x_used), a2),
+        ("hill_sigma1_sq", hill(path.tail("sigma1_sq", k), k=k), a_min),
+        ("hill_sigma2_sq", hill(path.tail("sigma2_sq", k), k=k), a2),
+        ("hill_x1_sq", hill(squared("abs_x1"), k=k_x_used), a_min),
+        ("hill_x2_sq", hill(squared("abs_x2"), k=k_x_used), a2),
     ]
     for name, est, target in hill_targets:
         records.append(
@@ -455,7 +470,7 @@ def verify_tail_relations(
         sub,
         rng,
     )
-    plateau = path.vol_tail_constant("sigma2_sq", a2)
+    plateau = tail_constant(path.tail("sigma2_sq", k), a2)
     rel = abs(plateau.c_hat - c2.c_hat) / c2.c_hat
     records.append(
         ResultRecord(
@@ -564,10 +579,16 @@ def _prop_heavier_cross(params, path, h, u_quantile, n_limit, ks_bound, a2, rng)
     the noise z shared between each window value and the next matrix.
     """
     n = len(path)
-    r = np.hypot(path.sigma1_sq, path.sigma2_sq)
-    x = float(np.quantile(r, u_quantile))
-    valid = valid_window_starts(n, path.chain_len, h, offset=1)
-    idx = np.nonzero(valid & (r > x))[0]
+    s1, s2 = path.sigma1_sq, path.sigma2_sq
+    norms = (np.hypot(s1[lo:hi], s2[lo:hi]) for lo, hi in block_bounds(n))
+    x = upper_tail(norms, tail_depth(n, u_quantile)).quantile(u_quantile)
+    # A second blockwise pass finds the exceedances.  For positive a and b,
+    # hypot(a, b) <= sqrt(2) max(a, b), so only points with max(a, b) > 0.7 x
+    # can exceed x, and only those get their norm computed again.
+    cand = np.concatenate([lo + np.nonzero(np.maximum(s1[lo:hi], s2[lo:hi]) > 0.7 * x)[0]
+                           for lo, hi in block_bounds(n)])
+    idx = cand[np.hypot(s1[cand], s2[cand]) > x]
+    idx = idx[valid_window_starts(n, path.chain_len, h, offset=1)[idx]]
     if idx.size < MIN_EXCEEDANCES:
         raise TooFewExceedances(
             f"{idx.size} in-chain volatility exceedances; need {MIN_EXCEEDANCES}"
@@ -579,7 +600,7 @@ def _prop_heavier_cross(params, path, h, u_quantile, n_limit, ks_bound, a2, rng)
                         np.sqrt(path.sigma2_sq[steps]) * path.z2[steps]), axis=2) * scale
 
     # Empirical angle of the conditioning volatility vector.
-    theta = np.column_stack((path.sigma1_sq[idx], path.sigma2_sq[idx])) / r[idx][:, None]
+    theta = np.column_stack((s1[idx], s2[idx])) / np.hypot(s1[idx], s2[idx])[:, None]
     pick = rng.choice(idx.size, size=n_limit)
     theta0 = theta[pick]
 
@@ -646,7 +667,7 @@ def _prop_heavier_own(params, path, h, u_quantile, n_limit, ks_bound, alphas, rn
     ):
         wins = sliding_windows(series, path.chain_len, h)
         norms = np.linalg.norm(wins, axis=1)
-        x = float(np.quantile(norms, u_quantile))
+        x = upper_quantile(norms, u_quantile)
         keep = norms > x
         m = int(keep.sum())
         if m < MIN_EXCEEDANCES:

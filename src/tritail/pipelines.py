@@ -269,6 +269,31 @@ class _Ctx:
             )
         return self.cache["path_sample"]
 
+    def tail(self, name: str) -> tailstats.UpperTail:
+        """The run's one upper tail of a sample series, deep enough for every reader.
+
+        ``name`` is ``w1``/``w2`` for an independent law and ``sigma1_sq``,
+        ``sigma2_sq``, ``abs_x1`` or ``abs_x2`` for a GARCH path; the depth
+        covers Hill at the run's k, the plateau and the 0.999 quantile.
+        """
+        if self.is_garch():
+            k = self.knob("hill_k_x") if name.startswith("abs_x") else self.knob("hill_k")
+            return self.garch_path().tail(name, k)
+        key = ("tail", name)
+        if key not in self.cache:
+            series = getattr(self.path_sample(), name)
+            k = self.knob("hill_k") or tailstats.default_hill_k(series.size)
+            self.cache[key] = tailstats.upper_tail(
+                series, tailstats.estimator_depth(series.size, k))
+        return self.cache[key]
+
+    def plateau(self, name: str, alpha: float) -> tailstats.TailConstantEstimate:
+        """The plateau estimate of ``name`` at ``alpha``, computed once per run."""
+        key = ("plateau", name, alpha)
+        if key not in self.cache:
+            self.cache[key] = tailstats.tail_constant(self.tail(name), alpha)
+        return self.cache[key]
+
     def regime(self):
         if "regime" not in self.cache:
             self.cache["regime"] = classify_regime(self.cfg.law)
@@ -382,7 +407,7 @@ def _step_stationarity(ctx: _Ctx) -> None:
 
 def _summary_stats(ctx: _Ctx, name: str, series: np.ndarray) -> None:
     ctx.add(name=f"{name}_mean", value=float(series.mean()), passed=None)
-    ctx.add(name=f"{name}_q999", value=float(np.quantile(series, 0.999)), passed=None)
+    ctx.add(name=f"{name}_q999", value=ctx.tail(name).quantile(0.999), passed=None)
 
 
 def _step_simulate(ctx: _Ctx) -> None:
@@ -457,24 +482,18 @@ def _step_tails(ctx: _Ctx) -> None:
     a1, a2 = rep.alpha1.alpha, rep.alpha2.alpha
     a_min = min(a1, a2)
     k = ctx.knob("hill_k")
-    if ctx.is_garch():
-        # The volatility estimates are shared with garch_verify through the path.
-        path = ctx.garch_path()
-        _hill_record(ctx, "hill_sigma1_sq", path.vol_hill("sigma1_sq", k), a_min)
-        _hill_record(ctx, "hill_sigma2_sq", path.vol_hill("sigma2_sq", k), a2)
-        k_x = ctx.knob("hill_k_x") or return_hill_k(len(path))
-        _hill_record(ctx, "hill_abs_x1", tailstats.hill(np.abs(path.x1), k=k_x), 2.0 * a_min)
-        _hill_record(ctx, "hill_abs_x2", tailstats.hill(np.abs(path.x2), k=k_x), 2.0 * a2)
-        _plateau_record(ctx, "plateau_sigma1_sq", path.vol_tail_constant("sigma1_sq", a_min))
-        _plateau_record(ctx, "plateau_sigma2_sq", path.vol_tail_constant("sigma2_sq", a2))
-    else:
-        sample = ctx.path_sample()
-        _hill_record(ctx, "hill_w1", tailstats.hill(sample.w1, k=k), a_min)
-        _hill_record(ctx, "hill_w2", tailstats.hill(sample.w2, k=k), a2)
-        _plateau_record(ctx, "plateau_w1", tailstats.tail_constant(sample.w1, a_min),
-                        csv_name="plateau_w1.csv")
-        _plateau_record(ctx, "plateau_w2", tailstats.tail_constant(sample.w2, a2),
-                        csv_name="plateau_w2.csv")
+    garch = ctx.is_garch()
+    names = ("sigma1_sq", "sigma2_sq") if garch else ("w1", "w2")
+    for name, target in zip(names, (a_min, a2)):
+        _hill_record(ctx, f"hill_{name}", tailstats.hill(ctx.tail(name), k=k), target)
+    if garch:
+        k_x = ctx.knob("hill_k_x") or return_hill_k(len(ctx.garch_path()))
+        for name, target in (("abs_x1", a_min), ("abs_x2", a2)):
+            _hill_record(ctx, f"hill_{name}", tailstats.hill(ctx.tail(name), k=k_x),
+                         2.0 * target)
+    for name, target in zip(names, (a_min, a2)):
+        _plateau_record(ctx, f"plateau_{name}", ctx.plateau(name, target),
+                        csv_name=None if garch else f"plateau_{name}.csv")
 
 
 def _step_constants(ctx: _Ctx) -> None:
@@ -495,7 +514,7 @@ def _step_constants(ctx: _Ctx) -> None:
         passed=None,
         note=f"m_alpha={c2.m_alpha:.6g} cramer_residual={c2.cramer_residual:.3g}",
     )
-    _plateau_record(ctx, "c2_plateau", tailstats.tail_constant(sample.w2, a2),
+    _plateau_record(ctx, "c2_plateau", ctx.plateau("w2", a2),
                     reference=c2.c_hat, rel_tol=rel_tol)
 
     rel_tol1 = ctx.knob("c1_rel_tol")
@@ -535,7 +554,7 @@ def _step_constants(ctx: _Ctx) -> None:
             passed=bool(coupled.converged),
             note="c2 * series weight; gate is weight convergence",
         )
-        _plateau_record(ctx, "c1_plateau", tailstats.tail_constant(sample.w1, a2),
+        _plateau_record(ctx, "c1_plateau", ctx.plateau("w1", a2),
                         reference=coupled.constant.c_hat, rel_tol=rel_tol1)
     elif rep.regime == REGIME_A1_DOMINANT:
         goldie = renewal.first_component_constant(
@@ -554,7 +573,7 @@ def _step_constants(ctx: _Ctx) -> None:
             passed=None,
             note="literal 2/alpha1 prefactor; informational — plateau adjudicates",
         )
-        _plateau_record(ctx, "c1_plateau", tailstats.tail_constant(sample.w1, a1),
+        _plateau_record(ctx, "c1_plateau", ctx.plateau("w1", a1),
                         reference=goldie.c_hat, rel_tol=rel_tol1)
     else:
         ctx.add(name="c1_skipped", value=None, passed=None,

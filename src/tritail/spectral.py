@@ -26,7 +26,7 @@ from scipy import stats
 from .engine import PathSample, product_path
 from .errors import RegimeMismatch, TooFewExceedances
 from .laws import CoefficientLaw
-from .tailstats import ks_2sample, ks_distance
+from .tailstats import ks_2sample, ks_distance, upper_quantile
 
 __all__ = [
     "AngularSample",
@@ -105,7 +105,7 @@ def angular_measure_threshold(
     if not 0.0 < u_quantile < 1.0:
         raise ValueError("u_quantile must lie in (0, 1)")
     r = np.hypot(draws.w1, draws.w2)
-    x = float(np.quantile(r, u_quantile))
+    x = upper_quantile(r, u_quantile)
     idx = np.nonzero(r > x)[0]
     if idx.size < MIN_EXCEEDANCES:
         raise TooFewExceedances(
@@ -173,7 +173,7 @@ def window_angles(
             f"only {wins.shape[0]} windows of length {h} fit within chains"
         )
     r = np.linalg.norm(wins, axis=1)
-    x = float(np.quantile(r, u_quantile))
+    x = upper_quantile(r, u_quantile)
     keep = r > x
     m = int(keep.sum())
     if m < MIN_EXCEEDANCES:
@@ -224,7 +224,7 @@ def conditional_exceedance_windows(
         raise ValueError("u_quantile must lie in (0, 1)")
     n = len(draws)
     r = np.hypot(draws.w1, draws.w2)
-    x = float(np.quantile(r, u_quantile))
+    x = upper_quantile(r, u_quantile)
     valid = valid_window_starts(n, draws.chain_len, h, offset=1)
     idx = np.nonzero(valid & (r > x))[0]
     if idx.size < MIN_EXCEEDANCES:

@@ -1,12 +1,20 @@
 """Tail-index and tail-constant estimation from samples, plus KS helpers.
 
-Everything here is a pure function of its sample argument.  The estimators are
-deliberately standard: Hill for the index, the x^alpha * CCDF plateau for the
-constant, and a weighted two-sample Kolmogorov distance used by the spectral
-comparisons.
+The estimators are deliberately standard: Hill for the index, the
+x^alpha * CCDF plateau for the constant, and a weighted two-sample Kolmogorov
+distance used by the spectral comparisons.
+
+Hill and the plateau read only the top order statistics, so both take an
+:class:`UpperTail`: the sorted top m values of a series and its length, from
+one streaming pass (:func:`upper_tail`) over fixed blocks of the series.  A
+run builds one tail per series, deep enough for every estimator and quantile
+that reads it; passing a plain array builds one through the same pass.  The
+pass holds one block and the top-m buffer at a time, so a series given as
+blocks (say, returns derived from stored volatilities) is never materialised.
 """
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,14 +23,23 @@ from scipy import stats
 from .errors import DegenerateTail, EmptyTail
 
 __all__ = [
+    "UpperTail",
     "TailEstimate",
     "TailConstantEstimate",
+    "block_bounds",
+    "upper_tail",
+    "tail_depth",
+    "estimator_depth",
+    "upper_quantile",
     "hill",
     "default_hill_k",
     "tail_constant",
     "ks_distance",
     "ks_2sample",
 ]
+
+_BLOCK = 1 << 18  # elements per block of the streaming pass, about 2 MB
+_PLATEAU_RANGE = (0.999, 0.9999)
 
 
 @dataclass(frozen=True)
@@ -52,13 +69,118 @@ class TailConstantEstimate:
     n: int
 
 
-def _positive_sample(sample) -> np.ndarray:
-    x = np.asarray(sample, dtype=float).reshape(-1)
-    if x.size < 3:
+@dataclass(frozen=True, eq=False)
+class UpperTail:
+    """The top order statistics of an n-point series.
+
+    ``top`` holds the largest ``top.size`` values in ascending order, so
+    ``top[-1]`` is the maximum and ``top[i]`` the order statistic of rank
+    ``n - top.size + i``.  ``minimum`` is the sample minimum (NaN when the
+    series holds a NaN), which is all the sign and NaN checks need.
+    """
+
+    top: np.ndarray
+    n: int
+    minimum: float
+
+    def quantile(self, q: float) -> float:
+        """``np.quantile(series, q)``, linear method, bit for bit.
+
+        The same arithmetic as numpy: virtual index v = (n-1)q, its floor and
+        fractional part gamma, and the two-sided lerp.  Raises
+        :class:`ValueError` when the tail is too shallow for q
+        (see :func:`tail_depth`).
+        """
+        if not 0.0 <= q <= 1.0:
+            raise ValueError("q must lie in [0, 1]")
+        if self.n == 0:
+            raise ValueError("quantile of an empty series")
+        if math.isnan(self.minimum):
+            return math.nan
+        v = (self.n - 1) * q
+        if v >= self.n - 1:
+            # numpy reads the top point at index -1 and takes gamma against -1.
+            lo = hi = self.n - 1
+            gamma = v + 1
+        else:
+            lo = math.floor(v)
+            hi, gamma = lo + 1, v - lo
+        first = self.n - self.top.size
+        if lo < first:
+            raise ValueError(f"a tail of {self.top.size} points cannot give the {q} quantile")
+        a, b = float(self.top[lo - first]), float(self.top[hi - first])
+        diff = b - a
+        if gamma >= 0.5:
+            return b - diff * (1 - gamma)
+        return a + diff * gamma
+
+
+def block_bounds(n: int):
+    """The (start, stop) bounds of the fixed blocks that cover n elements."""
+    return ((lo, min(lo + _BLOCK, n)) for lo in range(0, n, _BLOCK))
+
+
+def upper_tail(series, m: int) -> UpperTail:
+    """The top m values of ``series`` from one streaming pass.
+
+    ``series`` is an array, or an iterator of 1-d float blocks whose
+    concatenation is the series.  An array is walked in fixed blocks of
+    ``_BLOCK`` elements.  The pass keeps a running top-m buffer: once the
+    buffer is full, only block values above its current m-th largest are
+    merged in, and the merged buffer is partitioned back to m.  Ties at the
+    cut leave the values of the top m unchanged, so they need no merging.
+    Fewer than m points give the whole sorted series.
+    """
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    if not isinstance(series, Iterator):
+        x = np.asarray(series, dtype=float).reshape(-1)
+        series = (x[lo:hi] for lo, hi in block_bounds(x.size))
+    n = 0
+    minima = []
+    buf = np.empty(0)
+    cut = None
+    for block in series:
+        n += block.size
+        minima.append(block.min())
+        new = block if cut is None else block[block > cut]
+        if new.size:
+            buf = np.concatenate((buf, new))
+            if buf.size > m:
+                buf = np.partition(buf, buf.size - m)[buf.size - m:]
+                cut = buf[0]
+    return UpperTail(top=np.sort(buf), n=n,
+                     minimum=float(np.min(minima)) if minima else math.nan)
+
+
+def tail_depth(n: int, q: float) -> int:
+    """How many top order statistics the q-quantile of an n-point series reads."""
+    return n - min(math.floor((n - 1) * q), n - 1)
+
+
+def estimator_depth(n: int, k: int) -> int:
+    """Tail depth for Hill at k, the default plateau and the 0.999 quantile."""
+    return max(k + 1, tail_depth(n, _PLATEAU_RANGE[0]))
+
+
+def upper_quantile(series, q: float) -> float:
+    """``np.quantile(series, q)`` of a 1-d array from one streaming pass."""
+    x = np.asarray(series, dtype=float).reshape(-1)
+    return upper_tail(x, tail_depth(x.size, q)).quantile(q)
+
+
+def _positive_tail(sample, depth) -> UpperTail:
+    """``sample`` as a tail; an array is streamed at ``depth(n)`` points."""
+    if isinstance(sample, UpperTail):
+        tail = sample
+    else:
+        x = np.asarray(sample, dtype=float).reshape(-1)
+        tail = upper_tail(x, max(1, depth(x.size)))
+    if tail.n < 3:
         raise ValueError("sample too small")
-    if not (x > 0).all():
+    if not tail.minimum > 0:
         raise ValueError("sample must be strictly positive")
-    return x
+    return tail
 
 
 def default_hill_k(n: int) -> int:
@@ -71,18 +193,19 @@ def hill(sample, k: int = 0) -> TailEstimate:
 
     alpha_hat = k / sum_{i=1..k} log(X_(n-i+1) / X_(n-k)), std error
     alpha_hat / sqrt(k).  ``k=0`` selects :func:`default_hill_k`.  Scale
-    invariant by construction.
+    invariant by construction.  ``sample`` is an :class:`UpperTail` at least
+    k+1 deep, or an array, which is streamed to that depth.
     """
-    x = _positive_sample(sample)
-    n = x.size
+    tail = _positive_tail(sample, lambda n: (k or default_hill_k(n)) + 1)
+    n = tail.n
     if k == 0:
         k = default_hill_k(n)
     if not (2 <= k < n):
         raise ValueError(f"k must satisfy 2 <= k < n, got k={k}, n={n}")
-    part = np.partition(x, n - k - 1)
-    threshold = part[n - k - 1]
-    top = part[n - k:]
-    denom = float(np.log(top).sum() - k * math.log(threshold))
+    if tail.top.size <= k:
+        raise ValueError(f"a tail of {tail.top.size} points cannot give Hill at k={k}")
+    threshold = tail.top[-k - 1]
+    denom = float(np.log(tail.top[-k:]).sum() - k * math.log(threshold))
     if denom <= 0.0:
         raise DegenerateTail("top order statistics are tied; no tail information")
     alpha_hat = k / denom
@@ -99,7 +222,7 @@ def hill(sample, k: int = 0) -> TailEstimate:
 def tail_constant(
     sample,
     alpha: float,
-    quantile_range: tuple[float, float] = (0.999, 0.9999),
+    quantile_range: tuple[float, float] = _PLATEAU_RANGE,
     grid_points: int = 25,
 ) -> TailConstantEstimate:
     """Estimate the tail constant via the x^alpha * CCDF plateau.
@@ -107,6 +230,8 @@ def tail_constant(
     Evaluates x^alpha * P_hat(X > x) on a log-spaced grid between the two
     empirical quantiles.  The median (not the mean) defines ``c_hat`` so the
     noisiest extreme-threshold grid points cannot drag the estimate.
+    ``sample`` is an :class:`UpperTail` deep enough for the lower quantile,
+    or an array, which is streamed to that depth.
     """
     lo, hi = quantile_range
     if not (0.5 <= lo < hi < 1.0):
@@ -115,12 +240,12 @@ def tail_constant(
         raise ValueError("alpha must be positive")
     if grid_points < 3:
         raise ValueError("grid_points must be >= 3")
-    x = _positive_sample(sample)
-    n = x.size
-    x_lo, x_hi = np.quantile(x, [lo, hi]).tolist()
+    sample = _positive_tail(sample, lambda n: tail_depth(n, lo))
+    n = sample.n
+    x_lo, x_hi = sample.quantile(lo), sample.quantile(hi)
     # Every grid point is >= x_lo, so the points above x_lo give the same
-    # exceedance counts as the whole sample; only they are sorted.
-    tail = np.sort(x[x > x_lo])
+    # exceedance counts as the whole sample.
+    tail = sample.top[sample.top > x_lo]
     if tail.size < 50:
         raise EmptyTail(f"only {tail.size} sample points above the {lo} quantile")
     if not x_hi > x_lo:

@@ -592,30 +592,83 @@ def test_garch_verify_reads_dispersion_max(tmp_path):
         assert r.passed == (r.value < 0.01)
 
 
-def test_garch_full_report_computes_each_estimate_once(tmp_path, monkeypatch):
-    # pipelines calls tailstats.hill/tail_constant, garch its own imported
-    # names; wrap both.  ``calls`` holds each sample, so no id is reused by
-    # a later temporary.
-    calls = []
+def _record_tail_passes(monkeypatch) -> list:
+    """Patch the streaming tail pass to record the series of every call.
 
-    def counted(fn, resolved):
-        def wrapper(sample, *args, **kwargs):
-            est = fn(sample, *args, **kwargs)
-            calls.append((sample, fn.__name__, resolved(est)))
-            return est
-        return wrapper
+    An array series is recorded as is; a series given as blocks is
+    recorded as their concatenation and handed on as the same blocks.
+    """
+    passes = []
+    real = tailstats.upper_tail
 
-    hill = counted(tailstats.hill, lambda est: est.k)
-    tail_constant = counted(tailstats.tail_constant, lambda est: est.alpha)
+    def counted(series, m):
+        if isinstance(series, np.ndarray):
+            passes.append(series)
+        else:
+            blocks = list(series)
+            passes.append(np.concatenate(blocks))
+            series = iter(blocks)
+        return real(series, m)
+
     for module in (tailstats, garch):
-        monkeypatch.setattr(module, "hill", hill)
-        monkeypatch.setattr(module, "tail_constant", tail_constant)
+        monkeypatch.setattr(module, "upper_tail", counted)
+    return passes
 
+
+def _capture_returns(monkeypatch, module, name) -> list:
+    results = []
+    real = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        results.append(real(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(module, name, wrapper)
+    return results
+
+
+def test_garch_full_report_computes_each_estimate_once(tmp_path, monkeypatch):
+    # One streaming selection pass per series: sigma1^2 and sigma2^2 (summary
+    # quantile, Hill and plateau), |x1| and |x2| (Hill of |X| and of X^2),
+    # and the volatility norm of the cross-feed spectral check.
+    passes = _record_tail_passes(monkeypatch)
+    paths = _capture_returns(monkeypatch, pipelines, "_garch_chunked")
     small_garch_report(tmp_path)
-    keys = [(id(sample), name, arg) for sample, name, arg in calls]
-    assert len(set(keys)) == len(keys), f"an estimate computed twice: {keys}"
-    # sigma1^2, sigma2^2, |x1|, |x2|, x1^2, x2^2; plateaus of sigma1^2, sigma2^2.
-    assert sorted(name for _, name, _ in calls) == ["hill"] * 6 + ["tail_constant"] * 2
+    (path,) = paths
+    series = {
+        "sigma1_sq": path.sigma1_sq,
+        "sigma2_sq": path.sigma2_sq,
+        "abs_x1": np.abs(path.x1),
+        "abs_x2": np.abs(path.x2),
+        "vol_norm": np.hypot(path.sigma1_sq, path.sigma2_sq),
+    }
+    names = [[name for name, s in series.items() if np.array_equal(p, s)] for p in passes]
+    assert sorted(names) == sorted([name] for name in series)
+
+
+@pytest.mark.parametrize("a1_mu, a4_mu", [(-0.375, -0.75), (-0.75, -0.375)],
+                         ids=["A1", "A2"])
+def test_independent_full_report_streams_each_series_once(tmp_path, monkeypatch,
+                                                          a1_mu, a4_mu):
+    # The summary quantile, Hill and every plateau of w1 and w2 read one pass
+    # per series, and each plateau is computed once although both the tails
+    # and the constants step report it.
+    passes = _record_tail_passes(monkeypatch)
+    plateaus = _capture_returns(monkeypatch, tailstats, "tail_constant")
+    samples = _capture_returns(monkeypatch, pipelines, "_stationary_chunked")
+    law = base_config()["law"]
+    law.update(a1=lognormal(a1_mu, 0.5**0.5), a4=lognormal(a4_mu, 0.5**0.5))
+    cfg = base_config(pipeline="full_report", law=law, output_dir=str(tmp_path),
+                      params={"limit_draws": 200, "u_quantile": 0.99, "weight_draws": 500,
+                              "s_schedule": [1, 2, 4], "crossval_draws": 2000,
+                              "lyapunov_steps": 100, "csv_rows": 10})
+    cfg["sim"].update(n_draws=100_000, burn_in=200)
+    report = run(parse_config(cfg))
+    assert not [r.name for r in report.results if r.name.endswith("_error")]
+    sample = samples[0]
+    for w in (sample.w1, sample.w2):
+        assert sum(np.array_equal(p, w) for p in passes) == 1
+    assert len(plateaus) == 2
 
 
 def test_report_roundtrip_including_nonfinite_values(tmp_path):
@@ -850,6 +903,17 @@ def test_cli_diff(tmp_path, capsys):
     _report_of({"x": 1.0}, pipeline="stationarity").save(foreign)
     assert main(["diff", str(out_a / "report.json"), str(foreign)]) == 2
     assert main(["diff", str(tmp_path / "nope.json"), str(foreign)]) == 2
+
+
+@pytest.mark.parametrize("rel_tol", ["-1", "nan", "-0.5"])
+def test_cli_diff_rejects_negative_or_nan_rel_tol(tmp_path, capsys, rel_tol):
+    # Identical reports, so a tolerance that slipped through would exit 0.
+    good = tmp_path / "good.json"
+    _report_of({"x": 1.0}).save(good)
+    assert main(["diff", str(good), str(good), "--rel-tol", rel_tol]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --rel-tol: "), captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
 
 
 @pytest.mark.parametrize(

@@ -28,6 +28,7 @@ from tritail.laws import (
 )
 from tritail.pipelines import _CHUNK_CHAIN_LEN, _CHUNK_DRAWS, _GROUP_ELEMENTS, _garch_chunked
 from tritail.records import ResultRecord
+from tritail.spectral import valid_window_starts
 from tritail.streams import substream
 
 from conftest import GARCH_P10
@@ -343,12 +344,18 @@ def test_return_spectral_check_cross_feed_branch():
     # 0.04 on probed streams, so the per-record bound is opened to 0.08 here.
     # The release gate (0.05 at 1e7 draws) lives in the acceptance suite.
     g = rng(9)
+    path = garch_path(GARCH_P10, 2_000_000, g)
     report = return_spectral_check(
         GARCH_P10, classify_regime(GarchLaw(GARCH_P10)), 2, g,
-        garch_path(GARCH_P10, 2_000_000, g), u_quantile=0.999,
-        n_limit=100_000, ks_bound=0.08,
+        path, u_quantile=0.999, n_limit=100_000, ks_bound=0.08,
     )
     assert report.branch == "heavier_cross_feed"
+    # The blockwise threshold and exceedances equal the whole-array ones.
+    r = np.hypot(path.sigma1_sq, path.sigma2_sq)
+    x = float(np.quantile(r, 0.999))
+    valid = valid_window_starts(len(path), path.chain_len, 2, offset=1)
+    assert report.threshold == x
+    assert report.n_exceedances == np.count_nonzero(valid & (r > x))
     assert report.alpha1 > report.alpha2
     names = {r.name for r in report.records}
     assert names == {

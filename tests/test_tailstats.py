@@ -10,11 +10,15 @@ from scipy import stats
 
 from tritail.errors import DegenerateTail, EmptyTail
 from tritail.tailstats import (
+    _BLOCK,
     default_hill_k,
+    estimator_depth,
     hill,
     ks_2sample,
     ks_distance,
     tail_constant,
+    tail_depth,
+    upper_tail,
 )
 
 from conftest import assert_within_se
@@ -24,6 +28,91 @@ def pareto(alpha, n, seed, scale=1.0):
     """Exact Pareto draws: P(X > x) = (scale/x)^alpha for x >= scale."""
     u = 1.0 - np.random.default_rng(seed).random(n)
     return scale * u ** (-1.0 / alpha)
+
+
+# ---------------------------------------------------------------------------
+# Streaming upper tail
+# ---------------------------------------------------------------------------
+
+SIZES = (3, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1)
+ORDERS = ("random", "ascending", "descending", "tied")
+
+
+def ordered_sample(n, order, seed):
+    x = pareto(1.5, n, seed)
+    if order == "ascending":
+        return np.sort(x)
+    if order == "descending":
+        return np.sort(x)[::-1].copy()
+    if order == "tied":
+        return np.full(n, 2.5)
+    return x
+
+
+def partition_hill(x, k):
+    """The Hill estimate by a full partition of the sample."""
+    part = np.partition(x, x.size - k - 1)
+    threshold = part[x.size - k - 1]
+    return threshold, k / float(np.log(part[x.size - k:]).sum() - k * math.log(threshold))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.sampled_from(SIZES), order=st.sampled_from(ORDERS),
+       q=st.one_of(st.sampled_from((0.999, 0.9999, 0.99)), st.floats(0.0, 1.0)),
+       seed=st.integers(0, 2**16))
+def test_upper_tail_quantile_is_numpy_quantile_bit_for_bit(n, order, q, seed):
+    x = ordered_sample(n, order, seed)
+    tail = upper_tail(x, tail_depth(n, q))
+    assert tail.n == n and tail.minimum == x.min()
+    assert tail.quantile(q) == float(np.quantile(x, q))
+    # The tail is the sorted top of the sample, whatever the block layout.
+    np.testing.assert_array_equal(tail.top, np.sort(x)[n - tail.top.size:])
+
+
+def test_upper_tail_from_blocks_equals_the_array_pass():
+    x = pareto(2.0, 2 * _BLOCK + 1, seed=11)
+    blocks = iter(np.array_split(x, 7))
+    a, b = upper_tail(x, 500), upper_tail(blocks, 500)
+    np.testing.assert_array_equal(a.top, b.top)
+    assert (a.n, a.minimum) == (b.n, b.minimum)
+    # A series shorter than the depth gives the whole sorted series.
+    np.testing.assert_array_equal(upper_tail(x[:10], 50).top, np.sort(x[:10]))
+
+
+def test_upper_tail_too_shallow_for_the_quantile():
+    x = pareto(2.0, 10_000, seed=12)
+    tail = upper_tail(x, tail_depth(x.size, 0.999))
+    assert tail.quantile(0.999) == float(np.quantile(x, 0.999))
+    with pytest.raises(ValueError, match="cannot give"):
+        tail.quantile(0.99)
+    with pytest.raises(ValueError, match="cannot give"):
+        hill(tail, k=tail.top.size)
+    with pytest.raises(ValueError):
+        upper_tail(x, 0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.sampled_from(SIZES[1:]), order=st.sampled_from(ORDERS[:3]),
+       k=st.integers(2, 5000), seed=st.integers(0, 2**16))
+def test_hill_matches_the_partition_reference(n, order, k, seed):
+    x = ordered_sample(n, order, seed)
+    threshold, alpha = partition_hill(x, k)
+    for sample in (x, upper_tail(x, estimator_depth(n, k))):
+        est = hill(sample, k=k)
+        assert (est.k, est.n, est.threshold) == (k, n, threshold)
+        assert est.alpha_hat == pytest.approx(alpha, rel=1e-12)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan], ids=["zero", "negative", "nan"])
+@pytest.mark.parametrize("where", [0, _BLOCK + 5], ids=["first_block", "later_block"])
+def test_non_positive_and_nan_samples_raise(bad, where):
+    x = pareto(2.0, 2 * _BLOCK, seed=13)
+    x[where] = bad
+    for sample in (x, upper_tail(x, 1000)):
+        with pytest.raises(ValueError, match="strictly positive"):
+            hill(sample, k=100)
+        with pytest.raises(ValueError, match="strictly positive"):
+            tail_constant(sample, alpha=2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -106,21 +195,22 @@ def test_tail_constant_flags_wrong_index():
 
 @pytest.mark.parametrize("tied", [False, True], ids=["untied", "tied"])
 def test_tail_constant_matches_the_full_sort(tied):
-    # Sorting only the points above the lower quantile gives the plateau of
-    # the sort-based formula exactly; the tied sample rounds to a 0.01 grid,
-    # so grid points and quantiles fall on runs of equal values.
+    # The plateau from the top order statistics equals the sort-based formula
+    # exactly, whether the sample comes as an array or as an upper tail; the
+    # tied sample rounds to a 0.01 grid, so grid points and quantiles fall on
+    # runs of equal values.
     x = pareto(1.5, 400_000, seed=8)
     if tied:
         x = np.ceil(x * 100.0) / 100.0
-    est = tail_constant(x, alpha=1.5, quantile_range=(0.99, 0.999))
-
     xs = np.sort(x)
     grid = np.geomspace(float(np.quantile(xs, 0.99)), float(np.quantile(xs, 0.999)), 25)
     plateau = grid**1.5 * ((xs.size - np.searchsorted(xs, grid, side="right")) / xs.size)
-    np.testing.assert_array_equal(est.x_grid, grid)
-    np.testing.assert_array_equal(est.plateau_values, plateau)
-    assert est.c_hat == float(np.median(plateau))
-    assert est.n == x.size
+    for sample in (x, upper_tail(x, tail_depth(x.size, 0.99))):
+        est = tail_constant(sample, alpha=1.5, quantile_range=(0.99, 0.999))
+        np.testing.assert_array_equal(est.x_grid, grid)
+        np.testing.assert_array_equal(est.plateau_values, plateau)
+        assert est.c_hat == float(np.median(plateau))
+        assert est.n == x.size
 
 
 def test_tail_constant_validation():
