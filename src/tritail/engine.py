@@ -104,6 +104,10 @@ class PathSample:
     def n_chains(self) -> int:
         return -(-self.w1.size // self.chain_len)
 
+    def series(self, name: str, key=slice(None)) -> np.ndarray:
+        """``w1`` or ``w2`` at ``key``, a slice or an index array."""
+        return getattr(self, name)[key]
+
 
 def _check_state_finite(w1: np.ndarray, w2: np.ndarray, t: int) -> None:
     if not (np.isfinite(w1).all() and np.isfinite(w2).all()):

@@ -20,7 +20,7 @@ of threshold-conditioned return windows.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -44,25 +44,17 @@ from .laws import (
     RegimeReport,
 )
 from .records import ResultRecord
+from .reduction import Plan, PointSpec, WindowSpec, summarize
 from .renewal import univariate_constant
-from .spectral import (
-    MIN_EXCEEDANCES,
-    sliding_windows,
-    unit_pareto,
-    valid_window_starts,
-)
+from .spectral import MIN_EXCEEDANCES, unit_pareto
 from .tailstats import (
     UpperTail,
-    block_bounds,
     default_hill_k,
     estimator_depth,
     hill,
     ks_2sample,
     ks_distance,
     tail_constant,
-    tail_depth,
-    upper_quantile,
-    upper_tail,
 )
 
 __all__ = [
@@ -73,10 +65,15 @@ __all__ = [
     "GarchSpectralReport",
     "to_sre_coefficients",
     "return_hill_k",
+    "series_depth",
     "stationary_garch_sample",
+    "verify_plan",
     "verify_tail_relations",
+    "spectral_plan",
     "return_spectral_check",
 ]
+
+STORED = ("sigma1_sq", "sigma2_sq", "z1", "z2")  # a path's arrays, in the samplers' ``out`` order
 
 
 @dataclass(frozen=True)
@@ -211,14 +208,11 @@ class GarchPath:
     """Simulated squared volatilities and the driving noise.
 
     The four stored arrays are chain-major like
-    :class:`tritail.engine.PathSample`.  The returns ``x1``/``x2`` are not
-    stored: each access computes ``X_i = sqrt(sigma_i^2) * Z_i`` as a fresh
-    array over the whole path.
-
-    The tail estimators read :meth:`tail`, one streaming pass per series and
-    path, shared by the tails step and :func:`verify_tail_relations`.  The
-    tails of the absolute returns are built block by block from
-    (sigma_i^2, Z_i), so the returns are never materialised for them.
+    :class:`tritail.engine.PathSample`.  The returns are not stored:
+    :meth:`series` derives ``x1``/``x2`` and ``abs_x1``/``abs_x2`` from
+    (sigma_i^2, Z_i) for the states it is asked for, and the ``x1``/``x2``
+    properties for the whole path.  The estimators read a path through
+    :func:`tritail.reduction.summarize`, one streaming pass per series.
     """
 
     sigma1_sq: np.ndarray
@@ -229,43 +223,31 @@ class GarchPath:
     config: SimConfig
     chain_len: int
     mode: str = "garch"
-    _tails: dict = field(default_factory=dict, init=False, repr=False)
 
     def __len__(self) -> int:
         return self.sigma1_sq.size
 
-    def tail(self, name: str, k: int = 0) -> UpperTail:
-        """Upper tail of ``sigma1_sq``, ``sigma2_sq``, ``abs_x1`` or ``abs_x2``.
+    def series(self, name: str, key=slice(None)) -> np.ndarray:
+        """A stored or derived series at ``key``, a slice or an index array.
 
-        Deep enough for Hill at k (``k=0``: :func:`default_hill_k` for the
-        volatilities, :func:`return_hill_k` for the returns) and for the
-        default plateau and 0.999 quantile.  Each (series, depth) is streamed
-        once per path and kept.
+        ``x1``/``x2`` are the returns sqrt(sigma_i^2) Z_i, ``abs_x1``/``abs_x2``
+        their absolute values, and ``w1``/``w2`` the squared volatilities, as
+        in :meth:`vol_sample`.
         """
-        n = len(self)
-        returns = name.startswith("abs_x")
-        key = (name, estimator_depth(n, k or (return_hill_k(n) if returns else default_hill_k(n))))
-        if key not in self._tails:
-            if returns:
-                s, z = (self.sigma1_sq, self.z1) if name == "abs_x1" else (self.sigma2_sq, self.z2)
-                series = (np.abs(np.sqrt(s[lo:hi]) * z[lo:hi]) for lo, hi in block_bounds(n))
-            else:
-                series = getattr(self, name)
-            self._tails[key] = upper_tail(series, key[1])
-        return self._tails[key]
+        name = {"w1": "sigma1_sq", "w2": "sigma2_sq"}.get(name, name)
+        if name.startswith(("x", "abs_x")):
+            i = name[-1]
+            x = np.sqrt(getattr(self, f"sigma{i}_sq")[key]) * getattr(self, f"z{i}")[key]
+            return np.abs(x) if name.startswith("abs") else x
+        return getattr(self, name)[key]
 
     @property
     def x1(self) -> np.ndarray:
-        return np.sqrt(self.sigma1_sq) * self.z1
+        return self.series("x1")
 
     @property
     def x2(self) -> np.ndarray:
-        return np.sqrt(self.sigma2_sq) * self.z2
-
-    def head(self, m: int) -> "GarchPath":
-        """The first m states, as views of the stored arrays."""
-        return replace(self, sigma1_sq=self.sigma1_sq[:m], sigma2_sq=self.sigma2_sq[:m],
-                       z1=self.z1[:m], z2=self.z2[:m])
+        return self.series("x2")
 
     def vol_sample(self) -> PathSample:
         """The squared-volatility pair as a plain recursion sample."""
@@ -399,6 +381,24 @@ def return_hill_k(n: int) -> int:
     return max(2, int(n**0.5))
 
 
+def series_depth(name: str, n: int, k: int = 0) -> int:
+    """Tail depth of a series for Hill at k, the default plateau and the 0.999 quantile.
+
+    ``k=0`` takes the series' default rule: :func:`return_hill_k` for
+    ``abs_x1``/``abs_x2`` and :func:`default_hill_k` for any other.
+    """
+    return estimator_depth(n, k or (return_hill_k(n) if name.startswith("abs_x") else default_hill_k(n)))
+
+
+def verify_plan(n: int, k: int = 0, k_x: int = 0, constant_draws: int = 1_000_000) -> Plan:
+    """The reductions :func:`verify_tail_relations` reads of an n-state path."""
+    return Plan(
+        tails={name: series_depth(name, n, k_x if name.startswith("abs_x") else k)
+               for name in ("sigma1_sq", "sigma2_sq", "abs_x1", "abs_x2")},
+        heads={"sigma2_sq": min(constant_draws, n)},
+    )
+
+
 def verify_tail_relations(
     params: GarchParams,
     regime: RegimeReport,
@@ -429,23 +429,31 @@ def verify_tail_relations(
       ``dispersion_max``;
     * regime coherence between the order of the two roots and the
       classifier's regime (equal roots leave the classifier unresolved).
+
+    ``path`` is a :class:`GarchPath` or its summary planned with
+    :func:`verify_plan` at the same arguments.
     """
     a1, a2 = regime.alpha1.alpha, regime.alpha2.alpha
     ordered = REGIME_A1_DOMINANT if a1 < a2 else REGIME_A2_DOMINANT
     a_min = min(a1, a2)
 
+    n = len(path)
+    reduced = summarize(path, verify_plan(n, k, k_x, constant_draws))
     records: list[ResultRecord] = []
-    k_x_used = k_x or return_hill_k(len(path))
+    k_x_used = k_x or return_hill_k(n)
+
+    def tail(name: str) -> UpperTail:
+        return reduced.tail(name, series_depth(name, n, k_x if name.startswith("abs_x") else k))
 
     def squared(name: str) -> UpperTail:
         # Squaring is monotone on |X|, so the squares of its top order
         # statistics are the top order statistics of X^2.
-        t = path.tail(name, k_x)
+        t = tail(name)
         return replace(t, top=np.square(t.top), minimum=t.minimum**2)
 
     hill_targets = [
-        ("hill_sigma1_sq", hill(path.tail("sigma1_sq", k), k=k), a_min),
-        ("hill_sigma2_sq", hill(path.tail("sigma2_sq", k), k=k), a2),
+        ("hill_sigma1_sq", hill(tail("sigma1_sq"), k=k), a_min),
+        ("hill_sigma2_sq", hill(tail("sigma2_sq"), k=k), a2),
         ("hill_x1_sq", hill(squared("abs_x1"), k=k_x_used), a_min),
         ("hill_x2_sq", hill(squared("abs_x2"), k=k_x_used), a2),
     ]
@@ -462,15 +470,14 @@ def verify_tail_relations(
             )
 
     # Renewal constant of the autonomous coordinate vs its simulated plateau.
-    sub = path.sigma2_sq[: min(constant_draws, len(path))]
     c2 = univariate_constant(
         ChiSqAffine(params.alpha22, params.beta22),
         Constant(params.alpha0[1]),
         a2,
-        sub,
+        reduced.head("sigma2_sq", constant_draws),
         rng,
     )
-    plateau = tail_constant(path.tail("sigma2_sq", k), a2)
+    plateau = tail_constant(tail("sigma2_sq"), a2)
     rel = abs(plateau.c_hat - c2.c_hat) / c2.c_hat
     records.append(
         ResultRecord(
@@ -570,7 +577,26 @@ def _sign_symmetry_records(coords: np.ndarray, ks_bound: float) -> list[ResultRe
     ]
 
 
-def _prop_heavier_cross(params, path, h, u_quantile, n_limit, ks_bound, a2, rng):
+_VOLS = ("sigma1_sq", "sigma2_sq")
+_RETURNS = ("x1", "x2")
+
+
+def _spectral_specs(a1: float, a2: float, h: int, u_quantile: float) -> tuple:
+    """The exceedance sets the regime's branch of :func:`return_spectral_check` reads."""
+    if a1 > a2:
+        return (PointSpec(anchors=_VOLS, after=_RETURNS, h=h, u=u_quantile),)
+    if a1 < a2:
+        return tuple(WindowSpec(series=x, h=h, u=u_quantile) for x in _RETURNS)
+    return ()
+
+
+def spectral_plan(regime: RegimeReport, h: int, u_quantile: float) -> Plan:
+    """The reductions :func:`return_spectral_check` reads of a path."""
+    specs = _spectral_specs(regime.alpha1.alpha, regime.alpha2.alpha, h, u_quantile)
+    return Plan(exceedances=frozenset(specs))
+
+
+def _prop_heavier_cross(params, ex, h, u_quantile, n_limit, ks_bound, a2, rng):
     """Branch alpha1 > alpha2: windows after a volatility-norm exceedance.
 
     Compares x^{-1/2}(X_{t+1..t+h}) given |(sigma1^2, sigma2^2)_t| > x against
@@ -578,29 +604,17 @@ def _prop_heavier_cross(params, path, h, u_quantile, n_limit, ks_bound, a2, rng)
     Pareto(2 alpha2) factor, Theta0 resampled from the volatility angles, and
     the noise z shared between each window value and the next matrix.
     """
-    n = len(path)
-    s1, s2 = path.sigma1_sq, path.sigma2_sq
-    norms = (np.hypot(s1[lo:hi], s2[lo:hi]) for lo, hi in block_bounds(n))
-    x = upper_tail(norms, tail_depth(n, u_quantile)).quantile(u_quantile)
-    # A second blockwise pass finds the exceedances.  For positive a and b,
-    # hypot(a, b) <= sqrt(2) max(a, b), so only points with max(a, b) > 0.7 x
-    # can exceed x, and only those get their norm computed again.
-    cand = np.concatenate([lo + np.nonzero(np.maximum(s1[lo:hi], s2[lo:hi]) > 0.7 * x)[0]
-                           for lo, hi in block_bounds(n)])
-    idx = cand[np.hypot(s1[cand], s2[cand]) > x]
-    idx = idx[valid_window_starts(n, path.chain_len, h, offset=1)[idx]]
+    x, sel = ex.above(u_quantile)
+    idx = sel[ex.valid[sel]]
     if idx.size < MIN_EXCEEDANCES:
         raise TooFewExceedances(
             f"{idx.size} in-chain volatility exceedances; need {MIN_EXCEEDANCES}"
         )
-    steps = idx[:, None] + np.arange(1, h + 1)[None, :]
     scale = 1.0 / math.sqrt(x)
-    # The returns of the window cells only, not of the whole path.
-    sim_win = np.stack((np.sqrt(path.sigma1_sq[steps]) * path.z1[steps],
-                        np.sqrt(path.sigma2_sq[steps]) * path.z2[steps]), axis=2) * scale
+    sim_win = ex.after[idx] * scale
 
     # Empirical angle of the conditioning volatility vector.
-    theta = np.column_stack((s1[idx], s2[idx])) / np.hypot(s1[idx], s2[idx])[:, None]
+    theta = ex.rows[idx] / ex.key[idx][:, None]
     pick = rng.choice(idx.size, size=n_limit)
     theta0 = theta[pick]
 
@@ -651,7 +665,7 @@ def _prop_heavier_cross(params, path, h, u_quantile, n_limit, ks_bound, a2, rng)
     return records, x, idx.size
 
 
-def _prop_heavier_own(params, path, h, u_quantile, n_limit, ks_bound, alphas, rng):
+def _prop_heavier_own(params, sets, h, u_quantile, n_limit, ks_bound, alphas, rng):
     """Branch alpha1 < alpha2: per-component window angles vs weighted limit.
 
     For each return series X_i the angular law of its length-h window above a
@@ -662,19 +676,14 @@ def _prop_heavier_own(params, path, h, u_quantile, n_limit, ks_bound, alphas, rn
     records = []
     threshold = math.nan
     count = 0
-    for i, (series, alpha_i) in enumerate(
-        ((path.x1, alphas[0]), (path.x2, alphas[1])), start=1
-    ):
-        wins = sliding_windows(series, path.chain_len, h)
-        norms = np.linalg.norm(wins, axis=1)
-        x = upper_quantile(norms, u_quantile)
-        keep = norms > x
-        m = int(keep.sum())
+    for i, (ex, alpha_i) in enumerate(zip(sets, alphas), start=1):
+        x, keep = ex.above(u_quantile)
+        m = keep.size
         if m < MIN_EXCEEDANCES:
             raise TooFewExceedances(
                 f"{m} window-norm exceedances on X{i}; need {MIN_EXCEEDANCES}"
             )
-        angles = wins[keep] / norms[keep][:, None]
+        angles = ex.rows[keep] / ex.key[keep][:, None]
 
         z1, z2 = _correlated_normals(params.rho, (n_limit, h + 1), rng)
         # A_t from noise column t-1, the window value at t from column t.
@@ -726,7 +735,8 @@ def return_spectral_check(
     and rebuilds the forward limit with an exact Pareto(2 alpha2) factor;
     alpha1 < alpha2 compares per-component window angles against the
     sign-symmetrized weighted product law.  Sign-symmetry statistics of the
-    conditioned windows are reported in both branches.
+    conditioned windows are reported in both branches.  ``path`` is a
+    :class:`GarchPath` or its summary planned with :func:`spectral_plan`.
     """
     if h < 1:
         raise ValueError("h must be >= 1")
@@ -738,14 +748,17 @@ def return_spectral_check(
     if a1 == a2:
         raise RegimeMismatch("tail indices coincide; no regime branch applies")
 
+    specs = _spectral_specs(a1, a2, h, u_quantile)
+    reduced = summarize(path, Plan(exceedances=frozenset(specs)))
+    sets = [reduced.exceedance_set(spec) for spec in specs]
     if a1 > a2:
         records, x, m = _prop_heavier_cross(
-            params, path, h, u_quantile, n_limit, ks_bound, a2, rng
+            params, sets[0], h, u_quantile, n_limit, ks_bound, a2, rng
         )
         branch = "heavier_cross_feed"
     else:
         records, x, m = _prop_heavier_own(
-            params, path, h, u_quantile, n_limit, ks_bound, (a1, a2), rng
+            params, sets, h, u_quantile, n_limit, ks_bound, (a1, a2), rng
         )
         branch = "heavier_own_tail"
     return GarchSpectralReport(

@@ -8,9 +8,12 @@ Every pipeline follows the same discipline:
 * bulk samples are assembled from fixed-size chunks whose content is a pure
   function of the chunk index; consecutive chunks run side by side as one
   group in a single wide sampler call, and the groups are fanned out over a
-  pool of at most one thread per group, each writing its own slice of the
-  preallocated merged arrays — so the merged sample, and therefore every
-  downstream record, is byte-identical for any worker count;
+  pool of at most one thread per group;
+* before sampling, a run plans every reduction its steps read (tails, sums,
+  first states and exceedance sets, :mod:`tritail.reduction`); each group
+  is reduced as soon as it is sampled, in a buffer its thread reuses, and
+  the group results are merged in group order — so no step holds an array
+  of n states, and every record is byte-identical for any worker count;
 * failures degrade to ``passed=False`` records instead of aborting sibling
   steps, so a full sweep always yields a complete scorecard.
 
@@ -20,6 +23,7 @@ and hashing) excludes the one volatile field, ``wall_time``.
 
 import json
 import math
+import queue
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -28,7 +32,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import engine, renewal, spectral, tailstats
+from . import engine, garch, reduction, renewal, spectral, tailstats
 from .config import ExperimentConfig, _check_object, canonical_json
 from .engine import PathSample, SimConfig
 from .errors import ConfigInvalid, PipelineMismatch, TritailError
@@ -47,6 +51,7 @@ from .laws import (
     classify_regime,
 )
 from .records import ResultRecord
+from .reduction import Plan, Summary
 from .streams import substream
 
 __all__ = [
@@ -57,7 +62,7 @@ __all__ = [
     "compare_reports",
 ]
 
-_CHUNK_DRAWS = 200_000
+_CHUNK_DRAWS = reduction.SUM_SPAN  # one partial sum per chunk
 _CHUNK_CHAIN_LEN = 1000
 _GROUP_ELEMENTS = 1 << 17  # per group slab buffer: 10 chunks of 200 chains x 64 rows, about 1 MB
 _CSV_BLOCK_ROWS = 65_536
@@ -140,90 +145,86 @@ class RunReport:
 # Deterministic chunked sampling
 # ============================================================================
 
-def _chunked(sample_span: Callable, n: int, n_arrays: int, workers: int,
-             span: int = _CHUNK_DRAWS) -> list:
-    """Fill ``n_arrays`` flat arrays of n states, ``span`` states at a time.
+def _chunked(sample_span: Callable, n: int, n_arrays: int, workers: int, plan: Plan,
+             span: int = _CHUNK_DRAWS) -> Summary:
+    """Reduce n states under ``plan``, sampled ``span`` states at a time.
 
-    ``sample_span(start, stop, out)`` writes states ``[start, stop)`` into
-    ``out``, views of the merged arrays; a span is a pure function of its
-    bounds, so the worker count never changes the result.  The spans run on
-    a pool of ``min(workers, spans)`` threads.
+    ``sample_span(start, stop, out)`` samples states ``[start, stop)`` into
+    ``out``, ``n_arrays`` flat arrays of ``stop - start`` states, and returns
+    them as an array-backed sample; a span is a pure function of its bounds.
+    Each span is reduced as soon as it is sampled and folded into the
+    running summary in span order, so the worker count never changes the
+    result.  The spans run on a pool of ``min(workers, spans)`` threads,
+    each reusing one buffer of ``n_arrays`` x ``span`` states.
     """
-    merged = [np.empty(n) for _ in range(n_arrays)]
-
-    def one(start: int) -> None:
-        stop = min(start + span, n)
-        sample_span(start, stop, tuple(a[start:stop] for a in merged))
-
     starts = range(0, n, span)
     threads = min(workers, len(starts))
+    buffers = queue.SimpleQueue()
+    for _ in range(max(1, threads)):
+        buffers.put(np.empty((n_arrays, min(span, n))))
+
+    def one(start: int) -> Summary:
+        buf = buffers.get()
+        try:
+            stop = min(start + span, n)
+            sample = sample_span(start, stop, tuple(buf[:, : stop - start]))
+            return reduction.reduce_group(plan, sample, start, n)
+        finally:
+            buffers.put(buf)
+
     if threads <= 1:
-        for start in starts:
-            one(start)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(one, starts))
-    return merged
+        return reduction.merge(plan, map(one, starts), n)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return reduction.merge(plan, pool.map(one, starts), n)
 
 
 def _chain_chunks(sampler: Callable, model, sim: SimConfig, workers: int,
-                  purpose: str, n_arrays: int) -> list:
-    """A forward sampler's merged arrays, each chunk whole chains of _CHUNK_CHAIN_LEN.
+                  purpose: str, n_arrays: int, plan: Plan) -> Summary:
+    """A forward sampler's states reduced under ``plan``, each chunk whole chains of _CHUNK_CHAIN_LEN.
 
     Chunk i covers states ``[i*_CHUNK_DRAWS, ...)`` and draws from substream i.
     Consecutive chunks run side by side as one group, a single sampler call
     whose generator blocks are the chunks, up to _GROUP_ELEMENTS per slab
     buffer; a chunk's states equal a solo run's, so neither the grouping nor
     the worker count changes the result.  Only the final chunk can be a
-    non-multiple; its last chain is trimmed, so the merged arrays keep the
+    non-multiple; its last chain is trimmed, so the sample keeps the
     chain-major invariant with that chain length.
     """
     chunk_chains = _CHUNK_DRAWS // _CHUNK_CHAIN_LEN
     per_group = max(1, _GROUP_ELEMENTS // (engine.slab_rows(chunk_chains) * chunk_chains))
 
-    def one(start: int, stop: int, out) -> None:
+    def one(start: int, stop: int, out):
         blocks = [(substream(sim.base_seed, purpose, c // _CHUNK_DRAWS),
                    -(-(min(c + _CHUNK_DRAWS, stop) - c) // _CHUNK_CHAIN_LEN))
                   for c in range(start, stop, _CHUNK_DRAWS)]
         n_chains = sum(chains for _, chains in blocks)
         cfg = replace(sim, n_draws=n_chains * _CHUNK_CHAIN_LEN)
-        sampler(model, cfg, blocks, n_chains=n_chains, out=out)
+        return sampler(model, cfg, blocks, n_chains=n_chains, out=out)
 
-    return _chunked(one, sim.n_draws, n_arrays, workers, per_group * _CHUNK_DRAWS)
-
-
-def _stationary_chunked(law, sim: SimConfig, workers: int, purpose: str = "stationary") -> PathSample:
-    w1, w2 = _chain_chunks(engine.stationary_sample, law, sim, workers, purpose, 2)
-    return PathSample(
-        w1=w1,
-        w2=w2,
-        mode="forward_burnin",
-        config=sim,
-        chain_len=min(_CHUNK_CHAIN_LEN, sim.n_draws),
-    )
+    return _chunked(one, sim.n_draws, n_arrays, workers, plan, per_group * _CHUNK_DRAWS)
 
 
-def _backward_chunked(law, sim: SimConfig, workers: int) -> PathSample:
-    def one(start: int, stop: int, out) -> None:
+def _stationary_chunked(law, sim: SimConfig, workers: int, plan: Plan,
+                        purpose: str = "stationary") -> Summary:
+    return _chain_chunks(engine.stationary_sample, law, sim, workers, purpose, 2, plan)
+
+
+def _backward_chunked(law, sim: SimConfig, workers: int, plan: Plan) -> Summary:
+    def one(start: int, stop: int, out) -> PathSample:
         cfg = replace(sim, n_draws=stop - start)
-        s = engine.backward_truncated(
+        return engine.backward_truncated(
             law, cfg, substream(sim.base_seed, "backward", start // _CHUNK_DRAWS))
-        out[0][:] = s.w1
-        out[1][:] = s.w2
 
-    w1, w2 = _chunked(one, sim.n_draws, 2, workers)
-    return PathSample(
-        w1=w1, w2=w2, mode="backward_truncated", config=sim, chain_len=1
-    )
+    return _chunked(one, sim.n_draws, 0, workers, plan)
 
 
-def _garch_chunked(params, sim: SimConfig, workers: int) -> GarchPath:
-    return GarchPath(
-        *_chain_chunks(stationary_garch_sample, params, sim, workers, "garch", 4),
-        params=params,
-        config=sim,
-        chain_len=min(_CHUNK_CHAIN_LEN, sim.n_draws),
-    )
+def _garch_chunked(params, sim: SimConfig, workers: int, plan: Plan) -> Summary:
+    return _chain_chunks(stationary_garch_sample, params, sim, workers, "garch", 4, plan)
+
+
+def _whole(names, n: int) -> Plan:
+    """A plan that keeps all n states of each series."""
+    return Plan(heads=dict.fromkeys(names, n))
 
 
 # ============================================================================
@@ -235,6 +236,7 @@ class _Ctx:
     cfg: ExperimentConfig
     workers: int
     outdir: Path
+    steps: tuple
     records: list
     artifacts: list
     cache: dict
@@ -252,40 +254,40 @@ class _Ctx:
     def is_garch(self) -> bool:
         return isinstance(self.cfg.law, GarchLaw)
 
-    def garch_path(self) -> GarchPath:
-        if "garch_path" not in self.cache:
-            self.cache["garch_path"] = _garch_chunked(
-                self.cfg.law.params, self.cfg.sim, self.workers
-            )
-        return self.cache["garch_path"]
+    def plan(self) -> Plan:
+        """Every reduction the run's steps read of the stationary sample.
 
-    def path_sample(self) -> PathSample:
-        """The stationary state sample (squared volatilities for GARCH laws)."""
-        if self.is_garch():
-            return self.garch_path().vol_sample()
-        if "path_sample" not in self.cache:
-            self.cache["path_sample"] = _stationary_chunked(
-                self.cfg.law, self.cfg.sim, self.workers
-            )
-        return self.cache["path_sample"]
+        A step whose plan needs a regime that does not resolve plans
+        nothing; the step itself then reports the failure.
+        """
+        plan = Plan()
+        for name in self.steps:
+            try:
+                plan |= _STEP_PLANS.get(name, lambda ctx: Plan())(self)
+            except TritailError:
+                pass
+        return plan
+
+    def sample(self) -> Summary:
+        """The stationary sample (the GARCH path), reduced to what the steps read."""
+        if "sample" not in self.cache:
+            chunked = _garch_chunked if self.is_garch() else _stationary_chunked
+            model = self.cfg.law.params if self.is_garch() else self.cfg.law
+            self.cache["sample"] = chunked(model, self.cfg.sim, self.workers, self.plan())
+        return self.cache["sample"]
+
+    def depth(self, name: str) -> int:
+        """Tail depth of a series: Hill at the run's k, the plateau and the 0.999 quantile."""
+        k = self.knob("hill_k_x" if name.startswith("abs_x") else "hill_k")
+        return garch.series_depth(name, self.cfg.sim.n_draws, k)
 
     def tail(self, name: str) -> tailstats.UpperTail:
         """The run's one upper tail of a sample series, deep enough for every reader.
 
         ``name`` is ``w1``/``w2`` for an independent law and ``sigma1_sq``,
-        ``sigma2_sq``, ``abs_x1`` or ``abs_x2`` for a GARCH path; the depth
-        covers Hill at the run's k, the plateau and the 0.999 quantile.
+        ``sigma2_sq``, ``abs_x1`` or ``abs_x2`` for a GARCH path.
         """
-        if self.is_garch():
-            k = self.knob("hill_k_x") if name.startswith("abs_x") else self.knob("hill_k")
-            return self.garch_path().tail(name, k)
-        key = ("tail", name)
-        if key not in self.cache:
-            series = getattr(self.path_sample(), name)
-            k = self.knob("hill_k") or tailstats.default_hill_k(series.size)
-            self.cache[key] = tailstats.upper_tail(
-                series, tailstats.estimator_depth(series.size, k))
-        return self.cache[key]
+        return self.sample().tail(name, self.depth(name))
 
     def plateau(self, name: str, alpha: float) -> tailstats.TailConstantEstimate:
         """The plateau estimate of ``name`` at ``alpha``, computed once per run."""
@@ -293,6 +295,16 @@ class _Ctx:
         if key not in self.cache:
             self.cache[key] = tailstats.tail_constant(self.tail(name), alpha)
         return self.cache[key]
+
+    def head(self, m: int):
+        """The first m states as an array-backed sample: a PathSample, or a GarchPath."""
+        s = self.sample()
+        if self.is_garch():
+            return GarchPath(*(s.head(name, m) for name in garch.STORED),
+                             params=self.cfg.law.params, config=self.cfg.sim,
+                             chain_len=s.chain_len)
+        return PathSample(w1=s.head("w1", m), w2=s.head("w2", m), mode="forward_burnin",
+                          config=self.cfg.sim, chain_len=s.chain_len)
 
     def regime(self):
         if "regime" not in self.cache:
@@ -405,35 +417,28 @@ def _step_stationarity(ctx: _Ctx) -> None:
                 note="no small-moment witness on the default grid")
 
 
-def _summary_stats(ctx: _Ctx, name: str, series: np.ndarray) -> None:
-    ctx.add(name=f"{name}_mean", value=float(series.mean()), passed=None)
+def _summary_stats(ctx: _Ctx, name: str) -> None:
+    ctx.add(name=f"{name}_mean", value=ctx.sample().mean(name), passed=None)
     ctx.add(name=f"{name}_q999", value=ctx.tail(name).quantile(0.999), passed=None)
 
 
 def _step_simulate(ctx: _Ctx) -> None:
-    rows = ctx.knob("csv_rows")
+    n = len(ctx.sample())
+    head = ctx.head(ctx.knob("csv_rows"))
+    m = len(head)
     if ctx.is_garch():
-        path = ctx.garch_path()
-        head = path.head(min(rows, len(path)))
         ctx.write_csv(
             "garch_path.csv",
             ("t", "x1", "x2", "sigma1_sq", "sigma2_sq"),
-            (np.arange(len(head)), head.x1, head.x2, head.sigma1_sq, head.sigma2_sq),
+            (np.arange(m), head.x1, head.x2, head.sigma1_sq, head.sigma2_sq),
         )
-        ctx.add(name="n_draws", value=float(len(path)), passed=None)
-        _summary_stats(ctx, "sigma1_sq", path.sigma1_sq)
-        _summary_stats(ctx, "sigma2_sq", path.sigma2_sq)
+        names = ("sigma1_sq", "sigma2_sq")
     else:
-        sample = ctx.path_sample()
-        m = min(rows, len(sample))
-        ctx.write_csv(
-            "path.csv",
-            ("t", "w1", "w2"),
-            (np.arange(m), sample.w1[:m], sample.w2[:m]),
-        )
-        ctx.add(name="n_draws", value=float(len(sample)), passed=None)
-        _summary_stats(ctx, "w1", sample.w1)
-        _summary_stats(ctx, "w2", sample.w2)
+        ctx.write_csv("path.csv", ("t", "w1", "w2"), (np.arange(m), head.w1, head.w2))
+        names = ("w1", "w2")
+    ctx.add(name="n_draws", value=float(n), passed=None)
+    for name in names:
+        _summary_stats(ctx, name)
 
 
 def _hill_record(ctx: _Ctx, name: str, est, target: float) -> None:
@@ -487,7 +492,7 @@ def _step_tails(ctx: _Ctx) -> None:
     for name, target in zip(names, (a_min, a2)):
         _hill_record(ctx, f"hill_{name}", tailstats.hill(ctx.tail(name), k=k), target)
     if garch:
-        k_x = ctx.knob("hill_k_x") or return_hill_k(len(ctx.garch_path()))
+        k_x = ctx.knob("hill_k_x") or return_hill_k(len(ctx.sample()))
         for name, target in (("abs_x1", a_min), ("abs_x2", a2)):
             _hill_record(ctx, f"hill_{name}", tailstats.hill(ctx.tail(name), k=k_x),
                          2.0 * target)
@@ -500,12 +505,12 @@ def _step_constants(ctx: _Ctx) -> None:
     rep = ctx.regime()
     a1, a2 = rep.alpha1.alpha, rep.alpha2.alpha
     law = ctx.cfg.law
-    sample = ctx.path_sample()
+    draws = ctx.knob("constant_draws")
     rel_tol = _by_step(ctx.knob("c2_rel_tol"), "constants")
 
     c2 = renewal.univariate_constant(
         law.marginal("a4"), law.marginal("b2"), a2,
-        sample.w2[:ctx.knob("constant_draws")], substream(ctx.seed, "c2"),
+        ctx.sample().head("w2", draws), substream(ctx.seed, "c2"),
     )
     ctx.add(
         name="c2_renewal",
@@ -558,7 +563,7 @@ def _step_constants(ctx: _Ctx) -> None:
                         reference=coupled.constant.c_hat, rel_tol=rel_tol1)
     elif rep.regime == REGIME_A1_DOMINANT:
         goldie = renewal.first_component_constant(
-            law, a1, a2, sample, substream(ctx.seed, "c1")
+            law, a1, a2, ctx.head(draws), substream(ctx.seed, "c1")
         )
         ctx.add(
             name="c1_renewal",
@@ -589,7 +594,7 @@ def _step_spectral(ctx: _Ctx) -> None:
     rep = ctx.regime()
     a1, a2 = rep.alpha1.alpha, rep.alpha2.alpha
     law = ctx.cfg.law
-    sample = ctx.path_sample()
+    sample = ctx.sample()
     u_quantile = ctx.knob("u_quantile")
     ks_bound = ctx.knob("ks_bound")
     n_limit = ctx.knob("limit_draws")
@@ -654,7 +659,7 @@ def _step_spectral(ctx: _Ctx) -> None:
 
 
 def _step_garch_verify(ctx: _Ctx) -> None:
-    path = ctx.garch_path()
+    path = ctx.sample()
     params = ctx.cfg.law.params
     verify = verify_tail_relations(
         params,
@@ -700,16 +705,18 @@ def _step_cross_validate(ctx: _Ctx) -> None:
         return
     n = ctx.knob("crossval_draws")
     thinning = max(ctx.cfg.sim.thinning, ctx.knob("crossval_thinning"))
+    plan = _whole(("w1", "w2"), n)
     fwd = _stationary_chunked(
         ctx.cfg.law,
         replace(ctx.cfg.sim, n_draws=n, thinning=thinning),
         ctx.workers,
+        plan,
         purpose="crossval",
     )
-    back = _backward_chunked(ctx.cfg.law, replace(ctx.cfg.sim, n_draws=n), ctx.workers)
+    back = _backward_chunked(ctx.cfg.law, replace(ctx.cfg.sim, n_draws=n), ctx.workers, plan)
     level = ctx.knob("ks_level")
-    for name, f, b in (("w1", fwd.w1, back.w1), ("w2", fwd.w2, back.w2)):
-        stat, pvalue = tailstats.ks_2sample(f, b)
+    for name in ("w1", "w2"):
+        stat, pvalue = tailstats.ks_2sample(fwd.head(name, n), back.head(name, n))
         ctx.add(
             name=f"crossval_{name}_pvalue",
             value=pvalue,
@@ -728,6 +735,54 @@ _PIPELINE_STEPS = {
     "constants": (("constants", _step_constants),),
     "spectral": (("spectral", _step_spectral),),
     "garch_verify": (("garch_verify", _step_garch_verify),),
+}
+
+
+def _plan_simulate(ctx: _Ctx) -> Plan:
+    series = ("sigma1_sq", "sigma2_sq") if ctx.is_garch() else ("w1", "w2")
+    stored = garch.STORED if ctx.is_garch() else series
+    return Plan(tails={s: ctx.depth(s) for s in series}, sums=frozenset(series),
+                heads=dict.fromkeys(stored, ctx.knob("csv_rows")))
+
+
+def _plan_tails(ctx: _Ctx) -> Plan:
+    series = ("sigma1_sq", "sigma2_sq", "abs_x1", "abs_x2") if ctx.is_garch() else ("w1", "w2")
+    return Plan(tails={s: ctx.depth(s) for s in series})
+
+
+def _plan_constants(ctx: _Ctx) -> Plan:
+    # c1 reads the first states of both coordinates only in the A1 regime.
+    first = ("w1", "w2") if ctx.regime().regime == REGIME_A1_DOMINANT else ("w2",)
+    return Plan(tails={s: ctx.depth(s) for s in ("w1", "w2")},
+                heads=dict.fromkeys(first, ctx.knob("constant_draws")))
+
+
+def _plan_spectral(ctx: _Ctx) -> Plan:
+    regime, u = ctx.regime().regime, ctx.knob("u_quantile")
+    if regime == REGIME_A2_DOMINANT:
+        specs = [spectral.norm_spec(u, _by_step(ctx.knob("h"), "spectral_cross_feed"))]
+    elif regime == REGIME_A1_DOMINANT:
+        h = _by_step(ctx.knob("h"), "spectral_own_tail")
+        specs = [spectral.window_spec(component, h, u) for component in (1, 2)]
+    else:
+        specs = []
+    return Plan(exceedances=frozenset(specs))
+
+
+def _plan_garch_verify(ctx: _Ctx) -> Plan:
+    verify = garch.verify_plan(ctx.cfg.sim.n_draws, ctx.knob("hill_k"), ctx.knob("hill_k_x"),
+                               ctx.knob("constant_draws"))
+    h = _by_step(ctx.knob("h"), "garch_verify")
+    return verify | garch.spectral_plan(ctx.regime(), h, ctx.knob("u_quantile"))
+
+
+# What each step reads of the stationary sample; the run plans their union.
+_STEP_PLANS = {
+    "simulate": _plan_simulate,
+    "tails": _plan_tails,
+    "constants": _plan_constants,
+    "spectral": _plan_spectral,
+    "garch_verify": _plan_garch_verify,
 }
 
 
@@ -767,14 +822,14 @@ def run(config: ExperimentConfig, workers: Optional[int] = None) -> RunReport:
         outdir.mkdir(parents=True, exist_ok=True)
     except OSError as e:
         raise ConfigInvalid("/output_dir", f"cannot create {outdir}: {e.strerror}") from None
-    ctx = _Ctx(
-        cfg=config, workers=workers, outdir=outdir,
-        records=[], artifacts=[], cache={},
-    )
     steps = (
         _full_report_steps(config)
         if config.pipeline == "full_report"
         else _PIPELINE_STEPS[config.pipeline]
+    )
+    ctx = _Ctx(
+        cfg=config, workers=workers, outdir=outdir, steps=tuple(name for name, _ in steps),
+        records=[], artifacts=[], cache={},
     )
     for step_name, step_fn in steps:
         try:

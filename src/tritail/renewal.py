@@ -54,9 +54,7 @@ class RenewalConstant:
     under the fed draws (should be ~0 when alpha is right); ``naive_value``,
     when set, is the alternative constant that replaces 1/m_alpha with the flat
     prefactor 2/alpha (kept for side-by-side comparison against the simulated
-    plateau — the two differ unless 2/alpha happens to equal 1/(alpha*m_alpha));
-    ``tail_moment_ok`` is a finiteness heuristic for E A^alpha log+ A (running
-    means across doubling subsamples stay Cauchy), not a proof.
+    plateau — the two differ unless 2/alpha happens to equal 1/(alpha*m_alpha)).
     """
 
     c_hat: float
@@ -66,7 +64,6 @@ class RenewalConstant:
     n_samples: int
     cramer_residual: float = 0.0
     naive_value: Optional[float] = None
-    tail_moment_ok: bool = True
 
 
 @dataclass(frozen=True)
@@ -97,41 +94,27 @@ class SeriesWeightBounds:
     ea2: float
 
 
-def _tail_moment_heuristic(values: np.ndarray) -> bool:
-    """Cauchy check of running means across doubling prefixes (finiteness flag)."""
-    n = values.size
-    if n < 64:
-        return True
-    half = values[: n // 2]
-    m_half, m_full = float(half.mean()), float(values.mean())
-    spread = float(values.std(ddof=1)) / math.sqrt(n // 2)
-    return abs(m_full - m_half) <= 6.0 * spread + 1e-12
-
-
 def _ratio_constant(
     numerator: np.ndarray,
     alpha: float,
-    a_draws: np.ndarray,
     a_dist: PositiveDistribution,
-) -> tuple[float, float, float, bool]:
+) -> tuple[float, float, float]:
     """Shared core: c = mean(numerator) / (alpha * m_alpha) with its SE.
 
-    Returns (c_hat, std_error, m_alpha, tail_moment_ok).  The normalizer
+    Returns (c_hat, std_error, m_alpha).  The normalizer
     m_alpha = E A^alpha log A is exact (:func:`~tritail.laws.log_weighted_moment`
-    of ``a_dist``), so the SE comes from the numerator alone; ``a_draws`` only
-    feed the tail-moment heuristic.
+    of ``a_dist``), so the SE comes from the numerator alone.
     """
     n = numerator.size
     num_mean = float(numerator.mean())
     num_var = float(numerator.var(ddof=1))
-    tail_ok = _tail_moment_heuristic(a_draws**alpha * np.maximum(np.log(a_draws), 0.0))
 
     m_alpha = log_weighted_moment(a_dist, alpha)
     if m_alpha <= 0.0:
         raise NonPositiveM(f"E A^alpha log A = {m_alpha:.6g} <= 0: alpha is wrong")
     c_hat = num_mean / (alpha * m_alpha)
     se = math.sqrt(num_var / n) / (alpha * m_alpha)
-    return c_hat, se, m_alpha, tail_ok
+    return c_hat, se, m_alpha
 
 
 def univariate_constant(
@@ -160,7 +143,7 @@ def univariate_constant(
     b = np.asarray(b_dist.sample(rng, w.size), dtype=float)
     aw = a * w
     numerator = (aw + b) ** alpha - aw**alpha
-    c_hat, se, m_alpha, tail_ok = _ratio_constant(numerator, alpha, a, a_dist)
+    c_hat, se, m_alpha = _ratio_constant(numerator, alpha, a_dist)
     return RenewalConstant(
         c_hat=c_hat,
         std_error=se,
@@ -168,7 +151,6 @@ def univariate_constant(
         alpha=alpha,
         n_samples=w.size,
         cramer_residual=float((a**alpha).mean() - 1.0),
-        tail_moment_ok=tail_ok,
     )
 
 
@@ -200,9 +182,7 @@ def first_component_constant(
     dd = d.b1 + d.a2 * w2
     aw = d.a1 * w1
     numerator = (aw + dd) ** alpha1 - aw**alpha1
-    c_hat, se, m_alpha, tail_ok = _ratio_constant(
-        numerator, alpha1, d.a1, law.marginal("a1")
-    )
+    c_hat, se, m_alpha = _ratio_constant(numerator, alpha1, law.marginal("a1"))
     num_mean = float(numerator.mean())
     return RenewalConstant(
         c_hat=c_hat,
@@ -212,11 +192,32 @@ def first_component_constant(
         n_samples=w1.size,
         cramer_residual=float((d.a1**alpha1).mean() - 1.0),
         naive_value=(2.0 / alpha1) * num_mean,
-        tail_moment_ok=tail_ok,
     )
 
 
 _STRIP_CHUNK = 50_000
+_STRIP_ELEMENTS = 1 << 16  # strip slots per block of per-strip values, 512 KiB of float64
+
+
+def _strip_values(d, alpha2: float) -> np.ndarray:
+    """The value (sum_i prefix1_i * A2_i * suffix4_i)^alpha2 of each strip of a drawn slab.
+
+    ``d`` holds (m, s) coefficient arrays, one strip per row.  The rows are
+    computed a few at a time, each by itself, so the temporaries stay small;
+    the caller drops the slab once this returns.
+    """
+    m, s = d.a2.shape
+    rows = max(1, _STRIP_ELEMENTS // s)
+    vals = np.empty(m)
+    for lo in range(0, m, rows):
+        a1, a2, a4 = (x[lo:lo + rows] for x in (d.a1, d.a2, d.a4))
+        prefix1 = np.ones(a2.shape)
+        suffix4 = np.ones(a2.shape)
+        if s > 1:
+            np.cumprod(a1[:, :-1], axis=1, out=prefix1[:, 1:])
+            suffix4[:, :-1] = np.cumprod(a4[:, :0:-1], axis=1)[:, ::-1]
+        vals[lo:lo + rows] = (prefix1 * a2 * suffix4).sum(axis=1) ** alpha2
+    return vals
 
 
 def series_weight(
@@ -232,7 +233,8 @@ def series_weight(
     inner sum multiplies the A1 draws at strip slots 1..i-1, the A2 draw at
     slot i, and the A4 draws at slots i+1..s, exactly the layout of the
     truncated transfer series.  Fresh strips per call keep the estimates
-    unbiased and their variances independent across s.
+    unbiased and their variances independent across s.  The strips are
+    drawn ``_STRIP_CHUNK`` at a time, and one slab is held at a time.
     """
     if s < 1:
         raise ValueError("s must be >= 1")
@@ -245,14 +247,7 @@ def series_weight(
     done = 0
     while done < n:
         m = min(_STRIP_CHUNK, n - done)
-        d = law.sample(rng, (m, s))
-        prefix1 = np.ones((m, s))
-        if s > 1:
-            np.cumprod(d.a1[:, :-1], axis=1, out=prefix1[:, 1:])
-        suffix4 = np.ones((m, s))
-        if s > 1:
-            suffix4[:, :-1] = np.cumprod(d.a4[:, :0:-1], axis=1)[:, ::-1]
-        vals = (prefix1 * d.a2 * suffix4).sum(axis=1) ** alpha2
+        vals = _strip_values(law.sample(rng, (m, s)), alpha2)
         total += float(vals.sum())
         total_sq += float((vals * vals).sum())
         done += m
@@ -336,7 +331,6 @@ def coupled_component_constant(
         alpha=alpha2,
         n_samples=n,
         cramer_residual=c2.cramer_residual,
-        tail_moment_ok=c2.tail_moment_ok,
     )
     return CoupledConstantResult(
         constant=constant,

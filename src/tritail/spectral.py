@@ -26,7 +26,8 @@ from scipy import stats
 from .engine import PathSample, product_path
 from .errors import RegimeMismatch, TooFewExceedances
 from .laws import CoefficientLaw
-from .tailstats import ks_2sample, ks_distance, upper_quantile
+from .reduction import PointSpec, WindowSpec, exceedances, valid_window_starts
+from .tailstats import ks_2sample, ks_distance
 
 __all__ = [
     "AngularSample",
@@ -35,6 +36,8 @@ __all__ = [
     "MIN_EXCEEDANCES",
     "angular_measure_threshold",
     "valid_window_starts",
+    "norm_spec",
+    "window_spec",
     "sliding_windows",
     "window_angles",
     "conditional_exceedance_windows",
@@ -48,6 +51,7 @@ __all__ = [
 
 MIN_EXCEEDANCES = 200
 _UNIT_NORM_TOL = 1e-12
+_PAIR = ("w1", "w2")
 
 
 @dataclass(eq=False)
@@ -92,6 +96,16 @@ class AngularSample:
         return self.points.shape[1]
 
 
+def norm_spec(u_quantile: float, h: int = 0) -> PointSpec:
+    """The exceedances of |W| read by the threshold estimators, with h-step windows."""
+    return PointSpec(anchors=_PAIR, after=_PAIR, h=h, u=u_quantile)
+
+
+def window_spec(component: int, h: int, u_quantile: float) -> WindowSpec:
+    """The window-norm exceedances read by :func:`window_angles`."""
+    return WindowSpec(series=_PAIR[component - 1], h=h, u=u_quantile)
+
+
 def angular_measure_threshold(
     draws: PathSample, u_quantile: float = 0.999
 ) -> AngularSample:
@@ -100,41 +114,29 @@ def angular_measure_threshold(
     Keeps every draw whose Euclidean norm exceeds the empirical ``u_quantile``
     norm quantile and returns the normalized exceedances with uniform weights.
     Raises :class:`TooFewExceedances` below 200 exceedances — angular CDFs
-    from fewer points are too noisy to compare against anything.
+    from fewer points are too noisy to compare against anything.  ``draws``
+    is a sample or its :class:`~tritail.reduction.Summary` planned with
+    :func:`norm_spec`.
     """
     if not 0.0 < u_quantile < 1.0:
         raise ValueError("u_quantile must lie in (0, 1)")
-    r = np.hypot(draws.w1, draws.w2)
-    x = upper_quantile(r, u_quantile)
-    idx = np.nonzero(r > x)[0]
-    if idx.size < MIN_EXCEEDANCES:
+    ex = exceedances(draws, norm_spec(u_quantile))
+    x, sel = ex.above(u_quantile)
+    if sel.size < MIN_EXCEEDANCES:
         raise TooFewExceedances(
-            f"{idx.size} norm exceedances above the {u_quantile:.4%} quantile; "
+            f"{sel.size} norm exceedances above the {u_quantile:.4%} quantile; "
             f"need at least {MIN_EXCEEDANCES}"
         )
-    points = np.column_stack((draws.w1[idx], draws.w2[idx])) / r[idx][:, None]
-    weights = np.full(idx.size, 1.0 / idx.size)
+    points = ex.rows[sel] / ex.key[sel][:, None]
+    weights = np.full(sel.size, 1.0 / sel.size)
     return AngularSample(
-        points=points, weights=weights, threshold_u=x, n_exceedances=idx.size
+        points=points, weights=weights, threshold_u=x, n_exceedances=sel.size
     )
 
 
 # ============================================================================
 # Window extraction (chain-boundary aware)
 # ============================================================================
-
-def valid_window_starts(n: int, chain_len: int, h: int, offset: int = 0) -> np.ndarray:
-    """Mask of starts g whose positions g+offset .. g+offset+h-1 stay in g's chain.
-
-    Chain-major layout: position p belongs to chain p // chain_len.  The mask
-    also cuts windows that would run past the end of the (possibly short) last
-    chain.  It is one chain's pattern tiled to length n, so it allocates no
-    n-sized integer temporaries.
-    """
-    mask = np.resize(np.arange(chain_len) + offset + h <= chain_len, n)
-    mask[max(0, n - offset - h + 1):] = False
-    return mask
-
 
 def sliding_windows(series: np.ndarray, chain_len: int, h: int) -> np.ndarray:
     """All length-h windows of a chain-major series that stay inside one chain.
@@ -160,27 +162,25 @@ def window_angles(
     Slides windows ``(W_{i,t}, ..., W_{i,t+h-1})`` within chains, keeps those
     whose norm exceeds the empirical ``u_quantile`` window-norm quantile, and
     returns them normalized with uniform weights.  This is the brute-force
-    counterpart of :func:`componentwise_spectral`.
+    counterpart of :func:`componentwise_spectral`.  ``draws`` is a sample or
+    its summary planned with :func:`window_spec`.
     """
     if component not in (1, 2):
         raise ValueError("component must be 1 or 2")
     if not 0.0 < u_quantile < 1.0:
         raise ValueError("u_quantile must lie in (0, 1)")
-    series = draws.w1 if component == 1 else draws.w2
-    wins = sliding_windows(series, draws.chain_len, h)
-    if wins.shape[0] < MIN_EXCEEDANCES:
-        raise TooFewExceedances(
-            f"only {wins.shape[0]} windows of length {h} fit within chains"
-        )
-    r = np.linalg.norm(wins, axis=1)
-    x = upper_quantile(r, u_quantile)
-    keep = r > x
-    m = int(keep.sum())
+    if h < 1:
+        raise ValueError("h must be >= 1")
+    ex = exceedances(draws, window_spec(component, h, u_quantile))
+    if ex.n < MIN_EXCEEDANCES:
+        raise TooFewExceedances(f"only {ex.n} windows of length {h} fit within chains")
+    x, sel = ex.above(u_quantile)
+    m = sel.size
     if m < MIN_EXCEEDANCES:
         raise TooFewExceedances(
             f"{m} window-norm exceedances; need at least {MIN_EXCEEDANCES}"
         )
-    points = wins[keep] / r[keep][:, None]
+    points = ex.rows[sel] / ex.key[sel][:, None]
     return AngularSample(
         points=points,
         weights=np.full(m, 1.0 / m),
@@ -216,25 +216,22 @@ def conditional_exceedance_windows(
 
     The conditioning event is |W_t| > x with x the empirical ``u_quantile``
     quantile of |W| over the whole sample; the window is the next h states of
-    the same chain, scaled by 1/x.
+    the same chain, scaled by 1/x.  ``draws`` is a sample or its summary
+    planned with :func:`norm_spec` at this h.
     """
     if h < 1:
         raise ValueError("h must be >= 1")
     if not 0.0 < u_quantile < 1.0:
         raise ValueError("u_quantile must lie in (0, 1)")
-    n = len(draws)
-    r = np.hypot(draws.w1, draws.w2)
-    x = upper_quantile(r, u_quantile)
-    valid = valid_window_starts(n, draws.chain_len, h, offset=1)
-    idx = np.nonzero(valid & (r > x))[0]
-    if idx.size < MIN_EXCEEDANCES:
+    ex = exceedances(draws, norm_spec(u_quantile, h))
+    x, sel = ex.above(u_quantile)
+    sel = sel[ex.valid[sel]]
+    if sel.size < MIN_EXCEEDANCES:
         raise TooFewExceedances(
-            f"{idx.size} in-chain exceedances above the {u_quantile:.4%} "
+            f"{sel.size} in-chain exceedances above the {u_quantile:.4%} "
             f"quantile; need at least {MIN_EXCEEDANCES}"
         )
-    steps = idx[:, None] + np.arange(1, h + 1)[None, :]
-    windows = np.stack((draws.w1[steps], draws.w2[steps]), axis=2) / x
-    return ConditionalWindows(windows=windows, threshold=x, n_exceedances=idx.size)
+    return ConditionalWindows(windows=ex.after[sel] / x, threshold=x, n_exceedances=sel.size)
 
 
 # ============================================================================

@@ -28,9 +28,9 @@ __all__ = [
     "TailConstantEstimate",
     "block_bounds",
     "upper_tail",
+    "merge_tails",
     "tail_depth",
     "estimator_depth",
-    "upper_quantile",
     "hill",
     "default_hill_k",
     "tail_constant",
@@ -153,6 +153,15 @@ def upper_tail(series, m: int) -> UpperTail:
                      minimum=float(np.min(minima)) if minima else math.nan)
 
 
+def merge_tails(tails, m: int) -> UpperTail:
+    """The top m of a series from the upper tails of its consecutive parts."""
+    top = np.concatenate([t.top for t in tails])
+    if top.size > m:
+        top = np.partition(top, top.size - m)[top.size - m:]
+    return UpperTail(top=np.sort(top), n=sum(t.n for t in tails),
+                     minimum=float(np.min([t.minimum for t in tails])))
+
+
 def tail_depth(n: int, q: float) -> int:
     """How many top order statistics the q-quantile of an n-point series reads."""
     return n - min(math.floor((n - 1) * q), n - 1)
@@ -161,12 +170,6 @@ def tail_depth(n: int, q: float) -> int:
 def estimator_depth(n: int, k: int) -> int:
     """Tail depth for Hill at k, the default plateau and the 0.999 quantile."""
     return max(k + 1, tail_depth(n, _PLATEAU_RANGE[0]))
-
-
-def upper_quantile(series, q: float) -> float:
-    """``np.quantile(series, q)`` of a 1-d array from one streaming pass."""
-    x = np.asarray(series, dtype=float).reshape(-1)
-    return upper_tail(x, tail_depth(x.size, q)).quantile(q)
 
 
 def _positive_tail(sample, depth) -> UpperTail:

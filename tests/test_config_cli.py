@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tritail import garch, pipelines, tailstats
+from tritail import garch, pipelines, reduction, tailstats
 from tritail.cli import main
 from tritail.config import (
     KNOBS,
@@ -21,7 +22,7 @@ from tritail.config import (
     parse_config,
 )
 from tritail.errors import ConfigInvalid, PipelineMismatch
-from tritail.garch import GarchLaw
+from tritail.garch import GarchLaw, GarchPath
 from tritail.laws import IndependentLaw
 from tritail.pipelines import ResultRecord, RunReport, compare_reports, run
 
@@ -559,19 +560,26 @@ def test_write_csv_blocks_and_edge_shapes(tmp_path):
 
 
 def test_garch_verify_reads_constant_draws(tmp_path):
-    def constant_record(params):
-        cfg = garch_config(params={"limit_draws": 200, **params},
-                           output_dir=str(tmp_path / f"p{len(params)}"))
-        cfg["sim"].update(n_draws=50_000, burn_in=200)
-        report = run(parse_config(cfg))
-        return next(r for r in report.results
-                    if r.name == "verify_sigma2_sq_constant_vs_plateau")
+    # The plateaus use the whole sample; the renewal constants only its first
+    # constant_draws states: c2 of a GARCH path in garch_verify, and c1 of an
+    # A1 law in the constants step.
+    a1_law = base_config()["law"]
+    a1_law.update(a1=lognormal(-0.375, 0.5**0.5), a4=lognormal(-0.75, 0.5**0.5))
+    cases = (
+        (garch_config(), 50_000, "verify_sigma2_sq_constant_vs_plateau",
+         "verify_sigma2_sq_constant_vs_plateau"),
+        (base_config(pipeline="constants", law=a1_law), 100_000, "c1_renewal", "c1_plateau"),
+    )
+    for i, (cfg, n, renewal, plateau) in enumerate(cases):
+        def records(params):
+            cfg["params"] = {"limit_draws": 200, **params}
+            cfg["output_dir"] = str(tmp_path / f"c{i}p{len(params)}")
+            cfg["sim"].update(n_draws=n, burn_in=200)
+            return {r.name: r for r in run(parse_config(cfg)).results}
 
-    full, capped = constant_record({}), constant_record({"constant_draws": 1000})
-    # The plateau uses the whole path; the renewal constant only its first
-    # constant_draws states.
-    assert capped.value == full.value
-    assert capped.std_error != full.std_error
+        full, capped = records({}), records({"constant_draws": 1000})
+        assert capped[plateau].value == full[plateau].value
+        assert capped[renewal].std_error != full[renewal].std_error
 
 
 def small_garch_report(tmp_path, **overrides):
@@ -592,26 +600,28 @@ def test_garch_verify_reads_dispersion_max(tmp_path):
         assert r.passed == (r.value < 0.01)
 
 
-def _record_tail_passes(monkeypatch) -> list:
-    """Patch the streaming tail pass to record the series of every call.
+def _record_passes(monkeypatch) -> list:
+    """Patch the streaming passes to record the series each one reads.
 
-    An array series is recorded as is; a series given as blocks is
-    recorded as their concatenation and handed on as the same blocks.
+    A tail pass (``upper_tail``) and an exceedance pass (the top points of
+    a threshold series) both read blocks; each pass is recorded as the
+    concatenation of its blocks and handed on as the same blocks.
     """
     passes = []
-    real = tailstats.upper_tail
+    real_tail, real_top = reduction.upper_tail, reduction._top_points
 
-    def counted(series, m):
-        if isinstance(series, np.ndarray):
-            passes.append(series)
-        else:
-            blocks = list(series)
-            passes.append(np.concatenate(blocks))
-            series = iter(blocks)
-        return real(series, m)
+    def tail(series, m):
+        blocks = list(series)
+        passes.append(np.concatenate(blocks))
+        return real_tail(iter(blocks), m)
 
-    for module in (tailstats, garch):
-        monkeypatch.setattr(module, "upper_tail", counted)
+    def top(blocks, m):
+        blocks = list(blocks)
+        passes.append(np.concatenate([keys for _, keys, _ in blocks]))
+        return real_top(iter(blocks), m)
+
+    monkeypatch.setattr(reduction, "upper_tail", tail)
+    monkeypatch.setattr(reduction, "_top_points", top)
     return passes
 
 
@@ -627,14 +637,30 @@ def _capture_returns(monkeypatch, module, name) -> list:
     return results
 
 
+def _capture_args(monkeypatch, module, name) -> list:
+    calls = []
+    real = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
 def test_garch_full_report_computes_each_estimate_once(tmp_path, monkeypatch):
     # One streaming selection pass per series: sigma1^2 and sigma2^2 (summary
     # quantile, Hill and plateau), |x1| and |x2| (Hill of |X| and of X^2),
     # and the volatility norm of the cross-feed spectral check.
-    passes = _record_tail_passes(monkeypatch)
-    paths = _capture_returns(monkeypatch, pipelines, "_garch_chunked")
+    real = pipelines._garch_chunked
+    passes = _record_passes(monkeypatch)
+    calls = _capture_args(monkeypatch, pipelines, "_garch_chunked")
     small_garch_report(tmp_path)
-    (path,) = paths
+    ((params, sim, _, _),) = calls
+    s = real(params, sim, 1, pipelines._whole(garch.STORED, sim.n_draws))
+    path = GarchPath(*(s.head(name, len(s)) for name in garch.STORED), params=params,
+                     config=sim, chain_len=s.chain_len)
     series = {
         "sigma1_sq": path.sigma1_sq,
         "sigma2_sq": path.sigma2_sq,
@@ -652,10 +678,12 @@ def test_independent_full_report_streams_each_series_once(tmp_path, monkeypatch,
                                                           a1_mu, a4_mu):
     # The summary quantile, Hill and every plateau of w1 and w2 read one pass
     # per series, and each plateau is computed once although both the tails
-    # and the constants step report it.
-    passes = _record_tail_passes(monkeypatch)
+    # and the constants step report it.  In the A2 regime the angular and the
+    # conditional-window estimates read one pass over the norm |W|.
+    real = pipelines._stationary_chunked
+    passes = _record_passes(monkeypatch)
     plateaus = _capture_returns(monkeypatch, tailstats, "tail_constant")
-    samples = _capture_returns(monkeypatch, pipelines, "_stationary_chunked")
+    calls = _capture_args(monkeypatch, pipelines, "_stationary_chunked")
     law = base_config()["law"]
     law.update(a1=lognormal(a1_mu, 0.5**0.5), a4=lognormal(a4_mu, 0.5**0.5))
     cfg = base_config(pipeline="full_report", law=law, output_dir=str(tmp_path),
@@ -665,10 +693,82 @@ def test_independent_full_report_streams_each_series_once(tmp_path, monkeypatch,
     cfg["sim"].update(n_draws=100_000, burn_in=200)
     report = run(parse_config(cfg))
     assert not [r.name for r in report.results if r.name.endswith("_error")]
-    sample = samples[0]
-    for w in (sample.w1, sample.w2):
+    law, sim = calls[0][:2]
+    s = real(law, sim, 1, pipelines._whole(("w1", "w2"), sim.n_draws))
+    w1, w2 = s.head("w1", len(s)), s.head("w2", len(s))
+    for w in (w1, w2):
         assert sum(np.array_equal(p, w) for p in passes) == 1
+    assert sum(np.array_equal(p, np.hypot(w1, w2)) for p in passes) == (a1_mu == -0.75)
     assert len(plateaus) == 2
+
+
+SMALL_REPORT_PARAMS = {"limit_draws": 200, "u_quantile": 0.99, "weight_draws": 500,
+                       "s_schedule": [1, 2, 4], "crossval_draws": 2000, "lyapunov_steps": 100,
+                       "csv_rows": 10}
+
+
+def _small_full_report(law, outdir, n, workers, **params):
+    cfg = base_config(pipeline="full_report", law=law, output_dir=str(outdir), workers=workers,
+                      params={**SMALL_REPORT_PARAMS, **params})
+    cfg["sim"].update(n_draws=n, burn_in=200)
+    report = run(parse_config(cfg))
+    return report, {a: (outdir / a).read_bytes() for a in report.artifacts}
+
+
+def test_reports_do_not_depend_on_the_grouping(tmp_path, monkeypatch):
+    # Three full chunks and a trimmed one; the first states the constants
+    # read span two chunks.  One chunk per group splits the sample into four
+    # groups, which must reduce to the bytes of the default single group.
+    n = 3 * pipelines._CHUNK_DRAWS + 1017
+    a1 = base_config()["law"]
+    a1.update(a1=lognormal(-0.375, 0.5**0.5), a4=lognormal(-0.75, 0.5**0.5))
+    laws = {"A1": a1, "A2": base_config()["law"], "garch": garch_config()["law"]}
+    for name, law in laws.items():
+        base, base_artifacts = _small_full_report(law, tmp_path / f"{name}-default", n, 1,
+                                                  constant_draws=250_000)
+        assert not [r.name for r in base.results if r.name.endswith("_error")]
+        with monkeypatch.context() as mp:
+            mp.setattr(pipelines, "_GROUP_ELEMENTS", 1)
+            # Three threads share the group buffers; frequent switches would
+            # expose a buffer handed to two groups at once.
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                for workers in (1, 3):
+                    report, artifacts = _small_full_report(
+                        law, tmp_path / f"{name}-w{workers}", n, workers, constant_draws=250_000)
+                    assert report.canonical_bytes() == base.canonical_bytes(), name
+                    assert artifacts == base_artifacts, name
+            finally:
+                sys.setswitchinterval(interval)
+
+
+def test_garch_peak_memory_does_not_grow_with_the_sample(tmp_path, monkeypatch):
+    # Simulate and tails on a GARCH path of four and of sixteen groups: the
+    # traced peak holds a group buffer and the accumulators, not the path.
+    import tracemalloc
+
+    monkeypatch.setattr(pipelines, "_GROUP_ELEMENTS", 1)
+    monkeypatch.setitem(pipelines._PIPELINE_STEPS, "tails",
+                        (("simulate", pipelines._step_simulate),
+                         ("tails", pipelines._step_tails)))
+
+    def peak(n):
+        cfg = garch_config(pipeline="tails", params={"csv_rows": 10},
+                           output_dir=str(tmp_path / f"n{n}"))
+        cfg["sim"].update(n_draws=n, burn_in=200)
+        config = parse_config(cfg)
+        tracemalloc.start()
+        try:
+            report = run(config)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            assert not [r.name for r in report.results if r.name.endswith("_error")]
+
+    n = 4 * pipelines._CHUNK_DRAWS
+    small, large = peak(n), peak(4 * n)
+    assert large < 1.1 * small, (small, large)
 
 
 def test_report_roundtrip_including_nonfinite_values(tmp_path):

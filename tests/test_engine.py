@@ -25,11 +25,13 @@ from tritail.engine import (
 from tritail.errors import NonFiniteState, NotContracting
 from tritail.laws import Constant, IndependentLaw
 from tritail import pipelines
+from tritail.reduction import Plan
 from tritail.pipelines import (
     _CHUNK_CHAIN_LEN,
     _CHUNK_DRAWS,
     _GROUP_ELEMENTS,
     _stationary_chunked,
+    _whole,
 )
 from tritail.spectral import AngularSample, spectral_process_draws
 from tritail.streams import substream
@@ -237,9 +239,15 @@ def test_chunked_sample_independent_of_workers():
     per_group = _GROUP_ELEMENTS // (slab_rows(CHUNK_CHAINS) * CHUNK_CHAINS)
     n = (per_group + 1) * _CHUNK_DRAWS + _CHUNK_CHAIN_LEN + 17
     sim = SimConfig(burn_in=30, n_draws=n, thinning=2, base_seed=5)
-    one = _stationary_chunked(LAW_C8, sim, workers=1)
-    for workers in (2, 3):  # 3 threads share the merged arrays on fewer cores
-        many = _stationary_chunked(LAW_C8, sim, workers=workers)
+
+    def chunked(workers):
+        s = _stationary_chunked(LAW_C8, sim, workers, _whole(("w1", "w2"), n))
+        return PathSample(w1=s.head("w1", n), w2=s.head("w2", n), mode="forward_burnin",
+                          config=sim, chain_len=s.chain_len)
+
+    one = chunked(1)
+    for workers in (2, 3):  # 3 threads share the group buffers on fewer cores
+        many = chunked(workers)
         np.testing.assert_array_equal(one.w1, many.w1)
         np.testing.assert_array_equal(one.w2, many.w2)
     assert one.chain_len == _CHUNK_CHAIN_LEN and len(one) == n
@@ -297,12 +305,14 @@ def test_pool_threads_never_exceed_groups(monkeypatch):
 
     def sampler(model, config, blocks, n_chains, out):
         calls.append(([chains for _, chains in blocks], n_chains, config.n_draws, out[0].size))
+        return PathSample(w1=out[0], w2=out[1], mode="forward_burnin", config=config,
+                          chain_len=_CHUNK_CHAIN_LEN)
 
     monkeypatch.setattr(pipelines, "ThreadPoolExecutor", RecordingPool)
     per_group = _GROUP_ELEMENTS // (slab_rows(CHUNK_CHAINS) * CHUNK_CHAINS)
     n = (per_group + 2) * _CHUNK_DRAWS + 1
     sim = SimConfig(burn_in=0, n_draws=n)
-    pipelines._chain_chunks(sampler, None, sim, 10**6, "stationary", 2)
+    pipelines._chain_chunks(sampler, None, sim, 10**6, "stationary", 2, Plan())
     assert pools == [2]
     assert calls == [
         ([CHUNK_CHAINS] * per_group, per_group * CHUNK_CHAINS, per_group * _CHUNK_DRAWS,
@@ -312,8 +322,8 @@ def test_pool_threads_never_exceed_groups(monkeypatch):
     ]
     # One group, or one worker: no pool at all.
     pipelines._chain_chunks(sampler, None, replace(sim, n_draws=_CHUNK_DRAWS), 10**6,
-                            "stationary", 2)
-    pipelines._chain_chunks(sampler, None, sim, 1, "stationary", 2)
+                            "stationary", 2, Plan())
+    pipelines._chain_chunks(sampler, None, sim, 1, "stationary", 2, Plan())
     assert pools == [2]
 
 

@@ -9,8 +9,10 @@ import pytest
 from tritail.engine import SimConfig, slab_rows
 from tritail.errors import NonFiniteState, RegimeMismatch
 from tritail.garch import (
+    STORED,
     GarchLaw,
     GarchParams,
+    GarchPath,
     GarchVerifyReport,
     _correlated_normals,
     return_hill_k,
@@ -26,7 +28,13 @@ from tritail.laws import (
     classify_regime,
     solve_tail_index,
 )
-from tritail.pipelines import _CHUNK_CHAIN_LEN, _CHUNK_DRAWS, _GROUP_ELEMENTS, _garch_chunked
+from tritail.pipelines import (
+    _CHUNK_CHAIN_LEN,
+    _CHUNK_DRAWS,
+    _GROUP_ELEMENTS,
+    _garch_chunked,
+    _whole,
+)
 from tritail.records import ResultRecord
 from tritail.spectral import valid_window_starts
 from tritail.streams import substream
@@ -209,6 +217,13 @@ def test_stationary_garch_sample_equals_per_step_recursion(burn_in, n_draws, thi
         np.testing.assert_array_equal(got, ref[key], err_msg=key)
 
 
+def chunked_path(sim, workers):
+    """The pipeline's chunked GARCH path, every state kept."""
+    s = _garch_chunked(GARCH_P10, sim, workers, _whole(STORED, sim.n_draws))
+    return GarchPath(*(s.head(name, len(s)) for name in STORED), params=GARCH_P10,
+                     config=sim, chain_len=s.chain_len)
+
+
 def test_garch_chunked_independent_of_workers():
     # Two groups with a trimmed last chunk; thinning 2 and a burn-in that is
     # not a multiple of the slab height.
@@ -216,10 +231,10 @@ def test_garch_chunked_independent_of_workers():
     per_group = _GROUP_ELEMENTS // (slab_rows(chunk_chains) * chunk_chains)
     n = (per_group + 1) * _CHUNK_DRAWS + _CHUNK_CHAIN_LEN // 2 + 3
     sim = SimConfig(burn_in=20, n_draws=n, thinning=2, base_seed=9)
-    one = _garch_chunked(GARCH_P10, sim, workers=1)
-    names = ("sigma1_sq", "sigma2_sq", "z1", "z2")
+    one = chunked_path(sim, workers=1)
+    names = STORED
     for workers in (2, 3):
-        many = _garch_chunked(GARCH_P10, sim, workers=workers)
+        many = chunked_path(sim, workers=workers)
         for name in names + ("x1", "x2"):
             np.testing.assert_array_equal(getattr(one, name), getattr(many, name))
     assert len(one) == n and one.chain_len == _CHUNK_CHAIN_LEN

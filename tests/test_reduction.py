@@ -1,0 +1,153 @@
+"""Group reductions: merged group results equal the whole-array computations."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tritail import reduction, tailstats
+from tritail.engine import PathSample, SimConfig
+from tritail.reduction import (
+    Plan,
+    PointSpec,
+    WindowSpec,
+    merge,
+    reduce_group,
+    summarize,
+    valid_window_starts,
+)
+from tritail.spectral import sliding_windows
+
+PAIR = ("w1", "w2")
+
+
+def sample_of(w1, w2, chain_len):
+    return PathSample(w1=w1, w2=w2, mode="synthetic",
+                      config=SimConfig(burn_in=0, n_draws=max(1, w1.size)), chain_len=chain_len)
+
+
+def reduce_in_groups(plan, w1, w2, chain_len, bounds):
+    """Reduce [bounds[i], bounds[i+1]) one group at a time and merge in order."""
+    n = w1.size
+    parts = [reduce_group(plan, sample_of(w1[a:b], w2[a:b], chain_len), a, n)
+             for a, b in zip(bounds, bounds[1:])]
+    return merge(plan, parts, n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_merged_groups_equal_the_whole_array_code(data):
+    chain_len = data.draw(st.integers(1, 12), label="chain_len")
+    n_chains = data.draw(st.integers(1, 30), label="n_chains")
+    n = chain_len * n_chains - data.draw(st.integers(0, chain_len - 1), label="trim")
+    h = data.draw(st.integers(1, 4), label="h")
+    u = data.draw(st.floats(0.3, 0.995), label="u")
+    block = data.draw(st.integers(1, 40), label="block")
+    g = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
+    if data.draw(st.booleans(), label="tied"):
+        w1, w2 = g.integers(1, 4, n).astype(float), g.integers(1, 3, n).astype(float)
+    else:
+        w1, w2 = g.pareto(1.5, n) + 1.0, g.pareto(3.0, n) + 1.0
+    cuts = data.draw(st.sets(st.integers(1, max(1, n_chains - 1)), max_size=5), label="cuts")
+    bounds = [0, *sorted(c * chain_len for c in cuts if c < n_chains), n]
+    depth = data.draw(st.integers(1, n + 2), label="depth")
+    first = data.draw(st.integers(0, n + 2), label="first")
+
+    point = PointSpec(PAIR, PAIR, h, u)
+    windows = {name: WindowSpec(name, h, u) for name in PAIR}
+    plan = Plan(tails={"w1": depth}, heads={"w2": first},
+                exceedances=frozenset({point, *windows.values()}))
+    with pytest.MonkeyPatch.context() as mp:
+        # Small blocks take the running-cut path inside each group too.
+        mp.setattr(tailstats, "_BLOCK", block)
+        merged = reduce_in_groups(plan, w1, w2, chain_len, bounds)
+
+    tail = merged.tail("w1", depth)
+    np.testing.assert_array_equal(tail.top, np.sort(w1)[n - min(depth, n):])
+    assert (tail.n, tail.minimum) == (n, w1.min())
+    np.testing.assert_array_equal(merged.head("w2", first), w2[:first])
+
+    # Norm exceedances: np.quantile, np.nonzero(r > x) and the next h states.
+    r = np.hypot(w1, w2)
+    ex = merged.exceedance_set(point)
+    x, sel = ex.above(u)
+    assert x == float(np.quantile(r, u))
+    idx = np.nonzero(r > x)[0]
+    np.testing.assert_array_equal(ex.index[sel], idx)
+    np.testing.assert_array_equal(ex.key[sel], r[idx])
+    np.testing.assert_array_equal(ex.rows[sel], np.column_stack((w1[idx], w2[idx])))
+    valid = valid_window_starts(n, chain_len, h, offset=1)[idx]
+    np.testing.assert_array_equal(ex.valid[sel], valid)
+    steps = idx[valid][:, None] + np.arange(1, h + 1)
+    np.testing.assert_array_equal(ex.after[sel][valid], np.stack((w1[steps], w2[steps]), axis=2))
+
+    # Window-norm exceedances: the windows of sliding_windows above the quantile.
+    for name, w in zip(PAIR, (w1, w2)):
+        wins = sliding_windows(w, chain_len, h)
+        ex = merged.exceedance_set(windows[name])
+        assert ex.n == wins.shape[0]
+        if not wins.shape[0]:
+            continue
+        norms = np.linalg.norm(wins, axis=1)
+        x, sel = ex.above(u)
+        assert x == float(np.quantile(norms, u))
+        keep = norms > x
+        starts = np.nonzero(valid_window_starts(n, chain_len, h))[0]
+        np.testing.assert_array_equal(ex.index[sel], starts[keep])
+        np.testing.assert_array_equal(ex.key[sel], norms[keep])
+        np.testing.assert_array_equal(ex.rows[sel], wins[keep])
+
+
+def test_partial_sums_follow_the_spans_not_the_groups(monkeypatch):
+    monkeypatch.setattr(reduction, "SUM_SPAN", 14)
+    g = np.random.default_rng(3)
+    w1, w2 = g.standard_normal(70) * 1e8, g.standard_normal(70)
+    plan = Plan(sums=frozenset(PAIR))
+    one = summarize(sample_of(w1, w2, 7), plan)
+    split = reduce_in_groups(plan, w1, w2, 7, [0, 14, 42, 70])
+    assert one.sums["w1"] == split.sums["w1"] == [float(np.sum(w1[a:a + 14]))
+                                                  for a in range(0, 70, 14)]
+    assert one.mean("w2") == split.mean("w2") == pytest.approx(w2.mean(), rel=1e-12)
+
+
+def test_empty_and_nan_parts_merge_like_the_whole_array():
+    # Chains of 1 state hold no window of 2; a part with no key points
+    # carries no minimum that could poison the merged quantile.
+    w = np.arange(1.0, 9.0)
+    spec = WindowSpec("w1", 2, 0.5)
+    merged = reduce_in_groups(Plan(exceedances=frozenset({spec})), w, w, 1, [0, 4, 8])
+    ex = merged.exceedance_set(spec)
+    assert ex.n == 0 and ex.key.size == 0
+    with pytest.raises(ValueError, match="empty"):
+        ex.above(0.5)
+    # A NaN in a later group makes the quantile NaN and leaves no exceedance,
+    # as np.quantile and np.nonzero(r > x) do.
+    w = np.arange(1.0, 21.0)
+    w[15] = np.nan
+    spec = PointSpec(PAIR, PAIR, 1, 0.5)
+    x, sel = reduce_in_groups(Plan(exceedances=frozenset({spec})), w, w, 5,
+                              [0, 10, 20]).exceedance_set(spec).above(0.5)
+    assert np.isnan(x) and np.isnan(np.quantile(np.hypot(w, w), 0.5)) and sel.size == 0
+
+
+def test_unplanned_reductions_raise():
+    w = np.arange(1.0, 101.0)
+    summary = summarize(sample_of(w, w, 10), Plan(tails={"w1": 5}, heads={"w2": 3}))
+    assert summary.tail("w1", 5).top.size == 5
+    for lookup in (lambda: summary.tail("w2", 5), lambda: summary.tail("w1", 6),
+                   lambda: summary.head("w2", 4), lambda: summary.mean("w1"),
+                   lambda: summary.exceedance_set(WindowSpec("w1", 2, 0.9))):
+        with pytest.raises(ValueError, match="holds"):
+            lookup()
+    # A point set without windows is read from any planned h.
+    spec = PointSpec(PAIR, PAIR, 3, 0.9)
+    summary = summarize(sample_of(w, w, 10), Plan(exceedances=frozenset({spec})))
+    assert summary.exceedance_set(PointSpec(PAIR, PAIR, 0, 0.9)) is summary.exceedance_set(spec)
+
+
+def test_plans_union_at_the_deepest_reach():
+    a = Plan(tails={"w1": 5}, heads={"w1": 10}, sums=frozenset({"w1"}))
+    b = Plan(tails={"w1": 3, "w2": 7}, exceedances=frozenset({WindowSpec("w1", 2, 0.9)}))
+    both = a | b
+    assert both.tails == {"w1": 5, "w2": 7} and both.heads == {"w1": 10}
+    assert both.sums == {"w1"} and both.exceedances == b.exceedances

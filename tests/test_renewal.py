@@ -59,7 +59,6 @@ def test_univariate_constant_quadratic_oracle():
     assert abs(est.c_hat - oracle) <= max(6.0 * est.std_error, 0.08 * oracle)
     assert abs(est.cramer_residual) < 0.05
     assert est.n_samples == n
-    assert est.tail_moment_ok
 
 
 def test_univariate_constant_rejects_wrong_alpha():

@@ -8,7 +8,7 @@ Each sampler runs at a fixed seed on a fixed law.  The forward samplers keep
 the first 10^5 states in the pipeline's chain shape (100 chains of 1000 kept
 states); the pipelines' chunked forward samplers (demo law and GARCH law)
 draw 2,200,517 states, eleven full chunks and a trimmed one, which the
-pipeline runs as two groups; the backward sampler draws 10^5 states, the forward spectral limit 10^5
+pipeline runs as two groups, every state kept; the backward sampler draws 10^5 states, the forward spectral limit 10^5
 draws of 16 steps on the demo law from a fixed angular sample (eight angles,
 uniform weights), the series weights 10^5 strips at each of
 s = 1, 4, 16, 64 on the C8 law, and the Lyapunov estimate 100 chains of
@@ -23,9 +23,9 @@ import hashlib
 import numpy as np
 
 from tritail.engine import SimConfig, backward_truncated, lyapunov_estimate, stationary_sample
-from tritail.garch import GarchParams, stationary_garch_sample
+from tritail.garch import STORED, GarchParams, stationary_garch_sample
 from tritail.laws import Constant, IndependentLaw, LogNormal
-from tritail.pipelines import _garch_chunked, _stationary_chunked
+from tritail.pipelines import _garch_chunked, _stationary_chunked, _whole
 from tritail.renewal import series_weight
 from tritail.spectral import AngularSample, spectral_process_draws
 from tritail.streams import substream
@@ -93,13 +93,15 @@ def main() -> None:
     arrays = (garch.x1, garch.x2, garch.sigma1_sq, garch.sigma2_sq, garch.z1, garch.z2)
     print(f"stationary_garch_sample  {digest(*arrays)}")
     chunked = _stationary_chunked(
-        DEMO_LAW, SimConfig(burn_in=2000, n_draws=N_CHUNKED, base_seed=SEED), workers=1
+        DEMO_LAW, SimConfig(burn_in=2000, n_draws=N_CHUNKED, base_seed=SEED), 1,
+        _whole(("w1", "w2"), N_CHUNKED),
     )
-    print(f"stationary_chunked       {digest(chunked.w1, chunked.w2)}")
+    print(f"stationary_chunked       {digest(*(chunked.head(s, N_CHUNKED) for s in ('w1', 'w2')))}")
     garch = _garch_chunked(
-        GARCH_PARAMS, SimConfig(burn_in=1000, n_draws=N_CHUNKED, base_seed=SEED), workers=1
+        GARCH_PARAMS, SimConfig(burn_in=1000, n_draws=N_CHUNKED, base_seed=SEED), 1,
+        _whole(STORED, N_CHUNKED),
     )
-    print(f"garch_chunked            {digest(garch.sigma1_sq, garch.sigma2_sq, garch.z1, garch.z2)}")
+    print(f"garch_chunked            {digest(*(garch.head(s, N_CHUNKED) for s in STORED))}")
     backward = backward_truncated(
         DEMO_LAW,
         SimConfig(burn_in=0, n_draws=N_STATES, base_seed=SEED),
