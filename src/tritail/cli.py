@@ -12,10 +12,9 @@ config (or a diff input) was unusable.
 """
 
 import argparse
-import json
 import sys
 
-from .config import apply_overrides, parse_config
+from .config import apply_overrides, parse_config, read_config_object
 from .errors import ConfigInvalid, PipelineMismatch
 from .pipelines import RunReport, compare_reports, run
 
@@ -75,18 +74,10 @@ def _format_record(r) -> str:
 
 def _do_run(args: argparse.Namespace) -> int:
     try:
-        with open(args.config, "r", encoding="utf-8") as f:
-            obj = json.load(f)
-    except OSError as e:
-        print(f"error: cannot read {args.config}: {e}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as e:
-        print(f"error: /: not valid JSON: {e}", file=sys.stderr)
-        return 2
-    if isinstance(obj, dict):
-        obj["pipeline"] = _SUBCOMMAND_PIPELINES[args.command]
-        apply_overrides(obj, seed=args.seed, workers=args.workers, out=args.out)
-    try:
+        obj = read_config_object(args.config)
+        if isinstance(obj, dict):
+            obj["pipeline"] = _SUBCOMMAND_PIPELINES[args.command]
+            apply_overrides(obj, seed=args.seed, workers=args.workers, out=args.out)
         cfg = parse_config(obj)
         report = run(cfg)
     except ConfigInvalid as e:

@@ -38,6 +38,7 @@ __all__ = [
     "ExperimentConfig",
     "parse_config",
     "load_config",
+    "read_config_object",
     "apply_overrides",
     "canonical_json",
     "config_digest",
@@ -342,18 +343,28 @@ def apply_overrides(
     return obj
 
 
-def load_config(path) -> ExperimentConfig:
-    """Read, decode, and validate a config file."""
+def read_config_object(path) -> Any:
+    """Read and decode a config file into its JSON value, not yet validated.
+
+    A file that cannot be read, is not UTF-8 or is not JSON raises
+    :class:`ConfigInvalid` at ``/``.
+    """
     try:
         with open(path, "r", encoding="utf-8") as f:
             text = f.read()
     except OSError as e:
         raise ConfigInvalid("/", f"cannot read {path}: {e.strerror or e}") from None
+    except UnicodeDecodeError as e:
+        raise ConfigInvalid("/", f"not valid UTF-8: {e}") from None
     try:
-        obj = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as e:
         raise ConfigInvalid("/", f"not valid JSON: {e}") from None
-    return parse_config(obj)
+
+
+def load_config(path) -> ExperimentConfig:
+    """Read, decode, and validate a config file."""
+    return parse_config(read_config_object(path))
 
 
 def canonical_json(obj: Any) -> str:

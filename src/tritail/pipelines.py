@@ -7,8 +7,16 @@ Every pipeline follows the same discipline:
   index — never from shared mutable generator state;
 * bulk samples are assembled from fixed-size chunks whose content is a pure
   function of the chunk index; consecutive chunks run side by side as one
-  group in a single wide sampler call, and the groups are fanned out over a
-  pool of at most one thread per group;
+  group in a single wide sampler call;
+* a run with ``workers`` >= 2 holds one pool of exactly ``workers`` threads.
+  When the run starts it submits, in the order the steps read them, the
+  Lyapunov estimate, the stationary sample's groups and the cross-validation
+  samples (each step's side job, :data:`_STEP_JOBS`, resolved on the main
+  thread, a pure function of its substream); each step then reads its job's
+  result.  The main thread still runs the steps in order, merges the groups,
+  writes the CSVs and computes the series weights: their slabs, freed on a
+  pool thread, would stay in that thread's malloc arena and raise the peak.
+  With one worker there is no pool, and each job runs when its step reads it;
 * before sampling, a run plans every reduction its steps read (tails, sums,
   first states and exceedance sets, :mod:`tritail.reduction`); each group
   is reduced as soon as it is sampled, in a buffer its thread reuses, and
@@ -21,12 +29,14 @@ Reports serialize to JSON with sorted keys; the canonical byte form (identity
 and hashing) excludes the one volatile field, ``wall_time``.
 """
 
+import functools
 import json
 import math
 import queue
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from contextlib import nullcontext
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -145,26 +155,27 @@ class RunReport:
 # Deterministic chunked sampling
 # ============================================================================
 
-def _chunked(sample_span: Callable, n: int, n_arrays: int, workers: int, plan: Plan,
-             span: int = _CHUNK_DRAWS) -> Summary:
+def _chunked(sample_span: Callable, n: int, n_arrays: int, plan: Plan,
+             pool: Optional[ThreadPoolExecutor], span: int = _CHUNK_DRAWS) -> Callable[[], Summary]:
     """Reduce n states under ``plan``, sampled ``span`` states at a time.
 
     ``sample_span(start, stop, out)`` samples states ``[start, stop)`` into
     ``out``, ``n_arrays`` flat arrays of ``stop - start`` states, and returns
     them as an array-backed sample; a span is a pure function of its bounds.
-    Each span is reduced as soon as it is sampled and folded into the
-    running summary in span order, so the worker count never changes the
-    result.  The spans run on a pool of ``min(workers, spans)`` threads,
-    each reusing one buffer of ``n_arrays`` x ``span`` states.
+    Each span is reduced as soon as it is sampled, and the returned function
+    folds the span summaries in span order, so neither the pool nor its size
+    changes the result.  With a pool every span is submitted now; without
+    one, the returned function samples the spans one by one.  Each running
+    span holds one buffer of ``n_arrays`` x ``span`` states, which the next
+    span to start reuses.
     """
-    starts = range(0, n, span)
-    threads = min(workers, len(starts))
     buffers = queue.SimpleQueue()
-    for _ in range(max(1, threads)):
-        buffers.put(np.empty((n_arrays, min(span, n))))
 
     def one(start: int) -> Summary:
-        buf = buffers.get()
+        try:
+            buf = buffers.get_nowait()
+        except queue.Empty:
+            buf = np.empty((n_arrays, min(span, n)))
         try:
             stop = min(start + span, n)
             sample = sample_span(start, stop, tuple(buf[:, : stop - start]))
@@ -172,15 +183,25 @@ def _chunked(sample_span: Callable, n: int, n_arrays: int, workers: int, plan: P
         finally:
             buffers.put(buf)
 
+    starts = range(0, n, span)
+    if pool is None:
+        return lambda: reduction.merge(plan, map(one, starts), n)
+    groups = pool.map(one, starts)
+    return lambda: reduction.merge(plan, groups, n)
+
+
+def _reduced(sample_span: Callable, n: int, n_arrays: int, workers: int, plan: Plan,
+             span: int = _CHUNK_DRAWS) -> Summary:
+    """:func:`_chunked` merged at once, on a pool of its own of ``min(workers, spans)`` threads."""
+    threads = min(workers, len(range(0, n, span)))
     if threads <= 1:
-        return reduction.merge(plan, map(one, starts), n)
+        return _chunked(sample_span, n, n_arrays, plan, None, span)()
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return reduction.merge(plan, pool.map(one, starts), n)
+        return _chunked(sample_span, n, n_arrays, plan, pool, span)()
 
 
-def _chain_chunks(sampler: Callable, model, sim: SimConfig, workers: int,
-                  purpose: str, n_arrays: int, plan: Plan) -> Summary:
-    """A forward sampler's states reduced under ``plan``, each chunk whole chains of _CHUNK_CHAIN_LEN.
+def _chain_spans(sampler: Callable, model, sim: SimConfig, purpose: str):
+    """``(sample_span, span)`` of a forward sampler, each chunk whole chains of _CHUNK_CHAIN_LEN.
 
     Chunk i covers states ``[i*_CHUNK_DRAWS, ...)`` and draws from substream i.
     Consecutive chunks run side by side as one group, a single sampler call
@@ -201,7 +222,14 @@ def _chain_chunks(sampler: Callable, model, sim: SimConfig, workers: int,
         cfg = replace(sim, n_draws=n_chains * _CHUNK_CHAIN_LEN)
         return sampler(model, cfg, blocks, n_chains=n_chains, out=out)
 
-    return _chunked(one, sim.n_draws, n_arrays, workers, plan, per_group * _CHUNK_DRAWS)
+    return one, per_group * _CHUNK_DRAWS
+
+
+def _chain_chunks(sampler: Callable, model, sim: SimConfig, workers: int,
+                  purpose: str, n_arrays: int, plan: Plan) -> Summary:
+    """A forward sampler's states reduced under ``plan`` (chunks as in :func:`_chain_spans`)."""
+    one, span = _chain_spans(sampler, model, sim, purpose)
+    return _reduced(one, sim.n_draws, n_arrays, workers, plan, span)
 
 
 def _stationary_chunked(law, sim: SimConfig, workers: int, plan: Plan,
@@ -215,7 +243,7 @@ def _backward_chunked(law, sim: SimConfig, workers: int, plan: Plan) -> Summary:
         return engine.backward_truncated(
             law, cfg, substream(sim.base_seed, "backward", start // _CHUNK_DRAWS))
 
-    return _chunked(one, sim.n_draws, 0, workers, plan)
+    return _reduced(one, sim.n_draws, 0, workers, plan)
 
 
 def _garch_chunked(params, sim: SimConfig, workers: int, plan: Plan) -> Summary:
@@ -231,15 +259,51 @@ def _whole(names, n: int) -> Plan:
 # Pipeline context and helpers
 # ============================================================================
 
+class _Job:
+    """A run-level job, started when the run starts and read by its step.
+
+    ``start(pool)`` resolves the job's inputs on the calling thread and
+    returns the function that gives its result: with a pool the work is
+    submitted now; without one it runs when first read.  The outcome, a
+    value or an exception, is kept and given to every read.
+    """
+
+    def __init__(self, start: Callable, pool: Optional[ThreadPoolExecutor]):
+        self._value = self._error = None
+        self._read = None
+        try:
+            self._read = start(pool)
+        except Exception as e:
+            self._error = e
+
+    def result(self):
+        if self._read is not None:
+            read, self._read = self._read, None
+            try:
+                self._value = read()
+            except Exception as e:
+                self._error = e
+        if self._error is not None:
+            raise self._error
+        return self._value
+
+
+def _submit(pool: Optional[ThreadPoolExecutor], fn: Callable, *args) -> Callable:
+    """The function that reads ``fn(*args)``: submitted to ``pool`` now, or run at the read."""
+    if pool is None:
+        return functools.partial(fn, *args)
+    return pool.submit(fn, *args).result
+
+
 @dataclass(eq=False)
 class _Ctx:
     cfg: ExperimentConfig
-    workers: int
     outdir: Path
     steps: tuple
     records: list
     artifacts: list
     cache: dict
+    jobs: dict = field(default_factory=dict)
 
     @property
     def seed(self) -> int:
@@ -268,13 +332,35 @@ class _Ctx:
                 pass
         return plan
 
+    def start(self, pool: Optional[ThreadPoolExecutor]) -> None:
+        """Start the run's jobs in the order the steps read them.
+
+        That is each step's side job (:data:`_STEP_JOBS`), and the
+        stationary sample just before the first step that reads it.
+        """
+        for name in self.steps:
+            if name in _STEP_PLANS and "sample" not in self.jobs:
+                self.jobs["sample"] = _Job(self._start_sample, pool)
+            if name in _STEP_JOBS:
+                self.jobs[name] = _Job(functools.partial(_STEP_JOBS[name], self), pool)
+
+    def read(self, name: str):
+        """The result of a started job: ``sample``, or the side job of step ``name``."""
+        return self.jobs[name].result()
+
+    def _start_sample(self, pool: Optional[ThreadPoolExecutor]) -> Callable[[], Summary]:
+        sim = self.cfg.sim
+        if self.is_garch():
+            one, span = _chain_spans(stationary_garch_sample, self.cfg.law.params, sim, "garch")
+            n_arrays = len(garch.STORED)
+        else:
+            one, span = _chain_spans(engine.stationary_sample, self.cfg.law, sim, "stationary")
+            n_arrays = 2
+        return _chunked(one, sim.n_draws, n_arrays, self.plan(), pool, span)
+
     def sample(self) -> Summary:
         """The stationary sample (the GARCH path), reduced to what the steps read."""
-        if "sample" not in self.cache:
-            chunked = _garch_chunked if self.is_garch() else _stationary_chunked
-            model = self.cfg.law.params if self.is_garch() else self.cfg.law
-            self.cache["sample"] = chunked(model, self.cfg.sim, self.workers, self.plan())
-        return self.cache["sample"]
+        return self.read("sample")
 
     def depth(self, name: str) -> int:
         """Tail depth of a series: Hill at the run's k, the plateau and the 0.999 quantile."""
@@ -388,10 +474,7 @@ def _step_stationarity(ctx: _Ctx) -> None:
         passed=rep.holds,
         note=f"witness_eps={rep.witness_eps} rho={rep.rho:.6g}",
     )
-    est = engine.lyapunov_estimate(
-        ctx.cfg.law, ctx.knob("lyapunov_steps"), ctx.knob("lyapunov_chains"),
-        substream(ctx.seed, "lyapunov"),
-    )
+    est = ctx.read("stationarity")
     ctx.add(
         name="lyapunov_gamma",
         value=est.gamma_hat,
@@ -704,16 +787,7 @@ def _step_cross_validate(ctx: _Ctx) -> None:
     if ctx.is_garch():
         return
     n = ctx.knob("crossval_draws")
-    thinning = max(ctx.cfg.sim.thinning, ctx.knob("crossval_thinning"))
-    plan = _whole(("w1", "w2"), n)
-    fwd = _stationary_chunked(
-        ctx.cfg.law,
-        replace(ctx.cfg.sim, n_draws=n, thinning=thinning),
-        ctx.workers,
-        plan,
-        purpose="crossval",
-    )
-    back = _backward_chunked(ctx.cfg.law, replace(ctx.cfg.sim, n_draws=n), ctx.workers, plan)
+    fwd, back = ctx.read("cross_validate")
     level = ctx.knob("ks_level")
     for name in ("w1", "w2"):
         stat, pvalue = tailstats.ks_2sample(fwd.head(name, n), back.head(name, n))
@@ -777,12 +851,45 @@ def _plan_garch_verify(ctx: _Ctx) -> Plan:
 
 
 # What each step reads of the stationary sample; the run plans their union.
+# Only the steps listed here may read the sample: the run starts it just
+# before the first of them.
 _STEP_PLANS = {
     "simulate": _plan_simulate,
     "tails": _plan_tails,
     "constants": _plan_constants,
     "spectral": _plan_spectral,
     "garch_verify": _plan_garch_verify,
+}
+
+
+def _crossval_samples(law, forward: SimConfig, backward: SimConfig) -> tuple[Summary, Summary]:
+    """The forward and backward cross-validation samples, kept whole, one after the other."""
+    fwd = _stationary_chunked(law, forward, 1, _whole(("w1", "w2"), forward.n_draws),
+                              purpose="crossval")
+    back = _backward_chunked(law, backward, 1, _whole(("w1", "w2"), backward.n_draws))
+    return fwd, back
+
+
+def _job_stationarity(ctx: _Ctx, pool) -> Callable:
+    return _submit(pool, engine.lyapunov_estimate, ctx.cfg.law, ctx.knob("lyapunov_steps"),
+                   ctx.knob("lyapunov_chains"), substream(ctx.seed, "lyapunov"))
+
+
+def _job_cross_validate(ctx: _Ctx, pool) -> Callable:
+    if ctx.is_garch():
+        return lambda: None
+    backward = replace(ctx.cfg.sim, n_draws=ctx.knob("crossval_draws"))
+    thinning = max(ctx.cfg.sim.thinning, ctx.knob("crossval_thinning"))
+    return _submit(pool, _crossval_samples, ctx.cfg.law, replace(backward, thinning=thinning),
+                   backward)
+
+
+# What each step computes without the stationary sample.  The run starts
+# these jobs with the sample; a job reads no _Ctx state and never submits
+# to the pool.
+_STEP_JOBS = {
+    "stationarity": _job_stationarity,
+    "cross_validate": _job_cross_validate,
 }
 
 
@@ -828,21 +935,23 @@ def run(config: ExperimentConfig, workers: Optional[int] = None) -> RunReport:
         else _PIPELINE_STEPS[config.pipeline]
     )
     ctx = _Ctx(
-        cfg=config, workers=workers, outdir=outdir, steps=tuple(name for name, _ in steps),
+        cfg=config, outdir=outdir, steps=tuple(name for name, _ in steps),
         records=[], artifacts=[], cache={},
     )
-    for step_name, step_fn in steps:
-        try:
-            step_fn(ctx)
-        except Exception as e:
-            ctx.records.append(
-                ResultRecord(
-                    name=f"{step_name}_error",
-                    value=None,
-                    passed=False,
-                    note=f"{type(e).__name__}: {e}",
+    with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        ctx.start(pool)
+        for step_name, step_fn in steps:
+            try:
+                step_fn(ctx)
+            except Exception as e:
+                ctx.records.append(
+                    ResultRecord(
+                        name=f"{step_name}_error",
+                        value=None,
+                        passed=False,
+                        note=f"{type(e).__name__}: {e}",
+                    )
                 )
-            )
     report = RunReport(
         name=config.name,
         pipeline=config.pipeline,

@@ -27,6 +27,7 @@ from .engine import PathSample
 from .errors import NonPositiveM, RegimeMismatch, TauNotContracting
 from .laws import (
     CoefficientLaw,
+    IndependentLaw,
     PositiveDistribution,
     log_weighted_moment,
     moment,
@@ -196,32 +197,48 @@ def first_component_constant(
 
 
 _STRIP_CHUNK = 50_000
-_STRIP_ELEMENTS = 1 << 16  # strip slots per block of per-strip values, 512 KiB of float64
+_STRIP_ELEMENTS = 1 << 16  # strip slots per block of rows, 512 KiB of float64
 
 
-def _strip_values(d, alpha2: float) -> np.ndarray:
-    """The value (sum_i prefix1_i * A2_i * suffix4_i)^alpha2 of each strip of a drawn slab.
+def _strip_values(law: IndependentLaw, m: int, s: int, alpha2: float,
+                  rng: np.random.Generator) -> np.ndarray:
+    """The value (sum_i prefix1_i * A2_i * suffix4_i)^alpha2 of each of m fresh strips of s slots.
 
-    ``d`` holds (m, s) coefficient arrays, one strip per row.  The rows are
-    computed a few at a time, each by itself, so the temporaries stay small;
-    the caller drops the slab once this returns.
+    The draws are the numbers of ``law.sample(rng, (m, s))``, one strip per
+    row, but only one (m, s) slab is held.  A1 is drawn whole and turned
+    into shifted prefix products in place; A2, A4, B1 and B2 are then drawn
+    in blocks of ``_STRIP_ELEMENTS // s`` rows, A2 and the suffix products
+    of A4 multiplied into the slab (the B draws only keep the stream).  Each
+    product keeps the order of the three-array form prefix1 * A2 * suffix4,
+    and each row is summed by itself.
     """
-    m, s = d.a2.shape
     rows = max(1, _STRIP_ELEMENTS // s)
+    blocks = [slice(lo, min(lo + rows, m)) for lo in range(0, m, rows)]
+    slab = np.asarray(law.marginal("a1").sample(rng, (m, s)), dtype=float)
+    if not slab.flags.writeable:  # a constant's read-only view
+        slab = slab.copy()
+    for b in blocks:  # a whole-slab in-place cumprod would copy the slab
+        x = slab[b]
+        np.cumprod(x[:, :-1], axis=1, out=x[:, 1:])
+        x[:, 0] = 1.0
+    a2 = law.marginal("a2")
+    for b in blocks:
+        slab[b] *= a2.sample(rng, slab[b].shape)
+    a4 = law.marginal("a4")
     vals = np.empty(m)
-    for lo in range(0, m, rows):
-        a1, a2, a4 = (x[lo:lo + rows] for x in (d.a1, d.a2, d.a4))
-        prefix1 = np.ones(a2.shape)
-        suffix4 = np.ones(a2.shape)
-        if s > 1:
-            np.cumprod(a1[:, :-1], axis=1, out=prefix1[:, 1:])
-            suffix4[:, :-1] = np.cumprod(a4[:, :0:-1], axis=1)[:, ::-1]
-        vals[lo:lo + rows] = (prefix1 * a2 * suffix4).sum(axis=1) ** alpha2
+    for b in blocks:
+        x = slab[b]
+        x[:, :-1] *= np.cumprod(a4.sample(rng, x.shape)[:, :0:-1], axis=1)[:, ::-1]
+        vals[b] = x.sum(axis=1) ** alpha2
+    for name in ("b1", "b2"):
+        dist = law.marginal(name)
+        for b in blocks:
+            dist.sample(rng, slab[b].shape)
     return vals
 
 
 def series_weight(
-    law: CoefficientLaw,
+    law: IndependentLaw,
     alpha2: float,
     s: int,
     n: int,
@@ -234,8 +251,15 @@ def series_weight(
     slot i, and the A4 draws at slots i+1..s, exactly the layout of the
     truncated transfer series.  Fresh strips per call keep the estimates
     unbiased and their variances independent across s.  The strips are
-    drawn ``_STRIP_CHUNK`` at a time, and one slab is held at a time.
+    drawn ``_STRIP_CHUNK`` at a time, and each chunk holds one (m, s) slab
+    (see :func:`_strip_values`): A1 whole, turned into prefix products in
+    place; then A2, A4, B1 and B2 in blocks of rows, A2 and the A4 suffix
+    products multiplied in; then each row summed.  The draws read the
+    marginals, so ``law`` must be an :class:`~tritail.laws.IndependentLaw`
+    (anything else raises :class:`TypeError`).
     """
+    if not isinstance(law, IndependentLaw):
+        raise TypeError(f"series weights need an IndependentLaw, got {type(law).__name__}")
     if s < 1:
         raise ValueError("s must be >= 1")
     if n < 2:
@@ -247,7 +271,7 @@ def series_weight(
     done = 0
     while done < n:
         m = min(_STRIP_CHUNK, n - done)
-        vals = _strip_values(law.sample(rng, (m, s)), alpha2)
+        vals = _strip_values(law, m, s, alpha2, rng)
         total += float(vals.sum())
         total_sq += float((vals * vals).sum())
         done += m
@@ -292,7 +316,7 @@ class CoupledConstantResult:
 
 
 def coupled_component_constant(
-    law: CoefficientLaw,
+    law: IndependentLaw,
     alpha2: float,
     c2: RenewalConstant,
     s_schedule: Sequence[int],

@@ -460,6 +460,22 @@ def test_load_config(tmp_path):
     assert "not valid JSON" in ei.value.message
 
 
+def _latin1_config(tmp_path):
+    """A valid config written in Latin-1, whose one non-ASCII byte is not UTF-8."""
+    p = tmp_path / "latin1.json"
+    p.write_text(json.dumps(base_config(name="caf\u00e9"), ensure_ascii=False),
+                 encoding="latin-1")
+    return p
+
+
+def test_load_config_rejects_a_file_that_is_not_utf8(tmp_path):
+    p = _latin1_config(tmp_path)
+    with pytest.raises(ConfigInvalid) as ei:
+        load_config(p)
+    assert ei.value.path == "/"
+    assert ei.value.message.startswith("not valid UTF-8: ")
+
+
 # ----------------------------------------------------------------------------
 # Pipeline runner
 # ----------------------------------------------------------------------------
@@ -653,12 +669,11 @@ def test_garch_full_report_computes_each_estimate_once(tmp_path, monkeypatch):
     # One streaming selection pass per series: sigma1^2 and sigma2^2 (summary
     # quantile, Hill and plateau), |x1| and |x2| (Hill of |X| and of X^2),
     # and the volatility norm of the cross-feed spectral check.
-    real = pipelines._garch_chunked
     passes = _record_passes(monkeypatch)
-    calls = _capture_args(monkeypatch, pipelines, "_garch_chunked")
+    calls = _capture_args(monkeypatch, pipelines, "_chain_spans")
     small_garch_report(tmp_path)
-    ((params, sim, _, _),) = calls
-    s = real(params, sim, 1, pipelines._whole(garch.STORED, sim.n_draws))
+    ((_, params, sim, _),) = calls
+    s = pipelines._garch_chunked(params, sim, 1, pipelines._whole(garch.STORED, sim.n_draws))
     path = GarchPath(*(s.head(name, len(s)) for name in garch.STORED), params=params,
                      config=sim, chain_len=s.chain_len)
     series = {
@@ -680,10 +695,9 @@ def test_independent_full_report_streams_each_series_once(tmp_path, monkeypatch,
     # per series, and each plateau is computed once although both the tails
     # and the constants step report it.  In the A2 regime the angular and the
     # conditional-window estimates read one pass over the norm |W|.
-    real = pipelines._stationary_chunked
     passes = _record_passes(monkeypatch)
     plateaus = _capture_returns(monkeypatch, tailstats, "tail_constant")
-    calls = _capture_args(monkeypatch, pipelines, "_stationary_chunked")
+    calls = _capture_args(monkeypatch, pipelines, "_chain_spans")
     law = base_config()["law"]
     law.update(a1=lognormal(a1_mu, 0.5**0.5), a4=lognormal(a4_mu, 0.5**0.5))
     cfg = base_config(pipeline="full_report", law=law, output_dir=str(tmp_path),
@@ -693,8 +707,8 @@ def test_independent_full_report_streams_each_series_once(tmp_path, monkeypatch,
     cfg["sim"].update(n_draws=100_000, burn_in=200)
     report = run(parse_config(cfg))
     assert not [r.name for r in report.results if r.name.endswith("_error")]
-    law, sim = calls[0][:2]
-    s = real(law, sim, 1, pipelines._whole(("w1", "w2"), sim.n_draws))
+    law, sim = calls[0][1:3]  # the stationary sample starts first, before cross-validation
+    s = pipelines._stationary_chunked(law, sim, 1, pipelines._whole(("w1", "w2"), sim.n_draws))
     w1, w2 = s.head("w1", len(s)), s.head("w2", len(s))
     for w in (w1, w2):
         assert sum(np.array_equal(p, w) for p in passes) == 1
@@ -741,6 +755,53 @@ def test_reports_do_not_depend_on_the_grouping(tmp_path, monkeypatch):
                     assert artifacts == base_artifacts, name
             finally:
                 sys.setswitchinterval(interval)
+
+
+def test_run_holds_one_pool_of_exactly_workers_threads(tmp_path, monkeypatch):
+    pools = []
+
+    class CountingPool(pipelines.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(pipelines, "ThreadPoolExecutor", CountingPool)
+    law = base_config()["law"]
+    n = 2 * pipelines._CHUNK_DRAWS + 1017
+    reports = {}
+    for workers in (1, 2, 3):
+        pools.clear()
+        reports[workers], _ = _small_full_report(law, tmp_path / f"w{workers}", n, workers)
+        assert pools == ([workers] if workers > 1 else []), workers
+    assert not [r.name for r in reports[1].results if r.name.endswith("_error")]
+    assert reports[2].canonical_bytes() == reports[1].canonical_bytes()
+    assert reports[3].canonical_bytes() == reports[1].canonical_bytes()
+
+
+@pytest.mark.parametrize("module, name, step", [
+    (pipelines.engine, "lyapunov_estimate", "stationarity"),
+    (pipelines, "_crossval_samples", "cross_validate"),
+])
+def test_failing_side_job_gives_the_same_step_error_at_any_worker_count(
+        tmp_path, monkeypatch, module, name, step):
+    def fail(*args, **kwargs):
+        raise FloatingPointError("side job failed")
+
+    monkeypatch.setattr(module, name, fail)
+    law = base_config()["law"]
+    reports = [_small_full_report(law, tmp_path / f"w{workers}", 100_000, workers)[0]
+               for workers in (1, 2)]
+    assert reports[0].canonical_bytes() == reports[1].canonical_bytes()
+    records = {r.name: r for r in reports[0].results}
+    assert [r for r in records if r.endswith("_error")] == [f"{step}_error"]
+    assert records[f"{step}_error"].passed is False
+    assert records[f"{step}_error"].note == "FloatingPointError: side job failed"
+    # The sibling steps still ran.
+    for sibling in ("alpha1", "stationarity_holds", "n_draws", "hill_w1", "c1_inherited",
+                    "pareto_norm_pvalue"):
+        assert sibling in records, sibling
+    assert ("lyapunov_gamma" in records) == (step != "stationarity")
+    assert ("crossval_w1_pvalue" in records) == (step != "cross_validate")
 
 
 def test_garch_peak_memory_does_not_grow_with_the_sample(tmp_path, monkeypatch):
@@ -924,6 +985,15 @@ def test_cli_unusable_inputs_exit_two(tmp_path, capsys):
     listy.write_text("[]", encoding="utf-8")
     assert main(["solve-index", "--config", str(listy)]) == 2
     assert capsys.readouterr().err == "error: /: expected an object, got list\n"
+
+
+def test_cli_config_that_is_not_utf8_exits_two(tmp_path, capsys):
+    p = _latin1_config(tmp_path)
+    assert main(["report", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: /: not valid UTF-8: ")
+    assert "Traceback" not in captured.err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("where", ["parent_is_file", "path_is_file"])

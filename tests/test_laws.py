@@ -249,6 +249,22 @@ def test_constant_sample_is_a_read_only_view_drawing_nothing():
     assert Constant(2).sample(rng).shape == ()
 
 
+@pytest.mark.parametrize("dist", [LogNormal(-0.5, 0.5), ScaledUniformPow(1.2, 0.7),
+                                  ParetoLomax(4.0, 0.5), ChiSqAffine(0.1, 0.8), Constant(0.7)],
+                         ids=lambda d: type(d).__name__)
+@pytest.mark.parametrize("rows", [1, 7, 64])
+def test_a_slab_equals_its_row_blocks_drawn_in_order(dist, rows):
+    # The one-slab series weight draws its (m, s) slabs in blocks of rows.
+    m, s = 150, 13
+    whole = dist.sample(np.random.default_rng(5), (m, s))
+    rng = np.random.default_rng(5)
+    blocks = [dist.sample(rng, (min(rows, m - lo), s)) for lo in range(0, m, rows)]
+    np.testing.assert_array_equal(np.concatenate(blocks), whole)
+    after = np.random.default_rng(5)
+    dist.sample(after, (m, s))
+    assert rng.bit_generator.state == after.bit_generator.state
+
+
 # ---------------------------------------------------------------------------
 # stationarity
 # ---------------------------------------------------------------------------

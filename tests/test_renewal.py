@@ -7,8 +7,18 @@ import pytest
 
 from tritail.engine import SimConfig, backward_truncated
 from tritail.errors import NonPositiveM, RegimeMismatch, TauNotContracting
-from tritail.laws import Constant, LogNormal
+from tritail.garch import GarchLaw
+from tritail.laws import (
+    ChiSqAffine,
+    Constant,
+    IndependentLaw,
+    LogNormal,
+    ParetoLomax,
+    ScaledUniformPow,
+)
 from tritail.renewal import (
+    _STRIP_CHUNK,
+    _STRIP_ELEMENTS,
     RenewalConstant,
     coupled_component_constant,
     first_component_constant,
@@ -17,7 +27,7 @@ from tritail.renewal import (
     univariate_constant,
 )
 
-from conftest import LAW_C2, LAW_C3, LAW_C4, assert_within_se, make_law
+from conftest import GARCH_P10, LAW_C2, LAW_C3, LAW_C4, assert_within_se, make_law
 
 ROOT_HALF = 0.5 ** 0.5
 
@@ -137,6 +147,66 @@ def test_series_weight_validation():
         series_weight(LAW_C3, 1.5, s=1, n=1, rng=rng())
     with pytest.raises(ValueError):
         series_weight(LAW_C3, -1.5, s=1, n=100, rng=rng())
+
+
+def three_slab_series_weight(law, alpha2, s, n, rng):
+    """The series weight as the three-slab code computed it: the reference for the one-slab form."""
+    total = total_sq = 0.0
+    done = 0
+    while done < n:
+        m = min(_STRIP_CHUNK, n - done)
+        d = law.sample(rng, (m, s))
+        rows = max(1, _STRIP_ELEMENTS // s)
+        vals = np.empty(m)
+        for lo in range(0, m, rows):
+            a1, a2, a4 = (x[lo:lo + rows] for x in (d.a1, d.a2, d.a4))
+            prefix1 = np.ones(a2.shape)
+            suffix4 = np.ones(a2.shape)
+            if s > 1:
+                np.cumprod(a1[:, :-1], axis=1, out=prefix1[:, 1:])
+                suffix4[:, :-1] = np.cumprod(a4[:, :0:-1], axis=1)[:, ::-1]
+            vals[lo:lo + rows] = (prefix1 * a2 * suffix4).sum(axis=1) ** alpha2
+        total += float(vals.sum())
+        total_sq += float((vals * vals).sum())
+        done += m
+    mean = total / n
+    var = max(total_sq / n - mean * mean, 0.0) * n / (n - 1)
+    return mean, math.sqrt(var / n)
+
+
+KINDS = (LogNormal(-0.5, 0.5), ScaledUniformPow(1.2, 0.7), ParetoLomax(4.0, 0.5),
+         ChiSqAffine(0.1, 0.8), Constant(0.7))
+
+
+@pytest.mark.parametrize("s", [1, 2, 64, 130])
+def test_series_weight_equals_the_three_slab_form_bit_for_bit(s):
+    # Each kind in each slot, a constant A1 among them, B terms that draw or
+    # not; n spans a partial chunk at small s and a partial row block at all s.
+    n = _STRIP_CHUNK + 1234 if s <= 2 else 3001
+    g = rng(s)
+    laws = [IndependentLaw(*(KINDS[(k + j) % 5] for j in range(5))) for k in range(5)]
+    laws.append(IndependentLaw(*(KINDS[i] for i in g.integers(0, 5, size=5))))
+    for seed, law in enumerate(laws):
+        got = series_weight(law, 1.3, s, n, rng(seed))
+        assert (got.value, got.std_error) == three_slab_series_weight(law, 1.3, s, n, rng(seed)), law
+
+
+def test_series_weight_holds_one_slab():
+    import tracemalloc
+
+    s, n = 64, _STRIP_CHUNK
+    tracemalloc.start()
+    try:
+        series_weight(LAW_C3, 1.5, s, n, rng(3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * n * s * 8, peak
+
+
+def test_series_weight_needs_an_independent_law():
+    with pytest.raises(TypeError, match="IndependentLaw"):
+        series_weight(GarchLaw(GARCH_P10), 1.5, s=2, n=100, rng=rng())
 
 
 # ---------------------------------------------------------------------------
