@@ -171,8 +171,6 @@ class GarchLaw:
     Satisfies the same protocol as :class:`tritail.laws.IndependentLaw`, so
     every engine / renewal / spectral routine runs on it unchanged — with the
     difference that one joint draw couples (A2, A4) through the shared z2.
-    The exception is :func:`tritail.renewal.series_weight`, which draws the
-    marginals one by one and so takes an independent law only.
     """
 
     params: GarchParams

@@ -190,16 +190,6 @@ def _chunked(sample_span: Callable, n: int, n_arrays: int, plan: Plan,
     return lambda: reduction.merge(plan, groups, n)
 
 
-def _reduced(sample_span: Callable, n: int, n_arrays: int, workers: int, plan: Plan,
-             span: int = _CHUNK_DRAWS) -> Summary:
-    """:func:`_chunked` merged at once, on a pool of its own of ``min(workers, spans)`` threads."""
-    threads = min(workers, len(range(0, n, span)))
-    if threads <= 1:
-        return _chunked(sample_span, n, n_arrays, plan, None, span)()
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return _chunked(sample_span, n, n_arrays, plan, pool, span)()
-
-
 def _chain_spans(sampler: Callable, model, sim: SimConfig, purpose: str):
     """``(sample_span, span)`` of a forward sampler, each chunk whole chains of _CHUNK_CHAIN_LEN.
 
@@ -225,29 +215,26 @@ def _chain_spans(sampler: Callable, model, sim: SimConfig, purpose: str):
     return one, per_group * _CHUNK_DRAWS
 
 
-def _chain_chunks(sampler: Callable, model, sim: SimConfig, workers: int,
-                  purpose: str, n_arrays: int, plan: Plan) -> Summary:
-    """A forward sampler's states reduced under ``plan`` (chunks as in :func:`_chain_spans`)."""
-    one, span = _chain_spans(sampler, model, sim, purpose)
-    return _reduced(one, sim.n_draws, n_arrays, workers, plan, span)
-
-
-def _stationary_chunked(law, sim: SimConfig, workers: int, plan: Plan,
+def _stationary_chunked(law, sim: SimConfig, plan: Plan,
                         purpose: str = "stationary") -> Summary:
-    return _chain_chunks(engine.stationary_sample, law, sim, workers, purpose, 2, plan)
+    """The chunked stationary sample reduced under ``plan``, sampled on the calling thread."""
+    one, span = _chain_spans(engine.stationary_sample, law, sim, purpose)
+    return _chunked(one, sim.n_draws, 2, plan, None, span)()
 
 
-def _backward_chunked(law, sim: SimConfig, workers: int, plan: Plan) -> Summary:
+def _backward_chunked(law, sim: SimConfig, plan: Plan) -> Summary:
     def one(start: int, stop: int, out) -> PathSample:
         cfg = replace(sim, n_draws=stop - start)
         return engine.backward_truncated(
             law, cfg, substream(sim.base_seed, "backward", start // _CHUNK_DRAWS))
 
-    return _reduced(one, sim.n_draws, 0, workers, plan)
+    return _chunked(one, sim.n_draws, 0, plan, None)()
 
 
-def _garch_chunked(params, sim: SimConfig, workers: int, plan: Plan) -> Summary:
-    return _chain_chunks(stationary_garch_sample, params, sim, workers, "garch", 4, plan)
+def _garch_chunked(params, sim: SimConfig, plan: Plan) -> Summary:
+    """The chunked GARCH path reduced under ``plan``, sampled on the calling thread."""
+    one, span = _chain_spans(stationary_garch_sample, params, sim, "garch")
+    return _chunked(one, sim.n_draws, len(garch.STORED), plan, None, span)()
 
 
 def _whole(names, n: int) -> Plan:
@@ -265,7 +252,8 @@ class _Job:
     ``start(pool)`` resolves the job's inputs on the calling thread and
     returns the function that gives its result: with a pool the work is
     submitted now; without one it runs when first read.  The outcome, a
-    value or an exception, is kept and given to every read.
+    value or an exception, is kept and given to every read; the run drops a
+    side job after its step's one read and keeps only the sample.
     """
 
     def __init__(self, start: Callable, pool: Optional[ThreadPoolExecutor]):
@@ -345,8 +333,8 @@ class _Ctx:
                 self.jobs[name] = _Job(functools.partial(_STEP_JOBS[name], self), pool)
 
     def read(self, name: str):
-        """The result of a started job: ``sample``, or the side job of step ``name``."""
-        return self.jobs[name].result()
+        """The result of step ``name``'s side job, dropped from the run once read."""
+        return self.jobs.pop(name).result()
 
     def _start_sample(self, pool: Optional[ThreadPoolExecutor]) -> Callable[[], Summary]:
         sim = self.cfg.sim
@@ -360,7 +348,7 @@ class _Ctx:
 
     def sample(self) -> Summary:
         """The stationary sample (the GARCH path), reduced to what the steps read."""
-        return self.read("sample")
+        return self.jobs["sample"].result()
 
     def depth(self, name: str) -> int:
         """Tail depth of a series: Hill at the run's k, the plateau and the 0.999 quantile."""
@@ -864,9 +852,9 @@ _STEP_PLANS = {
 
 def _crossval_samples(law, forward: SimConfig, backward: SimConfig) -> tuple[Summary, Summary]:
     """The forward and backward cross-validation samples, kept whole, one after the other."""
-    fwd = _stationary_chunked(law, forward, 1, _whole(("w1", "w2"), forward.n_draws),
+    fwd = _stationary_chunked(law, forward, _whole(("w1", "w2"), forward.n_draws),
                               purpose="crossval")
-    back = _backward_chunked(law, backward, 1, _whole(("w1", "w2"), backward.n_draws))
+    back = _backward_chunked(law, backward, _whole(("w1", "w2"), backward.n_draws))
     return fwd, back
 
 
@@ -876,8 +864,6 @@ def _job_stationarity(ctx: _Ctx, pool) -> Callable:
 
 
 def _job_cross_validate(ctx: _Ctx, pool) -> Callable:
-    if ctx.is_garch():
-        return lambda: None
     backward = replace(ctx.cfg.sim, n_draws=ctx.knob("crossval_draws"))
     thinning = max(ctx.cfg.sim.thinning, ctx.knob("crossval_thinning"))
     return _submit(pool, _crossval_samples, ctx.cfg.law, replace(backward, thinning=thinning),

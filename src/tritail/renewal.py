@@ -200,9 +200,31 @@ _STRIP_CHUNK = 50_000
 _STRIP_ELEMENTS = 1 << 16  # strip slots per block of rows, 512 KiB of float64
 
 
+def _joint_strip_values(d, alpha2: float) -> np.ndarray:
+    """The value (sum_i prefix1_i * A2_i * suffix4_i)^alpha2 of each strip of a joint draw.
+
+    ``d`` holds (m, s) coefficient arrays, one strip per row, drawn together
+    as a law with coupled coefficients (a GARCH law) must draw them.  The
+    rows are computed a few at a time, each by itself, so the temporaries
+    stay small; the caller drops the draw once this returns.
+    """
+    m, s = d.a2.shape
+    rows = max(1, _STRIP_ELEMENTS // s)
+    vals = np.empty(m)
+    for lo in range(0, m, rows):
+        a1, a2, a4 = (x[lo:lo + rows] for x in (d.a1, d.a2, d.a4))
+        prefix1 = np.ones(a2.shape)
+        suffix4 = np.ones(a2.shape)
+        if s > 1:
+            np.cumprod(a1[:, :-1], axis=1, out=prefix1[:, 1:])
+            suffix4[:, :-1] = np.cumprod(a4[:, :0:-1], axis=1)[:, ::-1]
+        vals[lo:lo + rows] = (prefix1 * a2 * suffix4).sum(axis=1) ** alpha2
+    return vals
+
+
 def _strip_values(law: IndependentLaw, m: int, s: int, alpha2: float,
                   rng: np.random.Generator) -> np.ndarray:
-    """The value (sum_i prefix1_i * A2_i * suffix4_i)^alpha2 of each of m fresh strips of s slots.
+    """The values of :func:`_joint_strip_values` for m fresh strips of an independent law.
 
     The draws are the numbers of ``law.sample(rng, (m, s))``, one strip per
     row, but only one (m, s) slab is held.  A1 is drawn whole and turned
@@ -238,7 +260,7 @@ def _strip_values(law: IndependentLaw, m: int, s: int, alpha2: float,
 
 
 def series_weight(
-    law: IndependentLaw,
+    law: CoefficientLaw,
     alpha2: float,
     s: int,
     n: int,
@@ -251,15 +273,15 @@ def series_weight(
     slot i, and the A4 draws at slots i+1..s, exactly the layout of the
     truncated transfer series.  Fresh strips per call keep the estimates
     unbiased and their variances independent across s.  The strips are
-    drawn ``_STRIP_CHUNK`` at a time, and each chunk holds one (m, s) slab
+    drawn ``_STRIP_CHUNK`` at a time.  For an
+    :class:`~tritail.laws.IndependentLaw` each chunk holds one (m, s) slab
     (see :func:`_strip_values`): A1 whole, turned into prefix products in
-    place; then A2, A4, B1 and B2 in blocks of rows, A2 and the A4 suffix
-    products multiplied in; then each row summed.  The draws read the
-    marginals, so ``law`` must be an :class:`~tritail.laws.IndependentLaw`
-    (anything else raises :class:`TypeError`).
+    place; then A2, A4, B1 and B2 in blocks of rows through the marginals,
+    A2 and the A4 suffix products multiplied in; then each row summed.  Any
+    other law, whose coefficients may be coupled (a GARCH law couples A2
+    and A4), is drawn jointly, ``law.sample(rng, (m, s))``, and holds its
+    three slabs; both forms give the same numbers for an independent law.
     """
-    if not isinstance(law, IndependentLaw):
-        raise TypeError(f"series weights need an IndependentLaw, got {type(law).__name__}")
     if s < 1:
         raise ValueError("s must be >= 1")
     if n < 2:
@@ -271,7 +293,10 @@ def series_weight(
     done = 0
     while done < n:
         m = min(_STRIP_CHUNK, n - done)
-        vals = _strip_values(law, m, s, alpha2, rng)
+        if isinstance(law, IndependentLaw):
+            vals = _strip_values(law, m, s, alpha2, rng)
+        else:
+            vals = _joint_strip_values(law.sample(rng, (m, s)), alpha2)
         total += float(vals.sum())
         total_sq += float((vals * vals).sum())
         done += m
@@ -316,7 +341,7 @@ class CoupledConstantResult:
 
 
 def coupled_component_constant(
-    law: IndependentLaw,
+    law: CoefficientLaw,
     alpha2: float,
     c2: RenewalConstant,
     s_schedule: Sequence[int],

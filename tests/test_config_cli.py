@@ -665,6 +665,20 @@ def _capture_args(monkeypatch, module, name) -> list:
     return calls
 
 
+def test_garch_constants_pipeline_reports_the_inherited_constant(tmp_path):
+    # The GARCH law is A2-dominant: the constants step weights its series
+    # from joint draws, which couple A2 and A4.
+    cfg = garch_config(pipeline="constants", output_dir=str(tmp_path),
+                       params={"weight_draws": 500, "s_schedule": [1, 2, 4],
+                               "constant_draws": 20_000})
+    cfg["sim"].update(n_draws=50_000, burn_in=200)
+    records = {r.name: r for r in run(parse_config(cfg)).results}
+    assert not [name for name in records if name.endswith("_error")]
+    for name in ("series_weight", "c1_inherited"):
+        assert math.isfinite(records[name].value) and records[name].value > 0, name
+    assert (tmp_path / "weight_trace.csv").exists()
+
+
 def test_garch_full_report_computes_each_estimate_once(tmp_path, monkeypatch):
     # One streaming selection pass per series: sigma1^2 and sigma2^2 (summary
     # quantile, Hill and plateau), |x1| and |x2| (Hill of |X| and of X^2),
@@ -673,7 +687,7 @@ def test_garch_full_report_computes_each_estimate_once(tmp_path, monkeypatch):
     calls = _capture_args(monkeypatch, pipelines, "_chain_spans")
     small_garch_report(tmp_path)
     ((_, params, sim, _),) = calls
-    s = pipelines._garch_chunked(params, sim, 1, pipelines._whole(garch.STORED, sim.n_draws))
+    s = pipelines._garch_chunked(params, sim, pipelines._whole(garch.STORED, sim.n_draws))
     path = GarchPath(*(s.head(name, len(s)) for name in garch.STORED), params=params,
                      config=sim, chain_len=s.chain_len)
     series = {
@@ -708,7 +722,7 @@ def test_independent_full_report_streams_each_series_once(tmp_path, monkeypatch,
     report = run(parse_config(cfg))
     assert not [r.name for r in report.results if r.name.endswith("_error")]
     law, sim = calls[0][1:3]  # the stationary sample starts first, before cross-validation
-    s = pipelines._stationary_chunked(law, sim, 1, pipelines._whole(("w1", "w2"), sim.n_draws))
+    s = pipelines._stationary_chunked(law, sim, pipelines._whole(("w1", "w2"), sim.n_draws))
     w1, w2 = s.head("w1", len(s)), s.head("w2", len(s))
     for w in (w1, w2):
         assert sum(np.array_equal(p, w) for p in passes) == 1

@@ -1,6 +1,8 @@
 """Forward/backward simulators, coefficient products, Lyapunov estimation."""
 
 import math
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -240,14 +242,17 @@ def test_chunked_sample_independent_of_workers():
     n = (per_group + 1) * _CHUNK_DRAWS + _CHUNK_CHAIN_LEN + 17
     sim = SimConfig(burn_in=30, n_draws=n, thinning=2, base_seed=5)
 
-    def chunked(workers):
-        s = _stationary_chunked(LAW_C8, sim, workers, _whole(("w1", "w2"), n))
+    plan = _whole(("w1", "w2"), n)
+
+    def path(s):
         return PathSample(w1=s.head("w1", n), w2=s.head("w2", n), mode="forward_burnin",
                           config=sim, chain_len=s.chain_len)
 
-    one = chunked(1)
+    one = path(_stationary_chunked(LAW_C8, sim, plan))
+    sample_span, span = pipelines._chain_spans(stationary_sample, LAW_C8, sim, "stationary")
     for workers in (2, 3):  # 3 threads share the group buffers on fewer cores
-        many = chunked(workers)
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            many = path(pipelines._chunked(sample_span, n, 2, plan, pool, span)())
         np.testing.assert_array_equal(one.w1, many.w1)
         np.testing.assert_array_equal(one.w2, many.w2)
     assert one.chain_len == _CHUNK_CHAIN_LEN and len(one) == n
@@ -285,46 +290,39 @@ def test_chain_blocks_validation():
         chain_blocks([(rng(), 200), (rng(), 600)], 800)
 
 
-def test_pool_threads_never_exceed_groups(monkeypatch):
-    pools, calls = [], []
-
-    class RecordingPool:
-        """Runs the map inline and records the thread count it was asked for."""
-
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
+def test_pool_threads_never_exceed_groups():
+    # The sample submits one task per group to the run's pool, so it never
+    # runs on more of the pool's threads than it has groups, however many
+    # threads the pool holds; without a pool the groups are sampled in turn
+    # on the reading thread, when the result is read.
+    calls, threads = [], set()
 
     def sampler(model, config, blocks, n_chains, out):
         calls.append(([chains for _, chains in blocks], n_chains, config.n_draws, out[0].size))
+        threads.add(threading.get_ident())
         return PathSample(w1=out[0], w2=out[1], mode="forward_burnin", config=config,
                           chain_len=_CHUNK_CHAIN_LEN)
 
-    monkeypatch.setattr(pipelines, "ThreadPoolExecutor", RecordingPool)
     per_group = _GROUP_ELEMENTS // (slab_rows(CHUNK_CHAINS) * CHUNK_CHAINS)
     n = (per_group + 2) * _CHUNK_DRAWS + 1
     sim = SimConfig(burn_in=0, n_draws=n)
-    pipelines._chain_chunks(sampler, None, sim, 10**6, "stationary", 2, Plan())
-    assert pools == [2]
-    assert calls == [
+    sample_span, span = pipelines._chain_spans(sampler, None, sim, "stationary")
+    groups = [
         ([CHUNK_CHAINS] * per_group, per_group * CHUNK_CHAINS, per_group * _CHUNK_DRAWS,
          per_group * _CHUNK_DRAWS),
         ([CHUNK_CHAINS, CHUNK_CHAINS, 1], 2 * CHUNK_CHAINS + 1,
          (2 * CHUNK_CHAINS + 1) * _CHUNK_CHAIN_LEN, 2 * _CHUNK_DRAWS + 1),
     ]
-    # One group, or one worker: no pool at all.
-    pipelines._chain_chunks(sampler, None, replace(sim, n_draws=_CHUNK_DRAWS), 10**6,
-                            "stationary", 2, Plan())
-    pipelines._chain_chunks(sampler, None, sim, 1, "stationary", 2, Plan())
-    assert pools == [2]
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        pipelines._chunked(sample_span, n, 2, Plan(), pool, span)()
+    assert sorted(calls) == sorted(groups)
+    assert 1 <= len(threads) <= len(groups) and threading.get_ident() not in threads
+    calls.clear()
+    threads.clear()
+    read = pipelines._chunked(sample_span, n, 2, Plan(), None, span)
+    assert calls == []
+    read()
+    assert calls == groups and threads == {threading.get_ident()}
 
 
 # ---------------------------------------------------------------------------

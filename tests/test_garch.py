@@ -1,6 +1,7 @@
 """CCC-GARCH mapping onto the triangular recursion and its tail verification."""
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -32,6 +33,8 @@ from tritail.pipelines import (
     _CHUNK_CHAIN_LEN,
     _CHUNK_DRAWS,
     _GROUP_ELEMENTS,
+    _chain_spans,
+    _chunked,
     _garch_chunked,
     _whole,
 )
@@ -218,8 +221,14 @@ def test_stationary_garch_sample_equals_per_step_recursion(burn_in, n_draws, thi
 
 
 def chunked_path(sim, workers):
-    """The pipeline's chunked GARCH path, every state kept."""
-    s = _garch_chunked(GARCH_P10, sim, workers, _whole(STORED, sim.n_draws))
+    """The pipeline's chunked GARCH path, every state kept, on a pool of ``workers`` threads."""
+    plan = _whole(STORED, sim.n_draws)
+    if workers == 1:
+        s = _garch_chunked(GARCH_P10, sim, plan)
+    else:
+        sample_span, span = _chain_spans(stationary_garch_sample, GARCH_P10, sim, "garch")
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            s = _chunked(sample_span, sim.n_draws, len(STORED), plan, pool, span)()
     return GarchPath(*(s.head(name, len(s)) for name in STORED), params=GARCH_P10,
                      config=sim, chain_len=s.chain_len)
 

@@ -204,9 +204,14 @@ def test_series_weight_holds_one_slab():
     assert peak <= 1.25 * n * s * 8, peak
 
 
-def test_series_weight_needs_an_independent_law():
-    with pytest.raises(TypeError, match="IndependentLaw"):
-        series_weight(GarchLaw(GARCH_P10), 1.5, s=2, n=100, rng=rng())
+@pytest.mark.parametrize("s", [1, 3])
+def test_series_weight_draws_a_coupled_law_jointly(s):
+    # A GARCH law couples A2 and A4 through one noise draw: its strips are
+    # drawn whole, as the three-slab form drew them.
+    law = GarchLaw(GARCH_P10)
+    n = _STRIP_CHUNK + 77
+    got = series_weight(law, 1.5, s, n, rng(s))
+    assert (got.value, got.std_error) == three_slab_series_weight(law, 1.5, s, n, rng(s))
 
 
 # ---------------------------------------------------------------------------

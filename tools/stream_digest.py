@@ -93,12 +93,12 @@ def main() -> None:
     arrays = (garch.x1, garch.x2, garch.sigma1_sq, garch.sigma2_sq, garch.z1, garch.z2)
     print(f"stationary_garch_sample  {digest(*arrays)}")
     chunked = _stationary_chunked(
-        DEMO_LAW, SimConfig(burn_in=2000, n_draws=N_CHUNKED, base_seed=SEED), 1,
+        DEMO_LAW, SimConfig(burn_in=2000, n_draws=N_CHUNKED, base_seed=SEED),
         _whole(("w1", "w2"), N_CHUNKED),
     )
     print(f"stationary_chunked       {digest(*(chunked.head(s, N_CHUNKED) for s in ('w1', 'w2')))}")
     garch = _garch_chunked(
-        GARCH_PARAMS, SimConfig(burn_in=1000, n_draws=N_CHUNKED, base_seed=SEED), 1,
+        GARCH_PARAMS, SimConfig(burn_in=1000, n_draws=N_CHUNKED, base_seed=SEED),
         _whole(STORED, N_CHUNKED),
     )
     print(f"garch_chunked            {digest(*(garch.head(s, N_CHUNKED) for s in STORED))}")
