@@ -109,7 +109,10 @@ def _require(node: dict, key: str, path: str) -> Any:
 def _as_real(value: Any, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigInvalid(path, f"expected a number, got {value!r}")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an integer too large for a float
+        value = math.inf
     if not math.isfinite(value):
         raise ConfigInvalid(path, "must be finite")
     return value

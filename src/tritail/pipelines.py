@@ -11,7 +11,7 @@ Every pipeline follows the same discipline:
 * a run with ``workers`` >= 2 holds one pool of exactly ``workers`` threads.
   When the run starts it submits, in the order the steps read them, the
   Lyapunov estimate, the stationary sample's groups and the cross-validation
-  samples (each step's side job, :data:`_STEP_JOBS`, resolved on the main
+  samples (each step's side job in :data:`_STEPS`, resolved on the main
   thread, a pure function of its substream); each step then reads its job's
   result.  The main thread still runs the steps in order, merges the groups,
   writes the CSVs and computes the series weights: their slabs, freed on a
@@ -43,7 +43,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import engine, garch, reduction, renewal, spectral, tailstats
-from .config import ExperimentConfig, _check_object, canonical_json
+from .config import ExperimentConfig, _as_real, _check_object, canonical_json
 from .engine import PathSample, SimConfig
 from .errors import ConfigInvalid, PipelineMismatch, TritailError
 from .garch import (
@@ -79,6 +79,7 @@ _CSV_BLOCK_ROWS = 65_536
 
 _REPORT_FIELDS = ("name", "pipeline", "config_digest", "results", "artifacts")
 _RECORD_FIELDS = ("name", "value", "std_error", "bound_low", "bound_high", "pass")
+_NON_FINITE = ("inf", "-inf", "nan")  # how a record saves a non-finite number
 
 
 # ============================================================================
@@ -131,24 +132,36 @@ class RunReport:
         with open(path, "r", encoding="utf-8") as f:
             d = json.load(f)
         _check_object(d, "", {*_REPORT_FIELDS, "wall_time"}, _REPORT_FIELDS)
+        for key in ("name", "pipeline", "config_digest"):
+            _expect(d[key], f"/{key}", str, "a string")
         for key in ("results", "artifacts"):
-            if not isinstance(d[key], list):
-                raise ConfigInvalid(f"/{key}", f"expected a list, got {type(d[key]).__name__}")
+            _expect(d[key], f"/{key}", list, "a list")
+        for i, artifact in enumerate(d["artifacts"]):
+            _expect(artifact, f"/artifacts/{i}", str, "a string")
         results = []
         for i, r in enumerate(d["results"]):
-            _check_object(r, f"/results/{i}", {*_RECORD_FIELDS, "note"}, _RECORD_FIELDS)
-            try:
-                results.append(ResultRecord.from_dict(r))
-            except (TypeError, ValueError) as e:
-                raise ConfigInvalid(f"/results/{i}", str(e)) from None
+            path = f"/results/{i}"
+            _check_object(r, path, {*_RECORD_FIELDS, "note"}, _RECORD_FIELDS)
+            _expect(r["name"], f"{path}/name", str, "a string")
+            _expect(r.get("note", ""), f"{path}/note", str, "a string")
+            _expect(r["pass"], f"{path}/pass", (bool, type(None)), "true, false or null")
+            for key in ("value", "std_error", "bound_low", "bound_high"):
+                if r[key] is not None and r[key] not in _NON_FINITE:
+                    _as_real(r[key], f"{path}/{key}")
+            results.append(ResultRecord.from_dict(r))
         return cls(
             name=d["name"],
             pipeline=d["pipeline"],
             config_digest=d["config_digest"],
             results=tuple(results),
             artifacts=tuple(d["artifacts"]),
-            wall_time=float(d.get("wall_time", 0.0)),
+            wall_time=_as_real(d.get("wall_time", 0.0), "/wall_time"),
         )
+
+
+def _expect(value, path: str, types, what: str) -> None:
+    if not isinstance(value, types):
+        raise ConfigInvalid(path, f"expected {what}, got {type(value).__name__}")
 
 
 # ============================================================================
@@ -190,17 +203,27 @@ def _chunked(sample_span: Callable, n: int, n_arrays: int, plan: Plan,
     return lambda: reduction.merge(plan, groups, n)
 
 
-def _chain_spans(sampler: Callable, model, sim: SimConfig, purpose: str):
-    """``(sample_span, span)`` of a forward sampler, each chunk whole chains of _CHUNK_CHAIN_LEN.
+def _forward_chunked(law, sim: SimConfig, plan: Plan, pool: Optional[ThreadPoolExecutor],
+                     purpose: str) -> Callable[[], Summary]:
+    """The forward sample of ``law`` reduced under ``plan``, as :func:`_chunked` gives it.
 
-    Chunk i covers states ``[i*_CHUNK_DRAWS, ...)`` and draws from substream i.
-    Consecutive chunks run side by side as one group, a single sampler call
-    whose generator blocks are the chunks, up to _GROUP_ELEMENTS per slab
-    buffer; a chunk's states equal a solo run's, so neither the grouping nor
-    the worker count changes the result.  Only the final chunk can be a
-    non-multiple; its last chain is trimmed, so the sample keeps the
-    chain-major invariant with that chain length.
+    A GARCH law runs :func:`stationary_garch_sample` on its parameters and
+    keeps :data:`garch.STORED`; any other law runs
+    :func:`engine.stationary_sample` and keeps ``w1`` and ``w2``.  Both are
+    looked up when called, so a wrapper installed on either name sees every
+    call.  Chunk i covers states ``[i*_CHUNK_DRAWS, ...)``, whole chains of
+    _CHUNK_CHAIN_LEN, and draws from substream i.  Consecutive chunks run
+    side by side as one group, a single sampler call whose generator blocks
+    are the chunks, up to _GROUP_ELEMENTS per slab buffer; a chunk's states
+    equal a solo run's, so neither the grouping nor the worker count changes
+    the result.  Only the final chunk can be a non-multiple; its last chain
+    is trimmed, so the sample keeps the chain-major invariant with that
+    chain length.
     """
+    if isinstance(law, GarchLaw):
+        sampler, model, n_arrays = stationary_garch_sample, law.params, len(garch.STORED)
+    else:
+        sampler, model, n_arrays = engine.stationary_sample, law, 2
     chunk_chains = _CHUNK_DRAWS // _CHUNK_CHAIN_LEN
     per_group = max(1, _GROUP_ELEMENTS // (engine.slab_rows(chunk_chains) * chunk_chains))
 
@@ -212,14 +235,7 @@ def _chain_spans(sampler: Callable, model, sim: SimConfig, purpose: str):
         cfg = replace(sim, n_draws=n_chains * _CHUNK_CHAIN_LEN)
         return sampler(model, cfg, blocks, n_chains=n_chains, out=out)
 
-    return one, per_group * _CHUNK_DRAWS
-
-
-def _stationary_chunked(law, sim: SimConfig, plan: Plan,
-                        purpose: str = "stationary") -> Summary:
-    """The chunked stationary sample reduced under ``plan``, sampled on the calling thread."""
-    one, span = _chain_spans(engine.stationary_sample, law, sim, purpose)
-    return _chunked(one, sim.n_draws, 2, plan, None, span)()
+    return _chunked(one, sim.n_draws, n_arrays, plan, pool, per_group * _CHUNK_DRAWS)
 
 
 def _backward_chunked(law, sim: SimConfig, plan: Plan) -> Summary:
@@ -229,12 +245,6 @@ def _backward_chunked(law, sim: SimConfig, plan: Plan) -> Summary:
             law, cfg, substream(sim.base_seed, "backward", start // _CHUNK_DRAWS))
 
     return _chunked(one, sim.n_draws, 0, plan, None)()
-
-
-def _garch_chunked(params, sim: SimConfig, plan: Plan) -> Summary:
-    """The chunked GARCH path reduced under ``plan``, sampled on the calling thread."""
-    one, span = _chain_spans(stationary_garch_sample, params, sim, "garch")
-    return _chunked(one, sim.n_draws, len(garch.STORED), plan, None, span)()
 
 
 def _whole(names, n: int) -> Plan:
@@ -306,6 +316,11 @@ class _Ctx:
     def is_garch(self) -> bool:
         return isinstance(self.cfg.law, GarchLaw)
 
+    @property
+    def pair(self) -> tuple:
+        """The two series of the recursion: the GARCH volatilities, or w1 and w2."""
+        return ("sigma1_sq", "sigma2_sq") if self.is_garch() else ("w1", "w2")
+
     def plan(self) -> Plan:
         """Every reduction the run's steps read of the stationary sample.
 
@@ -313,9 +328,9 @@ class _Ctx:
         nothing; the step itself then reports the failure.
         """
         plan = Plan()
-        for name in self.steps:
+        for step in (_STEPS[name] for name in self.steps if _STEPS[name].plan):
             try:
-                plan |= _STEP_PLANS.get(name, lambda ctx: Plan())(self)
+                plan |= step.plan(self)
             except TritailError:
                 pass
         return plan
@@ -323,28 +338,21 @@ class _Ctx:
     def start(self, pool: Optional[ThreadPoolExecutor]) -> None:
         """Start the run's jobs in the order the steps read them.
 
-        That is each step's side job (:data:`_STEP_JOBS`), and the
-        stationary sample just before the first step that reads it.
+        That is each step's side job (:attr:`_Step.job` in :data:`_STEPS`),
+        and the stationary sample just before the first step with a plan.
         """
+        purpose = "garch" if self.is_garch() else "stationary"
         for name in self.steps:
-            if name in _STEP_PLANS and "sample" not in self.jobs:
-                self.jobs["sample"] = _Job(self._start_sample, pool)
-            if name in _STEP_JOBS:
-                self.jobs[name] = _Job(functools.partial(_STEP_JOBS[name], self), pool)
+            step = _STEPS[name]
+            if step.plan and "sample" not in self.jobs:
+                self.jobs["sample"] = _Job(lambda pool: _forward_chunked(
+                    self.cfg.law, self.cfg.sim, self.plan(), pool, purpose), pool)
+            if step.job:
+                self.jobs[name] = _Job(functools.partial(step.job, self), pool)
 
     def read(self, name: str):
         """The result of step ``name``'s side job, dropped from the run once read."""
         return self.jobs.pop(name).result()
-
-    def _start_sample(self, pool: Optional[ThreadPoolExecutor]) -> Callable[[], Summary]:
-        sim = self.cfg.sim
-        if self.is_garch():
-            one, span = _chain_spans(stationary_garch_sample, self.cfg.law.params, sim, "garch")
-            n_arrays = len(garch.STORED)
-        else:
-            one, span = _chain_spans(engine.stationary_sample, self.cfg.law, sim, "stationary")
-            n_arrays = 2
-        return _chunked(one, sim.n_draws, n_arrays, self.plan(), pool, span)
 
     def sample(self) -> Summary:
         """The stationary sample (the GARCH path), reduced to what the steps read."""
@@ -503,12 +511,10 @@ def _step_simulate(ctx: _Ctx) -> None:
             ("t", "x1", "x2", "sigma1_sq", "sigma2_sq"),
             (np.arange(m), head.x1, head.x2, head.sigma1_sq, head.sigma2_sq),
         )
-        names = ("sigma1_sq", "sigma2_sq")
     else:
         ctx.write_csv("path.csv", ("t", "w1", "w2"), (np.arange(m), head.w1, head.w2))
-        names = ("w1", "w2")
     ctx.add(name="n_draws", value=float(n), passed=None)
-    for name in names:
+    for name in ctx.pair:
         _summary_stats(ctx, name)
 
 
@@ -559,15 +565,14 @@ def _step_tails(ctx: _Ctx) -> None:
     a_min = min(a1, a2)
     k = ctx.knob("hill_k")
     garch = ctx.is_garch()
-    names = ("sigma1_sq", "sigma2_sq") if garch else ("w1", "w2")
-    for name, target in zip(names, (a_min, a2)):
+    for name, target in zip(ctx.pair, (a_min, a2)):
         _hill_record(ctx, f"hill_{name}", tailstats.hill(ctx.tail(name), k=k), target)
     if garch:
         k_x = ctx.knob("hill_k_x") or return_hill_k(len(ctx.sample()))
         for name, target in (("abs_x1", a_min), ("abs_x2", a2)):
             _hill_record(ctx, f"hill_{name}", tailstats.hill(ctx.tail(name), k=k_x),
                          2.0 * target)
-    for name, target in zip(names, (a_min, a2)):
+    for name, target in zip(ctx.pair, (a_min, a2)):
         _plateau_record(ctx, f"plateau_{name}", ctx.plateau(name, target),
                         csv_name=None if garch else f"plateau_{name}.csv")
 
@@ -772,8 +777,6 @@ def _step_cross_validate(ctx: _Ctx) -> None:
     states are nearly independent — the KS p-value assumes i.i.d. samples, and
     raw chain output would fail that assumption, not the distributional claim.
     """
-    if ctx.is_garch():
-        return
     n = ctx.knob("crossval_draws")
     fwd, back = ctx.read("cross_validate")
     level = ctx.knob("ks_level")
@@ -789,26 +792,14 @@ def _step_cross_validate(ctx: _Ctx) -> None:
         )
 
 
-_PIPELINE_STEPS = {
-    "solve_index": (("solve_index", _step_solve_index),),
-    "stationarity": (("stationarity", _step_stationarity),),
-    "simulate": (("simulate", _step_simulate),),
-    "tails": (("tails", _step_tails),),
-    "constants": (("constants", _step_constants),),
-    "spectral": (("spectral", _step_spectral),),
-    "garch_verify": (("garch_verify", _step_garch_verify),),
-}
-
-
 def _plan_simulate(ctx: _Ctx) -> Plan:
-    series = ("sigma1_sq", "sigma2_sq") if ctx.is_garch() else ("w1", "w2")
-    stored = garch.STORED if ctx.is_garch() else series
-    return Plan(tails={s: ctx.depth(s) for s in series}, sums=frozenset(series),
+    stored = garch.STORED if ctx.is_garch() else ctx.pair
+    return Plan(tails={s: ctx.depth(s) for s in ctx.pair}, sums=frozenset(ctx.pair),
                 heads=dict.fromkeys(stored, ctx.knob("csv_rows")))
 
 
 def _plan_tails(ctx: _Ctx) -> Plan:
-    series = ("sigma1_sq", "sigma2_sq", "abs_x1", "abs_x2") if ctx.is_garch() else ("w1", "w2")
+    series = ctx.pair + (("abs_x1", "abs_x2") if ctx.is_garch() else ())
     return Plan(tails={s: ctx.depth(s) for s in series})
 
 
@@ -838,22 +829,10 @@ def _plan_garch_verify(ctx: _Ctx) -> Plan:
     return verify | garch.spectral_plan(ctx.regime(), h, ctx.knob("u_quantile"))
 
 
-# What each step reads of the stationary sample; the run plans their union.
-# Only the steps listed here may read the sample: the run starts it just
-# before the first of them.
-_STEP_PLANS = {
-    "simulate": _plan_simulate,
-    "tails": _plan_tails,
-    "constants": _plan_constants,
-    "spectral": _plan_spectral,
-    "garch_verify": _plan_garch_verify,
-}
-
-
 def _crossval_samples(law, forward: SimConfig, backward: SimConfig) -> tuple[Summary, Summary]:
     """The forward and backward cross-validation samples, kept whole, one after the other."""
-    fwd = _stationary_chunked(law, forward, _whole(("w1", "w2"), forward.n_draws),
-                              purpose="crossval")
+    fwd = _forward_chunked(law, forward, _whole(("w1", "w2"), forward.n_draws), None,
+                           "crossval")()
     back = _backward_chunked(law, backward, _whole(("w1", "w2"), backward.n_draws))
     return fwd, back
 
@@ -870,36 +849,43 @@ def _job_cross_validate(ctx: _Ctx, pool) -> Callable:
                    backward)
 
 
-# What each step computes without the stationary sample.  The run starts
-# these jobs with the sample; a job reads no _Ctx state and never submits
-# to the pool.
-_STEP_JOBS = {
-    "stationarity": _job_stationarity,
-    "cross_validate": _job_cross_validate,
+@dataclass(frozen=True)
+class _Step:
+    """One step of a pipeline: ``run(ctx)`` adds its records and artifacts.
+
+    ``plan(ctx)`` is what the step reads of the stationary sample; the run
+    plans the union over its steps and starts the sample just before the
+    first step that has a plan.  Only steps with a plan read the sample.
+    ``job(ctx, pool)`` is what the step computes without the sample: it is
+    started with the run, resolves its inputs on the calling thread and
+    returns the function that reads its result (:func:`_submit`).  The work
+    it submits reads no ``_Ctx`` state and never submits to the pool.
+    """
+
+    run: Callable
+    plan: Optional[Callable] = None
+    job: Optional[Callable] = None
+
+
+# Every step.  A pipeline other than full_report runs the one step of its name.
+_STEPS = {
+    "solve_index": _Step(_step_solve_index),
+    "stationarity": _Step(_step_stationarity, job=_job_stationarity),
+    "simulate": _Step(_step_simulate, plan=_plan_simulate),
+    "tails": _Step(_step_tails, plan=_plan_tails),
+    "constants": _Step(_step_constants, plan=_plan_constants),
+    "cross_validate": _Step(_step_cross_validate, job=_job_cross_validate),
+    "spectral": _Step(_step_spectral, plan=_plan_spectral),
+    "garch_verify": _Step(_step_garch_verify, plan=_plan_garch_verify),
 }
 
-
-def _full_report_steps(cfg: ExperimentConfig):
-    if isinstance(cfg.law, GarchLaw):
-        return (
-            ("solve_index", _step_solve_index),
-            ("stationarity", _step_stationarity),
-            ("simulate", _step_simulate),
-            ("tails", _step_tails),
-            ("garch_verify", _step_garch_verify),
-        )
-    return (
-        ("solve_index", _step_solve_index),
-        ("stationarity", _step_stationarity),
-        ("simulate", _step_simulate),
-        ("tails", _step_tails),
-        ("constants", _step_constants),
-        ("cross_validate", _step_cross_validate),
-        ("spectral", _step_spectral),
-    )
+# The steps of full_report on an independent law and on a GARCH law.
+_FULL_REPORT = ("solve_index", "stationarity", "simulate", "tails", "constants",
+                "cross_validate", "spectral")
+_GARCH_REPORT = ("solve_index", "stationarity", "simulate", "tails", "garch_verify")
 
 
-def run(config: ExperimentConfig, workers: Optional[int] = None) -> RunReport:
+def run(config: ExperimentConfig) -> RunReport:
     """Execute one pipeline and write its artifacts and report.
 
     Every step's failure, whatever the exception type, is captured as a
@@ -909,30 +895,25 @@ def run(config: ExperimentConfig, workers: Optional[int] = None) -> RunReport:
     :class:`ConfigInvalid` at ``/output_dir`` before any step runs.
     """
     t0 = time.perf_counter()
-    workers = workers if workers is not None else config.workers
     outdir = Path(config.output_dir)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
     except OSError as e:
         raise ConfigInvalid("/output_dir", f"cannot create {outdir}: {e.strerror}") from None
-    steps = (
-        _full_report_steps(config)
-        if config.pipeline == "full_report"
-        else _PIPELINE_STEPS[config.pipeline]
-    )
-    ctx = _Ctx(
-        cfg=config, outdir=outdir, steps=tuple(name for name, _ in steps),
-        records=[], artifacts=[], cache={},
-    )
-    with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+    if config.pipeline != "full_report":
+        steps = (config.pipeline,)
+    else:
+        steps = _GARCH_REPORT if isinstance(config.law, GarchLaw) else _FULL_REPORT
+    ctx = _Ctx(cfg=config, outdir=outdir, steps=steps, records=[], artifacts=[], cache={})
+    with ThreadPoolExecutor(config.workers) if config.workers > 1 else nullcontext() as pool:
         ctx.start(pool)
-        for step_name, step_fn in steps:
+        for name in steps:
             try:
-                step_fn(ctx)
+                _STEPS[name].run(ctx)
             except Exception as e:
                 ctx.records.append(
                     ResultRecord(
-                        name=f"{step_name}_error",
+                        name=f"{name}_error",
                         value=None,
                         passed=False,
                         note=f"{type(e).__name__}: {e}",

@@ -12,10 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tritail import garch, pipelines, reduction, tailstats
+from tritail import cli, garch, pipelines, reduction, tailstats
 from tritail.cli import main
 from tritail.config import (
     KNOBS,
+    PIPELINES,
     apply_overrides,
     canonical_json,
     load_config,
@@ -684,11 +685,12 @@ def test_garch_full_report_computes_each_estimate_once(tmp_path, monkeypatch):
     # quantile, Hill and plateau), |x1| and |x2| (Hill of |X| and of X^2),
     # and the volatility norm of the cross-feed spectral check.
     passes = _record_passes(monkeypatch)
-    calls = _capture_args(monkeypatch, pipelines, "_chain_spans")
+    calls = _capture_args(monkeypatch, pipelines, "_forward_chunked")
     small_garch_report(tmp_path)
-    ((_, params, sim, _),) = calls
-    s = pipelines._garch_chunked(params, sim, pipelines._whole(garch.STORED, sim.n_draws))
-    path = GarchPath(*(s.head(name, len(s)) for name in garch.STORED), params=params,
+    ((law, sim, _, _, purpose),) = calls
+    s = pipelines._forward_chunked(law, sim, pipelines._whole(garch.STORED, sim.n_draws), None,
+                                   purpose)()
+    path = GarchPath(*(s.head(name, len(s)) for name in garch.STORED), params=law.params,
                      config=sim, chain_len=s.chain_len)
     series = {
         "sigma1_sq": path.sigma1_sq,
@@ -711,7 +713,7 @@ def test_independent_full_report_streams_each_series_once(tmp_path, monkeypatch,
     # conditional-window estimates read one pass over the norm |W|.
     passes = _record_passes(monkeypatch)
     plateaus = _capture_returns(monkeypatch, tailstats, "tail_constant")
-    calls = _capture_args(monkeypatch, pipelines, "_chain_spans")
+    calls = _capture_args(monkeypatch, pipelines, "_forward_chunked")
     law = base_config()["law"]
     law.update(a1=lognormal(a1_mu, 0.5**0.5), a4=lognormal(a4_mu, 0.5**0.5))
     cfg = base_config(pipeline="full_report", law=law, output_dir=str(tmp_path),
@@ -721,8 +723,9 @@ def test_independent_full_report_streams_each_series_once(tmp_path, monkeypatch,
     cfg["sim"].update(n_draws=100_000, burn_in=200)
     report = run(parse_config(cfg))
     assert not [r.name for r in report.results if r.name.endswith("_error")]
-    law, sim = calls[0][1:3]  # the stationary sample starts first, before cross-validation
-    s = pipelines._stationary_chunked(law, sim, pipelines._whole(("w1", "w2"), sim.n_draws))
+    law, sim, _, _, purpose = calls[0]  # the stationary sample starts before cross-validation
+    s = pipelines._forward_chunked(law, sim, pipelines._whole(("w1", "w2"), sim.n_draws), None,
+                                   purpose)()
     w1, w2 = s.head("w1", len(s)), s.head("w2", len(s))
     for w in (w1, w2):
         assert sum(np.array_equal(p, w) for p in passes) == 1
@@ -824,12 +827,10 @@ def test_garch_peak_memory_does_not_grow_with_the_sample(tmp_path, monkeypatch):
     import tracemalloc
 
     monkeypatch.setattr(pipelines, "_GROUP_ELEMENTS", 1)
-    monkeypatch.setitem(pipelines._PIPELINE_STEPS, "tails",
-                        (("simulate", pipelines._step_simulate),
-                         ("tails", pipelines._step_tails)))
+    monkeypatch.setattr(pipelines, "_GARCH_REPORT", ("simulate", "tails"))
 
     def peak(n):
-        cfg = garch_config(pipeline="tails", params={"csv_rows": 10},
+        cfg = garch_config(pipeline="full_report", params={"csv_rows": 10},
                            output_dir=str(tmp_path / f"n{n}"))
         cfg["sim"].update(n_draws=n, burn_in=200)
         config = parse_config(cfg)
@@ -966,7 +967,7 @@ def test_cli_step_error_of_any_type_is_captured(tmp_path, capsys, monkeypatch):
     def step(ctx):
         raise TypeError("unsupported operand")
 
-    monkeypatch.setitem(pipelines._PIPELINE_STEPS, "constants", (("constants", step),))
+    monkeypatch.setitem(pipelines._STEPS, "constants", pipelines._Step(step))
     cfg_path = _write_config(tmp_path, "exp.json", base_config())
     out = tmp_path / "o"
     rc = main(["constants", "--config", str(cfg_path), "--out", str(out)])
@@ -1037,6 +1038,8 @@ def test_cli_unusable_output_dir_exits_two(tmp_path, capsys, where):
         ("tolerances", "c1_rel_tl", 0.1, "/tolerances/c1_rel_tl"),
         ("params", "s_schedule", 4, "/params/s_schedule"),
         ("params", "s_schedule", [1, 4, 2], "/params/s_schedule/2"),
+        pytest.param("tolerances", "ks_bound", 10**400, "/tolerances/ks_bound",
+                     id="integer_too_large_for_a_float"),
     ],
 )
 def test_cli_bad_knob_exits_two_before_running(tmp_path, capsys, section, key, value, pointer):
@@ -1045,6 +1048,16 @@ def test_cli_bad_knob_exits_two_before_running(tmp_path, capsys, section, key, v
     assert main(["tails", "--config", str(cfg_path), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {pointer}: ")
     assert not out.exists()
+
+
+def test_pipeline_names_agree():
+    # Every pipeline but full_report runs the one step of its name;
+    # cross_validate runs only inside full_report.
+    assert len(set(PIPELINES)) == len(PIPELINES)
+    assert set(PIPELINES) == set(pipelines._STEPS) - {"cross_validate"} | {"full_report"}
+    assert set(PIPELINES) == set(cli._SUBCOMMAND_PIPELINES.values())
+    for steps in (pipelines._FULL_REPORT, pipelines._GARCH_REPORT):
+        assert set(steps) <= set(pipelines._STEPS), steps
 
 
 def test_readme_knob_table_names_every_knob():
@@ -1100,6 +1113,16 @@ def test_cli_diff_rejects_negative_or_nan_rel_tol(tmp_path, capsys, rel_tol):
     assert "Traceback" not in captured.err and captured.out == ""
 
 
+def _record_json(**fields) -> dict:
+    return {"name": "x", "value": 1.0, "std_error": 0.0, "bound_low": None, "bound_high": None,
+            "pass": None, **fields}
+
+
+def _report_json(**fields) -> dict:
+    return {"name": "r", "pipeline": "tails", "config_digest": "d",
+            "results": [_record_json()], "artifacts": [], **fields}
+
+
 @pytest.mark.parametrize(
     "content, pointer",
     [
@@ -1109,8 +1132,25 @@ def test_cli_diff_rejects_negative_or_nan_rel_tol(tmp_path, capsys, rel_tol):
         ({"name": "r", "pipeline": "tails", "config_digest": "d", "artifacts": [],
           "results": [{"name": "x", "std_error": 0.0, "bound_low": None,
                        "bound_high": None, "pass": None}]}, "/results/0/value"),
+        (_report_json(results=[_record_json(**{"pass": "yes"})]), "/results/0/pass"),
+        (_report_json(results=[_record_json(**{"pass": 1})]), "/results/0/pass"),
+        (_report_json(results=[_record_json(name="r"), _record_json(name=5)]),
+         "/results/1/name"),
+        (_report_json(results=[_record_json(note=3)]), "/results/0/note"),
+        (_report_json(results=[_record_json(value=10**400)]), "/results/0/value"),
+        (_report_json(results=[_record_json(std_error=True)]), "/results/0/std_error"),
+        (_report_json(results=[_record_json(bound_low="1.5")]), "/results/0/bound_low"),
+        (_report_json(name=5), "/name"),
+        (_report_json(pipeline=None), "/pipeline"),
+        (_report_json(config_digest=1.0), "/config_digest"),
+        (_report_json(artifacts=["a.csv", 2]), "/artifacts/1"),
+        (_report_json(wall_time="soon"), "/wall_time"),
+        (_report_json(wall_time=True), "/wall_time"),
     ],
-    ids=["top_level_list", "result_not_object", "result_missing_value"],
+    ids=["top_level_list", "result_not_object", "result_missing_value", "pass_string",
+         "pass_integer", "record_name_integer", "note_integer", "value_overflows",
+         "std_error_bool", "bound_string", "name_integer", "pipeline_null", "digest_number",
+         "artifact_integer", "wall_time_string", "wall_time_bool"],
 )
 def test_cli_diff_malformed_report_is_usage_error(tmp_path, capsys, content, pointer):
     good = tmp_path / "good.json"
@@ -1120,3 +1160,38 @@ def test_cli_diff_malformed_report_is_usage_error(tmp_path, capsys, content, poi
     assert main(["diff", str(good), str(bad)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot load reports: {pointer}: "), err
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def _any_report(draw):
+    """Any JSON value, or a well-formed report with a few fields replaced or dropped."""
+    if draw(st.booleans()):
+        return draw(_JSON)
+    records = [_record_json(), _record_json(name="y")]  # "x" is also in the good report
+    report = _report_json(results=list(records), wall_time=0.5)
+    for _ in range(draw(st.integers(1, 3))):
+        node = draw(st.sampled_from([report, *records]))
+        key = draw(st.sampled_from(sorted(node)))
+        if draw(st.booleans()):
+            node[key] = draw(_JSON)
+        else:
+            del node[key]
+    return report
+
+
+@settings(max_examples=300, deadline=None)
+@given(bad=_any_report())
+def test_cli_diff_of_any_json_exits_zero_one_or_two(tmp_path_factory, bad):
+    d = tmp_path_factory.mktemp("diff")
+    good = d / "good.json"
+    _report_of({"x": 1.0}).save(good)
+    (d / "bad.json").write_text(json.dumps(bad), encoding="utf-8")
+    assert main(["diff", str(good), str(d / "bad.json")]) in (0, 1, 2)

@@ -32,7 +32,7 @@ from tritail.pipelines import (
     _CHUNK_CHAIN_LEN,
     _CHUNK_DRAWS,
     _GROUP_ELEMENTS,
-    _stationary_chunked,
+    _forward_chunked,
     _whole,
 )
 from tritail.spectral import AngularSample, spectral_process_draws
@@ -248,11 +248,10 @@ def test_chunked_sample_independent_of_workers():
         return PathSample(w1=s.head("w1", n), w2=s.head("w2", n), mode="forward_burnin",
                           config=sim, chain_len=s.chain_len)
 
-    one = path(_stationary_chunked(LAW_C8, sim, plan))
-    sample_span, span = pipelines._chain_spans(stationary_sample, LAW_C8, sim, "stationary")
+    one = path(_forward_chunked(LAW_C8, sim, plan, None, "stationary")())
     for workers in (2, 3):  # 3 threads share the group buffers on fewer cores
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            many = path(pipelines._chunked(sample_span, n, 2, plan, pool, span)())
+            many = path(_forward_chunked(LAW_C8, sim, plan, pool, "stationary")())
         np.testing.assert_array_equal(one.w1, many.w1)
         np.testing.assert_array_equal(one.w2, many.w2)
     assert one.chain_len == _CHUNK_CHAIN_LEN and len(one) == n
@@ -290,7 +289,7 @@ def test_chain_blocks_validation():
         chain_blocks([(rng(), 200), (rng(), 600)], 800)
 
 
-def test_pool_threads_never_exceed_groups():
+def test_pool_threads_never_exceed_groups(monkeypatch):
     # The sample submits one task per group to the run's pool, so it never
     # runs on more of the pool's threads than it has groups, however many
     # threads the pool holds; without a pool the groups are sampled in turn
@@ -306,7 +305,7 @@ def test_pool_threads_never_exceed_groups():
     per_group = _GROUP_ELEMENTS // (slab_rows(CHUNK_CHAINS) * CHUNK_CHAINS)
     n = (per_group + 2) * _CHUNK_DRAWS + 1
     sim = SimConfig(burn_in=0, n_draws=n)
-    sample_span, span = pipelines._chain_spans(sampler, None, sim, "stationary")
+    monkeypatch.setattr(pipelines.engine, "stationary_sample", sampler)
     groups = [
         ([CHUNK_CHAINS] * per_group, per_group * CHUNK_CHAINS, per_group * _CHUNK_DRAWS,
          per_group * _CHUNK_DRAWS),
@@ -314,12 +313,12 @@ def test_pool_threads_never_exceed_groups():
          (2 * CHUNK_CHAINS + 1) * _CHUNK_CHAIN_LEN, 2 * _CHUNK_DRAWS + 1),
     ]
     with ThreadPoolExecutor(max_workers=4) as pool:
-        pipelines._chunked(sample_span, n, 2, Plan(), pool, span)()
+        _forward_chunked(LAW_C8, sim, Plan(), pool, "stationary")()
     assert sorted(calls) == sorted(groups)
     assert 1 <= len(threads) <= len(groups) and threading.get_ident() not in threads
     calls.clear()
     threads.clear()
-    read = pipelines._chunked(sample_span, n, 2, Plan(), None, span)
+    read = _forward_chunked(LAW_C8, sim, Plan(), None, "stationary")
     assert calls == []
     read()
     assert calls == groups and threads == {threading.get_ident()}

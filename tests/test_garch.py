@@ -33,9 +33,7 @@ from tritail.pipelines import (
     _CHUNK_CHAIN_LEN,
     _CHUNK_DRAWS,
     _GROUP_ELEMENTS,
-    _chain_spans,
-    _chunked,
-    _garch_chunked,
+    _forward_chunked,
     _whole,
 )
 from tritail.records import ResultRecord
@@ -223,12 +221,12 @@ def test_stationary_garch_sample_equals_per_step_recursion(burn_in, n_draws, thi
 def chunked_path(sim, workers):
     """The pipeline's chunked GARCH path, every state kept, on a pool of ``workers`` threads."""
     plan = _whole(STORED, sim.n_draws)
+    law = GarchLaw(GARCH_P10)
     if workers == 1:
-        s = _garch_chunked(GARCH_P10, sim, plan)
+        s = _forward_chunked(law, sim, plan, None, "garch")()
     else:
-        sample_span, span = _chain_spans(stationary_garch_sample, GARCH_P10, sim, "garch")
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            s = _chunked(sample_span, sim.n_draws, len(STORED), plan, pool, span)()
+            s = _forward_chunked(law, sim, plan, pool, "garch")()
     return GarchPath(*(s.head(name, len(s)) for name in STORED), params=GARCH_P10,
                      config=sim, chain_len=s.chain_len)
 

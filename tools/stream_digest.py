@@ -23,9 +23,9 @@ import hashlib
 import numpy as np
 
 from tritail.engine import SimConfig, backward_truncated, lyapunov_estimate, stationary_sample
-from tritail.garch import STORED, GarchParams, stationary_garch_sample
+from tritail.garch import STORED, GarchLaw, GarchParams, stationary_garch_sample
 from tritail.laws import Constant, IndependentLaw, LogNormal
-from tritail.pipelines import _garch_chunked, _stationary_chunked, _whole
+from tritail.pipelines import _forward_chunked, _whole
 from tritail.renewal import series_weight
 from tritail.spectral import AngularSample, spectral_process_draws
 from tritail.streams import substream
@@ -92,15 +92,15 @@ def main() -> None:
     )
     arrays = (garch.x1, garch.x2, garch.sigma1_sq, garch.sigma2_sq, garch.z1, garch.z2)
     print(f"stationary_garch_sample  {digest(*arrays)}")
-    chunked = _stationary_chunked(
+    chunked = _forward_chunked(
         DEMO_LAW, SimConfig(burn_in=2000, n_draws=N_CHUNKED, base_seed=SEED),
-        _whole(("w1", "w2"), N_CHUNKED),
-    )
+        _whole(("w1", "w2"), N_CHUNKED), None, "stationary",
+    )()
     print(f"stationary_chunked       {digest(*(chunked.head(s, N_CHUNKED) for s in ('w1', 'w2')))}")
-    garch = _garch_chunked(
-        GARCH_PARAMS, SimConfig(burn_in=1000, n_draws=N_CHUNKED, base_seed=SEED),
-        _whole(STORED, N_CHUNKED),
-    )
+    garch = _forward_chunked(
+        GarchLaw(GARCH_PARAMS), SimConfig(burn_in=1000, n_draws=N_CHUNKED, base_seed=SEED),
+        _whole(STORED, N_CHUNKED), None, "garch",
+    )()
     print(f"garch_chunked            {digest(*(garch.head(s, N_CHUNKED) for s in STORED))}")
     backward = backward_truncated(
         DEMO_LAW,
