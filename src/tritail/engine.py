@@ -19,17 +19,20 @@ width would, into its columns of one wide slab, and every numpy call of the
 update then spans the whole group.  The update is elementwise across chains,
 so a block's states are bit-identical to the solo run's; the wide rows cut
 the per-call overhead and let numpy release the interpreter lock, so groups
-on a thread pool run in parallel.
+on a thread pool run in parallel.  Each slab's kept states go straight to a
+:class:`tritail.reduction.Reducer` at the group's full width: no sampler
+copies them into a chain-major array unless a caller asks for one.
 """
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
 from .errors import NonFiniteState, NotContracting
 from .laws import CoeffDraw, CoefficientLaw, check_stationarity
+from .reduction import Plan, Reducer
 
 __all__ = [
     "SimConfig",
@@ -84,6 +87,8 @@ class PathSample:
     single forward path has ``chain_len == len(sample)``; backward draws are
     independent, ``chain_len == 1``.
     """
+
+    STORED: ClassVar[tuple] = ("w1", "w2")  # the stored arrays, each (rows, chains) in a block
 
     w1: np.ndarray
     w2: np.ndarray
@@ -198,21 +203,6 @@ def forward_slabs(draw, w1: np.ndarray, w2: np.ndarray, config: SimConfig, per_c
             yield k - 1, slice(first, rows + 1, thinning)
 
 
-def store_kept(dst: np.ndarray, j: int, block: np.ndarray, per_chain: int) -> None:
-    """Write kept states ``j..`` of every chain into a chain-major flat array.
-
-    ``block`` rows are kept steps and its columns chains; ``dst`` holds the
-    first ``dst.size`` states of the chain-major sample (``per_chain`` per
-    chain), so a trailing chain may be trimmed and later columns dropped.
-    """
-    full, rem = divmod(dst.size, per_chain)
-    m = block.shape[0]
-    if full:
-        dst[: full * per_chain].reshape(full, per_chain)[:, j : j + m] = block[:, :full].T
-    if j < rem:
-        dst[full * per_chain + j : full * per_chain + min(j + m, rem)] = block[: rem - j, full]
-
-
 def chain_plan(n: int, n_chains: int) -> tuple[int, int]:
     """(chains, kept states per chain) for a chain-major sample of n states.
 
@@ -231,26 +221,30 @@ def stationary_sample(
     config: SimConfig,
     rng: np.random.Generator,
     n_chains: int = 0,
-    out: Optional[tuple[np.ndarray, np.ndarray]] = None,
-) -> PathSample:
+    reducer: Optional[Reducer] = None,
+):
     """Draw a large batch of approximately stationary states via parallel chains.
 
     Runs ``n_chains`` independent chains (auto: about one chain per thousand
     draws), each burnt in for ``config.burn_in`` steps, then keeps one state
     every ``config.thinning`` steps per chain until ``config.n_draws`` states
-    exist in total.  The result is chain-major: draws ``[c*chain_len, (c+1)*chain_len)``
+    exist in total.  The sample is chain-major: draws ``[c*chain_len, (c+1)*chain_len)``
     are consecutive states of chain ``c``, so windowed estimators can respect
     boundaries via ``PathSample.chain_len``.
 
     ``rng`` is one generator, or ``(generator, chains)`` blocks as in
     :func:`chain_blocks`: each block's chains then equal a solo run of that
-    block on its generator bit for bit.  ``out`` is an optional (w1, w2) pair
-    of flat arrays that receives the first ``len(out[0])`` states of that
-    sample in place; the returned sample then wraps them.
+    block on its generator bit for bit.  With a ``reducer``
+    (:class:`tritail.reduction.Reducer`), each slab's kept (rows, chains)
+    states go straight to it as a step-major :class:`PathSample`, and its
+    :class:`~tritail.reduction.Summary` is returned; without one, the
+    sample is returned whole, as the first states of a whole-sample plan.
     """
     n_chains, per_chain = chain_plan(config.n_draws, n_chains)
-    if out is None:
-        out = (np.empty(config.n_draws), np.empty(config.n_draws))
+    whole = reducer is None
+    if whole:
+        reducer = Reducer(Plan(heads=dict.fromkeys(PathSample.STORED, config.n_draws)),
+                          config.n_draws, per_chain, config.n_draws)
     blocks, rows = chain_blocks(rng, n_chains)
     w1 = np.zeros((rows + 1, n_chains))
     w2 = np.zeros((rows + 1, n_chains))
@@ -263,11 +257,14 @@ def stationary_sample(
         return CoeffDraw(*coeffs[:, :rows])
 
     for j, sel in forward_slabs(draw, w1, w2, config, per_chain):
-        store_kept(out[0], j, w1[sel], per_chain)
-        store_kept(out[1], j, w2[sel], per_chain)
+        reducer.feed(j, PathSample(w1=w1[sel], w2=w2[sel], mode="forward_burnin",
+                                   config=config, chain_len=per_chain))
+    summary = reducer.summary()
+    if not whole:
+        return summary
     return PathSample(
-        w1=out[0],
-        w2=out[1],
+        w1=summary.head("w1", config.n_draws),
+        w2=summary.head("w2", config.n_draws),
         mode="forward_burnin",
         config=config,
         chain_len=per_chain,

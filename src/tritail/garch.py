@@ -21,7 +21,7 @@ of threshold-conditioned return windows.
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -32,7 +32,6 @@ from .engine import (
     chain_plan,
     forward_slabs,
     product_path,
-    store_kept,
 )
 from .errors import RegimeMismatch, TooFewExceedances
 from .laws import (
@@ -44,7 +43,7 @@ from .laws import (
     RegimeReport,
 )
 from .records import ResultRecord
-from .reduction import Plan, PointSpec, WindowSpec, summarize
+from .reduction import Plan, PointSpec, Reducer, WindowSpec, summarize
 from .renewal import univariate_constant
 from .spectral import MIN_EXCEEDANCES, unit_pareto
 from .tailstats import (
@@ -73,7 +72,7 @@ __all__ = [
     "return_spectral_check",
 ]
 
-STORED = ("sigma1_sq", "sigma2_sq", "z1", "z2")  # a path's arrays, in the samplers' ``out`` order
+STORED = ("sigma1_sq", "sigma2_sq", "z1", "z2")  # a path's arrays, in GarchPath's field order
 
 
 @dataclass(frozen=True)
@@ -208,12 +207,15 @@ class GarchPath:
     """Simulated squared volatilities and the driving noise.
 
     The four stored arrays are chain-major like
-    :class:`tritail.engine.PathSample`.  The returns are not stored:
+    :class:`tritail.engine.PathSample`; a sampler hands a reducer the same
+    class over (rows, chains) blocks of kept states.  The returns are not stored:
     :meth:`series` derives ``x1``/``x2`` and ``abs_x1``/``abs_x2`` from
     (sigma_i^2, Z_i) for the states it is asked for, and the ``x1``/``x2``
     properties for the whole path.  The estimators read a path through
     :func:`tritail.reduction.summarize`, one streaming pass per series.
     """
+
+    STORED: ClassVar[tuple] = STORED
 
     sigma1_sq: np.ndarray
     sigma2_sq: np.ndarray
@@ -306,20 +308,22 @@ def stationary_garch_sample(
     config: SimConfig,
     rng: np.random.Generator,
     n_chains: int = 0,
-    out: Optional[tuple] = None,
-) -> GarchPath:
+    reducer: Optional[Reducer] = None,
+):
     """Draw a chain-major batch of approximately stationary GARCH states.
 
-    Same chain layout, trimming rules, generator blocks and ``out``
+    Same chain layout, trimming rules, generator blocks and ``reducer``
     convention as :func:`tritail.engine.stationary_sample` (auto: about one
-    chain per thousand draws); ``out`` holds the four stored flat arrays in
-    the order (sigma1_sq, sigma2_sq, z1, z2), and the returned path derives
-    the returns from them.  Volatilities start at their floor alpha0 and burn
-    in.
+    chain per thousand draws): each slab's kept states go to the reducer as
+    a step-major :class:`GarchPath` of its :data:`STORED` arrays, which
+    derives the returns from them.  Without a reducer the path is returned
+    whole.  Volatilities start at their floor alpha0 and burn in.
     """
     n_chains, per_chain = chain_plan(config.n_draws, n_chains)
-    if out is None:
-        out = tuple(np.empty(config.n_draws) for _ in range(4))
+    whole = reducer is None
+    if whole:
+        reducer = Reducer(Plan(heads=dict.fromkeys(STORED, config.n_draws)),
+                          config.n_draws, per_chain, config.n_draws)
     blocks, rows = chain_blocks(rng, n_chains)
     s1 = np.empty((rows + 1, n_chains))
     s2 = np.empty((rows + 1, n_chains))
@@ -331,14 +335,13 @@ def stationary_garch_sample(
         z1[0, cols], z2[0, cols] = _correlated_normals(params.rho, cols.stop - cols.start, gen)
     draw = _noise_slabs(params, blocks, z1, z2)
     for j, sel in forward_slabs(draw, s1, s2, config, per_chain):
-        for dst, block in zip(out, (s1, s2, z1, z2)):
-            store_kept(dst, j, block[sel], per_chain)
-    return GarchPath(
-        *out,
-        params=params,
-        config=config,
-        chain_len=per_chain,
-    )
+        reducer.feed(j, GarchPath(s1[sel], s2[sel], z1[sel], z2[sel], params=params,
+                                  config=config, chain_len=per_chain))
+    summary = reducer.summary()
+    if not whole:
+        return summary
+    return GarchPath(*(summary.head(name, config.n_draws) for name in STORED),
+                     params=params, config=config, chain_len=per_chain)
 
 
 # ============================================================================

@@ -18,10 +18,11 @@ Every pipeline follows the same discipline:
   pool thread, would stay in that thread's malloc arena and raise the peak.
   With one worker there is no pool, and each job runs when its step reads it;
 * before sampling, a run plans every reduction its steps read (tails, sums,
-  first states and exceedance sets, :mod:`tritail.reduction`); each group
-  is reduced as soon as it is sampled, in a buffer its thread reuses, and
-  the group results are merged in group order — so no step holds an array
-  of n states, and every record is byte-identical for any worker count;
+  first states and exceedance sets, :mod:`tritail.reduction`); each group's
+  sampler hands every slab's kept states straight to the group's reducer,
+  and the group results are merged in group order — so no step holds an
+  array of n states, no group is ever copied out of the kernel's slabs, and
+  every record is byte-identical for any worker count;
 * failures degrade to ``passed=False`` records instead of aborting sibling
   steps, so a full sweep always yields a complete scorecard.
 
@@ -32,7 +33,6 @@ and hashing) excludes the one volatile field, ``wall_time``.
 import functools
 import json
 import math
-import queue
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
@@ -74,7 +74,7 @@ __all__ = [
 
 _CHUNK_DRAWS = reduction.SUM_SPAN  # one partial sum per chunk
 _CHUNK_CHAIN_LEN = 1000
-_GROUP_ELEMENTS = 1 << 17  # per group slab buffer: 10 chunks of 200 chains x 64 rows, about 1 MB
+_GROUP_ELEMENTS = 1 << 17  # per group slab array: 10 chunks of 200 chains x 64 rows, about 1 MB
 _CSV_BLOCK_ROWS = 65_536
 
 _REPORT_FIELDS = ("name", "pipeline", "config_digest", "results", "artifacts")
@@ -127,7 +127,8 @@ class RunReport:
         """Read a saved report.
 
         A malformed report raises :class:`ConfigInvalid`, whose message starts
-        with the JSON pointer of the offending field.
+        with the JSON pointer of the offending field.  Record names must be
+        unique: a diff matches records by name.
         """
         with open(path, "r", encoding="utf-8") as f:
             d = json.load(f)
@@ -138,11 +139,14 @@ class RunReport:
             _expect(d[key], f"/{key}", list, "a list")
         for i, artifact in enumerate(d["artifacts"]):
             _expect(artifact, f"/artifacts/{i}", str, "a string")
-        results = []
+        results, names = [], set()
         for i, r in enumerate(d["results"]):
             path = f"/results/{i}"
             _check_object(r, path, {*_RECORD_FIELDS, "note"}, _RECORD_FIELDS)
             _expect(r["name"], f"{path}/name", str, "a string")
+            if r["name"] in names:
+                raise ConfigInvalid(f"{path}/name", f"repeats the record name {r['name']!r}")
+            names.add(r["name"])
             _expect(r.get("note", ""), f"{path}/note", str, "a string")
             _expect(r["pass"], f"{path}/pass", (bool, type(None)), "true, false or null")
             for key in ("value", "std_error", "bound_low", "bound_high"):
@@ -168,38 +172,21 @@ def _expect(value, path: str, types, what: str) -> None:
 # Deterministic chunked sampling
 # ============================================================================
 
-def _chunked(sample_span: Callable, n: int, n_arrays: int, plan: Plan,
-             pool: Optional[ThreadPoolExecutor], span: int = _CHUNK_DRAWS) -> Callable[[], Summary]:
+def _chunked(reduce_span: Callable, n: int, plan: Plan, pool: Optional[ThreadPoolExecutor],
+             span: int = _CHUNK_DRAWS) -> Callable[[], Summary]:
     """Reduce n states under ``plan``, sampled ``span`` states at a time.
 
-    ``sample_span(start, stop, out)`` samples states ``[start, stop)`` into
-    ``out``, ``n_arrays`` flat arrays of ``stop - start`` states, and returns
-    them as an array-backed sample; a span is a pure function of its bounds.
-    Each span is reduced as soon as it is sampled, and the returned function
-    folds the span summaries in span order, so neither the pool nor its size
-    changes the result.  With a pool every span is submitted now; without
-    one, the returned function samples the spans one by one.  Each running
-    span holds one buffer of ``n_arrays`` x ``span`` states, which the next
-    span to start reuses.
+    ``reduce_span(start)`` samples states ``[start, min(start + span, n))``
+    and returns their summary; a span is a pure function of its bounds.  The
+    returned function folds the span summaries in span order, so neither the
+    pool nor its size changes the result.  With a pool every span is
+    submitted now; without one, the returned function samples the spans one
+    by one.
     """
-    buffers = queue.SimpleQueue()
-
-    def one(start: int) -> Summary:
-        try:
-            buf = buffers.get_nowait()
-        except queue.Empty:
-            buf = np.empty((n_arrays, min(span, n)))
-        try:
-            stop = min(start + span, n)
-            sample = sample_span(start, stop, tuple(buf[:, : stop - start]))
-            return reduction.reduce_group(plan, sample, start, n)
-        finally:
-            buffers.put(buf)
-
     starts = range(0, n, span)
     if pool is None:
-        return lambda: reduction.merge(plan, map(one, starts), n)
-    groups = pool.map(one, starts)
+        return lambda: reduction.merge(plan, map(reduce_span, starts), n)
+    groups = pool.map(reduce_span, starts)
     return lambda: reduction.merge(plan, groups, n)
 
 
@@ -208,43 +195,56 @@ def _forward_chunked(law, sim: SimConfig, plan: Plan, pool: Optional[ThreadPoolE
     """The forward sample of ``law`` reduced under ``plan``, as :func:`_chunked` gives it.
 
     A GARCH law runs :func:`stationary_garch_sample` on its parameters and
-    keeps :data:`garch.STORED`; any other law runs
-    :func:`engine.stationary_sample` and keeps ``w1`` and ``w2``.  Both are
-    looked up when called, so a wrapper installed on either name sees every
-    call.  Chunk i covers states ``[i*_CHUNK_DRAWS, ...)``, whole chains of
+    any other law :func:`engine.stationary_sample`; both are looked up when
+    called, so a wrapper installed on either name sees every call.  Chunk i
+    covers states ``[i*_CHUNK_DRAWS, ...)``, whole chains of
     _CHUNK_CHAIN_LEN, and draws from substream i.  Consecutive chunks run
     side by side as one group, a single sampler call whose generator blocks
-    are the chunks, up to _GROUP_ELEMENTS per slab buffer; a chunk's states
-    equal a solo run's, so neither the grouping nor the worker count changes
-    the result.  Only the final chunk can be a non-multiple; its last chain
-    is trimmed, so the sample keeps the chain-major invariant with that
-    chain length.
+    are the chunks, up to _GROUP_ELEMENTS per slab array; the sampler hands
+    each slab's kept states to the group's :class:`reduction.Reducer`, which
+    feeds the run's one :class:`tailstats.RunningTail` per planned tail (the
+    top m does not depend on the order of the blocks).  A
+    chunk's states equal a solo run's, so neither the grouping nor the
+    worker count changes the result.  Only the final chunk can be a
+    non-multiple; its last chain is trimmed, so the sample keeps the
+    chain-major invariant with that chain length.
     """
     if isinstance(law, GarchLaw):
-        sampler, model, n_arrays = stationary_garch_sample, law.params, len(garch.STORED)
+        sampler, model = stationary_garch_sample, law.params
     else:
-        sampler, model, n_arrays = engine.stationary_sample, law, 2
+        sampler, model = engine.stationary_sample, law
     chunk_chains = _CHUNK_DRAWS // _CHUNK_CHAIN_LEN
     per_group = max(1, _GROUP_ELEMENTS // (engine.slab_rows(chunk_chains) * chunk_chains))
+    span, n = per_group * _CHUNK_DRAWS, sim.n_draws
+    # One running tail per series, fed by every group: a group holds no tail of its own.
+    tails = {name: tailstats.RunningTail(depth) for name, depth in plan.tails.items()}
+    groups = replace(plan, tails={})
 
-    def one(start: int, stop: int, out):
+    def one(start: int) -> Summary:
+        stop = min(start + span, n)
         blocks = [(substream(sim.base_seed, purpose, c // _CHUNK_DRAWS),
                    -(-(min(c + _CHUNK_DRAWS, stop) - c) // _CHUNK_CHAIN_LEN))
                   for c in range(start, stop, _CHUNK_DRAWS)]
         n_chains = sum(chains for _, chains in blocks)
         cfg = replace(sim, n_draws=n_chains * _CHUNK_CHAIN_LEN)
-        return sampler(model, cfg, blocks, n_chains=n_chains, out=out)
+        reducer = reduction.Reducer(groups, n, _CHUNK_CHAIN_LEN, stop - start, start,
+                                    shared=tails)
+        return sampler(model, cfg, blocks, n_chains=n_chains, reducer=reducer)
 
-    return _chunked(one, sim.n_draws, n_arrays, plan, pool, per_group * _CHUNK_DRAWS)
+    read = _chunked(one, n, groups, pool, span)
+    return lambda: replace(read(), tails={name: acc.tail() for name, acc in tails.items()})
 
 
 def _backward_chunked(law, sim: SimConfig, plan: Plan) -> Summary:
-    def one(start: int, stop: int, out) -> PathSample:
-        cfg = replace(sim, n_draws=stop - start)
-        return engine.backward_truncated(
-            law, cfg, substream(sim.base_seed, "backward", start // _CHUNK_DRAWS))
+    n = sim.n_draws
 
-    return _chunked(one, sim.n_draws, 0, plan, None)()
+    def one(start: int) -> Summary:
+        cfg = replace(sim, n_draws=min(start + _CHUNK_DRAWS, n) - start)
+        sample = engine.backward_truncated(
+            law, cfg, substream(sim.base_seed, "backward", start // _CHUNK_DRAWS))
+        return reduction.reduce_group(plan, sample, start, n)
+
+    return _chunked(one, n, plan, None)()
 
 
 def _whole(names, n: int) -> Plan:

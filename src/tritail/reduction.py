@@ -1,18 +1,24 @@
-"""Reductions of a chain-major sample, one group of whole chains at a time.
+"""Reductions of a chain-major sample, fed to them one block of steps at a time.
 
 Every estimator that reads a stationary sample reads one of four reductions
 of it:
 
-* the upper tail of a series (:func:`tritail.tailstats.upper_tail`);
-* the sum of a series, kept as one partial sum per ``SUM_SPAN`` states;
+* the upper tail of a series (:class:`tritail.tailstats.RunningTail`);
+* the sum of a series, kept as one partial sum per span of ``SUM_SPAN``
+  states (whole chains, so a span is a block of chain columns);
 * the first states of a series (CSV rows, the constants' draws);
 * the exceedances of a threshold series: its top points, enough for a high
   quantile of it, each with its position and a payload.
 
-A :class:`Plan` lists the reductions a run reads before it samples.
-:func:`reduce_group` reduces a group of consecutive whole chains, given as
-an array-backed sample (:class:`tritail.engine.PathSample` or
-:class:`tritail.garch.GarchPath`) and its offset in the whole sample, and
+A :class:`Plan` lists the reductions a run reads before it samples.  A
+:class:`Reducer` reduces a group of consecutive whole chains as the forward
+samplers produce them: each slab's kept states arrive as a (rows, chains)
+block straight from the kernel, so no chain-major copy of the group is ever
+made.  A window or a point's payload reads the states after its start, so
+the reducer carries each chain's last h rows into the next block and flushes
+them when the chain ends.  :func:`reduce_group` feeds an array-backed sample
+(:class:`tritail.engine.PathSample` or :class:`tritail.garch.GarchPath`)
+through the same reducer as the step-major view of its chains, and
 :func:`merge` combines the groups' results in group order into a
 :class:`Summary`.  Each merge is exact: the top m of a union is the top m of
 the union of its parts' top m, the partial sums are fixed by the spans and
@@ -26,13 +32,13 @@ array.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .tailstats import UpperTail, block_bounds, merge_tails, tail_depth, upper_tail
+from .tailstats import RunningTail, UpperTail, block_rows, merge_tails, tail_depth
 
 __all__ = [
     "SUM_SPAN",
@@ -42,13 +48,16 @@ __all__ = [
     "Exceedances",
     "Summary",
     "valid_window_starts",
+    "Reducer",
     "reduce_group",
     "merge",
     "summarize",
     "exceedances",
 ]
 
-SUM_SPAN = 200_000  # states per partial sum, aligned at multiples from the sample's start
+SUM_SPAN = 200_000  # states per partial sum: whole chains, aligned from the sample's start
+_PAIRWISE_TERMS = 8  # from this many terms on, numpy sums a contiguous row pairwise
+_PREFILTER = 0.7  # < 1/sqrt(2): a pair whose larger |coordinate| is under 0.7 cut has norm < cut
 
 
 @dataclass(frozen=True)
@@ -195,97 +204,306 @@ def valid_window_starts(n: int, chain_len: int, h: int, offset: int = 0) -> np.n
     return mask
 
 
-def _top_points(blocks, m: int):
-    """Positions and keys of the m largest keys, from one pass over key blocks.
+def _arrays(sample, fn):
+    """``sample`` with ``fn`` applied to each of its stored arrays."""
+    return replace(sample, **{name: fn(getattr(sample, name)) for name in sample.STORED})
 
-    ``blocks`` yields ``(lo, keys, starts)``: the keys at positions
-    ``starts``, or at lo, lo+1, ... when ``starts`` is None.  As in
-    :func:`tritail.tailstats.upper_tail`, once m keys are held only keys
-    above the current m-th largest are merged in.  Returns the positions,
-    keys, key count and least key (+inf for no keys, so that merging an
-    empty part changes nothing).
+
+def _rows(block) -> int:
+    """The rows of a (rows, chains) block."""
+    return getattr(block, block.STORED[0]).shape[0]
+
+
+def _join(a, b):
+    """The rows of block ``a`` followed by those of block ``b``, as one block."""
+    return replace(a, **{name: np.concatenate((getattr(a, name), getattr(b, name)))
+                         for name in a.STORED})
+
+
+def _store(dst: np.ndarray, chain_len: int, c0: int, j: int, block: np.ndarray) -> None:
+    """Write kept states ``j..`` of chains ``c0..`` into the chain-major first states ``dst``.
+
+    ``block`` rows are kept steps and its columns chains; only positions
+    below ``dst.size`` are written.
     """
-    count, minima = 0, []
-    pos, key = np.empty(0, dtype=np.intp), np.empty(0)
-    cut = None
-    for lo, k, starts in blocks:
-        count += k.size
-        if not k.size:
-            continue
-        minima.append(k.min())
-        keep = np.arange(k.size) if cut is None else np.nonzero(k > cut)[0]
-        if keep.size:
-            pos = np.concatenate((pos, lo + keep if starts is None else starts[keep]))
-            key = np.concatenate((key, k[keep]))
-            if key.size > m:
-                top = np.argpartition(key, key.size - m)[key.size - m:]
-                pos, key = pos[top], key[top]
-                cut = key.min()
-    return pos, key, count, float(np.min(minima)) if minima else math.inf
+    full, rem = divmod(dst.size, chain_len)
+    m, k = block.shape
+    hi = min(c0 + k, full)
+    if hi > c0:
+        dst[c0 * chain_len : hi * chain_len].reshape(hi - c0, chain_len)[:, j : j + m] = \
+            block[:, : hi - c0].T
+    if c0 <= full < c0 + k and j < rem:
+        lo = full * chain_len
+        dst[lo + j : lo + min(j + m, rem)] = block[: rem - j, full - c0]
 
 
-def _point_exceedances(spec: PointSpec, sample, m: int) -> Exceedances:
-    size = len(sample)
-    a1, a2 = spec.anchors
-    blocks = ((lo, np.hypot(sample.series(a1, slice(lo, hi)), sample.series(a2, slice(lo, hi))),
-               None) for lo, hi in block_bounds(size))
-    pos, key, count, minimum = _top_points(blocks, m)
-    # Past-the-end steps of windows that leave the chain are clipped; those
-    # rows are flagged invalid and never read.
-    steps = np.minimum(pos[:, None] + np.arange(1, spec.h + 1), size - 1)
-    b1, b2 = spec.after
-    return Exceedances(
-        index=pos, key=key, n=count, minimum=minimum,
-        rows=np.column_stack((sample.series(a1, pos), sample.series(a2, pos))),
-        after=np.stack((sample.series(b1, steps), sample.series(b2, steps)), axis=2),
-        valid=valid_window_starts(size, sample.chain_len, spec.h, offset=1)[pos],
-    )
+def _window_norms(x: np.ndarray, h: int) -> np.ndarray:
+    """|(x_t, ..., x_{t+h-1})| for every start t of a (rows, chains) block whose window fits.
+
+    Sums the squares in ``np.linalg.norm``'s order: one term after the
+    other below eight terms, over shifted rows; from eight terms on numpy
+    sums pairwise, so each window is then reduced as a contiguous row.
+    """
+    sq = np.square(x)
+    if h >= _PAIRWISE_TERMS:
+        return np.sqrt(np.add.reduce(np.ascontiguousarray(sliding_window_view(sq, h, axis=0)),
+                                     axis=-1))
+    starts = x.shape[0] - h + 1
+    acc = sq[:starts] if h == 1 else sq[:starts] + sq[1 : starts + 1]
+    for i in range(2, h):
+        acc += sq[i : i + starts]
+    return np.sqrt(acc, out=acc)
 
 
-def _window_exceedances(spec: WindowSpec, sample, m: int) -> Exceedances:
-    size, h = len(sample), spec.h
-    valid = valid_window_starts(size, sample.chain_len, h)
+class _TopPoints:
+    """The top m keys of a threshold series, with the positions and payloads of their points.
 
-    def blocks():
-        for lo, hi in block_bounds(size):
-            starts = lo + np.nonzero(valid[lo:hi])[0]
-            if starts.size:
-                seg = sample.series(spec.series, slice(lo, starts[-1] + h))
-                yield lo, np.linalg.norm(sliding_window_view(seg, h)[starts - lo], axis=1), starts
+    Keys arrive in blocks, in any order.  ``count`` counts every point and
+    ``minimum`` is the least key (NaN when one is NaN, +inf for no point).
+    Once m keys are held, ``cut`` is the m-th largest and only keys above
+    it can enter, as in :class:`tritail.tailstats.RunningTail`; the payload
+    of a block is gathered only for its keys that enter the top m.
+    """
 
-    pos, key, count, minimum = _top_points(blocks(), m)
-    return Exceedances(index=pos, key=key, n=count, minimum=minimum,
-                       rows=sample.series(spec.series, pos[:, None] + np.arange(h)))
+    def __init__(self, m: int):
+        self.m = m
+        self.count = 0
+        self.minimum = math.inf
+        self.cut = None
+        self.key = np.empty(0)
+        self.fields = None
+
+    def low(self, key: np.ndarray) -> None:
+        """Fold the least of ``key`` into the minimum."""
+        if key.size:
+            self.minimum = float(np.minimum(self.minimum, key.min()))
+
+    def offer(self, key: np.ndarray, gather) -> None:
+        """Merge in candidate keys, each above the cut once there is one.
+
+        ``gather(sel)`` returns the fields of candidates ``sel`` as a dict of
+        arrays: their ``index`` in the sample and their payload.  Once m
+        points are held, an entering point takes the slot of one it evicts.
+        """
+        if not key.size:
+            return
+        held = self.key.size
+        both = np.concatenate((self.key, key))
+        if both.size <= self.m:
+            old, new = np.arange(held), np.arange(key.size)
+        else:
+            top = np.argpartition(both, both.size - self.m)[both.size - self.m:]
+            self.cut = both[top].min()
+            if held == self.m:
+                kept = np.zeros(both.size, dtype=bool)
+                kept[top] = True
+                new = np.nonzero(kept[held:])[0]
+                if new.size:
+                    slots = np.nonzero(~kept[:held])[0]
+                    fresh = gather(new)
+                    self.key[slots] = key[new]
+                    for f, v in self.fields.items():
+                        v[slots] = fresh[f]
+                return
+            old, new = top[top < held], top[top >= held] - held
+        fresh = gather(new)
+        self.key = np.concatenate((self.key[old], key[new]))
+        self.fields = fresh if self.fields is None else {
+            f: np.concatenate((v[old], fresh[f])) for f, v in self.fields.items()}
+
+    def exceedances(self, spec) -> Exceedances:
+        """The held points in position order."""
+        f = self.fields
+        if f is None:
+            width = 2 if isinstance(spec, PointSpec) else spec.h
+            f = {"index": np.empty(0, dtype=np.intp), "rows": np.empty((0, width))}
+            if isinstance(spec, PointSpec):
+                f.update(after=np.empty((0, spec.h, 2)), valid=np.empty(0, dtype=bool))
+        order = np.argsort(f["index"], kind="stable")
+        return Exceedances(index=f["index"][order], key=self.key[order], rows=f["rows"][order],
+                           n=self.count, minimum=self.minimum,
+                           after=f["after"][order] if "after" in f else None,
+                           valid=f["valid"][order] if "valid" in f else None)
+
+
+def _all(shape) -> tuple:
+    """Row and column indices of every element of a 2-d array, in C order."""
+    return tuple(np.indices(shape).reshape(2, -1))
+
+
+class Reducer:
+    """Reduces ``size`` consecutive states of a chain-major n-state sample under ``plan``.
+
+    The states are whole chains of ``chain_len`` kept states from position
+    ``start`` of the sample (a multiple of ``chain_len``); only the last
+    chain may be shorter.  They arrive step-major through :meth:`feed`, and
+    :meth:`summary` gives their :class:`Summary`.  The reducer holds the
+    planned reductions, one partial sum per chain and series, and the last
+    h rows of each chain for the exceedance sets: no array sized by the
+    group's states.  ``shared`` maps series to :class:`RunningTail`
+    accumulators that the reducer feeds besides its plan, such as one per
+    run that all its groups feed; its summary leaves them out.
+    """
+
+    def __init__(self, plan: Plan, n: int, chain_len: int, size: int, start: int = 0,
+                 shared: Optional[dict] = None):
+        self.chain_len, self.size, self.start = chain_len, size, start
+        full, rem = divmod(size, chain_len)
+        # Lanes: (first chain, chains, kept states per chain) of chains that end together.
+        self._lanes = [lane for lane in ((0, full, chain_len), (full, 1, rem))
+                       if lane[1] and lane[2]]
+        self._tails = {name: RunningTail(depth) for name, depth in plan.tails.items()}
+        self._shared = shared or {}
+        self._sums = {name: np.zeros(full + (rem > 0)) for name in plan.sums}
+        self._heads = {name: np.empty(max(0, min(size, length - start)))
+                       for name, length in plan.heads.items()}
+        self._top = {spec: _TopPoints(tail_depth(n, spec.u)) for spec in plan.exceedances}
+        self._carry = {}
+
+    def feed(self, j: int, block, chain0: int = 0) -> None:
+        """Reduce kept states j, j+1, ... of chains chain0, chain0+1, ...
+
+        ``block`` is array-backed like a sample (``series(name, key)``) but
+        holds (rows, chains) arrays: row i is kept state j+i of each chain,
+        and rows of a chain past its end are ignored.  Each call covers
+        whole lanes (the full chains, or the short last one), and each
+        lane's rows arrive in order.
+        """
+        rows, width = getattr(block, block.STORED[0]).shape
+        for c0, chains, length in self._lanes:
+            r = min(rows, length - j)
+            if not chain0 <= c0 < chain0 + width or r <= 0:
+                continue
+            lo = c0 - chain0
+            part = _arrays(block, lambda a: a[:r, lo : lo + chains])
+            self._feed_lane(c0, chains, length, j, part)
+
+    def _feed_lane(self, c0: int, chains: int, length: int, j: int, part) -> None:
+        r = _rows(part)
+        for name, acc in (*self._tails.items(), *self._shared.items()):
+            acc.add(part.series(name))
+        for name, total in self._sums.items():
+            col = total[c0 : c0 + chains]
+            for row in part.series(name):
+                np.add(col, row, out=col)
+        for name, head in self._heads.items():
+            _store(head, self.chain_len, c0, j, part.series(name))
+        base = self.start + c0 * self.chain_len
+        for spec, top in self._top.items():
+            point = isinstance(spec, PointSpec)
+            w = spec.h if point else spec.h - 1  # rows after a start that its span reads
+            carry = self._carry.pop((c0, spec), None)
+            c = 0 if carry is None else _rows(carry)
+            # Starts whose span is at hand: those in the carry, then those in the part.
+            if c and c + r > w:
+                seg = _join(carry, _arrays(part, lambda a: a[:w]))
+                self._exceed(spec, top, seg, min(c, c + r - w), base + j - c, True)
+            if r > w:
+                self._exceed(spec, top, part, r - w, base + j, True)
+            if not w:
+                continue
+            pending = part if carry is None or r >= w else _join(carry, part)
+            carry = _arrays(pending, lambda a: a[max(0, a.shape[0] - w):].copy())
+            if j + r < length:
+                self._carry[(c0, spec)] = carry
+            elif point:
+                # The chain's last rows: their next h states leave the chain.
+                c = _rows(carry)
+                pad = _arrays(carry, lambda a: np.concatenate((a, np.full((w, a.shape[1]),
+                                                                            np.nan))))
+                self._exceed(spec, top, pad, c, base + length - c, False)
+
+    def _exceed(self, spec, top: _TopPoints, seg, starts: int, pos0: int, valid: bool) -> None:
+        """Offer the spans that start in the first ``starts`` rows of ``seg``.
+
+        Row 0 of ``seg`` is at position ``pos0`` of the sample.
+        """
+        L = self.chain_len
+        if isinstance(spec, PointSpec):
+            a1, a2 = (seg.series(name, slice(0, starts)) for name in spec.anchors)
+            top.count += a1.size
+            if top.cut is None:
+                key = np.hypot(a1, a2)
+                top.low(key)
+                ri, ci = _all(key.shape)
+                key = key.reshape(-1)
+            else:
+                # hypot(a, b) <= sqrt(2) max(|a|, |b|): a point whose larger
+                # coordinate is at most 0.7 cut is below the cut, and one not
+                # below the least key cannot lower it.
+                mx = np.abs(a1)
+                np.maximum(mx, np.abs(a2), out=mx)
+                if not mx.min() >= top.minimum:  # a NaN fails this too
+                    low = np.nonzero(~(mx >= top.minimum))
+                    top.low(np.hypot(a1[low], a2[low]))
+                ri, ci = np.nonzero(mx > _PREFILTER * top.cut)
+                key = np.hypot(a1[ri, ci], a2[ri, ci])
+                keep = key > top.cut
+                ri, ci, key = ri[keep], ci[keep], key[keep]
+
+            def gather(sel):
+                r, c = ri[sel], ci[sel]
+                steps = r[:, None] + np.arange(1, spec.h + 1)
+                return {
+                    "index": pos0 + c * L + r,
+                    "rows": np.column_stack((a1[r, c], a2[r, c])),
+                    "after": np.stack([seg.series(b, (steps, c[:, None])) for b in spec.after],
+                                      axis=2),
+                    "valid": np.full(r.size, valid),
+                }
+        else:
+            x = seg.series(spec.series, slice(0, starts + spec.h - 1))
+            key = _window_norms(x, spec.h)
+            top.count += key.size
+            top.low(key)
+            ri, ci = _all(key.shape) if top.cut is None else np.nonzero(key > top.cut)
+            key = key[ri, ci]
+
+            def gather(sel):
+                r, c = ri[sel], ci[sel]
+                return {"index": pos0 + c * L + r,
+                        "rows": x[r[:, None] + np.arange(spec.h), c[:, None]]}
+
+        top.offer(key, gather)
+
+    def summary(self) -> Summary:
+        L = self.chain_len
+        spans = max(1, SUM_SPAN // L)  # chains per partial sum, aligned from the sample's start
+        chains = -(-self.size // L)
+        cuts = sorted({0, chains, *range(-(self.start // L) % spans, chains, spans)})
+        return Summary(
+            n=self.size,
+            chain_len=L,
+            tails={name: acc.tail() for name, acc in self._tails.items()},
+            sums={name: [float(np.sum(total[a:b])) for a, b in zip(cuts, cuts[1:])]
+                  for name, total in self._sums.items()},
+            heads=self._heads,
+            exceedances={spec: top.exceedances(spec) for spec, top in self._top.items()},
+        )
 
 
 def reduce_group(plan: Plan, sample, start: int, n: int) -> Summary:
     """Reduce states [start, start + len(sample)) of an n-state sample under ``plan``.
 
-    ``sample`` is array-backed and offers ``series(name, key)``,
-    ``chain_len`` and ``len``; ``start`` is a multiple of its chain length,
-    so no window crosses into another group.  Partial sums break at the
-    multiples of ``SUM_SPAN``.  The first states are copied, so the group's
-    arrays may be reused once this returns.
+    ``sample`` is array-backed: a dataclass whose ``STORED`` fields are its
+    stored series (flat and chain-major), offering ``series(name, key)``,
+    ``chain_len`` and ``len``; ``start`` is a multiple of its chain length.
+    Its full chains are fed to a :class:`Reducer` as the step-major view
+    ``flat.reshape(chains, chain_len).T``, in blocks of rows, and the
+    trimmed last chain after them.
     """
-    size = len(sample)
-    stop = start + size
-    bounds = list(block_bounds(size))
-    tails = {name: upper_tail((sample.series(name, slice(lo, hi)) for lo, hi in bounds), depth)
-             for name, depth in plan.tails.items()}
-    cuts = sorted({start, stop, *range(-(-start // SUM_SPAN) * SUM_SPAN, stop, SUM_SPAN)})
-    sums = {name: [float(np.sum(sample.series(name, slice(a - start, b - start))))
-                   for a, b in zip(cuts, cuts[1:])]
-            for name in plan.sums}
-    heads = {name: np.array(sample.series(name, slice(0, max(0, min(size, length - start)))))
-             for name, length in plan.heads.items()}
-    exceed = {}
-    for spec in plan.exceedances:
-        reduce = _point_exceedances if isinstance(spec, PointSpec) else _window_exceedances
-        ex = reduce(spec, sample, tail_depth(n, spec.u))
-        ex.index = ex.index + start
-        exceed[spec] = ex._take(np.argsort(ex.index, kind="stable"))
-    return Summary(n=size, chain_len=sample.chain_len, tails=tails, sums=sums, heads=heads,
-                   exceedances=exceed)
+    size, L = len(sample), sample.chain_len
+    reducer = Reducer(plan, n, L, size, start)
+    full, rem = divmod(size, L)
+    if full:
+        steps = _arrays(sample, lambda a: a[: full * L].reshape(full, L).T)
+        rows = block_rows(full)
+        for j in range(0, L, rows):
+            reducer.feed(j, _arrays(steps, lambda a: a[j : j + rows]))
+    if rem:
+        last = _arrays(sample, lambda a: a[full * L : size].reshape(1, rem).T)
+        reducer.feed(0, last, chain0=full)
+    return reducer.summary()
 
 
 def _merge_exceedances(a: Exceedances, b: Exceedances, m: int) -> Exceedances:
@@ -325,6 +543,7 @@ def merge(plan: Plan, parts, n: int) -> Summary:
                                                   tail_depth(n, spec.u))
                          for spec in plan.exceedances},
         )
+        part = None  # not held while the next group is sampled
     return acc
 
 

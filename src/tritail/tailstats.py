@@ -6,14 +6,16 @@ distance used by the spectral comparisons.
 
 Hill and the plateau read only the top order statistics, so both take an
 :class:`UpperTail`: the sorted top m values of a series and its length, from
-one streaming pass (:func:`upper_tail`) over fixed blocks of the series.  A
-run builds one tail per series, deep enough for every estimator and quantile
-that reads it; passing a plain array builds one through the same pass.  The
-pass holds one block and the top-m buffer at a time, so a series given as
-blocks (say, returns derived from stored volatilities) is never materialised.
+one streaming pass (a :class:`RunningTail` fed block by block, or
+:func:`upper_tail` over fixed blocks of an array).  A run builds one tail per
+series, deep enough for every estimator and quantile that reads it; passing
+a plain array builds one through the same pass.  The pass holds one block
+and the top-m buffer at a time, so a series given as blocks (say, returns
+derived from stored volatilities) is never materialised.
 """
 
 import math
+import threading
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -27,6 +29,8 @@ __all__ = [
     "TailEstimate",
     "TailConstantEstimate",
     "block_bounds",
+    "block_rows",
+    "RunningTail",
     "upper_tail",
     "merge_tails",
     "tail_depth",
@@ -120,37 +124,87 @@ def block_bounds(n: int):
     return ((lo, min(lo + _BLOCK, n)) for lo in range(0, n, _BLOCK))
 
 
+def block_rows(width: int) -> int:
+    """Rows per block of a (rows, width) array walked in blocks of about ``_BLOCK`` elements."""
+    return max(1, _BLOCK // width)
+
+
+class RunningTail:
+    """The running top m of a series fed one block at a time, in any order.
+
+    Once m values are held, only block values above the current m-th
+    largest (the cut) are merged in.  Ties at the cut leave the values of
+    the top m unchanged, so they need no merging, and the top m of a series
+    does not depend on the order of its blocks.  The values are held at the
+    end of one buffer: a block's values are written below them and the
+    whole is partitioned back to m in place.  A lock makes :meth:`add` safe
+    from several threads; a block is filtered before it is taken.
+    """
+
+    def __init__(self, m: int):
+        if m < 1:
+            raise ValueError("m must be >= 1")
+        self.m = m
+        self.n = 0
+        self.minimum = math.nan
+        self._buf = np.empty(0)
+        self._lo = 0  # the values held are self._buf[self._lo:]
+        self._cut = None
+        self._lock = threading.Lock()
+
+    def add(self, block: np.ndarray) -> None:
+        """Merge in a float block of any shape."""
+        if not block.size:
+            return
+        low = block.min()
+        # The cut only rises, so filtering with one read before taking the
+        # lock passes a superset of the values the current cut passes.
+        cut = self._cut
+        new = block if cut is None else block[block > cut]
+        k = new.size
+        with self._lock:
+            self.minimum = float(low if self.n == 0 else np.minimum(self.minimum, low))
+            self.n += block.size
+            if not k:
+                return
+            if self._cut is not None and self._cut != cut:
+                new = new[new > self._cut]
+                k = new.size
+                if not k:
+                    return
+            if k > self._lo:
+                held = self._buf[self._lo:]
+                buf = np.empty(self.m + k)  # room for another such block once back to m
+                buf[buf.size - held.size:] = held
+                self._buf, self._lo = buf, buf.size - held.size
+            self._buf[self._lo - k : self._lo].reshape(new.shape)[...] = new
+            self._lo -= k
+            held = self._buf[self._lo:]
+            if held.size > self.m:
+                held.partition(held.size - self.m)
+                self._lo = self._buf.size - self.m
+                self._cut = self._buf[self._lo]
+
+    def tail(self) -> UpperTail:
+        """The series' :class:`UpperTail`: its top min(m, n) values, n and minimum."""
+        return UpperTail(top=np.sort(self._buf[self._lo:]), n=self.n, minimum=self.minimum)
+
+
 def upper_tail(series, m: int) -> UpperTail:
     """The top m values of ``series`` from one streaming pass.
 
-    ``series`` is an array, or an iterator of 1-d float blocks whose
+    ``series`` is an array, or an iterator of float blocks whose
     concatenation is the series.  An array is walked in fixed blocks of
-    ``_BLOCK`` elements.  The pass keeps a running top-m buffer: once the
-    buffer is full, only block values above its current m-th largest are
-    merged in, and the merged buffer is partitioned back to m.  Ties at the
-    cut leave the values of the top m unchanged, so they need no merging.
-    Fewer than m points give the whole sorted series.
+    ``_BLOCK`` elements through a :class:`RunningTail`.  Fewer than m points
+    give the whole sorted series.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    acc = RunningTail(m)
     if not isinstance(series, Iterator):
         x = np.asarray(series, dtype=float).reshape(-1)
         series = (x[lo:hi] for lo, hi in block_bounds(x.size))
-    n = 0
-    minima = []
-    buf = np.empty(0)
-    cut = None
     for block in series:
-        n += block.size
-        minima.append(block.min())
-        new = block if cut is None else block[block > cut]
-        if new.size:
-            buf = np.concatenate((buf, new))
-            if buf.size > m:
-                buf = np.partition(buf, buf.size - m)[buf.size - m:]
-                cut = buf[0]
-    return UpperTail(top=np.sort(buf), n=n,
-                     minimum=float(np.min(minima)) if minima else math.nan)
+        acc.add(block)
+    return acc.tail()
 
 
 def merge_tails(tails, m: int) -> UpperTail:

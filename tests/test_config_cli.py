@@ -22,10 +22,12 @@ from tritail.config import (
     load_config,
     parse_config,
 )
+from tritail.engine import SimConfig, slab_rows
 from tritail.errors import ConfigInvalid, PipelineMismatch
-from tritail.garch import GarchLaw, GarchPath
+from tritail.garch import GarchLaw, GarchParams, GarchPath
 from tritail.laws import IndependentLaw
 from tritail.pipelines import ResultRecord, RunReport, compare_reports, run
+from tritail.reduction import Plan, Reducer
 
 
 def lognormal(mu, sigma):
@@ -620,25 +622,34 @@ def test_garch_verify_reads_dispersion_max(tmp_path):
 def _record_passes(monkeypatch) -> list:
     """Patch the streaming passes to record the series each one reads.
 
-    A tail pass (``upper_tail``) and an exceedance pass (the top points of
-    a threshold series) both read blocks; each pass is recorded as the
-    concatenation of its blocks and handed on as the same blocks.
+    A tail pass (a ``RunningTail``) and an exceedance pass (the top points
+    of a threshold series) are both fed blocks.  Each pass is recorded as a
+    test of whether it read a given series: a tail pass was fed exactly the
+    series' values, and an exceedance pass counted every point of it and
+    holds its top keys.
     """
     passes = []
-    real_tail, real_top = reduction.upper_tail, reduction._top_points
+    real_init, real_add = tailstats.RunningTail.__init__, tailstats.RunningTail.add
+    real_top = reduction._TopPoints.__init__
 
-    def tail(series, m):
-        blocks = list(series)
-        passes.append(np.concatenate(blocks))
-        return real_tail(iter(blocks), m)
+    def init(acc, m):
+        real_init(acc, m)
+        acc.blocks = []
+        passes.append(lambda s: np.array_equal(
+            np.sort(np.concatenate([b.reshape(-1) for b in acc.blocks])), np.sort(s)))
 
-    def top(blocks, m):
-        blocks = list(blocks)
-        passes.append(np.concatenate([keys for _, keys, _ in blocks]))
-        return real_top(iter(blocks), m)
+    def add(acc, block):
+        acc.blocks.append(np.array(block))
+        real_add(acc, block)
 
-    monkeypatch.setattr(reduction, "upper_tail", tail)
-    monkeypatch.setattr(reduction, "_top_points", top)
+    def top(points, m):
+        real_top(points, m)
+        passes.append(lambda s: points.count == s.size and np.array_equal(
+            np.sort(points.key), np.sort(s)[s.size - points.key.size:]))
+
+    monkeypatch.setattr(tailstats.RunningTail, "__init__", init)
+    monkeypatch.setattr(tailstats.RunningTail, "add", add)
+    monkeypatch.setattr(reduction._TopPoints, "__init__", top)
     return passes
 
 
@@ -699,7 +710,7 @@ def test_garch_full_report_computes_each_estimate_once(tmp_path, monkeypatch):
         "abs_x2": np.abs(path.x2),
         "vol_norm": np.hypot(path.sigma1_sq, path.sigma2_sq),
     }
-    names = [[name for name, s in series.items() if np.array_equal(p, s)] for p in passes]
+    names = [[name for name, s in series.items() if p(s)] for p in passes]
     assert sorted(names) == sorted([name] for name in series)
 
 
@@ -728,8 +739,8 @@ def test_independent_full_report_streams_each_series_once(tmp_path, monkeypatch,
                                    purpose)()
     w1, w2 = s.head("w1", len(s)), s.head("w2", len(s))
     for w in (w1, w2):
-        assert sum(np.array_equal(p, w) for p in passes) == 1
-    assert sum(np.array_equal(p, np.hypot(w1, w2)) for p in passes) == (a1_mu == -0.75)
+        assert sum(p(w) for p in passes) == 1
+    assert sum(p(np.hypot(w1, w2)) for p in passes) == (a1_mu == -0.75)
     assert len(plateaus) == 2
 
 
@@ -845,6 +856,46 @@ def test_garch_peak_memory_does_not_grow_with_the_sample(tmp_path, monkeypatch):
     n = 4 * pipelines._CHUNK_DRAWS
     small, large = peak(n), peak(4 * n)
     assert large < 1.1 * small, (small, large)
+
+
+def test_garch_reduction_memory_does_not_grow_with_the_group_width(monkeypatch):
+    # The GARCH simulate plan over ten chunks, sampled one chunk per group and
+    # then ten.  The kernel's own slab arrays widen tenfold with the group
+    # (the peak of the sampler alone on one group, reducing nothing), but
+    # what the run holds beyond them must not grow: no group is copied out
+    # of the slabs.
+    import tracemalloc
+
+    n = 10 * pipelines._CHUNK_DRAWS
+    sim = SimConfig(burn_in=200, n_draws=n, base_seed=3)
+    law = GarchLaw(GarchParams.from_dict(garch_config()["law"]))
+    pair = ("sigma1_sq", "sigma2_sq")
+    simulate = Plan(tails={s: garch.series_depth(s, n) for s in pair}, sums=frozenset(pair),
+                    heads=dict.fromkeys(garch.STORED, KNOBS["csv_rows"][3]))
+    chunk_chains = pipelines._CHUNK_DRAWS // pipelines._CHUNK_CHAIN_LEN
+
+    def traced_peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def extra(chunks):
+        monkeypatch.setattr(pipelines, "_GROUP_ELEMENTS", chunks * slab_rows(chunk_chains)
+                            * chunk_chains)
+        run_peak = traced_peak(pipelines._forward_chunked(law, sim, simulate, None, "garch"))
+        chains = chunks * chunk_chains
+        cfg = SimConfig(burn_in=sim.burn_in, n_draws=chains * pipelines._CHUNK_CHAIN_LEN)
+        blocks = [(np.random.default_rng(i), chunk_chains) for i in range(chunks)]
+        reducer = Reducer(Plan(), cfg.n_draws, pipelines._CHUNK_CHAIN_LEN, cfg.n_draws)
+        kernel_peak = traced_peak(lambda: garch.stationary_garch_sample(
+            law.params, cfg, blocks, n_chains=chains, reducer=reducer))
+        return run_peak - kernel_peak
+
+    one, ten = extra(1), extra(10)
+    assert ten < 1.2 * one, (one, ten)
 
 
 def test_report_roundtrip_including_nonfinite_values(tmp_path):
@@ -1136,6 +1187,8 @@ def _report_json(**fields) -> dict:
         (_report_json(results=[_record_json(**{"pass": 1})]), "/results/0/pass"),
         (_report_json(results=[_record_json(name="r"), _record_json(name=5)]),
          "/results/1/name"),
+        (_report_json(results=[_record_json(name="x"), _record_json(name="x", value=2.0)]),
+         "/results/1/name"),
         (_report_json(results=[_record_json(note=3)]), "/results/0/note"),
         (_report_json(results=[_record_json(value=10**400)]), "/results/0/value"),
         (_report_json(results=[_record_json(std_error=True)]), "/results/0/std_error"),
@@ -1148,7 +1201,8 @@ def _report_json(**fields) -> dict:
         (_report_json(wall_time=True), "/wall_time"),
     ],
     ids=["top_level_list", "result_not_object", "result_missing_value", "pass_string",
-         "pass_integer", "record_name_integer", "note_integer", "value_overflows",
+         "pass_integer", "record_name_integer", "record_name_repeated", "note_integer",
+         "value_overflows",
          "std_error_bool", "bound_string", "name_integer", "pipeline_null", "digest_number",
          "artifact_integer", "wall_time_string", "wall_time_bool"],
 )

@@ -27,7 +27,7 @@ from tritail.engine import (
 from tritail.errors import NonFiniteState, NotContracting
 from tritail.laws import Constant, IndependentLaw
 from tritail import pipelines
-from tritail.reduction import Plan
+from tritail.reduction import Plan, Reducer, Summary
 from tritail.pipelines import (
     _CHUNK_CHAIN_LEN,
     _CHUNK_DRAWS,
@@ -225,14 +225,18 @@ def test_slab_rows_element_budget():
     assert slab_rows(100_000) == 1
 
 
-def test_stationary_sample_writes_into_out():
+def test_stationary_sample_feeds_a_reducer():
+    # The slabs' kept states go straight to the reducer, which keeps the
+    # planned first states and tail of the sample the sampler returns whole.
     cfg = SimConfig(burn_in=20, n_draws=500)
     full = stationary_sample(LAW_C8, cfg, rng(4), n_chains=4)
-    out = (np.full(333, np.nan), np.full(333, np.nan))
-    part = stationary_sample(LAW_C8, cfg, rng(4), n_chains=4, out=out)
-    assert part.w1 is out[0] and part.w2 is out[1]
-    np.testing.assert_array_equal(out[0], full.w1[:333])
-    np.testing.assert_array_equal(out[1], full.w2[:333])
+    plan = Plan(tails={"w2": 7}, heads={"w1": 333, "w2": 333})
+    part = stationary_sample(LAW_C8, cfg, rng(4), n_chains=4,
+                             reducer=Reducer(plan, cfg.n_draws, full.chain_len, cfg.n_draws))
+    assert isinstance(part, Summary) and len(part) == 500 and part.chain_len == 125
+    np.testing.assert_array_equal(part.head("w1", 333), full.w1[:333])
+    np.testing.assert_array_equal(part.head("w2", 333), full.w2[:333])
+    np.testing.assert_array_equal(part.tail("w2", 7).top, np.sort(full.w2)[-7:])
 
 
 def test_chunked_sample_independent_of_workers():
@@ -296,11 +300,10 @@ def test_pool_threads_never_exceed_groups(monkeypatch):
     # on the reading thread, when the result is read.
     calls, threads = [], set()
 
-    def sampler(model, config, blocks, n_chains, out):
-        calls.append(([chains for _, chains in blocks], n_chains, config.n_draws, out[0].size))
+    def sampler(model, config, blocks, n_chains, reducer):
+        calls.append(([chains for _, chains in blocks], n_chains, config.n_draws, reducer.size))
         threads.add(threading.get_ident())
-        return PathSample(w1=out[0], w2=out[1], mode="forward_burnin", config=config,
-                          chain_len=_CHUNK_CHAIN_LEN)
+        return reducer.summary()
 
     per_group = _GROUP_ELEMENTS // (slab_rows(CHUNK_CHAINS) * CHUNK_CHAINS)
     n = (per_group + 2) * _CHUNK_DRAWS + 1

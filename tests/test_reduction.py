@@ -105,8 +105,10 @@ def test_partial_sums_follow_the_spans_not_the_groups(monkeypatch):
     plan = Plan(sums=frozenset(PAIR))
     one = summarize(sample_of(w1, w2, 7), plan)
     split = reduce_in_groups(plan, w1, w2, 7, [0, 14, 42, 70])
-    assert one.sums["w1"] == split.sums["w1"] == [float(np.sum(w1[a:a + 14]))
-                                                  for a in range(0, 70, 14)]
+    # Each chain is summed one state after another, then a span's two chains.
+    chains = [sum(w1[c:c + 7].tolist()) for c in range(0, 70, 7)]
+    assert one.sums["w1"] == split.sums["w1"] == [float(np.sum(chains[a:a + 2]))
+                                                  for a in range(0, 10, 2)]
     assert one.mean("w2") == split.mean("w2") == pytest.approx(w2.mean(), rel=1e-12)
 
 

@@ -11,6 +11,7 @@ from scipy import stats
 from tritail.errors import DegenerateTail, EmptyTail
 from tritail.tailstats import (
     _BLOCK,
+    RunningTail,
     default_hill_k,
     estimator_depth,
     hill,
@@ -77,6 +78,37 @@ def test_upper_tail_from_blocks_equals_the_array_pass():
     assert (a.n, a.minimum) == (b.n, b.minimum)
     # A series shorter than the depth gives the whole sorted series.
     np.testing.assert_array_equal(upper_tail(x[:10], 50).top, np.sort(x[:10]))
+
+
+def test_running_tail_fed_from_threads_equals_the_array_pass():
+    # One tail fed 2-d blocks from more threads than cores, switching often:
+    # a lost or doubled block would change n, the minimum or the top m.
+    import sys
+    import threading
+
+    x = pareto(1.5, 400_000, seed=5)
+    blocks = np.array_split(x, 200)
+    acc = RunningTail(3000)
+
+    def feed(part):
+        for block in part:
+            acc.add(block.reshape(-1, 4) if block.size % 4 == 0 else block)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=feed, args=(blocks[i::6],)) for i in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    want = upper_tail(x, 3000)
+    got = acc.tail()
+    np.testing.assert_array_equal(got.top, want.top)
+    assert (got.n, got.minimum) == (want.n, want.minimum)
 
 
 def test_upper_tail_too_shallow_for_the_quantile():

@@ -16,6 +16,16 @@ s = 1, 4, 16, 64 on the C8 law, and the Lyapunov estimate 100 chains of
 digest covers the raw float64 bytes of every array the sampler returns, in
 order, so two checkouts print the same line for a sampler exactly when its
 random stream and arithmetic agree bit for bit.
+
+The ``summary`` line covers the pipeline's reduction instead: a
+601,017-state chunked sample (three full chunks and a trimmed one) of the
+demo, C8 and GARCH laws is reduced under one plan each, and the digest
+covers its tails (top values, n, minimum), first states and exceedance sets
+(index, key, rows, n, minimum, and a point set's flags and the next states
+of its valid points; the states past a chain's end are not defined).  The
+partial sums are left out: their rounding follows the order in which the
+states are summed.  The plans read point sets with h = 2 or 3 and window
+sets with h = 2 and, on the demo law, h = 9, where numpy sums pairwise.
 """
 
 import hashlib
@@ -26,12 +36,14 @@ from tritail.engine import SimConfig, backward_truncated, lyapunov_estimate, sta
 from tritail.garch import STORED, GarchLaw, GarchParams, stationary_garch_sample
 from tritail.laws import Constant, IndependentLaw, LogNormal
 from tritail.pipelines import _forward_chunked, _whole
+from tritail.reduction import Plan, PointSpec, WindowSpec
 from tritail.renewal import series_weight
 from tritail.spectral import AngularSample, spectral_process_draws
 from tritail.streams import substream
 
 N_STATES = 100_000
 N_CHUNKED = 2_200_517
+N_SUMMARY = 601_017
 N_CHAINS = 100
 SEED = 7
 
@@ -73,6 +85,41 @@ def digest(*arrays) -> str:
     h = hashlib.sha256()
     for a in arrays:
         h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+def summary_digest() -> str:
+    """The digest of the reduced demo, C8 and GARCH samples (see the module docstring)."""
+    h = hashlib.sha256()
+
+    def update(*arrays):
+        h.update(digest(*arrays).encode())
+
+    pair, vols, returns = ("w1", "w2"), ("sigma1_sq", "sigma2_sq"), ("x1", "x2")
+    # (law, burn-in, purpose, tail series, first-state series, anchors, after, extra sets)
+    runs = (
+        (DEMO_LAW, 2000, "stationary", pair, pair, pair, pair, (WindowSpec("w1", 9, 0.999),)),
+        (C8_LAW, 2000, "stationary", pair, pair, pair, pair, ()),
+        (GarchLaw(GARCH_PARAMS), 1000, "garch", vols + ("abs_x1", "abs_x2"), STORED, vols,
+         returns, ()),
+    )
+    for law, burn_in, purpose, tails, heads, anchors, after, extra in runs:
+        specs = (PointSpec(anchors, after, 3, 0.999), PointSpec(anchors, after, 2, 0.99),
+                 *(WindowSpec(name, 2, 0.999) for name in after), *extra)
+        plan = Plan(tails=dict.fromkeys(tails, 2000), heads=dict.fromkeys(heads, 250_000),
+                    exceedances=frozenset(specs))
+        sim = SimConfig(burn_in=burn_in, n_draws=N_SUMMARY, base_seed=SEED)
+        s = _forward_chunked(law, sim, plan, None, purpose)()
+        for name in tails:
+            tail = s.tail(name, 2000)
+            update(tail.top, (tail.n, tail.minimum))
+        for name in heads:
+            update(s.head(name, 250_000))
+        for spec in specs:
+            ex = s.exceedance_set(spec)
+            update(ex.index, ex.key, ex.rows, (ex.n, ex.minimum))
+            if ex.valid is not None:
+                update(ex.valid, ex.after[ex.valid])
     return h.hexdigest()
 
 
@@ -122,6 +169,7 @@ def main() -> None:
         DEMO_LAW, N_STATES // N_CHAINS, N_CHAINS, substream(SEED, "stream_digest")
     )
     print(f"lyapunov_estimate        {digest((lyap.gamma_hat, lyap.std_error))}")
+    print(f"summary                  {summary_digest()}")
 
 
 if __name__ == "__main__":
