@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import NonFiniteState, NotContracting
 from .laws import CoeffDraw, CoefficientLaw, check_stationarity
-from .reduction import Plan, Reducer
+from .reduction import Reducer, WholeSample
 
 __all__ = [
     "SimConfig",
@@ -234,17 +234,16 @@ def stationary_sample(
 
     ``rng`` is one generator, or ``(generator, chains)`` blocks as in
     :func:`chain_blocks`: each block's chains then equal a solo run of that
-    block on its generator bit for bit.  With a ``reducer``
-    (:class:`tritail.reduction.Reducer`), each slab's kept (rows, chains)
-    states go straight to it as a step-major :class:`PathSample`, and its
-    :class:`~tritail.reduction.Summary` is returned; without one, the
-    sample is returned whole, as the first states of a whole-sample plan.
+    block on its generator bit for bit.  Each slab's kept (rows, chains)
+    states go straight to ``reducer`` (:class:`tritail.reduction.Reducer`)
+    as a step-major :class:`PathSample`, and its summary is returned; the
+    default, a :class:`~tritail.reduction.WholeSample`, returns the whole
+    sample.
     """
     n_chains, per_chain = chain_plan(config.n_draws, n_chains)
-    whole = reducer is None
-    if whole:
-        reducer = Reducer(Plan(heads=dict.fromkeys(PathSample.STORED, config.n_draws)),
-                          config.n_draws, per_chain, config.n_draws)
+    if reducer is None:
+        reducer = WholeSample(PathSample, config.n_draws, per_chain, mode="forward_burnin",
+                              config=config)
     blocks, rows = chain_blocks(rng, n_chains)
     w1 = np.zeros((rows + 1, n_chains))
     w2 = np.zeros((rows + 1, n_chains))
@@ -259,16 +258,7 @@ def stationary_sample(
     for j, sel in forward_slabs(draw, w1, w2, config, per_chain):
         reducer.feed(j, PathSample(w1=w1[sel], w2=w2[sel], mode="forward_burnin",
                                    config=config, chain_len=per_chain))
-    summary = reducer.summary()
-    if not whole:
-        return summary
-    return PathSample(
-        w1=summary.head("w1", config.n_draws),
-        w2=summary.head("w2", config.n_draws),
-        mode="forward_burnin",
-        config=config,
-        chain_len=per_chain,
-    )
+    return reducer.summary()
 
 
 # ============================================================================

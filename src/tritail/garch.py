@@ -43,7 +43,7 @@ from .laws import (
     RegimeReport,
 )
 from .records import ResultRecord
-from .reduction import Plan, PointSpec, Reducer, WindowSpec, summarize
+from .reduction import Plan, PointSpec, Reducer, WholeSample, WindowSpec, summarize
 from .renewal import univariate_constant
 from .spectral import MIN_EXCEEDANCES, unit_pareto
 from .tailstats import (
@@ -316,14 +316,13 @@ def stationary_garch_sample(
     convention as :func:`tritail.engine.stationary_sample` (auto: about one
     chain per thousand draws): each slab's kept states go to the reducer as
     a step-major :class:`GarchPath` of its :data:`STORED` arrays, which
-    derives the returns from them.  Without a reducer the path is returned
-    whole.  Volatilities start at their floor alpha0 and burn in.
+    derives the returns from them; by default the path is returned whole.
+    Volatilities start at their floor alpha0 and burn in.
     """
     n_chains, per_chain = chain_plan(config.n_draws, n_chains)
-    whole = reducer is None
-    if whole:
-        reducer = Reducer(Plan(heads=dict.fromkeys(STORED, config.n_draws)),
-                          config.n_draws, per_chain, config.n_draws)
+    if reducer is None:
+        reducer = WholeSample(GarchPath, config.n_draws, per_chain, params=params,
+                              config=config)
     blocks, rows = chain_blocks(rng, n_chains)
     s1 = np.empty((rows + 1, n_chains))
     s2 = np.empty((rows + 1, n_chains))
@@ -337,11 +336,7 @@ def stationary_garch_sample(
     for j, sel in forward_slabs(draw, s1, s2, config, per_chain):
         reducer.feed(j, GarchPath(s1[sel], s2[sel], z1[sel], z2[sel], params=params,
                                   config=config, chain_len=per_chain))
-    summary = reducer.summary()
-    if not whole:
-        return summary
-    return GarchPath(*(summary.head(name, config.n_draws) for name in STORED),
-                     params=params, config=config, chain_len=per_chain)
+    return reducer.summary()
 
 
 # ============================================================================

@@ -176,18 +176,22 @@ def _chunked(reduce_span: Callable, n: int, plan: Plan, pool: Optional[ThreadPoo
              span: int = _CHUNK_DRAWS) -> Callable[[], Summary]:
     """Reduce n states under ``plan``, sampled ``span`` states at a time.
 
-    ``reduce_span(start)`` samples states ``[start, min(start + span, n))``
-    and returns their summary; a span is a pure function of its bounds.  The
-    returned function folds the span summaries in span order, so neither the
-    pool nor its size changes the result.  With a pool every span is
-    submitted now; without one, the returned function samples the spans one
-    by one.
+    ``reduce_span(start, tails)`` samples states ``[start, min(start + span,
+    n))``, feeds their planned tails to ``tails`` (the sample's
+    :func:`reduction.running_tails`) and returns their summary; a span is a
+    pure function of its bounds.  The returned function folds the span
+    summaries in span order, and the top m of a tail does not depend on the
+    order of its blocks, so neither the pool nor its size changes the
+    result.  With a pool every span is submitted now; without one, the
+    returned function samples the spans one by one.
     """
+    tails = reduction.running_tails(plan)
+    one = functools.partial(reduce_span, tails=tails)
     starts = range(0, n, span)
     if pool is None:
-        return lambda: reduction.merge(plan, map(reduce_span, starts), n)
-    groups = pool.map(reduce_span, starts)
-    return lambda: reduction.merge(plan, groups, n)
+        return lambda: reduction.merge(plan, map(one, starts), n, tails)
+    groups = pool.map(one, starts)
+    return lambda: reduction.merge(plan, groups, n, tails)
 
 
 def _forward_chunked(law, sim: SimConfig, plan: Plan, pool: Optional[ThreadPoolExecutor],
@@ -201,9 +205,7 @@ def _forward_chunked(law, sim: SimConfig, plan: Plan, pool: Optional[ThreadPoolE
     _CHUNK_CHAIN_LEN, and draws from substream i.  Consecutive chunks run
     side by side as one group, a single sampler call whose generator blocks
     are the chunks, up to _GROUP_ELEMENTS per slab array; the sampler hands
-    each slab's kept states to the group's :class:`reduction.Reducer`, which
-    feeds the run's one :class:`tailstats.RunningTail` per planned tail (the
-    top m does not depend on the order of the blocks).  A
+    each slab's kept states to the group's :class:`reduction.Reducer`.  A
     chunk's states equal a solo run's, so neither the grouping nor the
     worker count changes the result.  Only the final chunk can be a
     non-multiple; its last chain is trimmed, so the sample keeps the
@@ -216,40 +218,30 @@ def _forward_chunked(law, sim: SimConfig, plan: Plan, pool: Optional[ThreadPoolE
     chunk_chains = _CHUNK_DRAWS // _CHUNK_CHAIN_LEN
     per_group = max(1, _GROUP_ELEMENTS // (engine.slab_rows(chunk_chains) * chunk_chains))
     span, n = per_group * _CHUNK_DRAWS, sim.n_draws
-    # One running tail per series, fed by every group: a group holds no tail of its own.
-    tails = {name: tailstats.RunningTail(depth) for name, depth in plan.tails.items()}
-    groups = replace(plan, tails={})
 
-    def one(start: int) -> Summary:
+    def one(start: int, tails: dict) -> Summary:
         stop = min(start + span, n)
         blocks = [(substream(sim.base_seed, purpose, c // _CHUNK_DRAWS),
                    -(-(min(c + _CHUNK_DRAWS, stop) - c) // _CHUNK_CHAIN_LEN))
                   for c in range(start, stop, _CHUNK_DRAWS)]
         n_chains = sum(chains for _, chains in blocks)
         cfg = replace(sim, n_draws=n_chains * _CHUNK_CHAIN_LEN)
-        reducer = reduction.Reducer(groups, n, _CHUNK_CHAIN_LEN, stop - start, start,
-                                    shared=tails)
+        reducer = reduction.Reducer(plan, tails, n, _CHUNK_CHAIN_LEN, stop - start, start)
         return sampler(model, cfg, blocks, n_chains=n_chains, reducer=reducer)
 
-    read = _chunked(one, n, groups, pool, span)
-    return lambda: replace(read(), tails={name: acc.tail() for name, acc in tails.items()})
+    return _chunked(one, n, plan, pool, span)
 
 
 def _backward_chunked(law, sim: SimConfig, plan: Plan) -> Summary:
     n = sim.n_draws
 
-    def one(start: int) -> Summary:
+    def one(start: int, tails: dict) -> Summary:
         cfg = replace(sim, n_draws=min(start + _CHUNK_DRAWS, n) - start)
         sample = engine.backward_truncated(
             law, cfg, substream(sim.base_seed, "backward", start // _CHUNK_DRAWS))
-        return reduction.reduce_group(plan, sample, start, n)
+        return reduction.reduce_group(plan, sample, start, n, tails)
 
     return _chunked(one, n, plan, None)()
-
-
-def _whole(names, n: int) -> Plan:
-    """A plan that keeps all n states of each series."""
-    return Plan(heads=dict.fromkeys(names, n))
 
 
 # ============================================================================
@@ -831,9 +823,9 @@ def _plan_garch_verify(ctx: _Ctx) -> Plan:
 
 def _crossval_samples(law, forward: SimConfig, backward: SimConfig) -> tuple[Summary, Summary]:
     """The forward and backward cross-validation samples, kept whole, one after the other."""
-    fwd = _forward_chunked(law, forward, _whole(("w1", "w2"), forward.n_draws), None,
+    fwd = _forward_chunked(law, forward, reduction.whole_plan(("w1", "w2"), forward.n_draws), None,
                            "crossval")()
-    back = _backward_chunked(law, backward, _whole(("w1", "w2"), backward.n_draws))
+    back = _backward_chunked(law, backward, reduction.whole_plan(("w1", "w2"), backward.n_draws))
     return fwd, back
 
 

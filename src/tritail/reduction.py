@@ -20,25 +20,29 @@ them when the chain ends.  :func:`reduce_group` feeds an array-backed sample
 (:class:`tritail.engine.PathSample` or :class:`tritail.garch.GarchPath`)
 through the same reducer as the step-major view of its chains, and
 :func:`merge` combines the groups' results in group order into a
-:class:`Summary`.  Each merge is exact: the top m of a union is the top m of
-the union of its parts' top m, the partial sums are fixed by the spans and
-not by the groups, and the first states are copied out in order.  So the
-summary does not depend on how the sample is split into groups, nor on the
-order in which the groups finish.
+:class:`Summary`.  The tails are not merged: every group of a sample feeds
+the sample's one :class:`~tritail.tailstats.RunningTail` per series
+(:func:`running_tails`), whose top m does not depend on the order of its
+blocks.  The rest merges exactly: the partial sums are fixed by the spans
+and not by the groups, and the first states and exceedance sets are joined
+in group order.  So the summary does not depend on how the sample is split
+into groups, nor on the order in which the groups finish.
 
 The estimators take either form: :func:`summarize` reduces an array-backed
 sample as one group through the same code, as ``upper_tail`` streams an
-array.
+array.  A sampler called without a reducer gets a :class:`WholeSample`, whose
+first states are the whole sample.
 """
 
 import math
+import functools
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .tailstats import RunningTail, UpperTail, block_rows, merge_tails, tail_depth
+from .tailstats import RunningTail, UpperTail, block_rows, tail_depth
 
 __all__ = [
     "SUM_SPAN",
@@ -48,7 +52,10 @@ __all__ = [
     "Exceedances",
     "Summary",
     "valid_window_starts",
+    "whole_plan",
+    "running_tails",
     "Reducer",
+    "WholeSample",
     "reduce_group",
     "merge",
     "summarize",
@@ -147,7 +154,8 @@ class Summary:
     """A sample of n states reduced to what its plan lists.
 
     ``sums`` keeps the partial sums of each series in span order, and
-    ``heads`` the first states of each series.  Lookups of a reduction that
+    ``heads`` the first states of each series.  A group's summary holds no
+    tails: they are read from the sample's accumulators by :func:`merge`.  Lookups of a reduction that
     was not planned raise :class:`ValueError`.
     """
 
@@ -202,6 +210,16 @@ def valid_window_starts(n: int, chain_len: int, h: int, offset: int = 0) -> np.n
     mask = np.resize(np.arange(chain_len) + offset + h <= chain_len, n)
     mask[max(0, n - offset - h + 1):] = False
     return mask
+
+
+def whole_plan(names, n: int) -> Plan:
+    """A plan that keeps all n states of each series."""
+    return Plan(heads=dict.fromkeys(names, n))
+
+
+def running_tails(plan: Plan) -> dict:
+    """One :class:`RunningTail` per planned tail, for every group of a sample to feed."""
+    return {name: RunningTail(depth) for name, depth in plan.tails.items()}
 
 
 def _arrays(sample, fn):
@@ -340,20 +358,20 @@ class Reducer:
     :meth:`summary` gives their :class:`Summary`.  The reducer holds the
     planned reductions, one partial sum per chain and series, and the last
     h rows of each chain for the exceedance sets: no array sized by the
-    group's states.  ``shared`` maps series to :class:`RunningTail`
-    accumulators that the reducer feeds besides its plan, such as one per
-    run that all its groups feed; its summary leaves them out.
+    group's states.  ``tails`` holds the sample's
+    :class:`~tritail.tailstats.RunningTail` of each planned tail
+    (:func:`running_tails`), which the reducer feeds and its summary leaves
+    out: every group of the sample feeds the same ones.
     """
 
-    def __init__(self, plan: Plan, n: int, chain_len: int, size: int, start: int = 0,
-                 shared: Optional[dict] = None):
+    def __init__(self, plan: Plan, tails: dict, n: int, chain_len: int, size: int,
+                 start: int = 0):
         self.chain_len, self.size, self.start = chain_len, size, start
         full, rem = divmod(size, chain_len)
         # Lanes: (first chain, chains, kept states per chain) of chains that end together.
         self._lanes = [lane for lane in ((0, full, chain_len), (full, 1, rem))
                        if lane[1] and lane[2]]
-        self._tails = {name: RunningTail(depth) for name, depth in plan.tails.items()}
-        self._shared = shared or {}
+        self._tails = tails
         self._sums = {name: np.zeros(full + (rem > 0)) for name in plan.sums}
         self._heads = {name: np.empty(max(0, min(size, length - start)))
                        for name, length in plan.heads.items()}
@@ -380,7 +398,7 @@ class Reducer:
 
     def _feed_lane(self, c0: int, chains: int, length: int, j: int, part) -> None:
         r = _rows(part)
-        for name, acc in (*self._tails.items(), *self._shared.items()):
+        for name, acc in self._tails.items():
             acc.add(part.series(name))
         for name, total in self._sums.items():
             col = total[c0 : c0 + chains]
@@ -474,7 +492,7 @@ class Reducer:
         return Summary(
             n=self.size,
             chain_len=L,
-            tails={name: acc.tail() for name, acc in self._tails.items()},
+            tails={},
             sums={name: [float(np.sum(total[a:b])) for a, b in zip(cuts, cuts[1:])]
                   for name, total in self._sums.items()},
             heads=self._heads,
@@ -482,7 +500,23 @@ class Reducer:
         )
 
 
-def reduce_group(plan: Plan, sample, start: int, n: int) -> Summary:
+class WholeSample(Reducer):
+    """Gathers a whole n-state sample of ``cls`` from its step-major blocks.
+
+    The sample's ``cls.STORED`` arrays are the first states of a
+    :func:`whole_plan`; :meth:`summary` returns them as a ``cls``, whose
+    other fields are ``chain_len`` and ``fields``.
+    """
+
+    def __init__(self, cls, n: int, chain_len: int, **fields):
+        super().__init__(whole_plan(cls.STORED, n), {}, n, chain_len, n)
+        self._build = functools.partial(cls, chain_len=chain_len, **fields)
+
+    def summary(self):
+        return self._build(**self._heads)
+
+
+def reduce_group(plan: Plan, sample, start: int, n: int, tails: dict) -> Summary:
     """Reduce states [start, start + len(sample)) of an n-state sample under ``plan``.
 
     ``sample`` is array-backed: a dataclass whose ``STORED`` fields are its
@@ -490,10 +524,11 @@ def reduce_group(plan: Plan, sample, start: int, n: int) -> Summary:
     ``chain_len`` and ``len``; ``start`` is a multiple of its chain length.
     Its full chains are fed to a :class:`Reducer` as the step-major view
     ``flat.reshape(chains, chain_len).T``, in blocks of rows, and the
-    trimmed last chain after them.
+    trimmed last chain after them.  ``tails`` are the sample's tail
+    accumulators, as for :class:`Reducer`.
     """
     size, L = len(sample), sample.chain_len
-    reducer = Reducer(plan, n, L, size, start)
+    reducer = Reducer(plan, tails, n, L, size, start)
     full, rem = divmod(size, L)
     if full:
         steps = _arrays(sample, lambda a: a[: full * L].reshape(full, L).T)
@@ -520,11 +555,13 @@ def _merge_exceedances(a: Exceedances, b: Exceedances, m: int) -> Exceedances:
     return both._take(np.sort(np.argpartition(both.key, both.key.size - m)[both.key.size - m:]))
 
 
-def merge(plan: Plan, parts, n: int) -> Summary:
+def merge(plan: Plan, parts, n: int, tails: dict) -> Summary:
     """Fold the summaries of consecutive groups of an n-state sample, given in group order.
 
     ``parts`` may be any iterable, so a caller can fold each group in as it
-    arrives and hold no more than the running summary and one group.
+    arrives and hold no more than the running summary and one group.  The
+    tails are read from ``tails``, the accumulators every group fed, once
+    the last group is in.
     """
     acc = None
     for part in parts:
@@ -534,8 +571,7 @@ def merge(plan: Plan, parts, n: int) -> Summary:
         acc = Summary(
             n=acc.n + part.n,
             chain_len=acc.chain_len,
-            tails={name: merge_tails((acc.tails[name], part.tails[name]), depth)
-                   for name, depth in plan.tails.items()},
+            tails={},
             sums={name: acc.sums[name] + part.sums[name] for name in plan.sums},
             heads={name: np.concatenate((acc.heads[name], part.heads[name]))
                    for name in plan.heads},
@@ -544,14 +580,15 @@ def merge(plan: Plan, parts, n: int) -> Summary:
                          for spec in plan.exceedances},
         )
         part = None  # not held while the next group is sampled
-    return acc
+    return replace(acc, tails={name: t.tail() for name, t in tails.items()})
 
 
 def summarize(sample, plan: Plan) -> Summary:
     """``sample`` reduced under ``plan``; a :class:`Summary` is returned as it is."""
     if isinstance(sample, Summary):
         return sample
-    return reduce_group(plan, sample, 0, len(sample))
+    tails = running_tails(plan)
+    return merge(plan, [reduce_group(plan, sample, 0, len(sample), tails)], len(sample), tails)
 
 
 def exceedances(sample, spec) -> Exceedances:

@@ -32,7 +32,6 @@ __all__ = [
     "block_rows",
     "RunningTail",
     "upper_tail",
-    "merge_tails",
     "tail_depth",
     "estimator_depth",
     "hill",
@@ -137,8 +136,8 @@ class RunningTail:
     the top m unchanged, so they need no merging, and the top m of a series
     does not depend on the order of its blocks.  The values are held at the
     end of one buffer: a block's values are written below them and the
-    whole is partitioned back to m in place.  A lock makes :meth:`add` safe
-    from several threads; a block is filtered before it is taken.
+    whole is partitioned back to m in place.  :meth:`add` holds a lock, so
+    the groups of a sample may feed one tail from several threads.
     """
 
     def __init__(self, m: int):
@@ -157,21 +156,13 @@ class RunningTail:
         if not block.size:
             return
         low = block.min()
-        # The cut only rises, so filtering with one read before taking the
-        # lock passes a superset of the values the current cut passes.
-        cut = self._cut
-        new = block if cut is None else block[block > cut]
-        k = new.size
         with self._lock:
             self.minimum = float(low if self.n == 0 else np.minimum(self.minimum, low))
             self.n += block.size
+            new = block if self._cut is None else block[block > self._cut]
+            k = new.size
             if not k:
                 return
-            if self._cut is not None and self._cut != cut:
-                new = new[new > self._cut]
-                k = new.size
-                if not k:
-                    return
             if k > self._lo:
                 held = self._buf[self._lo:]
                 buf = np.empty(self.m + k)  # room for another such block once back to m
@@ -205,15 +196,6 @@ def upper_tail(series, m: int) -> UpperTail:
     for block in series:
         acc.add(block)
     return acc.tail()
-
-
-def merge_tails(tails, m: int) -> UpperTail:
-    """The top m of a series from the upper tails of its consecutive parts."""
-    top = np.concatenate([t.top for t in tails])
-    if top.size > m:
-        top = np.partition(top, top.size - m)[top.size - m:]
-    return UpperTail(top=np.sort(top), n=sum(t.n for t in tails),
-                     minimum=float(np.min([t.minimum for t in tails])))
 
 
 def tail_depth(n: int, q: float) -> int:

@@ -699,7 +699,7 @@ def test_garch_full_report_computes_each_estimate_once(tmp_path, monkeypatch):
     calls = _capture_args(monkeypatch, pipelines, "_forward_chunked")
     small_garch_report(tmp_path)
     ((law, sim, _, _, purpose),) = calls
-    s = pipelines._forward_chunked(law, sim, pipelines._whole(garch.STORED, sim.n_draws), None,
+    s = pipelines._forward_chunked(law, sim, reduction.whole_plan(garch.STORED, sim.n_draws), None,
                                    purpose)()
     path = GarchPath(*(s.head(name, len(s)) for name in garch.STORED), params=law.params,
                      config=sim, chain_len=s.chain_len)
@@ -735,7 +735,7 @@ def test_independent_full_report_streams_each_series_once(tmp_path, monkeypatch,
     report = run(parse_config(cfg))
     assert not [r.name for r in report.results if r.name.endswith("_error")]
     law, sim, _, _, purpose = calls[0]  # the stationary sample starts before cross-validation
-    s = pipelines._forward_chunked(law, sim, pipelines._whole(("w1", "w2"), sim.n_draws), None,
+    s = pipelines._forward_chunked(law, sim, reduction.whole_plan(("w1", "w2"), sim.n_draws), None,
                                    purpose)()
     w1, w2 = s.head("w1", len(s)), s.head("w2", len(s))
     for w in (w1, w2):
@@ -771,8 +771,8 @@ def test_reports_do_not_depend_on_the_grouping(tmp_path, monkeypatch):
         assert not [r.name for r in base.results if r.name.endswith("_error")]
         with monkeypatch.context() as mp:
             mp.setattr(pipelines, "_GROUP_ELEMENTS", 1)
-            # Three threads share the group buffers; frequent switches would
-            # expose a buffer handed to two groups at once.
+            # Three threads feed the sample's shared tails; frequent switches
+            # would expose a block lost or taken twice.
             interval = sys.getswitchinterval()
             sys.setswitchinterval(1e-5)
             try:
@@ -834,7 +834,7 @@ def test_failing_side_job_gives_the_same_step_error_at_any_worker_count(
 
 def test_garch_peak_memory_does_not_grow_with_the_sample(tmp_path, monkeypatch):
     # Simulate and tails on a GARCH path of four and of sixteen groups: the
-    # traced peak holds a group buffer and the accumulators, not the path.
+    # traced peak holds one group's slabs and the accumulators, not the path.
     import tracemalloc
 
     monkeypatch.setattr(pipelines, "_GROUP_ELEMENTS", 1)
@@ -889,7 +889,7 @@ def test_garch_reduction_memory_does_not_grow_with_the_group_width(monkeypatch):
         chains = chunks * chunk_chains
         cfg = SimConfig(burn_in=sim.burn_in, n_draws=chains * pipelines._CHUNK_CHAIN_LEN)
         blocks = [(np.random.default_rng(i), chunk_chains) for i in range(chunks)]
-        reducer = Reducer(Plan(), cfg.n_draws, pipelines._CHUNK_CHAIN_LEN, cfg.n_draws)
+        reducer = Reducer(Plan(), {}, cfg.n_draws, pipelines._CHUNK_CHAIN_LEN, cfg.n_draws)
         kernel_peak = traced_peak(lambda: garch.stationary_garch_sample(
             law.params, cfg, blocks, n_chains=chains, reducer=reducer))
         return run_peak - kernel_peak

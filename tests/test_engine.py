@@ -27,13 +27,12 @@ from tritail.engine import (
 from tritail.errors import NonFiniteState, NotContracting
 from tritail.laws import Constant, IndependentLaw
 from tritail import pipelines
-from tritail.reduction import Plan, Reducer, Summary
+from tritail.reduction import Plan, Reducer, Summary, merge, running_tails, whole_plan
 from tritail.pipelines import (
     _CHUNK_CHAIN_LEN,
     _CHUNK_DRAWS,
     _GROUP_ELEMENTS,
     _forward_chunked,
-    _whole,
 )
 from tritail.spectral import AngularSample, spectral_process_draws
 from tritail.streams import substream
@@ -227,13 +226,17 @@ def test_slab_rows_element_budget():
 
 def test_stationary_sample_feeds_a_reducer():
     # The slabs' kept states go straight to the reducer, which keeps the
-    # planned first states and tail of the sample the sampler returns whole.
+    # planned first states and feeds the tail of the sample the sampler
+    # returns whole by default.
     cfg = SimConfig(burn_in=20, n_draws=500)
     full = stationary_sample(LAW_C8, cfg, rng(4), n_chains=4)
     plan = Plan(tails={"w2": 7}, heads={"w1": 333, "w2": 333})
-    part = stationary_sample(LAW_C8, cfg, rng(4), n_chains=4,
-                             reducer=Reducer(plan, cfg.n_draws, full.chain_len, cfg.n_draws))
-    assert isinstance(part, Summary) and len(part) == 500 and part.chain_len == 125
+    tails = running_tails(plan)
+    group = stationary_sample(LAW_C8, cfg, rng(4), n_chains=4,
+                              reducer=Reducer(plan, tails, cfg.n_draws, full.chain_len,
+                                              cfg.n_draws))
+    assert isinstance(group, Summary) and len(group) == 500 and group.chain_len == 125
+    part = merge(plan, [group], cfg.n_draws, tails)
     np.testing.assert_array_equal(part.head("w1", 333), full.w1[:333])
     np.testing.assert_array_equal(part.head("w2", 333), full.w2[:333])
     np.testing.assert_array_equal(part.tail("w2", 7).top, np.sort(full.w2)[-7:])
@@ -246,14 +249,14 @@ def test_chunked_sample_independent_of_workers():
     n = (per_group + 1) * _CHUNK_DRAWS + _CHUNK_CHAIN_LEN + 17
     sim = SimConfig(burn_in=30, n_draws=n, thinning=2, base_seed=5)
 
-    plan = _whole(("w1", "w2"), n)
+    plan = whole_plan(("w1", "w2"), n)
 
     def path(s):
         return PathSample(w1=s.head("w1", n), w2=s.head("w2", n), mode="forward_burnin",
                           config=sim, chain_len=s.chain_len)
 
     one = path(_forward_chunked(LAW_C8, sim, plan, None, "stationary")())
-    for workers in (2, 3):  # 3 threads share the group buffers on fewer cores
+    for workers in (2, 3):  # 3 threads on fewer cores
         with ThreadPoolExecutor(max_workers=workers) as pool:
             many = path(_forward_chunked(LAW_C8, sim, plan, pool, "stationary")())
         np.testing.assert_array_equal(one.w1, many.w1)

@@ -34,8 +34,8 @@ from tritail.pipelines import (
     _CHUNK_DRAWS,
     _GROUP_ELEMENTS,
     _forward_chunked,
-    _whole,
 )
+from tritail.reduction import whole_plan
 from tritail.records import ResultRecord
 from tritail.spectral import valid_window_starts
 from tritail.streams import substream
@@ -220,7 +220,7 @@ def test_stationary_garch_sample_equals_per_step_recursion(burn_in, n_draws, thi
 
 def chunked_path(sim, workers):
     """The pipeline's chunked GARCH path, every state kept, on a pool of ``workers`` threads."""
-    plan = _whole(STORED, sim.n_draws)
+    plan = whole_plan(STORED, sim.n_draws)
     law = GarchLaw(GARCH_P10)
     if workers == 1:
         s = _forward_chunked(law, sim, plan, None, "garch")()

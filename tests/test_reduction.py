@@ -13,6 +13,7 @@ from tritail.reduction import (
     WindowSpec,
     merge,
     reduce_group,
+    running_tails,
     summarize,
     valid_window_starts,
 )
@@ -29,9 +30,10 @@ def sample_of(w1, w2, chain_len):
 def reduce_in_groups(plan, w1, w2, chain_len, bounds):
     """Reduce [bounds[i], bounds[i+1]) one group at a time and merge in order."""
     n = w1.size
-    parts = [reduce_group(plan, sample_of(w1[a:b], w2[a:b], chain_len), a, n)
+    tails = running_tails(plan)
+    parts = [reduce_group(plan, sample_of(w1[a:b], w2[a:b], chain_len), a, n, tails)
              for a, b in zip(bounds, bounds[1:])]
-    return merge(plan, parts, n)
+    return merge(plan, parts, n, tails)
 
 
 @settings(max_examples=80, deadline=None)

@@ -35,8 +35,8 @@ import numpy as np
 from tritail.engine import SimConfig, backward_truncated, lyapunov_estimate, stationary_sample
 from tritail.garch import STORED, GarchLaw, GarchParams, stationary_garch_sample
 from tritail.laws import Constant, IndependentLaw, LogNormal
-from tritail.pipelines import _forward_chunked, _whole
-from tritail.reduction import Plan, PointSpec, WindowSpec
+from tritail.pipelines import _forward_chunked
+from tritail.reduction import Plan, PointSpec, WindowSpec, whole_plan
 from tritail.renewal import series_weight
 from tritail.spectral import AngularSample, spectral_process_draws
 from tritail.streams import substream
@@ -141,12 +141,12 @@ def main() -> None:
     print(f"stationary_garch_sample  {digest(*arrays)}")
     chunked = _forward_chunked(
         DEMO_LAW, SimConfig(burn_in=2000, n_draws=N_CHUNKED, base_seed=SEED),
-        _whole(("w1", "w2"), N_CHUNKED), None, "stationary",
+        whole_plan(("w1", "w2"), N_CHUNKED), None, "stationary",
     )()
     print(f"stationary_chunked       {digest(*(chunked.head(s, N_CHUNKED) for s in ('w1', 'w2')))}")
     garch = _forward_chunked(
         GarchLaw(GARCH_PARAMS), SimConfig(burn_in=1000, n_draws=N_CHUNKED, base_seed=SEED),
-        _whole(STORED, N_CHUNKED), None, "garch",
+        whole_plan(STORED, N_CHUNKED), None, "garch",
     )()
     print(f"garch_chunked            {digest(*(garch.head(s, N_CHUNKED) for s in STORED))}")
     backward = backward_truncated(
