@@ -13,14 +13,15 @@ Every pipeline follows the same discipline:
   Lyapunov estimate, the stationary sample's groups and the cross-validation
   samples (each step's side job in :data:`_STEPS`, resolved on the main
   thread, a pure function of its substream); each step then reads its job's
-  result.  The main thread still runs the steps in order, merges the groups,
+  result.  The main thread still runs the steps in order, waits for the groups,
   writes the CSVs and computes the series weights: their slabs, freed on a
   pool thread, would stay in that thread's malloc arena and raise the peak.
   With one worker there is no pool, and each job runs when its step reads it;
 * before sampling, a run plans every reduction its steps read (tails, sums,
   first states and exceedance sets, :mod:`tritail.reduction`); each group's
   sampler hands every slab's kept states straight to the group's reducer,
-  and the group results are merged in group order — so no step holds an
+  which writes them in place into the sample's one summary, and no
+  reduction depends on the order the groups arrive in — so no step holds an
   array of n states, no group is ever copied out of the kernel's slabs, and
   every record is byte-identical for any worker count;
 * failures degrade to ``passed=False`` records instead of aborting sibling
@@ -172,26 +173,29 @@ def _expect(value, path: str, types, what: str) -> None:
 # Deterministic chunked sampling
 # ============================================================================
 
-def _chunked(reduce_span: Callable, n: int, plan: Plan, pool: Optional[ThreadPoolExecutor],
-             span: int = _CHUNK_DRAWS) -> Callable[[], Summary]:
-    """Reduce n states under ``plan``, sampled ``span`` states at a time.
+def _chunked(reduce_span: Callable, n: int, chain_len: int, plan: Plan,
+             pool: Optional[ThreadPoolExecutor], span: int = _CHUNK_DRAWS) -> Callable[[], Summary]:
+    """Reduce n states in chains of ``chain_len`` under ``plan``, sampled ``span`` states at a time.
 
-    ``reduce_span(start, tails)`` samples states ``[start, min(start + span,
-    n))``, feeds their planned tails to ``tails`` (the sample's
-    :func:`reduction.running_tails`) and returns their summary; a span is a
-    pure function of its bounds.  The returned function folds the span
-    summaries in span order, and the top m of a tail does not depend on the
-    order of its blocks, so neither the pool nor its size changes the
-    result.  With a pool every span is submitted now; without one, the
-    returned function samples the spans one by one.
+    ``reduce_span(summary, start)`` samples states ``[start, min(start +
+    span, n))``, a pure function of its bounds, and writes their reductions
+    into ``summary``, the sample's one :class:`Summary`.  No reduction
+    depends on the order in which the spans write, so neither the pool nor
+    its size changes the result.  With a pool every span is submitted now;
+    without one, the returned function samples the spans one by one.  The
+    returned function waits for the spans and returns the summary.
     """
-    tails = reduction.running_tails(plan)
-    one = functools.partial(reduce_span, tails=tails)
+    summary = Summary(plan, n, chain_len)
+    one = functools.partial(reduce_span, summary)
     starts = range(0, n, span)
-    if pool is None:
-        return lambda: reduction.merge(plan, map(one, starts), n, tails)
-    groups = pool.map(one, starts)
-    return lambda: reduction.merge(plan, groups, n, tails)
+    spans = map(one, starts) if pool is None else pool.map(one, starts)
+
+    def wait() -> Summary:
+        for _ in spans:
+            pass
+        return summary
+
+    return wait
 
 
 def _forward_chunked(law, sim: SimConfig, plan: Plan, pool: Optional[ThreadPoolExecutor],
@@ -205,11 +209,12 @@ def _forward_chunked(law, sim: SimConfig, plan: Plan, pool: Optional[ThreadPoolE
     _CHUNK_CHAIN_LEN, and draws from substream i.  Consecutive chunks run
     side by side as one group, a single sampler call whose generator blocks
     are the chunks, up to _GROUP_ELEMENTS per slab array; the sampler hands
-    each slab's kept states to the group's :class:`reduction.Reducer`.  A
-    chunk's states equal a solo run's, so neither the grouping nor the
-    worker count changes the result.  Only the final chunk can be a
-    non-multiple; its last chain is trimmed, so the sample keeps the
-    chain-major invariant with that chain length.
+    each slab's kept states to the group's :class:`reduction.Reducer`,
+    which writes them into the sample's summary.  A chunk's states equal a
+    solo run's, so neither the grouping nor the worker count changes the
+    result.  Only the final chunk can be a non-multiple; its last chain is
+    trimmed, so the sample keeps the chain-major invariant with that chain
+    length.
     """
     if isinstance(law, GarchLaw):
         sampler, model = stationary_garch_sample, law.params
@@ -219,29 +224,29 @@ def _forward_chunked(law, sim: SimConfig, plan: Plan, pool: Optional[ThreadPoolE
     per_group = max(1, _GROUP_ELEMENTS // (engine.slab_rows(chunk_chains) * chunk_chains))
     span, n = per_group * _CHUNK_DRAWS, sim.n_draws
 
-    def one(start: int, tails: dict) -> Summary:
+    def one(summary: Summary, start: int) -> None:
         stop = min(start + span, n)
         blocks = [(substream(sim.base_seed, purpose, c // _CHUNK_DRAWS),
                    -(-(min(c + _CHUNK_DRAWS, stop) - c) // _CHUNK_CHAIN_LEN))
                   for c in range(start, stop, _CHUNK_DRAWS)]
         n_chains = sum(chains for _, chains in blocks)
         cfg = replace(sim, n_draws=n_chains * _CHUNK_CHAIN_LEN)
-        reducer = reduction.Reducer(plan, tails, n, _CHUNK_CHAIN_LEN, stop - start, start)
-        return sampler(model, cfg, blocks, n_chains=n_chains, reducer=reducer)
+        sampler(model, cfg, blocks, n_chains=n_chains,
+                reducer=reduction.Reducer(summary, stop - start, start))
 
-    return _chunked(one, n, plan, pool, span)
+    return _chunked(one, n, _CHUNK_CHAIN_LEN, plan, pool, span)
 
 
 def _backward_chunked(law, sim: SimConfig, plan: Plan) -> Summary:
     n = sim.n_draws
 
-    def one(start: int, tails: dict) -> Summary:
+    def one(summary: Summary, start: int) -> None:
         cfg = replace(sim, n_draws=min(start + _CHUNK_DRAWS, n) - start)
         sample = engine.backward_truncated(
             law, cfg, substream(sim.base_seed, "backward", start // _CHUNK_DRAWS))
-        return reduction.reduce_group(plan, sample, start, n, tails)
+        reduction.reduce_group(summary, sample, start)
 
-    return _chunked(one, n, plan, None)()
+    return _chunked(one, n, 1, plan, None)()
 
 
 # ============================================================================

@@ -4,29 +4,31 @@ Every estimator that reads a stationary sample reads one of four reductions
 of it:
 
 * the upper tail of a series (:class:`tritail.tailstats.RunningTail`);
-* the sum of a series, kept as one partial sum per span of ``SUM_SPAN``
-  states (whole chains, so a span is a block of chain columns);
+* the sum of a series, kept as one running total per chain and read as one
+  partial sum per span of ``SUM_SPAN`` states (whole chains, cut from the
+  sample's start);
 * the first states of a series (CSV rows, the constants' draws);
 * the exceedances of a threshold series: its top points, enough for a high
   quantile of it, each with its position and a payload.
 
-A :class:`Plan` lists the reductions a run reads before it samples.  A
-:class:`Reducer` reduces a group of consecutive whole chains as the forward
-samplers produce them: each slab's kept states arrive as a (rows, chains)
-block straight from the kernel, so no chain-major copy of the group is ever
-made.  A window or a point's payload reads the states after its start, so
-the reducer carries each chain's last h rows into the next block and flushes
-them when the chain ends.  :func:`reduce_group` feeds an array-backed sample
+A :class:`Plan` lists the reductions a run reads before it samples, and a
+:class:`Summary` holds them for the whole sample.  Every group of
+consecutive whole chains writes into it through its own :class:`Reducer`
+as the forward samplers produce the group: each slab's kept states arrive
+as a (rows, chains) block straight from the kernel, so no chain-major copy
+of the group is ever made.  A window or a point's payload reads the states
+after its start, so the reducer carries each chain's last h rows into the
+next block.  :func:`reduce_group` feeds an array-backed sample
 (:class:`tritail.engine.PathSample` or :class:`tritail.garch.GarchPath`)
-through the same reducer as the step-major view of its chains, and
-:func:`merge` combines the groups' results in group order into a
-:class:`Summary`.  The tails are not merged: every group of a sample feeds
-the sample's one :class:`~tritail.tailstats.RunningTail` per series
-(:func:`running_tails`), whose top m does not depend on the order of its
-blocks.  The rest merges exactly: the partial sums are fixed by the spans
-and not by the groups, and the first states and exceedance sets are joined
-in group order.  So the summary does not depend on how the sample is split
-into groups, nor on the order in which the groups finish.
+through the same reducer as the step-major view of its chains.
+
+Nothing is merged.  Each chain's running total and first states have
+fixed places, and the tails and exceedance sets are locked top-m
+accumulators, whose top m does not depend on the order of their blocks (a
+tie at an exceedance set's cut may keep either point, but every reader
+goes through :meth:`Exceedances.above`, whose keys lie strictly above the
+cut).  So the summary depends neither on how the sample is split into
+groups nor on the order in which the groups write.
 
 The estimators take either form: :func:`summarize` reduces an array-backed
 sample as one group through the same code, as ``upper_tail`` streams an
@@ -36,6 +38,7 @@ first states are the whole sample.
 
 import math
 import functools
+import threading
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -53,11 +56,9 @@ __all__ = [
     "Summary",
     "valid_window_starts",
     "whole_plan",
-    "running_tails",
     "Reducer",
     "WholeSample",
     "reduce_group",
-    "merge",
     "summarize",
     "exceedances",
 ]
@@ -140,31 +141,26 @@ class Exceedances:
         x = tail.quantile(u)
         return x, np.nonzero(self.key > x)[0]
 
-    def _take(self, sel) -> "Exceedances":
-        return Exceedances(
-            index=self.index[sel], key=self.key[sel], rows=self.rows[sel], n=self.n,
-            minimum=self.minimum,
-            after=None if self.after is None else self.after[sel],
-            valid=None if self.valid is None else self.valid[sel],
-        )
 
-
-@dataclass(eq=False)
 class Summary:
-    """A sample of n states reduced to what its plan lists.
+    """The reductions ``plan`` lists of a chain-major sample of n states.
 
-    ``sums`` keeps the partial sums of each series in span order, and
-    ``heads`` the first states of each series.  A group's summary holds no
-    tails: they are read from the sample's accumulators by :func:`merge`.  Lookups of a reduction that
-    was not planned raise :class:`ValueError`.
+    Every group of the sample writes into it in place through a
+    :class:`Reducer`, in any order and from any thread: one
+    :class:`~tritail.tailstats.RunningTail` per planned tail, one running
+    total per chain and series, the first states at their chain-major
+    positions and one :class:`_TopPoints` per exceedance set.  It is read
+    once every group is in.  Lookups of a reduction that was not planned
+    raise :class:`ValueError`.
     """
 
-    n: int
-    chain_len: int
-    tails: dict
-    sums: dict
-    heads: dict
-    exceedances: dict
+    def __init__(self, plan: Plan, n: int, chain_len: int):
+        self.n, self.chain_len = n, chain_len
+        self.tails = {name: RunningTail(depth) for name, depth in plan.tails.items()}
+        self.totals = {name: np.zeros(-(-n // chain_len)) for name in plan.sums}
+        self.heads = {name: np.empty(min(n, length)) for name, length in plan.heads.items()}
+        self.tops = {spec: _TopPoints(tail_depth(n, spec.u)) for spec in plan.exceedances}
+        self._sets = {}
 
     def __len__(self) -> int:
         return self.n
@@ -176,10 +172,17 @@ class Summary:
 
     def tail(self, name: str, depth: int) -> UpperTail:
         """The upper tail of ``name``, at least ``depth`` deep (a deeper one reads the same)."""
-        tail = self._get(self.tails, name, "tail of")
+        tail = self._get(self.tails, name, "tail of").tail()
         if tail.top.size < min(depth, tail.n):
             raise ValueError(f"the tail of {name!r} holds {tail.top.size} points, not {depth}")
         return tail
+
+    @property
+    def sums(self) -> dict:
+        """The partial sums of each series, one per span of whole chains from the sample's start."""
+        spans = max(1, SUM_SPAN // self.chain_len)
+        return {name: [float(np.sum(total[a : a + spans])) for a in range(0, total.size, spans)]
+                for name, total in self.totals.items()}
 
     def mean(self, name: str) -> float:
         return float(np.sum(self._get(self.sums, name, "sum of"))) / self.n
@@ -193,10 +196,12 @@ class Summary:
 
     def exceedance_set(self, spec) -> Exceedances:
         """The exceedances of ``spec``; a point set with h = 0 is read from any planned h."""
-        if spec not in self.exceedances and isinstance(spec, PointSpec) and spec.h == 0:
-            spec = next((s for s in self.exceedances if isinstance(s, PointSpec)
+        if spec not in self.tops and isinstance(spec, PointSpec) and spec.h == 0:
+            spec = next((s for s in self.tops if isinstance(s, PointSpec)
                          and (s.anchors, s.after, s.u) == (spec.anchors, spec.after, spec.u)), spec)
-        return self._get(self.exceedances, spec, "exceedances for")
+        if spec not in self._sets:
+            self._sets[spec] = self._get(self.tops, spec, "exceedances for").exceedances(spec)
+        return self._sets[spec]
 
 
 def valid_window_starts(n: int, chain_len: int, h: int, offset: int = 0) -> np.ndarray:
@@ -215,11 +220,6 @@ def valid_window_starts(n: int, chain_len: int, h: int, offset: int = 0) -> np.n
 def whole_plan(names, n: int) -> Plan:
     """A plan that keeps all n states of each series."""
     return Plan(heads=dict.fromkeys(names, n))
-
-
-def running_tails(plan: Plan) -> dict:
-    """One :class:`RunningTail` per planned tail, for every group of a sample to feed."""
-    return {name: RunningTail(depth) for name, depth in plan.tails.items()}
 
 
 def _arrays(sample, fn):
@@ -276,11 +276,13 @@ def _window_norms(x: np.ndarray, h: int) -> np.ndarray:
 class _TopPoints:
     """The top m keys of a threshold series, with the positions and payloads of their points.
 
-    Keys arrive in blocks, in any order.  ``count`` counts every point and
-    ``minimum`` is the least key (NaN when one is NaN, +inf for no point).
-    Once m keys are held, ``cut`` is the m-th largest and only keys above
-    it can enter, as in :class:`tritail.tailstats.RunningTail`; the payload
-    of a block is gathered only for its keys that enter the top m.
+    Keys arrive in blocks, in any order, and :meth:`add` holds a lock, so
+    the groups of a sample may feed one set from several threads.  ``count``
+    counts every point and ``minimum`` is the least key (NaN when one is
+    NaN, +inf for no point).  Once m keys are held, ``cut`` is the m-th
+    largest and only keys above it can enter, as in
+    :class:`tritail.tailstats.RunningTail`; the payload of a block is
+    gathered only for its keys that enter the top m.
     """
 
     def __init__(self, m: int):
@@ -290,21 +292,24 @@ class _TopPoints:
         self.cut = None
         self.key = np.empty(0)
         self.fields = None
+        self._lock = threading.Lock()
 
-    def low(self, key: np.ndarray) -> None:
-        """Fold the least of ``key`` into the minimum."""
-        if key.size:
-            self.minimum = float(np.minimum(self.minimum, key.min()))
+    def add(self, count: int, low: float, key: np.ndarray, gather) -> None:
+        """Count ``count`` more points, whose least key is ``low``, and offer candidate keys.
 
-    def offer(self, key: np.ndarray, gather) -> None:
-        """Merge in candidate keys, each above the cut once there is one.
-
-        ``gather(sel)`` returns the fields of candidates ``sel`` as a dict of
-        arrays: their ``index`` in the sample and their payload.  Once m
-        points are held, an entering point takes the slot of one it evicts.
+        The candidates passed the cut the feeder read, which is never above
+        the current one.  ``gather(sel)`` returns the fields of candidates
+        ``sel`` as a dict of arrays: their ``index`` in the sample and their
+        payload.  Once m points are held, an entering point takes the slot
+        of one it evicts.
         """
-        if not key.size:
-            return
+        with self._lock:
+            self.count += count
+            self.minimum = float(np.minimum(self.minimum, low))
+            if key.size:
+                self._offer(key, gather)
+
+    def _offer(self, key: np.ndarray, gather) -> None:
         held = self.key.size
         both = np.concatenate((self.key, key))
         if both.size <= self.m:
@@ -350,32 +355,24 @@ def _all(shape) -> tuple:
 
 
 class Reducer:
-    """Reduces ``size`` consecutive states of a chain-major n-state sample under ``plan``.
+    """Feeds ``size`` consecutive states of a chain-major sample into its ``summary``.
 
-    The states are whole chains of ``chain_len`` kept states from position
-    ``start`` of the sample (a multiple of ``chain_len``); only the last
-    chain may be shorter.  They arrive step-major through :meth:`feed`, and
-    :meth:`summary` gives their :class:`Summary`.  The reducer holds the
-    planned reductions, one partial sum per chain and series, and the last
-    h rows of each chain for the exceedance sets: no array sized by the
-    group's states.  ``tails`` holds the sample's
-    :class:`~tritail.tailstats.RunningTail` of each planned tail
-    (:func:`running_tails`), which the reducer feeds and its summary leaves
-    out: every group of the sample feeds the same ones.
+    The states are whole chains of the summary's chain length from
+    position ``start`` of the sample (a multiple of the chain length); only
+    the last chain may be shorter.  They arrive step-major through
+    :meth:`feed`, and the reducer writes their reductions into the
+    :class:`Summary` in place.  It holds only its lanes, its first chain's
+    place in the sample and the last h rows of each chain for the
+    exceedance sets: no array sized by the group's states.
     """
 
-    def __init__(self, plan: Plan, tails: dict, n: int, chain_len: int, size: int,
-                 start: int = 0):
-        self.chain_len, self.size, self.start = chain_len, size, start
-        full, rem = divmod(size, chain_len)
+    def __init__(self, summary: Summary, size: int, start: int = 0):
+        self._summary, self.size = summary, size
+        self._chain0 = start // summary.chain_len
+        full, rem = divmod(size, summary.chain_len)
         # Lanes: (first chain, chains, kept states per chain) of chains that end together.
-        self._lanes = [lane for lane in ((0, full, chain_len), (full, 1, rem))
+        self._lanes = [lane for lane in ((0, full, summary.chain_len), (full, 1, rem))
                        if lane[1] and lane[2]]
-        self._tails = tails
-        self._sums = {name: np.zeros(full + (rem > 0)) for name in plan.sums}
-        self._heads = {name: np.empty(max(0, min(size, length - start)))
-                       for name, length in plan.heads.items()}
-        self._top = {spec: _TopPoints(tail_depth(n, spec.u)) for spec in plan.exceedances}
         self._carry = {}
 
     def feed(self, j: int, block, chain0: int = 0) -> None:
@@ -394,20 +391,21 @@ class Reducer:
                 continue
             lo = c0 - chain0
             part = _arrays(block, lambda a: a[:r, lo : lo + chains])
-            self._feed_lane(c0, chains, length, j, part)
+            self._feed_lane(self._chain0 + c0, chains, length, j, part)
 
     def _feed_lane(self, c0: int, chains: int, length: int, j: int, part) -> None:
-        r = _rows(part)
-        for name, acc in self._tails.items():
+        """Reduce kept states j, j+1, ... of chains c0, c0+1, ... of the sample."""
+        r, s = _rows(part), self._summary
+        for name, acc in s.tails.items():
             acc.add(part.series(name))
-        for name, total in self._sums.items():
+        for name, total in s.totals.items():
             col = total[c0 : c0 + chains]
             for row in part.series(name):
                 np.add(col, row, out=col)
-        for name, head in self._heads.items():
-            _store(head, self.chain_len, c0, j, part.series(name))
-        base = self.start + c0 * self.chain_len
-        for spec, top in self._top.items():
+        for name, head in s.heads.items():
+            _store(head, s.chain_len, c0, j, part.series(name))
+        base = c0 * s.chain_len
+        for spec, top in s.tops.items():
             point = isinstance(spec, PointSpec)
             w = spec.h if point else spec.h - 1  # rows after a start that its span reads
             carry = self._carry.pop((c0, spec), None)
@@ -436,13 +434,14 @@ class Reducer:
 
         Row 0 of ``seg`` is at position ``pos0`` of the sample.
         """
-        L = self.chain_len
+        L = self._summary.chain_len
+        cut, least = top.cut, top.minimum  # read unlocked: the cut only rises, the least only falls
         if isinstance(spec, PointSpec):
             a1, a2 = (seg.series(name, slice(0, starts)) for name in spec.anchors)
-            top.count += a1.size
-            if top.cut is None:
+            count, low = a1.size, math.inf
+            if cut is None:
                 key = np.hypot(a1, a2)
-                top.low(key)
+                low = key.min()
                 ri, ci = _all(key.shape)
                 key = key.reshape(-1)
             else:
@@ -451,12 +450,12 @@ class Reducer:
                 # below the least key cannot lower it.
                 mx = np.abs(a1)
                 np.maximum(mx, np.abs(a2), out=mx)
-                if not mx.min() >= top.minimum:  # a NaN fails this too
-                    low = np.nonzero(~(mx >= top.minimum))
-                    top.low(np.hypot(a1[low], a2[low]))
-                ri, ci = np.nonzero(mx > _PREFILTER * top.cut)
+                if not mx.min() >= least:  # a NaN fails this too
+                    lo = np.nonzero(~(mx >= least))
+                    low = np.hypot(a1[lo], a2[lo]).min()
+                ri, ci = np.nonzero(mx > _PREFILTER * cut)
                 key = np.hypot(a1[ri, ci], a2[ri, ci])
-                keep = key > top.cut
+                keep = key > cut
                 ri, ci, key = ri[keep], ci[keep], key[keep]
 
             def gather(sel):
@@ -472,9 +471,8 @@ class Reducer:
         else:
             x = seg.series(spec.series, slice(0, starts + spec.h - 1))
             key = _window_norms(x, spec.h)
-            top.count += key.size
-            top.low(key)
-            ri, ci = _all(key.shape) if top.cut is None else np.nonzero(key > top.cut)
+            count, low = key.size, key.min()
+            ri, ci = _all(key.shape) if cut is None else np.nonzero(key > cut)
             key = key[ri, ci]
 
             def gather(sel):
@@ -482,22 +480,11 @@ class Reducer:
                 return {"index": pos0 + c * L + r,
                         "rows": x[r[:, None] + np.arange(spec.h), c[:, None]]}
 
-        top.offer(key, gather)
+        top.add(count, low, key, gather)
 
     def summary(self) -> Summary:
-        L = self.chain_len
-        spans = max(1, SUM_SPAN // L)  # chains per partial sum, aligned from the sample's start
-        chains = -(-self.size // L)
-        cuts = sorted({0, chains, *range(-(self.start // L) % spans, chains, spans)})
-        return Summary(
-            n=self.size,
-            chain_len=L,
-            tails={},
-            sums={name: [float(np.sum(total[a:b])) for a, b in zip(cuts, cuts[1:])]
-                  for name, total in self._sums.items()},
-            heads=self._heads,
-            exceedances={spec: top.exceedances(spec) for spec, top in self._top.items()},
-        )
+        """The summary the reducer writes into, whole once every group of the sample is in."""
+        return self._summary
 
 
 class WholeSample(Reducer):
@@ -509,26 +496,25 @@ class WholeSample(Reducer):
     """
 
     def __init__(self, cls, n: int, chain_len: int, **fields):
-        super().__init__(whole_plan(cls.STORED, n), {}, n, chain_len, n)
+        super().__init__(Summary(whole_plan(cls.STORED, n), n, chain_len), n)
         self._build = functools.partial(cls, chain_len=chain_len, **fields)
 
     def summary(self):
-        return self._build(**self._heads)
+        return self._build(**self._summary.heads)
 
 
-def reduce_group(plan: Plan, sample, start: int, n: int, tails: dict) -> Summary:
-    """Reduce states [start, start + len(sample)) of an n-state sample under ``plan``.
+def reduce_group(summary: Summary, sample, start: int) -> None:
+    """Feed states [start, start + len(sample)) of a sample into its ``summary``.
 
     ``sample`` is array-backed: a dataclass whose ``STORED`` fields are its
     stored series (flat and chain-major), offering ``series(name, key)``,
     ``chain_len`` and ``len``; ``start`` is a multiple of its chain length.
     Its full chains are fed to a :class:`Reducer` as the step-major view
     ``flat.reshape(chains, chain_len).T``, in blocks of rows, and the
-    trimmed last chain after them.  ``tails`` are the sample's tail
-    accumulators, as for :class:`Reducer`.
+    trimmed last chain after them.
     """
     size, L = len(sample), sample.chain_len
-    reducer = Reducer(plan, tails, n, L, size, start)
+    reducer = Reducer(summary, size, start)
     full, rem = divmod(size, L)
     if full:
         steps = _arrays(sample, lambda a: a[: full * L].reshape(full, L).T)
@@ -538,57 +524,15 @@ def reduce_group(plan: Plan, sample, start: int, n: int, tails: dict) -> Summary
     if rem:
         last = _arrays(sample, lambda a: a[full * L : size].reshape(1, rem).T)
         reducer.feed(0, last, chain0=full)
-    return reducer.summary()
-
-
-def _merge_exceedances(a: Exceedances, b: Exceedances, m: int) -> Exceedances:
-    def cat(x, y):
-        return None if x is None else np.concatenate((x, y))
-
-    both = Exceedances(index=cat(a.index, b.index), key=cat(a.key, b.key),
-                       rows=cat(a.rows, b.rows), n=a.n + b.n,
-                       minimum=float(np.minimum(a.minimum, b.minimum)),
-                       after=cat(a.after, b.after), valid=cat(a.valid, b.valid))
-    if both.key.size <= m:
-        return both
-    # a precedes b and each is in position order; keep the top m in that order.
-    return both._take(np.sort(np.argpartition(both.key, both.key.size - m)[both.key.size - m:]))
-
-
-def merge(plan: Plan, parts, n: int, tails: dict) -> Summary:
-    """Fold the summaries of consecutive groups of an n-state sample, given in group order.
-
-    ``parts`` may be any iterable, so a caller can fold each group in as it
-    arrives and hold no more than the running summary and one group.  The
-    tails are read from ``tails``, the accumulators every group fed, once
-    the last group is in.
-    """
-    acc = None
-    for part in parts:
-        if acc is None:
-            acc = part
-            continue
-        acc = Summary(
-            n=acc.n + part.n,
-            chain_len=acc.chain_len,
-            tails={},
-            sums={name: acc.sums[name] + part.sums[name] for name in plan.sums},
-            heads={name: np.concatenate((acc.heads[name], part.heads[name]))
-                   for name in plan.heads},
-            exceedances={spec: _merge_exceedances(acc.exceedances[spec], part.exceedances[spec],
-                                                  tail_depth(n, spec.u))
-                         for spec in plan.exceedances},
-        )
-        part = None  # not held while the next group is sampled
-    return replace(acc, tails={name: t.tail() for name, t in tails.items()})
 
 
 def summarize(sample, plan: Plan) -> Summary:
     """``sample`` reduced under ``plan``; a :class:`Summary` is returned as it is."""
     if isinstance(sample, Summary):
         return sample
-    tails = running_tails(plan)
-    return merge(plan, [reduce_group(plan, sample, 0, len(sample), tails)], len(sample), tails)
+    summary = Summary(plan, len(sample), sample.chain_len)
+    reduce_group(summary, sample, 0)
+    return summary
 
 
 def exceedances(sample, spec) -> Exceedances:

@@ -136,8 +136,11 @@ class RunningTail:
     the top m unchanged, so they need no merging, and the top m of a series
     does not depend on the order of its blocks.  The values are held at the
     end of one buffer: a block's values are written below them and the
-    whole is partitioned back to m in place.  :meth:`add` holds a lock, so
-    the groups of a sample may feed one tail from several threads.
+    whole is partitioned back to m in place.  A block that arrives before
+    there is a cut is taken m values at a time, so the buffer then holds at
+    most 2m values; after that it holds m plus one block's values above the
+    cut.  :meth:`add` holds a lock, so the groups of a sample may feed one
+    tail from several threads.
     """
 
     def __init__(self, m: int):
@@ -159,22 +162,30 @@ class RunningTail:
         with self._lock:
             self.minimum = float(low if self.n == 0 else np.minimum(self.minimum, low))
             self.n += block.size
-            new = block if self._cut is None else block[block > self._cut]
-            k = new.size
-            if not k:
+            if self._cut is not None:
+                self._push(block[block > self._cut])
                 return
-            if k > self._lo:
-                held = self._buf[self._lo:]
-                buf = np.empty(self.m + k)  # room for another such block once back to m
-                buf[buf.size - held.size:] = held
-                self._buf, self._lo = buf, buf.size - held.size
-            self._buf[self._lo - k : self._lo].reshape(new.shape)[...] = new
-            self._lo -= k
+            for lo in range(0, block.size, self.m):
+                piece = block.flat[lo : lo + self.m]
+                self._push(piece if self._cut is None else piece[piece > self._cut])
+
+    def _push(self, new: np.ndarray) -> None:
+        """Write the 1-d values ``new`` below the held ones and partition back to m."""
+        k = new.size
+        if not k:
+            return
+        if k > self._lo:
             held = self._buf[self._lo:]
-            if held.size > self.m:
-                held.partition(held.size - self.m)
-                self._lo = self._buf.size - self.m
-                self._cut = self._buf[self._lo]
+            buf = np.empty(self.m + k)  # room for another such block once back to m
+            buf[buf.size - held.size:] = held
+            self._buf, self._lo = buf, buf.size - held.size
+        self._buf[self._lo - k : self._lo] = new
+        self._lo -= k
+        held = self._buf[self._lo:]
+        if held.size > self.m:
+            held.partition(held.size - self.m)
+            self._lo = self._buf.size - self.m
+            self._cut = self._buf[self._lo]
 
     def tail(self) -> UpperTail:
         """The series' :class:`UpperTail`: its top min(m, n) values, n and minimum."""

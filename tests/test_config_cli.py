@@ -27,7 +27,7 @@ from tritail.errors import ConfigInvalid, PipelineMismatch
 from tritail.garch import GarchLaw, GarchParams, GarchPath
 from tritail.laws import IndependentLaw
 from tritail.pipelines import ResultRecord, RunReport, compare_reports, run
-from tritail.reduction import Plan, Reducer
+from tritail.reduction import Plan, Reducer, Summary
 
 
 def lognormal(mu, sigma):
@@ -835,13 +835,16 @@ def test_failing_side_job_gives_the_same_step_error_at_any_worker_count(
 def test_garch_peak_memory_does_not_grow_with_the_sample(tmp_path, monkeypatch):
     # Simulate and tails on a GARCH path of four and of sixteen groups: the
     # traced peak holds one group's slabs and the accumulators, not the path.
+    # One Hill k for both sizes plans the same tails: at the default k the
+    # tail depth grows as n^0.6.
     import tracemalloc
 
     monkeypatch.setattr(pipelines, "_GROUP_ELEMENTS", 1)
     monkeypatch.setattr(pipelines, "_GARCH_REPORT", ("simulate", "tails"))
 
     def peak(n):
-        cfg = garch_config(pipeline="full_report", params={"csv_rows": 10},
+        cfg = garch_config(pipeline="full_report",
+                           params={"csv_rows": 10, "hill_k": 4000, "hill_k_x": 4000},
                            output_dir=str(tmp_path / f"n{n}"))
         cfg["sim"].update(n_draws=n, burn_in=200)
         config = parse_config(cfg)
@@ -889,7 +892,7 @@ def test_garch_reduction_memory_does_not_grow_with_the_group_width(monkeypatch):
         chains = chunks * chunk_chains
         cfg = SimConfig(burn_in=sim.burn_in, n_draws=chains * pipelines._CHUNK_CHAIN_LEN)
         blocks = [(np.random.default_rng(i), chunk_chains) for i in range(chunks)]
-        reducer = Reducer(Plan(), {}, cfg.n_draws, pipelines._CHUNK_CHAIN_LEN, cfg.n_draws)
+        reducer = Reducer(Summary(Plan(), cfg.n_draws, pipelines._CHUNK_CHAIN_LEN), cfg.n_draws)
         kernel_peak = traced_peak(lambda: garch.stationary_garch_sample(
             law.params, cfg, blocks, n_chains=chains, reducer=reducer))
         return run_peak - kernel_peak

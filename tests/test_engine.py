@@ -27,7 +27,7 @@ from tritail.engine import (
 from tritail.errors import NonFiniteState, NotContracting
 from tritail.laws import Constant, IndependentLaw
 from tritail import pipelines
-from tritail.reduction import Plan, Reducer, Summary, merge, running_tails, whole_plan
+from tritail.reduction import Plan, Reducer, Summary, whole_plan
 from tritail.pipelines import (
     _CHUNK_CHAIN_LEN,
     _CHUNK_DRAWS,
@@ -225,18 +225,16 @@ def test_slab_rows_element_budget():
 
 
 def test_stationary_sample_feeds_a_reducer():
-    # The slabs' kept states go straight to the reducer, which keeps the
-    # planned first states and feeds the tail of the sample the sampler
-    # returns whole by default.
+    # The slabs' kept states go straight to the reducer, which writes the
+    # planned first states and tail of the sample the sampler returns whole
+    # by default into its summary.
     cfg = SimConfig(burn_in=20, n_draws=500)
     full = stationary_sample(LAW_C8, cfg, rng(4), n_chains=4)
     plan = Plan(tails={"w2": 7}, heads={"w1": 333, "w2": 333})
-    tails = running_tails(plan)
-    group = stationary_sample(LAW_C8, cfg, rng(4), n_chains=4,
-                              reducer=Reducer(plan, tails, cfg.n_draws, full.chain_len,
-                                              cfg.n_draws))
-    assert isinstance(group, Summary) and len(group) == 500 and group.chain_len == 125
-    part = merge(plan, [group], cfg.n_draws, tails)
+    summary = Summary(plan, cfg.n_draws, full.chain_len)
+    part = stationary_sample(LAW_C8, cfg, rng(4), n_chains=4,
+                             reducer=Reducer(summary, cfg.n_draws))
+    assert part is summary and len(part) == 500 and part.chain_len == 125
     np.testing.assert_array_equal(part.head("w1", 333), full.w1[:333])
     np.testing.assert_array_equal(part.head("w2", 333), full.w2[:333])
     np.testing.assert_array_equal(part.tail("w2", 7).top, np.sort(full.w2)[-7:])

@@ -1,4 +1,4 @@
-"""Group reductions: merged group results equal the whole-array computations."""
+"""Group reductions: groups written into one summary equal the whole-array computations."""
 
 import numpy as np
 import pytest
@@ -10,10 +10,9 @@ from tritail.engine import PathSample, SimConfig
 from tritail.reduction import (
     Plan,
     PointSpec,
+    Summary,
     WindowSpec,
-    merge,
     reduce_group,
-    running_tails,
     summarize,
     valid_window_starts,
 )
@@ -28,12 +27,11 @@ def sample_of(w1, w2, chain_len):
 
 
 def reduce_in_groups(plan, w1, w2, chain_len, bounds):
-    """Reduce [bounds[i], bounds[i+1]) one group at a time and merge in order."""
-    n = w1.size
-    tails = running_tails(plan)
-    parts = [reduce_group(plan, sample_of(w1[a:b], w2[a:b], chain_len), a, n, tails)
-             for a, b in zip(bounds, bounds[1:])]
-    return merge(plan, parts, n, tails)
+    """Feed [bounds[i], bounds[i+1]) into one summary, one group at a time."""
+    summary = Summary(plan, w1.size, chain_len)
+    for a, b in zip(bounds, bounds[1:]):
+        reduce_group(summary, sample_of(w1[a:b], w2[a:b], chain_len), a)
+    return summary
 
 
 @settings(max_examples=80, deadline=None)
@@ -155,3 +153,60 @@ def test_plans_union_at_the_deepest_reach():
     both = a | b
     assert both.tails == {"w1": 5, "w2": 7} and both.heads == {"w1": 10}
     assert both.sums == {"w1"} and both.exceedances == b.exceedances
+
+
+@pytest.mark.parametrize("tied", [False, True], ids=["heavy", "tied"])
+def test_summary_fed_from_threads_equals_the_serial_reduction(tied, monkeypatch):
+    # Six threads, switching often, write the groups of one sample into one
+    # summary in shuffled order: no reduction may depend on the order in
+    # which the groups arrive, nor lose or double a block.
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    monkeypatch.setattr(tailstats, "_BLOCK", 64)  # many blocks per group
+    monkeypatch.setattr(reduction, "SUM_SPAN", 800)  # spans of four chains
+    chain_len, per_group = 200, 3
+    n = chain_len * 150 - 17
+    g = np.random.default_rng(21 + tied)
+    if tied:
+        w1, w2 = g.integers(1, 4, n).astype(float), g.integers(1, 3, n).astype(float)
+    else:
+        w1, w2 = g.pareto(1.5, n) + 1.0, g.pareto(3.0, n) + 1.0
+    u = 0.7  # the tied keys' maximum holds less than 1 - u of them
+    specs = (PointSpec(PAIR, PAIR, 2, u), *(WindowSpec(name, 3, u) for name in PAIR))
+    plan = Plan(tails=dict.fromkeys(PAIR, 500), heads={"w1": n, "w2": 1234},
+                sums=frozenset(PAIR), exceedances=frozenset(specs))
+    serial = summarize(sample_of(w1, w2, chain_len), plan)
+
+    bounds = [*range(0, n, per_group * chain_len), n]
+    groups = list(zip(bounds, bounds[1:]))
+    g.shuffle(groups)
+    threaded = Summary(plan, n, chain_len)
+
+    def feed(group):
+        a, b = group
+        reduce_group(threaded, sample_of(w1[a:b], w2[a:b], chain_len), a)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            list(pool.map(feed, groups))
+    finally:
+        sys.setswitchinterval(interval)
+
+    for name in PAIR:
+        want, got = serial.tail(name, 500), threaded.tail(name, 500)
+        np.testing.assert_array_equal(got.top, want.top)
+        assert (got.n, got.minimum) == (want.n, want.minimum)
+    assert threaded.sums == serial.sums
+    for name, length in plan.heads.items():
+        np.testing.assert_array_equal(threaded.head(name, length), serial.head(name, length))
+    for spec in specs:
+        want, got = serial.exceedance_set(spec), threaded.exceedance_set(spec)
+        assert (got.n, got.minimum) == (want.n, want.minimum)
+        (x, sel), (y, mine) = want.above(u), got.above(u)
+        assert x == y and sel.size > 0
+        np.testing.assert_array_equal(got.index[mine], want.index[sel])
+        np.testing.assert_array_equal(got.key[mine], want.key[sel])
+        np.testing.assert_array_equal(got.rows[mine], want.rows[sel])

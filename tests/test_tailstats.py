@@ -111,6 +111,18 @@ def test_running_tail_fed_from_threads_equals_the_array_pass():
     assert (got.n, got.minimum) == (want.n, want.minimum)
 
 
+def test_running_tail_holds_at_most_2m_after_a_wide_first_block():
+    # A block that arrives before there is a cut is taken m values at a
+    # time, each piece above the cut once there is one.
+    x = pareto(1.5, 64 * 2000, seed=8)
+    acc = RunningTail(1000)
+    acc.add(x.reshape(64, 2000))
+    assert acc._buf.size <= 2 * 1000
+    want, got = upper_tail(x, 1000), acc.tail()
+    np.testing.assert_array_equal(got.top, want.top)
+    assert (got.n, got.minimum) == (want.n, want.minimum)
+
+
 def test_upper_tail_too_shallow_for_the_quantile():
     x = pareto(2.0, 10_000, seed=12)
     tail = upper_tail(x, tail_depth(x.size, 0.999))

@@ -23,9 +23,11 @@ demo, C8 and GARCH laws is reduced under one plan each, and the digest
 covers its tails (top values, n, minimum), first states and exceedance sets
 (index, key, rows, n, minimum, and a point set's flags and the next states
 of its valid points; the states past a chain's end are not defined).  The
-partial sums are left out: their rounding follows the order in which the
-states are summed.  The plans read point sets with h = 2 or 3 and window
-sets with h = 2 and, on the demo law, h = 9, where numpy sums pairwise.
+plans read point sets with h = 2 or 3 and window sets with h = 2 and, on the
+demo law, h = 9, where numpy sums pairwise.  The ``sums`` line covers the
+same runs' partial sums of every tail series, one per span of whole chains
+from the sample's start: their rounding is fixed by the chains and spans,
+not by how the sample is grouped.
 """
 
 import hashlib
@@ -88,9 +90,9 @@ def digest(*arrays) -> str:
     return h.hexdigest()
 
 
-def summary_digest() -> str:
-    """The digest of the reduced demo, C8 and GARCH samples (see the module docstring)."""
-    h = hashlib.sha256()
+def summary_digest() -> tuple[str, str]:
+    """The digests of the reduced demo, C8 and GARCH samples and of their partial sums."""
+    h, sums = hashlib.sha256(), hashlib.sha256()
 
     def update(*arrays):
         h.update(digest(*arrays).encode())
@@ -107,7 +109,7 @@ def summary_digest() -> str:
         specs = (PointSpec(anchors, after, 3, 0.999), PointSpec(anchors, after, 2, 0.99),
                  *(WindowSpec(name, 2, 0.999) for name in after), *extra)
         plan = Plan(tails=dict.fromkeys(tails, 2000), heads=dict.fromkeys(heads, 250_000),
-                    exceedances=frozenset(specs))
+                    sums=frozenset(tails), exceedances=frozenset(specs))
         sim = SimConfig(burn_in=burn_in, n_draws=N_SUMMARY, base_seed=SEED)
         s = _forward_chunked(law, sim, plan, None, purpose)()
         for name in tails:
@@ -120,7 +122,9 @@ def summary_digest() -> str:
             update(ex.index, ex.key, ex.rows, (ex.n, ex.minimum))
             if ex.valid is not None:
                 update(ex.valid, ex.after[ex.valid])
-    return h.hexdigest()
+        for name in tails:
+            sums.update(digest(s.sums[name]).encode())
+    return h.hexdigest(), sums.hexdigest()
 
 
 def main() -> None:
@@ -169,7 +173,9 @@ def main() -> None:
         DEMO_LAW, N_STATES // N_CHAINS, N_CHAINS, substream(SEED, "stream_digest")
     )
     print(f"lyapunov_estimate        {digest((lyap.gamma_hat, lyap.std_error))}")
-    print(f"summary                  {summary_digest()}")
+    summary, sums = summary_digest()
+    print(f"summary                  {summary}")
+    print(f"sums                     {sums}")
 
 
 if __name__ == "__main__":
