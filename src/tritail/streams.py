@@ -5,9 +5,9 @@ arguments.  This module supplies the one blessed way to derive independent
 substreams from a single 64-bit base seed: an SFC64 generator seeded through a
 ``SeedSequence`` keyed by ``(base_seed, crc32(purpose), index)``.  The mapping is
 a pure function, so any number of workers can claim their streams without
-coordination and results merge bit-identically in index order regardless of
-scheduling.  SFC64 is used for speed: its normals, which dominate the
-coefficient draws, cost a fifth to a third less than Philox's.
+coordination and results are bit-identical regardless of scheduling.  SFC64
+is used for speed: its normals, which dominate the coefficient draws, cost a
+fifth to a third less than Philox's.
 """
 
 from zlib import crc32

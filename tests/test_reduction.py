@@ -114,7 +114,7 @@ def test_partial_sums_follow_the_spans_not_the_groups(monkeypatch):
 
 def test_empty_and_nan_parts_merge_like_the_whole_array():
     # Chains of 1 state hold no window of 2; a part with no key points
-    # carries no minimum that could poison the merged quantile.
+    # carries no minimum that could poison the quantile.
     w = np.arange(1.0, 9.0)
     spec = WindowSpec("w1", 2, 0.5)
     merged = reduce_in_groups(Plan(exceedances=frozenset({spec})), w, w, 1, [0, 4, 8])
