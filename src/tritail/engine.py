@@ -10,8 +10,10 @@ coupling entry A2.  One slab kernel, :func:`forward_slabs`, applies that
 update everywhere: forward iteration past a burn-in, the truncated backward
 series (the same recursion from zero, one level per step), and the
 coefficient products Pi_t theta of the spectral limit laws (the recursion
-with B = 0 started at theta).  The top-Lyapunov-exponent estimator,
-which needs the whole 2x2 product, keeps its own renormalized loop.
+with B = 0 started at theta), and the top-Lyapunov-exponent estimator (the
+recursion with B = 0 started at e2 carries the 2x2 product's second column,
+and its top-left entry, the product of the A1 draws, is multiplied as they
+are drawn).
 
 The forward sampler runs a group of chain blocks side by side: each block
 draws its coefficients from its own generator, exactly as a solo run of its
@@ -156,12 +158,6 @@ def chain_blocks(rng, n_chains: int) -> tuple[list, int]:
     return blocks, heights.pop()
 
 
-def _slabs(total: int, rows_max: int):
-    """(steps done, rows) of the consecutive slabs covering steps 1..total."""
-    for t in range(0, total, rows_max):
-        yield t, min(rows_max, total - t)
-
-
 def forward_slabs(draw, w1: np.ndarray, w2: np.ndarray, config: SimConfig, per_chain: int):
     """Run chains of the recursion through burn-in and kept steps, one slab at a time.
 
@@ -178,9 +174,11 @@ def forward_slabs(draw, w1: np.ndarray, w2: np.ndarray, config: SimConfig, per_c
     """
     burn_in, thinning = config.burn_in, config.thinning
     total = burn_in + per_chain * thinning
+    rows_max = w1.shape[0] - 1
     tmp = np.empty(w1.shape[1])
     last = 0
-    for t, rows in _slabs(total, w1.shape[0] - 1):
+    for t in range(0, total, rows_max):
+        rows = min(rows_max, total - t)
         w1[0] = w1[last]
         w2[0] = w2[last]
         d = draw(rows)
@@ -376,10 +374,12 @@ def lyapunov_estimate(
 ) -> LyapunovEstimate:
     """Estimate the top Lyapunov exponent of the coefficient products.
 
-    Each chain accumulates ``log ||Pi_n||`` with the product renormalized at
-    the end of every coefficient slab of at most 64 steps (the running
-    log-scale is carried separately, so neither entry ever under- or
-    overflows).  ``upper_bound`` is ``log(rho)/eps`` from the stationarity
+    Pi_n = [[P1, U], [0, P4]] is upper triangular: its second column (U, P4)
+    is the recursion with B = 0 started at e2, run by :func:`forward_slabs`,
+    and P1 is the running product of the A1 draws.  Each chain accumulates
+    ``log ||Pi_n||`` with the product renormalized at the end of every
+    coefficient slab of at most 64 steps (the running log-scale is carried
+    separately, so no entry ever under- or overflows).  ``upper_bound`` is ``log(rho)/eps`` from the stationarity
     witness, or +inf when no grid point qualifies; for any witness eps in
     (0, 1] the bound dominates the true exponent.
     """
@@ -388,26 +388,29 @@ def lyapunov_estimate(
     if n_chains < 1:
         raise ValueError("n_chains must be >= 1")
 
+    rows = slab_rows(n_chains)
     p1 = np.ones(n_chains)
-    u = np.zeros(n_chains)
-    p4 = np.ones(n_chains)
-    tmp = np.empty(n_chains)
+    u = np.zeros((rows + 1, n_chains))
+    p4 = np.zeros((rows + 1, n_chains))
+    p4[0] = 1.0
+    zero = np.zeros((rows, n_chains))
     log_scale = np.zeros(n_chains)
-    for t, rows in _slabs(n, slab_rows(n_chains)):
+
+    def draw(rows: int) -> CoeffDraw:
         d = law.sample(rng, (rows, n_chains))
-        for a1, a2, a4 in zip(d.a1, d.a2, d.a4):
-            np.multiply(a2, p4, out=tmp)
-            u *= a1
-            u += tmp
-            p1 *= a1
-            p4 *= a4
-        scale = triangular_opnorm(p1, u, p4)
+        for a1 in d.a1:
+            np.multiply(p1, a1, out=p1)
+        return d._replace(b1=zero[:rows], b2=zero[:rows])
+
+    for j, sel in forward_slabs(draw, u, p4, SimConfig(burn_in=0, n_draws=1), n):
+        last = sel.stop - 1
+        scale = triangular_opnorm(p1, u[last], p4[last])
         if not np.isfinite(scale).all() or (scale <= 0.0).any():
-            raise NonFiniteState(f"matrix product degenerated by step {t + rows}")
+            raise NonFiniteState(f"matrix product degenerated by step {j + last}")
         log_scale += np.log(scale)
         p1 /= scale
-        u /= scale
-        p4 /= scale
+        u[last] /= scale
+        p4[last] /= scale
     # After the final renormalization the matrix has unit norm: log||Pi_n|| is
     # exactly the accumulated log-scale.
     per_chain = log_scale / n

@@ -42,7 +42,7 @@ from .laws import (
     Constant,
     RegimeReport,
 )
-from .records import ResultRecord
+from .records import ResultRecord, gate
 from .reduction import Plan, PointSpec, Reducer, WholeSample, WindowSpec, summarize
 from .renewal import univariate_constant
 from .spectral import MIN_EXCEEDANCES, unit_pareto
@@ -345,15 +345,7 @@ def stationary_garch_sample(
 
 def _band_record(name, estimate, se, target, se_mult, note="") -> ResultRecord:
     half = se_mult * se
-    return ResultRecord(
-        name=name,
-        value=estimate,
-        std_error=se,
-        bound_low=target - half,
-        bound_high=target + half,
-        passed=bool(abs(estimate - target) <= half),
-        note=note,
-    )
+    return gate(name, estimate, target - half, target + half, std_error=se, note=note)
 
 
 @dataclass(eq=False)
@@ -476,17 +468,10 @@ def verify_tail_relations(
         rng,
     )
     plateau = tail_constant(tail("sigma2_sq"), a2)
-    rel = abs(plateau.c_hat - c2.c_hat) / c2.c_hat
     records.append(
-        ResultRecord(
-            name="sigma2_sq_constant_vs_plateau",
-            value=plateau.c_hat,
-            std_error=c2.std_error,
-            bound_low=c2.c_hat * (1 - rel_tol),
-            bound_high=c2.c_hat * (1 + rel_tol),
-            passed=bool(rel <= rel_tol),
-            note=f"renewal constant {c2.c_hat:.6g}",
-        )
+        gate("sigma2_sq_constant_vs_plateau", plateau.c_hat, c2.c_hat * (1 - rel_tol),
+             c2.c_hat * (1 + rel_tol), std_error=c2.std_error,
+             note=f"renewal constant {c2.c_hat:.6g}")
     )
     records.append(
         ResultRecord(
@@ -499,14 +484,8 @@ def verify_tail_relations(
     )
 
     records.append(
-        ResultRecord(
-            name="regime_coherent",
-            value=1.0 if regime.regime == ordered else 0.0,
-            bound_low=1.0,
-            bound_high=1.0,
-            passed=bool(regime.regime == ordered),
-            note=f"solver {ordered}, classifier {regime.regime}",
-        )
+        gate("regime_coherent", 1.0 if regime.regime == ordered else 0.0, 1.0, 1.0,
+             note=f"solver {ordered}, classifier {regime.regime}")
     )
     return GarchVerifyReport(alpha1=a1, alpha2=a2, regime=ordered, records=tuple(records))
 
@@ -557,21 +536,8 @@ def _sign_symmetry_records(coords: np.ndarray, ks_bound: float) -> list[ResultRe
     frac = coords > 0
     z_max = float(np.abs(frac.mean(axis=0) - 0.5).max() * 2.0 * math.sqrt(m))
     return [
-        ResultRecord(
-            name="sign_symmetry_ks",
-            value=float(ks_sym),
-            bound_low=0.0,
-            bound_high=ks_gate,
-            passed=bool(ks_sym <= ks_gate),
-        ),
-        ResultRecord(
-            name="sign_symmetry_z",
-            value=z_max,
-            std_error=1.0,
-            bound_low=0.0,
-            bound_high=4.0,
-            passed=bool(z_max <= 4.0),
-        ),
+        gate("sign_symmetry_ks", float(ks_sym), 0.0, ks_gate),
+        gate("sign_symmetry_z", z_max, 0.0, 4.0, std_error=1.0),
     ]
 
 
@@ -637,28 +603,12 @@ def _prop_heavier_cross(params, ex, h, u_quantile, n_limit, ks_bound, a2, rng):
     for t in range(h):
         for i in range(2):
             stat, _ = ks_2sample(sim_win[:, t, i], limit[:, t, i])
-            records.append(
-                ResultRecord(
-                    name=f"ks_x{i + 1}_t{t + 1}",
-                    value=float(stat),
-                    bound_low=0.0,
-                    bound_high=ks_bound,
-                    passed=bool(stat <= ks_bound),
-                )
-            )
+            records.append(gate(f"ks_x{i + 1}_t{t + 1}", float(stat), 0.0, ks_bound))
     stat, _ = ks_2sample(
         np.linalg.norm(sim_win.reshape(idx.size, -1), axis=1),
         np.linalg.norm(limit.reshape(n_limit, -1), axis=1),
     )
-    records.append(
-        ResultRecord(
-            name="ks_window_norm",
-            value=float(stat),
-            bound_low=0.0,
-            bound_high=ks_bound,
-            passed=bool(stat <= ks_bound),
-        )
-    )
+    records.append(gate("ks_window_norm", float(stat), 0.0, ks_bound))
     records.extend(_sign_symmetry_records(sim_win.reshape(idx.size, -1), ks_bound))
     return records, x, idx.size
 
@@ -696,15 +646,7 @@ def _prop_heavier_own(params, sets, h, u_quantile, n_limit, ks_bound, alphas, rn
 
         for t in range(h):
             stat = ks_distance(angles[:, t], limit_angles[:, t], None, weights)
-            records.append(
-                ResultRecord(
-                    name=f"ks_x{i}_angle_t{t + 1}",
-                    value=float(stat),
-                    bound_low=0.0,
-                    bound_high=ks_bound,
-                    passed=bool(stat <= ks_bound),
-                )
-            )
+            records.append(gate(f"ks_x{i}_angle_t{t + 1}", float(stat), 0.0, ks_bound))
         records.extend(
             replace(r, name=f"{r.name}_x{i}")
             for r in _sign_symmetry_records(angles, ks_bound)

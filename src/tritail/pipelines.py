@@ -61,7 +61,7 @@ from .laws import (
     check_stationarity,
     classify_regime,
 )
-from .records import ResultRecord
+from .records import ResultRecord, gate
 from .reduction import Plan, Summary
 from .streams import substream
 
@@ -479,15 +479,8 @@ def _step_stationarity(ctx: _Ctx) -> None:
     )
     if math.isfinite(est.upper_bound):
         slack = est.upper_bound + 3.0 * est.std_error - est.gamma_hat
-        ctx.add(
-            name="lyapunov_bound_slack",
-            value=slack,
-            std_error=est.std_error,
-            bound_low=0.0,
-            bound_high=None,
-            passed=bool(slack >= 0.0),
-            note=f"bound={est.upper_bound:.6g}",
-        )
+        ctx.records.append(gate("lyapunov_bound_slack", slack, 0.0, std_error=est.std_error,
+                                note=f"bound={est.upper_bound:.6g}"))
     else:
         ctx.add(name="lyapunov_bound_slack", value=None, passed=None,
                 note="no small-moment witness on the default grid")
@@ -517,15 +510,8 @@ def _step_simulate(ctx: _Ctx) -> None:
 
 def _hill_record(ctx: _Ctx, name: str, est, target: float) -> None:
     half = ctx.knob("se_mult") * est.std_error
-    ctx.add(
-        name=name,
-        value=est.alpha_hat,
-        std_error=est.std_error,
-        bound_low=target - half,
-        bound_high=target + half,
-        passed=bool(abs(est.alpha_hat - target) <= half),
-        note=f"k={est.k} target={target:.6g}",
-    )
+    ctx.records.append(gate(name, est.alpha_hat, target - half, target + half,
+                            std_error=est.std_error, note=f"k={est.k} target={target:.6g}"))
 
 
 def _plateau_record(ctx: _Ctx, name: str, est,
@@ -544,14 +530,9 @@ def _plateau_record(ctx: _Ctx, name: str, est,
         ctx.add(name=name, value=est.c_hat, passed=None, note=f"alpha={est.alpha:.6g}")
     else:
         rel = abs(est.c_hat - reference) / abs(reference)
-        ctx.add(
-            name=name,
-            value=est.c_hat,
-            bound_low=reference * (1.0 - rel_tol),
-            bound_high=reference * (1.0 + rel_tol),
-            passed=bool(rel <= rel_tol),
-            note=f"reference={reference:.6g} rel={rel:.4g}",
-        )
+        ctx.records.append(gate(name, est.c_hat, reference * (1.0 - rel_tol),
+                                reference * (1.0 + rel_tol),
+                                note=f"reference={reference:.6g} rel={rel:.4g}"))
     if csv_name:
         ctx.write_csv(csv_name, ("x", "plateau"), (est.x_grid, est.plateau_values))
 
@@ -606,19 +587,13 @@ def _step_constants(ctx: _Ctx) -> None:
             law, a2, c2, ctx.knob("s_schedule"), ctx.knob("weight_draws"),
             substream(ctx.seed, "weight"),
         )
-        in_bounds = None
-        if bounds is not None:
-            w, se = coupled.weight, coupled.weight_std_error
-            in_bounds = bool(bounds.lower - 3 * se <= w <= bounds.upper + 3 * se)
-        ctx.add(
-            name="series_weight",
-            value=coupled.weight,
-            std_error=coupled.weight_std_error,
-            bound_low=bounds.lower if bounds else None,
-            bound_high=bounds.upper if bounds else None,
-            passed=in_bounds if bounds else None,
-            note=f"converged={coupled.converged} {bounds_note}",
-        )
+        w, se = coupled.weight, coupled.weight_std_error
+        note = f"converged={coupled.converged} {bounds_note}"
+        if bounds is None:
+            ctx.add(name="series_weight", value=w, std_error=se, passed=None, note=note)
+        else:
+            ctx.records.append(gate("series_weight", w, bounds.lower - 3 * se,
+                                    bounds.upper + 3 * se, std_error=se, note=note))
         trace = coupled.trace
         ctx.write_csv(
             "weight_trace.csv",
@@ -682,23 +657,11 @@ def _step_spectral(ctx: _Ctx) -> None:
         )
         stat, pvalue = spectral.pareto_gof(limit.y0, a2)
         level = ctx.knob("pareto_level")
-        ctx.add(
-            name="pareto_norm_pvalue",
-            value=pvalue,
-            bound_low=level,
-            bound_high=None,
-            passed=bool(pvalue >= level),
-            note=f"ks_stat={stat:.4g}",
-        )
+        ctx.records.append(gate("pareto_norm_pvalue", pvalue, level,
+                                note=f"ks_stat={stat:.4g}"))
         for fname, stat in spectral.forward_limit_ks(cond, limit).items():
-            ctx.add(
-                name=f"ks_{fname}",
-                value=stat,
-                bound_low=0.0,
-                bound_high=ks_bound,
-                passed=bool(stat <= ks_bound),
-                note=f"exceedances={cond.n_exceedances}",
-            )
+            ctx.records.append(gate(f"ks_{fname}", stat, 0.0, ks_bound,
+                                    note=f"exceedances={cond.n_exceedances}"))
         m = min(len(limit), 10_000)
         paths = limit.limit_paths()
         ctx.write_csv(
@@ -716,14 +679,8 @@ def _step_spectral(ctx: _Ctx) -> None:
             )
             thresholded = spectral.window_angles(sample, component, h, u_quantile)
             stat = spectral.angular_ks(weighted, thresholded)
-            ctx.add(
-                name=f"ks_angular_w{component}",
-                value=stat,
-                bound_low=0.0,
-                bound_high=ks_bound,
-                passed=bool(stat <= ks_bound),
-                note=f"h={h} exceedances={thresholded.n_exceedances}",
-            )
+            ctx.records.append(gate(f"ks_angular_w{component}", stat, 0.0, ks_bound,
+                                    note=f"h={h} exceedances={thresholded.n_exceedances}"))
             if component == 1:
                 _write_angular_csv(ctx, "angular.csv", weighted)
     else:
@@ -779,14 +736,8 @@ def _step_cross_validate(ctx: _Ctx) -> None:
     level = ctx.knob("ks_level")
     for name in ("w1", "w2"):
         stat, pvalue = tailstats.ks_2sample(fwd.head(name, n), back.head(name, n))
-        ctx.add(
-            name=f"crossval_{name}_pvalue",
-            value=pvalue,
-            bound_low=level,
-            bound_high=None,
-            passed=bool(pvalue >= level),
-            note=f"ks_stat={stat:.4g} n={n}",
-        )
+        ctx.records.append(gate(f"crossval_{name}_pvalue", pvalue, level,
+                                note=f"ks_stat={stat:.4g} n={n}"))
 
 
 def _plan_simulate(ctx: _Ctx) -> Plan:

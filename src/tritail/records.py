@@ -4,7 +4,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-__all__ = ["ResultRecord"]
+__all__ = ["ResultRecord", "gate"]
 
 
 def _json_num(v: Optional[float]):
@@ -20,7 +20,13 @@ class ResultRecord:
     """One named scorecard entry.
 
     ``passed`` is None for purely informational values (nothing to gate).
-    Bounds are the accepted interval when a gate exists.
+    A gated record is made by :func:`gate` and passes exactly when its value
+    lies in ``[bound_low, bound_high]``.  Five verdicts are not "value within
+    its bounds" and keep their own expression: ``alpha1``/``alpha2`` gate the
+    root's residual, ``stationarity_holds`` and ``cross_moment_finite`` are
+    booleans with no bounds, ``c1_inherited`` gates the series weight's
+    convergence, and ``lyapunov_gamma`` (< 0) and the ``*_dispersion``
+    records (< ``dispersion_max``) are strict.
     """
 
     name: str
@@ -56,3 +62,16 @@ class ResultRecord:
             passed=d["pass"],
             note=d.get("note", ""),
         )
+
+
+def gate(name: str, value: float, low: Optional[float] = None,
+         high: Optional[float] = None, *, std_error: float = 0.0,
+         note: str = "") -> ResultRecord:
+    """The record that passes exactly when ``low <= value <= high``.
+
+    A None bound is open; a NaN value or a NaN bound fails.
+    """
+    passed = (not math.isnan(value) and (low is None or low <= value)
+              and (high is None or value <= high))
+    return ResultRecord(name=name, value=value, std_error=std_error, bound_low=low,
+                        bound_high=high, passed=bool(passed), note=note)

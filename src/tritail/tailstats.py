@@ -8,15 +8,13 @@ Hill and the plateau read only the top order statistics, so both take an
 :class:`UpperTail`: the sorted top m values of a series and its length, from
 one streaming pass (a :class:`RunningTail` fed block by block, or
 :func:`upper_tail` over fixed blocks of an array).  A run builds one tail per
-series, deep enough for every estimator and quantile that reads it; passing
-a plain array builds one through the same pass.  The pass holds one block
-and the top-m buffer at a time, so a series given as blocks (say, returns
-derived from stored volatilities) is never materialised.
+series, deep enough for every estimator and quantile that reads it, from the
+sampler's slabs as they are drawn, so no series of a run is materialised;
+passing a plain array builds one through the same pass.
 """
 
 import math
 import threading
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +26,6 @@ __all__ = [
     "UpperTail",
     "TailEstimate",
     "TailConstantEstimate",
-    "block_bounds",
     "block_rows",
     "RunningTail",
     "upper_tail",
@@ -118,11 +115,6 @@ class UpperTail:
         return a + diff * gamma
 
 
-def block_bounds(n: int):
-    """The (start, stop) bounds of the fixed blocks that cover n elements."""
-    return ((lo, min(lo + _BLOCK, n)) for lo in range(0, n, _BLOCK))
-
-
 def block_rows(width: int) -> int:
     """Rows per block of a (rows, width) array walked in blocks of about ``_BLOCK`` elements."""
     return max(1, _BLOCK // width)
@@ -193,19 +185,15 @@ class RunningTail:
 
 
 def upper_tail(series, m: int) -> UpperTail:
-    """The top m values of ``series`` from one streaming pass.
+    """The top m values of the array ``series`` from one streaming pass.
 
-    ``series`` is an array, or an iterator of float blocks whose
-    concatenation is the series.  An array is walked in fixed blocks of
-    ``_BLOCK`` elements through a :class:`RunningTail`.  Fewer than m points
-    give the whole sorted series.
+    The array is walked in fixed blocks of ``_BLOCK`` elements through a
+    :class:`RunningTail`.  Fewer than m points give the whole sorted series.
     """
     acc = RunningTail(m)
-    if not isinstance(series, Iterator):
-        x = np.asarray(series, dtype=float).reshape(-1)
-        series = (x[lo:hi] for lo, hi in block_bounds(x.size))
-    for block in series:
-        acc.add(block)
+    x = np.asarray(series, dtype=float).reshape(-1)
+    for lo in range(0, x.size, _BLOCK):
+        acc.add(x[lo:lo + _BLOCK])
     return acc.tail()
 
 

@@ -27,7 +27,8 @@ from tritail.errors import ConfigInvalid, PipelineMismatch
 from tritail.garch import GarchLaw, GarchParams, GarchPath
 from tritail.laws import IndependentLaw
 from tritail.pipelines import ResultRecord, RunReport, compare_reports, run
-from tritail.reduction import Plan, Reducer, Summary
+from tritail.records import gate
+from tritail.reduction import Plan
 
 
 def lognormal(mu, sigma):
@@ -785,6 +786,57 @@ def test_reports_do_not_depend_on_the_grouping(tmp_path, monkeypatch):
                 sys.setswitchinterval(interval)
 
 
+def test_gate_passes_exactly_when_the_value_lies_in_its_bounds():
+    r = gate("x", 0.5, 0.0, 1.0, std_error=0.1, note="n")
+    assert (r.value, r.bound_low, r.bound_high, r.std_error, r.note) == (0.5, 0.0, 1.0, 0.1, "n")
+    assert r.passed is True
+    # A None bound is open; equality at either bound passes.
+    assert gate("x", -1e300).passed and gate("x", 5.0, 1.0).passed and gate("x", -5.0, None, 1.0).passed
+    assert gate("x", 0.0, 0.0, 1.0).passed and gate("x", 1.0, 0.0, 1.0).passed
+    assert gate("x", 1.0, 1.0, 1.0).passed
+    assert not gate("x", 1.5, 0.0, 1.0).passed and not gate("x", -0.5, 0.0).passed
+    # A NaN value or a NaN bound fails.
+    for low, high in ((None, None), (0.0, None), (None, 1.0), (0.0, 1.0)):
+        assert gate("x", math.nan, low, high).passed is False
+    assert gate("x", 0.5, math.nan, 1.0).passed is False
+    assert gate("x", 0.5, 0.0, math.nan).passed is False
+
+
+# The gated records whose verdict is not "value within its bounds": the
+# roots gate their residual, two booleans have no bounds, c1_inherited gates
+# the weight's convergence, and lyapunov_gamma and the dispersions are strict.
+_OWN_VERDICTS = {
+    "alpha1", "alpha2", "stationarity_holds", "cross_moment_finite", "c1_inherited",
+    "lyapunov_gamma", "plateau_w1_dispersion", "plateau_w2_dispersion",
+    "c1_plateau_dispersion", "c2_plateau_dispersion", "plateau_sigma1_sq_dispersion",
+    "plateau_sigma2_sq_dispersion", "verify_plateau_dispersion_sigma2_sq",
+}
+
+
+def test_every_other_gated_record_passes_exactly_inside_its_bounds(tmp_path):
+    a1 = base_config()["law"]
+    a1.update(a1=lognormal(-0.375, 0.5**0.5), a4=lognormal(-0.75, 0.5**0.5))
+    laws = {"A1": a1, "A2": base_config()["law"], "garch": garch_config()["law"]}
+    own, checked = set(), 0
+    for name, law in laws.items():
+        report, _ = _small_full_report(law, tmp_path / name, pipelines._CHUNK_DRAWS, 1)
+        assert not [r.name for r in report.results if r.name.endswith("_error")], name
+        for r in report.results:
+            if r.passed is None:
+                continue
+            if r.name in _OWN_VERDICTS:
+                own.add(r.name)
+                continue
+            inside = (not math.isnan(r.value)
+                      and (r.bound_low is None or r.bound_low <= r.value)
+                      and (r.bound_high is None or r.value <= r.bound_high))
+            assert r.passed == inside, (name, r)
+            checked += 1
+    # Every exception is made by some law here, so none is listed by mistake.
+    assert own == _OWN_VERDICTS
+    assert checked > 30
+
+
 def test_run_holds_one_pool_of_exactly_workers_threads(tmp_path, monkeypatch):
     pools = []
 
@@ -864,9 +916,9 @@ def test_garch_peak_memory_does_not_grow_with_the_sample(tmp_path, monkeypatch):
 def test_garch_reduction_memory_does_not_grow_with_the_group_width(monkeypatch):
     # The GARCH simulate plan over ten chunks, sampled one chunk per group and
     # then ten.  The kernel's own slab arrays widen tenfold with the group
-    # (the peak of the sampler alone on one group, reducing nothing), but
-    # what the run holds beyond them must not grow: no group is copied out
-    # of the slabs.
+    # (the peak of the sampler alone on one group, feeding a sink that keeps
+    # nothing), but what the run holds beyond them must not grow: no group is
+    # copied out of the slabs.
     import tracemalloc
 
     n = 10 * pipelines._CHUNK_DRAWS
@@ -876,6 +928,13 @@ def test_garch_reduction_memory_does_not_grow_with_the_group_width(monkeypatch):
     simulate = Plan(tails={s: garch.series_depth(s, n) for s in pair}, sums=frozenset(pair),
                     heads=dict.fromkeys(garch.STORED, KNOBS["csv_rows"][3]))
     chunk_chains = pipelines._CHUNK_DRAWS // pipelines._CHUNK_CHAIN_LEN
+
+    class NoOpSink:
+        def feed(self, j, block):
+            pass
+
+        def summary(self):
+            return None
 
     def traced_peak(fn):
         tracemalloc.start()
@@ -892,9 +951,8 @@ def test_garch_reduction_memory_does_not_grow_with_the_group_width(monkeypatch):
         chains = chunks * chunk_chains
         cfg = SimConfig(burn_in=sim.burn_in, n_draws=chains * pipelines._CHUNK_CHAIN_LEN)
         blocks = [(np.random.default_rng(i), chunk_chains) for i in range(chunks)]
-        reducer = Reducer(Summary(Plan(), cfg.n_draws, pipelines._CHUNK_CHAIN_LEN), cfg.n_draws)
         kernel_peak = traced_peak(lambda: garch.stationary_garch_sample(
-            law.params, cfg, blocks, n_chains=chains, reducer=reducer))
+            law.params, cfg, blocks, n_chains=chains, reducer=NoOpSink()))
         return run_peak - kernel_peak
 
     one, ten = extra(1), extra(10)
