@@ -14,7 +14,7 @@ Every pipeline follows the same discipline:
   samples (each step's side job in :data:`_STEPS`, resolved on the main
   thread, a pure function of its substream); each step then reads its job's
   result.  The main thread still runs the steps in order, waits for the groups,
-  writes the CSVs and computes the series weights: their slabs, freed on a
+  writes the tables and computes the series weights: their slabs, freed on a
   pool thread, would stay in that thread's malloc arena and raise the peak.
   With one worker there is no pool, and each job runs when its step reads it;
 * before sampling, a run plans every reduction its steps read (tails, sums,
@@ -24,6 +24,9 @@ Every pipeline follows the same discipline:
   reduction depends on the order the groups arrive in — so no step holds an
   array of n states, no group is ever copied out of the kernel's slabs, and
   every record is byte-identical for any worker count;
+* every artifact is a table written as one structured ``.npy`` file,
+  format 1.0 (:func:`_write_table`): one field per column, each value
+  exact, so its bytes are fixed by the field names, types and values;
 * failures degrade to ``passed=False`` records instead of aborting sibling
   steps, so a full sweep always yields a complete scorecard.
 
@@ -76,7 +79,6 @@ __all__ = [
 _CHUNK_DRAWS = reduction.SUM_SPAN  # one partial sum per chunk
 _CHUNK_CHAIN_LEN = 1000
 _GROUP_ELEMENTS = 1 << 17  # per group slab array: 10 chunks of 200 chains x 64 rows, about 1 MB
-_CSV_BLOCK_ROWS = 65_536
 
 _REPORT_FIELDS = ("name", "pipeline", "config_digest", "results", "artifacts")
 _RECORD_FIELDS = ("name", "value", "std_error", "bound_low", "bound_high", "pass")
@@ -390,37 +392,36 @@ class _Ctx:
             self.cache["regime"] = classify_regime(self.cfg.law)
         return self.cache["regime"]
 
-    def write_csv(self, filename: str, header, columns) -> None:
-        _write_csv(self.outdir / filename, header, columns)
+    def write_table(self, filename: str, names, columns) -> None:
+        _write_table(self.outdir / filename, names, columns)
         self.artifacts.append(filename)
 
 
-def _write_csv(path, header, columns) -> None:
-    """Write equal-length 1-d columns as a CSV file, one block of rows at a time.
+def _write_table(path, names, columns) -> None:
+    """Write equal-length 1-d columns as one structured ``.npy`` file, format 1.0.
 
-    The format contract: UTF-8, ``,`` between cells, ``\n`` after every line
-    (the header included), no quoting.  A cell is ``repr`` of the Python
-    scalar that ``.tolist()`` gives for it, which for float64 is the shortest
-    round-trip form (``nan``, ``inf`` and ``-0.0`` included) and for an
-    integer its decimal digits.  These are the bytes ``csv.writer`` with
-    ``lineterminator="\n"`` writes for rows of numpy float64 and integer
-    scalars.  Header names must need no quoting.  Columns are float64 or
-    integer arrays, or sequences ``np.asarray`` makes one of; columns of
-    unequal length or of more than one dimension raise :class:`ValueError`
-    before anything is written.
+    Field i is named ``names[i]`` and holds column i as ``<i8`` when the
+    column is an integer array (``t``, ``s``, ``draw_id``) and as ``<f8``
+    otherwise.  Every value is stored exactly (``nan``, ``inf`` and ``-0.0``
+    included), and the file's bytes are fixed by the names, field types and
+    values; ``np.load`` reads the table back.  Columns are arrays or
+    sequences ``np.asarray`` makes one of; columns of unequal length or of
+    more than one dimension raise :class:`ValueError` before anything is
+    written.
     """
     columns = [np.asarray(c) for c in columns]
     if any(c.ndim != 1 for c in columns):
-        raise ValueError("CSV columns must be 1-d")
+        raise ValueError("table columns must be 1-d")
     lengths = {len(c) for c in columns}
     if len(lengths) != 1:
-        raise ValueError(f"CSV columns differ in length: {sorted(lengths)}")
-    (n,) = lengths
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        f.write(",".join(header) + "\n")
-        for start in range(0, n, _CSV_BLOCK_ROWS):
-            cells = [map(repr, c[start:start + _CSV_BLOCK_ROWS].tolist()) for c in columns]
-            f.write("\n".join(map(",".join, zip(*cells, strict=True))) + "\n")
+        raise ValueError(f"table columns differ in length: {sorted(lengths)}")
+    fields = list(zip(names, columns, strict=True))
+    table = np.empty(lengths.pop(), dtype=[(name, "<i8" if c.dtype.kind in "iu" else "<f8")
+                                           for name, c in fields])
+    for name, c in fields:
+        table[name] = c
+    with open(path, "wb") as f:
+        np.lib.format.write_array(f, table, version=(1, 0))
 
 
 def _by_step(value, step: str):
@@ -496,13 +497,13 @@ def _step_simulate(ctx: _Ctx) -> None:
     head = ctx.head(ctx.knob("csv_rows"))
     m = len(head)
     if ctx.is_garch():
-        ctx.write_csv(
-            "garch_path.csv",
+        ctx.write_table(
+            "garch_path.npy",
             ("t", "x1", "x2", "sigma1_sq", "sigma2_sq"),
             (np.arange(m), head.x1, head.x2, head.sigma1_sq, head.sigma2_sq),
         )
     else:
-        ctx.write_csv("path.csv", ("t", "w1", "w2"), (np.arange(m), head.w1, head.w2))
+        ctx.write_table("path.npy", ("t", "w1", "w2"), (np.arange(m), head.w1, head.w2))
     ctx.add(name="n_draws", value=float(n), passed=None)
     for name in ctx.pair:
         _summary_stats(ctx, name)
@@ -516,7 +517,7 @@ def _hill_record(ctx: _Ctx, name: str, est, target: float) -> None:
 
 def _plateau_record(ctx: _Ctx, name: str, est,
                     reference: Optional[float] = None, rel_tol: Optional[float] = None,
-                    csv_name: Optional[str] = None) -> None:
+                    table: Optional[str] = None) -> None:
     disp_max = ctx.knob("dispersion_max")
     ctx.add(
         name=f"{name}_dispersion",
@@ -533,8 +534,8 @@ def _plateau_record(ctx: _Ctx, name: str, est,
         ctx.records.append(gate(name, est.c_hat, reference * (1.0 - rel_tol),
                                 reference * (1.0 + rel_tol),
                                 note=f"reference={reference:.6g} rel={rel:.4g}"))
-    if csv_name:
-        ctx.write_csv(csv_name, ("x", "plateau"), (est.x_grid, est.plateau_values))
+    if table:
+        ctx.write_table(table, ("x", "plateau"), (est.x_grid, est.plateau_values))
 
 
 def _step_tails(ctx: _Ctx) -> None:
@@ -552,7 +553,7 @@ def _step_tails(ctx: _Ctx) -> None:
                          2.0 * target)
     for name, target in zip(ctx.pair, (a_min, a2)):
         _plateau_record(ctx, f"plateau_{name}", ctx.plateau(name, target),
-                        csv_name=None if garch else f"plateau_{name}.csv")
+                        table=None if garch else f"plateau_{name}.npy")
 
 
 def _step_constants(ctx: _Ctx) -> None:
@@ -595,8 +596,8 @@ def _step_constants(ctx: _Ctx) -> None:
             ctx.records.append(gate("series_weight", w, bounds.lower - 3 * se,
                                     bounds.upper + 3 * se, std_error=se, note=note))
         trace = coupled.trace
-        ctx.write_csv(
-            "weight_trace.csv",
+        ctx.write_table(
+            "weight_trace.npy",
             ("s", "value", "std_error"),
             ([t.s for t in trace], [t.value for t in trace], [t.std_error for t in trace]),
         )
@@ -633,9 +634,9 @@ def _step_constants(ctx: _Ctx) -> None:
                 note=f"regime {rep.regime}: no first-component constant defined")
 
 
-def _write_angular_csv(ctx: _Ctx, filename: str, ang: spectral.AngularSample) -> None:
-    header = tuple(f"theta{j + 1}" for j in range(ang.dim)) + ("weight",)
-    ctx.write_csv(filename, header, (*ang.points.T, ang.weights))
+def _write_angular(ctx: _Ctx, filename: str, ang: spectral.AngularSample) -> None:
+    names = tuple(f"theta{j + 1}" for j in range(ang.dim)) + ("weight",)
+    ctx.write_table(filename, names, (*ang.points.T, ang.weights))
 
 
 def _step_spectral(ctx: _Ctx) -> None:
@@ -650,7 +651,7 @@ def _step_spectral(ctx: _Ctx) -> None:
     if rep.regime == REGIME_A2_DOMINANT:
         h = _by_step(ctx.knob("h"), "spectral_cross_feed")
         ang = spectral.angular_measure_threshold(sample, u_quantile)
-        _write_angular_csv(ctx, "angular.csv", ang)
+        _write_angular(ctx, "angular.npy", ang)
         cond = spectral.conditional_exceedance_windows(sample, h, u_quantile)
         limit = spectral.spectral_process_draws(
             law, a2, h, n_limit, ang, substream(ctx.seed, "limit"), alpha1=a1
@@ -664,8 +665,8 @@ def _step_spectral(ctx: _Ctx) -> None:
                                     note=f"exceedances={cond.n_exceedances}"))
         m = min(len(limit), 10_000)
         paths = limit.limit_paths()
-        ctx.write_csv(
-            "spectral_draws.csv",
+        ctx.write_table(
+            "spectral_draws.npy",
             ("draw_id", "t", "y1", "y2"),
             (np.repeat(np.arange(m), h), np.tile(np.arange(1, h + 1), m),
              paths[:m, :, 0].ravel(), paths[:m, :, 1].ravel()),
@@ -682,7 +683,7 @@ def _step_spectral(ctx: _Ctx) -> None:
             ctx.records.append(gate(f"ks_angular_w{component}", stat, 0.0, ks_bound,
                                     note=f"h={h} exceedances={thresholded.n_exceedances}"))
             if component == 1:
-                _write_angular_csv(ctx, "angular.csv", weighted)
+                _write_angular(ctx, "angular.npy", weighted)
     else:
         ctx.add(name="spectral_skipped", value=None, passed=None,
                 note=f"regime {rep.regime}: no spectral construction defined")

@@ -7,7 +7,8 @@ of it:
 * the sum of a series, kept as one running total per chain and read as one
   partial sum per span of ``SUM_SPAN`` states (whole chains, cut from the
   sample's start);
-* the first states of a series (CSV rows, the constants' draws);
+* the first states of a series (the rows of the path table, the renewal
+  constants' draws);
 * the exceedances of a threshold series: its top points, enough for a high
   quantile of it, each with its position and a payload.
 

@@ -19,7 +19,7 @@ together with the analytic bracket for w derived from tau = E A1^alpha2 < 1.
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -95,27 +95,64 @@ class SeriesWeightBounds:
     ea2: float
 
 
-def _ratio_constant(
+_STRIP_CHUNK = 50_000
+_STRIP_ELEMENTS = 1 << 16  # strip slots or renewal terms per block, 512 KiB of float64
+
+
+def _fill(out: np.ndarray, write: Callable[[np.ndarray, slice], None]) -> np.ndarray:
+    """Call ``write(out[b], b)`` for each block b of ``_STRIP_ELEMENTS`` entries of ``out``.
+
+    ``write`` computes its entries in place in the block it is given, in the
+    operations (and so the bytes) of the whole-array expression, holding at
+    most one block of its own.
+    """
+    for lo in range(0, out.size, _STRIP_ELEMENTS):
+        b = slice(lo, lo + _STRIP_ELEMENTS)
+        write(out[b], b)
+    return out
+
+
+def _renewal_constant(
     numerator: np.ndarray,
+    a: np.ndarray,
     alpha: float,
     a_dist: PositiveDistribution,
-) -> tuple[float, float, float]:
+    naive: bool = False,
+) -> RenewalConstant:
     """Shared core: c = mean(numerator) / (alpha * m_alpha) with its SE.
 
-    Returns (c_hat, std_error, m_alpha).  The normalizer
-    m_alpha = E A^alpha log A is exact (:func:`~tritail.laws.log_weighted_moment`
-    of ``a_dist``), so the SE comes from the numerator alone.
+    The normalizer m_alpha = E A^alpha log A is exact
+    (:func:`~tritail.laws.log_weighted_moment` of ``a_dist``), so the SE comes
+    from the numerator alone.  ``numerator`` is the one n-array the constant
+    works in: its mean and variance are taken in place, in the steps and
+    bytes of ``mean()`` and ``var(ddof=1)``, and it then holds ``a**alpha``,
+    block by block, for the Cramer residual.  With ``naive`` the flat
+    prefactor 2/alpha times the numerator's mean is set as ``naive_value``.
     """
     n = numerator.size
     num_mean = float(numerator.mean())
-    num_var = float(numerator.var(ddof=1))
+    np.subtract(numerator, num_mean, out=numerator)
+    np.square(numerator, out=numerator)
+    num_var = float(numerator.sum() / (n - 1))
 
     m_alpha = log_weighted_moment(a_dist, alpha)
     if m_alpha <= 0.0:
         raise NonPositiveM(f"E A^alpha log A = {m_alpha:.6g} <= 0: alpha is wrong")
-    c_hat = num_mean / (alpha * m_alpha)
-    se = math.sqrt(num_var / n) / (alpha * m_alpha)
-    return c_hat, se, m_alpha
+
+    def power(out: np.ndarray, s: slice) -> None:
+        out[...] = a[s]
+        out **= alpha
+
+    residual = _fill(numerator, power).mean() - 1.0
+    return RenewalConstant(
+        c_hat=num_mean / (alpha * m_alpha),
+        std_error=math.sqrt(num_var / n) / (alpha * m_alpha),
+        m_alpha=m_alpha,
+        alpha=alpha,
+        n_samples=n,
+        cramer_residual=float(residual),
+        naive_value=(2.0 / alpha) * num_mean if naive else None,
+    )
 
 
 def univariate_constant(
@@ -130,7 +167,9 @@ def univariate_constant(
     ``stationary_w`` must be (approximately) stationary draws independent of
     the fresh (A, B) pairs sampled here, one pair per draw.  The numerator
     E[(A X + B)^alpha - (A X)^alpha] is the sample mean over those pairs; the
-    normalizer E A^alpha log A is computed exactly from ``a_dist``.
+    normalizer E A^alpha log A is computed exactly from ``a_dist``.  A and B
+    are drawn whole; the numerator is computed a block of terms at a time
+    into one n-array (:func:`_renewal_constant`).
 
     Raises :class:`NonPositiveM` when the normalizer E A^alpha log A is not
     positive (the unmistakable sign that alpha does not solve E A^alpha = 1).
@@ -142,17 +181,15 @@ def univariate_constant(
         raise ValueError("alpha must be positive")
     a = np.asarray(a_dist.sample(rng, w.size), dtype=float)
     b = np.asarray(b_dist.sample(rng, w.size), dtype=float)
-    aw = a * w
-    numerator = (aw + b) ** alpha - aw**alpha
-    c_hat, se, m_alpha = _ratio_constant(numerator, alpha, a_dist)
-    return RenewalConstant(
-        c_hat=c_hat,
-        std_error=se,
-        m_alpha=m_alpha,
-        alpha=alpha,
-        n_samples=w.size,
-        cramer_residual=float((a**alpha).mean() - 1.0),
-    )
+
+    def numerator(out: np.ndarray, s: slice) -> None:  # (a w + b)**alpha - (a w)**alpha
+        aw = a[s] * w[s]
+        np.add(aw, b[s], out=out)
+        out **= alpha
+        aw **= alpha
+        out -= aw
+
+    return _renewal_constant(_fill(np.empty(w.size), numerator), a, alpha, a_dist)
 
 
 def first_component_constant(
@@ -167,7 +204,9 @@ def first_component_constant(
     Valid in the regime alpha1 < alpha2 only.  The first coordinate follows
     W1 = A1 W1' + D with D = B1 + A2 W2', so the renewal constant uses fresh
     joint tuples (A1, A2, B1) paired with stationary (W1', W2') pairs; the
-    tuple is drawn jointly so coupled laws keep their dependence.
+    tuple is drawn jointly so coupled laws keep their dependence.  A4 and B2
+    are drawn with it only to keep the stream and dropped at once; the
+    numerator is computed a block of terms at a time into one n-array.
 
     The returned constant carries the renewal-form value in ``c_hat`` and the
     flat-prefactor alternative (2/alpha1 times the same expectation) in
@@ -180,24 +219,20 @@ def first_component_constant(
     w1 = np.asarray(draws.w1, dtype=float).reshape(-1)
     w2 = np.asarray(draws.w2, dtype=float).reshape(-1)
     d = law.sample(rng, w1.size)
-    dd = d.b1 + d.a2 * w2
-    aw = d.a1 * w1
-    numerator = (aw + dd) ** alpha1 - aw**alpha1
-    c_hat, se, m_alpha = _ratio_constant(numerator, alpha1, law.marginal("a1"))
-    num_mean = float(numerator.mean())
-    return RenewalConstant(
-        c_hat=c_hat,
-        std_error=se,
-        m_alpha=m_alpha,
-        alpha=alpha1,
-        n_samples=w1.size,
-        cramer_residual=float((d.a1**alpha1).mean() - 1.0),
-        naive_value=(2.0 / alpha1) * num_mean,
-    )
+    a1, a2, b1 = d.a1, d.a2, d.b1
+    del d
 
+    def numerator(out: np.ndarray, s: slice) -> None:  # (a1 w1 + (b1 + a2 w2))**alpha1 - ...
+        aw = a1[s] * w1[s]
+        np.multiply(a2[s], w2[s], out=out)
+        np.add(b1[s], out, out=out)
+        out += aw
+        out **= alpha1
+        aw **= alpha1
+        out -= aw
 
-_STRIP_CHUNK = 50_000
-_STRIP_ELEMENTS = 1 << 16  # strip slots per block of rows, 512 KiB of float64
+    return _renewal_constant(_fill(np.empty(w1.size), numerator), a1, alpha1,
+                             law.marginal("a1"), naive=True)
 
 
 def _joint_strip_values(d, alpha2: float) -> np.ndarray:

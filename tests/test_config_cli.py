@@ -1,6 +1,5 @@
 """Config schema, run reports, and the command-line front end."""
 
-import csv
 import json
 import math
 import re
@@ -515,34 +514,23 @@ def test_run_worker_count_does_not_change_results(tmp_path):
     r3 = run(cfg(tmp_path / "w3", 3))
     assert r1.config_digest == r3.config_digest
     assert r1.canonical_bytes() == r3.canonical_bytes()
-    assert "path.csv" in r1.artifacts
+    assert "path.npy" in r1.artifacts
 
-    b1 = (tmp_path / "w1" / "path.csv").read_bytes()
-    assert b1 == (tmp_path / "w3" / "path.csv").read_bytes()
+    b1 = (tmp_path / "w1" / "path.npy").read_bytes()
+    assert b1 == (tmp_path / "w3" / "path.npy").read_bytes()
 
-    # The artifact is plain RFC-4180 CSV: header plus csv_rows numeric rows.
-    with open(tmp_path / "w1" / "path.csv", newline="", encoding="utf-8") as f:
-        rows = list(csv.reader(f))
-    assert rows[0] == ["t", "w1", "w2"]
-    assert len(rows) == 1 + 2000
-    assert int(rows[1][0]) == 0
-    for cell in rows[1][1:]:
-        float(cell)
-
-
-def _csv_writer_bytes(path, header, columns) -> bytes:
-    """What csv.writer writes for rows of numpy scalars: the writer's contract."""
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(header)
-        w.writerows(zip(*columns))
-    return path.read_bytes()
+    # The artifact is one structured table: csv_rows rows of (t, w1, w2).
+    table = np.load(tmp_path / "w1" / "path.npy")
+    assert table.dtype.names == ("t", "w1", "w2")
+    assert table.shape == (2000,)
+    assert np.array_equal(table["t"], np.arange(2000))
+    assert (table["w1"] > 0).all() and (table["w2"] > 0).all()
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1),
                           st.integers(-2**63, 2**63 - 1)), max_size=40))
-def test_write_csv_matches_csv_writer_bytes(tmp_path_factory, rows):
+def test_write_table_round_trips_every_value_bit_for_bit(tmp_path_factory, rows):
     # Raw bit patterns reach NaN payloads, +-inf, +-0 and subnormals.
     bits = np.array([r[:2] for r in rows], dtype=np.uint64).reshape(-1, 2)
     floats = bits.view(np.float64)
@@ -552,31 +540,31 @@ def test_write_csv_matches_csv_writer_bytes(tmp_path_factory, rows):
     y = np.concatenate([floats[:, 1], specials[::-1]])
     ints = np.array([r[2] for r in rows] + list(range(len(specials))), dtype=np.int64)
     columns = (range(len(x)), x, ints, y)
-    header = ("t", "x", "k", "y")
-    d = tmp_path_factory.mktemp("csv")
-    pipelines._write_csv(d / "bulk.csv", header, columns)
-    assert (d / "bulk.csv").read_bytes() == _csv_writer_bytes(d / "rows.csv", header, columns)
+    names = ("t", "x", "k", "y")
+    path = tmp_path_factory.mktemp("npy") / "table.npy"
+    pipelines._write_table(path, names, columns)
+    assert path.read_bytes()[:8] == b"\x93NUMPY\x01\x00"  # format 1.0
+    table = np.load(path)
+    assert table.dtype.names == names
+    assert [table.dtype[name].str for name in names] == ["<i8", "<f8", "<i8", "<f8"]
+    for name, column in zip(names, columns):
+        assert np.array_equal(table[name].view("u8"), np.asarray(column).view("u8")), name
 
 
-def test_write_csv_blocks_and_edge_shapes(tmp_path):
-    # Zero rows write the header line only.
-    pipelines._write_csv(tmp_path / "empty.csv", ("a", "b"), (np.empty(0), range(0)))
-    assert (tmp_path / "empty.csv").read_bytes() == b"a,b\n"
-
-    # Rows beyond one block continue the same lines across the boundary.
-    n = 2 * pipelines._CSV_BLOCK_ROWS + 3
-    x = np.random.default_rng(1).standard_normal(n)
-    columns = (range(n), x, np.arange(n) % 7)
-    pipelines._write_csv(tmp_path / "big.csv", ("t", "x", "r"), columns)
-    assert (tmp_path / "big.csv").read_bytes() == _csv_writer_bytes(
-        tmp_path / "rows.csv", ("t", "x", "r"), columns)
+def test_write_table_edge_shapes(tmp_path):
+    # Zero rows write an empty table that still names its fields.
+    pipelines._write_table(tmp_path / "empty.npy", ("a", "b"), (np.empty(0), np.arange(0)))
+    table = np.load(tmp_path / "empty.npy")
+    assert table.shape == (0,)
+    assert table.dtype.names == ("a", "b")
+    assert [table.dtype[name].str for name in ("a", "b")] == ["<f8", "<i8"]
 
     # Unequal or 2-d columns are refused before a file is opened.
     with pytest.raises(ValueError, match="differ in length"):
-        pipelines._write_csv(tmp_path / "bad.csv", ("a", "b"), (np.zeros(3), range(2)))
+        pipelines._write_table(tmp_path / "bad.npy", ("a", "b"), (np.zeros(3), range(2)))
     with pytest.raises(ValueError, match="1-d"):
-        pipelines._write_csv(tmp_path / "bad.csv", ("a",), (np.zeros((3, 2)),))
-    assert not (tmp_path / "bad.csv").exists()
+        pipelines._write_table(tmp_path / "bad.npy", ("a",), (np.zeros((3, 2)),))
+    assert not (tmp_path / "bad.npy").exists()
 
 
 def test_garch_verify_reads_constant_draws(tmp_path):
@@ -689,7 +677,7 @@ def test_garch_constants_pipeline_reports_the_inherited_constant(tmp_path):
     assert not [name for name in records if name.endswith("_error")]
     for name in ("series_weight", "c1_inherited"):
         assert math.isfinite(records[name].value) and records[name].value > 0, name
-    assert (tmp_path / "weight_trace.csv").exists()
+    assert (tmp_path / "weight_trace.npy").exists()
 
 
 def test_garch_full_report_computes_each_estimate_once(tmp_path, monkeypatch):
@@ -966,7 +954,7 @@ def test_report_roundtrip_including_nonfinite_values(tmp_path):
         pipeline="tails",
         config_digest="0" * 64,
         results=(rec, ResultRecord(name="ok", value=1.5, std_error=0.25, passed=True)),
-        artifacts=("path.csv",),
+        artifacts=("path.npy",),
         wall_time=1.25,
     )
     p = tmp_path / "r.json"
@@ -1257,7 +1245,7 @@ def _report_json(**fields) -> dict:
         (_report_json(name=5), "/name"),
         (_report_json(pipeline=None), "/pipeline"),
         (_report_json(config_digest=1.0), "/config_digest"),
-        (_report_json(artifacts=["a.csv", 2]), "/artifacts/1"),
+        (_report_json(artifacts=["a.npy", 2]), "/artifacts/1"),
         (_report_json(wall_time="soon"), "/wall_time"),
         (_report_json(wall_time=True), "/wall_time"),
     ],

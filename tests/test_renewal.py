@@ -1,6 +1,7 @@
 """Renewal-form tail constants, coupling-series weights, and their brackets."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from tritail.laws import (
     LogNormal,
     ParetoLomax,
     ScaledUniformPow,
+    log_weighted_moment,
 )
 from tritail.renewal import (
     _STRIP_CHUNK,
@@ -105,6 +107,79 @@ def test_first_component_prefactor_ratio_identity():
     assert est.m_alpha == pytest.approx(0.375, rel=1e-12)
     assert est.alpha == 1.5
     assert est.c_hat > 0 and abs(est.cramer_residual) < 0.05
+
+
+# ---------------------------------------------------------------------------
+# the numerator in blocks
+# ---------------------------------------------------------------------------
+
+def whole_array_constant(numerator, a, alpha, a_dist):
+    """(c_hat, std_error, cramer_residual, flat value) as the whole-array code computed them."""
+    m = log_weighted_moment(a_dist, alpha)
+    mean = float(numerator.mean())
+    se = math.sqrt(float(numerator.var(ddof=1)) / numerator.size) / (alpha * m)
+    return mean / (alpha * m), se, float((a**alpha).mean() - 1.0), (2.0 / alpha) * mean
+
+
+def as_tuple(est):
+    return est.c_hat, est.std_error, est.cramer_residual, est.naive_value
+
+
+@pytest.mark.parametrize("n", [2, 3 * _STRIP_ELEMENTS + 77])
+@pytest.mark.parametrize("a_dist, b_dist, alpha", [
+    (LogNormal(-0.25, ROOT_HALF), Constant(1.0), 2.0),  # numpy squares at 2
+    (LogNormal(-0.1, 1.0), ParetoLomax(4.0, 0.5), 0.5),  # and takes roots at 0.5
+    (LogNormal(-0.75, ROOT_HALF), LogNormal(-0.5, 0.5), 3.0),
+    (ChiSqAffine(0.35, 0.6), Constant(0.05), 4.0),
+])
+def test_univariate_constant_equals_the_whole_array_form_bit_for_bit(n, a_dist, b_dist, alpha):
+    w = rng(n).lognormal(0.0, 1.0, n)
+    g = rng(31)
+    a = np.asarray(a_dist.sample(g, n), dtype=float)
+    aw = a * w
+    numerator = (aw + np.asarray(b_dist.sample(g, n), dtype=float)) ** alpha - aw**alpha
+    c_hat, se, residual, _ = whole_array_constant(numerator, a, alpha, a_dist)
+    got = univariate_constant(a_dist, b_dist, alpha, w, rng(31))
+    assert as_tuple(got) == (c_hat, se, residual, None)
+
+
+@pytest.mark.parametrize("n", [2, 3 * _STRIP_ELEMENTS + 77])
+@pytest.mark.parametrize("law", [
+    LAW_C4,
+    IndependentLaw(LogNormal(-0.375, ROOT_HALF), ParetoLomax(4.0, 0.5), Constant(0.7),
+                   LogNormal(0.0, 0.5), ChiSqAffine(0.1, 0.8)),
+])
+def test_first_component_constant_equals_the_whole_array_form_bit_for_bit(n, law):
+    g = rng(n)
+    draws = SimpleNamespace(w1=g.lognormal(0.0, 1.0, n), w2=g.lognormal(0.0, 1.0, n))
+    d = law.sample(rng(32), n)
+    aw = d.a1 * draws.w1
+    numerator = (aw + (d.b1 + d.a2 * draws.w2)) ** 1.5 - aw**1.5
+    expected = whole_array_constant(numerator, d.a1, 1.5, law.marginal("a1"))
+    assert as_tuple(first_component_constant(law, 1.5, 3.0, draws, rng(32))) == expected
+
+
+@pytest.mark.parametrize("component, arrays", [(2, 2), (1, 3)])
+def test_renewal_constant_holds_its_draw_one_numerator_and_one_block(component, arrays):
+    # C4 at n = 2e5, four blocks.  c2 holds A4 (its B is constant) and the
+    # numerator; c1 holds A1, A2 and A4 while the joint tuple is drawn, then
+    # A1, A2 and the numerator.  The whole-array form held about five and
+    # seven n-arrays.
+    import tracemalloc
+
+    n = 200_000
+    g = rng(40)
+    draws = SimpleNamespace(w1=g.lognormal(0.0, 1.0, n), w2=g.lognormal(0.0, 1.0, n))
+    tracemalloc.start()
+    try:
+        if component == 2:
+            univariate_constant(LAW_C4.a4, LAW_C4.b2, 3.0, draws.w2, rng(41))
+        else:
+            first_component_constant(LAW_C4, 1.5, 3.0, draws, rng(42))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= arrays * 8 * n + 8 * _STRIP_ELEMENTS + 65_536, peak / (8 * n)
 
 
 # ---------------------------------------------------------------------------
