@@ -48,10 +48,10 @@ from .renewal import univariate_constant
 from .spectral import MIN_EXCEEDANCES, unit_pareto
 from .tailstats import (
     UpperTail,
+    block_rows,
     default_hill_k,
     estimator_depth,
     hill,
-    ks_2sample,
     ks_distance,
     tail_constant,
 )
@@ -560,6 +560,50 @@ def spectral_plan(regime: RegimeReport, h: int, u_quantile: float) -> Plan:
     return Plan(exceedances=frozenset(specs))
 
 
+def _noise_products(params, theta0, z1, z2, h):
+    """The volatility products Pi_t Theta0, t = 1..h, of one (rows, h + 1) noise pair.
+
+    Step t's matrix A_t comes from noise column t-1 and the window value at
+    t from column t: the last column is left for the window values, which
+    couple to the NEXT matrix — the same shared index that links X_t to
+    A_{t+1} in the recursion.
+    """
+    cols = iter(range(h))
+
+    def draw(rows: int) -> CoeffDraw:
+        s = next(cols)
+        return CoeffDraw(*to_sre_coefficients(params, (z1[None, :, s], z2[None, :, s])))
+
+    return product_path(draw, theta0[:, 0], theta0[:, 1], h)
+
+
+def _cross_feed_limit(params, theta, h, n_limit, a2, rng):
+    """n_limit limit windows V sqrt((Pi_t Theta0)_i) z_{i,t}, as an (n_limit, h, 2) array.
+
+    Theta0 is resampled from the angles ``theta``.  The noise pair is that of
+    ``_correlated_normals(rho, (n_limit, h + 1), rng)``, but z2 and the
+    windows are built one row block at a time: the generator fills in C
+    order, so the blocks of n2 hold the whole draw's numbers.
+    """
+    pick = rng.choice(len(theta), size=n_limit)
+    v = unit_pareto(2.0 * a2, n_limit, rng)
+    z1 = rng.standard_normal((n_limit, h + 1))
+    c = math.sqrt(1.0 - params.rho * params.rho)
+    limit = np.empty((n_limit, h, 2))
+    step = block_rows(8 * (h + 1))  # about eight (rows, h + 1) arrays live in a block
+    for lo in range(0, n_limit, step):
+        rows = slice(lo, lo + step)
+        z1_rows = z1[rows]
+        # rho*n1 + c*n2, in place: the same sum as _correlated_normals.
+        z2_rows = rng.standard_normal(z1_rows.shape)
+        z2_rows *= c
+        z2_rows += params.rho * z1_rows
+        vol1, vol2 = _noise_products(params, theta[pick[rows]], z1_rows, z2_rows, h)
+        limit[rows, :, 0] = v[rows, None] * np.sqrt(vol1) * z1_rows[:, 1:]
+        limit[rows, :, 1] = v[rows, None] * np.sqrt(vol2) * z2_rows[:, 1:]
+    return limit
+
+
 def _prop_heavier_cross(params, ex, h, u_quantile, n_limit, ks_bound, a2, rng):
     """Branch alpha1 > alpha2: windows after a volatility-norm exceedance.
 
@@ -579,36 +623,18 @@ def _prop_heavier_cross(params, ex, h, u_quantile, n_limit, ks_bound, a2, rng):
 
     # Empirical angle of the conditioning volatility vector.
     theta = ex.rows[idx] / ex.key[idx][:, None]
-    pick = rng.choice(idx.size, size=n_limit)
-    theta0 = theta[pick]
-
-    v = unit_pareto(2.0 * a2, n_limit, rng)
-    z1, z2 = _correlated_normals(params.rho, (n_limit, h + 1), rng)
-    # Step t's matrix A_t comes from noise column t-1 and the window value at
-    # t from column t: the last column is left for the window values, which
-    # couple to the NEXT matrix — the same shared index that links X_t to
-    # A_{t+1} in the recursion.
-    cols = iter(range(h))
-
-    def draw(rows: int) -> CoeffDraw:
-        s = next(cols)
-        return CoeffDraw(*to_sre_coefficients(params, (z1[None, :, s], z2[None, :, s])))
-
-    vol1, vol2 = product_path(draw, theta0[:, 0], theta0[:, 1], h)
-    limit = np.empty((n_limit, h, 2))
-    limit[:, :, 0] = v[:, None] * np.sqrt(vol1) * z1[:, 1:]
-    limit[:, :, 1] = v[:, None] * np.sqrt(vol2) * z2[:, 1:]
+    limit = _cross_feed_limit(params, theta, h, n_limit, a2, rng)
 
     records = []
     for t in range(h):
         for i in range(2):
-            stat, _ = ks_2sample(sim_win[:, t, i], limit[:, t, i])
-            records.append(gate(f"ks_x{i + 1}_t{t + 1}", float(stat), 0.0, ks_bound))
-    stat, _ = ks_2sample(
+            stat = ks_distance(sim_win[:, t, i], limit[:, t, i])
+            records.append(gate(f"ks_x{i + 1}_t{t + 1}", stat, 0.0, ks_bound))
+    stat = ks_distance(
         np.linalg.norm(sim_win.reshape(idx.size, -1), axis=1),
         np.linalg.norm(limit.reshape(n_limit, -1), axis=1),
     )
-    records.append(gate("ks_window_norm", float(stat), 0.0, ks_bound))
+    records.append(gate("ks_window_norm", stat, 0.0, ks_bound))
     records.extend(_sign_symmetry_records(sim_win.reshape(idx.size, -1), ks_bound))
     return records, x, idx.size
 

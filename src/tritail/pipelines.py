@@ -664,12 +664,12 @@ def _step_spectral(ctx: _Ctx) -> None:
             ctx.records.append(gate(f"ks_{fname}", stat, 0.0, ks_bound,
                                     note=f"exceedances={cond.n_exceedances}"))
         m = min(len(limit), 10_000)
-        paths = limit.limit_paths()
+        paths = limit.y0[:m, None, None] * limit.path[:m]
         ctx.write_table(
             "spectral_draws.npy",
             ("draw_id", "t", "y1", "y2"),
             (np.repeat(np.arange(m), h), np.tile(np.arange(1, h + 1), m),
-             paths[:m, :, 0].ravel(), paths[:m, :, 1].ravel()),
+             paths[:, :, 0].ravel(), paths[:, :, 1].ravel()),
         )
     elif rep.regime == REGIME_A1_DOMINANT:
         h = _by_step(ctx.knob("h"), "spectral_own_tail")

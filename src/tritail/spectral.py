@@ -16,18 +16,19 @@ factor, an angle resampled from an angular sample, and an independent
 coefficient product chain pushed through the angle.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import stats
+from scipy import special
 
 from .engine import PathSample, product_path
 from .errors import RegimeMismatch, TooFewExceedances
 from .laws import CoefficientLaw
 from .reduction import PointSpec, WindowSpec, exceedances, valid_window_starts
-from .tailstats import ks_2sample, ks_distance
+from .tailstats import ks_distance
 
 __all__ = [
     "AngularSample",
@@ -308,10 +309,6 @@ class SpectralProcessSample:
         """The limit windows y0 * (Pi_t theta0)_t, shape (n, h, 2)."""
         return self.y0[:, None, None] * self.path
 
-    def norms(self) -> np.ndarray:
-        """Euclidean norm of each limit window (both coordinates, all steps)."""
-        return np.linalg.norm(self.limit_paths().reshape(len(self), -1), axis=1)
-
 
 def spectral_process_draws(
     law: CoefficientLaw,
@@ -350,20 +347,36 @@ def spectral_process_draws(
 
 
 def pareto_gof(sample, alpha: float) -> tuple[float, float]:
-    """One-sample KS statistic and p-value against P(Y > y) = y^-alpha, y > 1."""
+    """One-sample KS statistic and asymptotic p-value against P(Y > y) = y^-alpha, y > 1.
+
+    The statistic D equals ``scipy.stats.kstest(sample, "pareto",
+    args=(alpha,))``'s bit for bit.  The p-value is Kolmogorov's limiting law
+    at sqrt(N) D, which runs high against the finite-N law: a true 0.05 reads
+    about 0.055 at N = 100 and 0.0501 at 10^5.  Both are NaN when the sample
+    holds a NaN.
+    """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    result = stats.kstest(np.asarray(sample, dtype=float), "pareto", args=(alpha,))
-    return float(result.statistic), float(result.pvalue)
+    y = np.sort(np.asarray(sample, dtype=float).reshape(-1))
+    n = y.size
+    if n == 0:
+        raise ValueError("sample must be nonempty")
+    # The CDF 1 - y^-alpha, which is 0 at and below 1; NaN stays NaN.
+    cdf = 1.0 - np.maximum(y, 1.0) ** -alpha
+    d_plus = (np.arange(1.0, n + 1) / n - cdf).max()
+    d_minus = (cdf - np.arange(0.0, n) / n).max()
+    d = float(np.maximum(d_plus, d_minus))
+    return d, float(special.kolmogorov(math.sqrt(n) * d))
 
 
 def forward_limit_ks(
     cond: ConditionalWindows, limit: SpectralProcessSample
 ) -> dict[str, float]:
-    """Two-sample KS per scalar functional between windows and their limit law.
+    """Two-sample KS distance per scalar functional between windows and their limit law.
 
     Functionals: each coordinate at each step (keys ``w{i}_t{t}``) and the
-    whole-window Euclidean norm (key ``norm``).
+    whole-window Euclidean norm (key ``norm``), all read from one array of
+    limit windows.
     """
     paths = limit.limit_paths()
     h = cond.windows.shape[1]
@@ -372,10 +385,9 @@ def forward_limit_ks(
     out: dict[str, float] = {}
     for t in range(h):
         for i in range(2):
-            out[f"w{i + 1}_t{t + 1}"] = ks_2sample(
-                cond.windows[:, t, i], paths[:, t, i]
-            )[0]
-    out["norm"] = ks_2sample(cond.norms(), limit.norms())[0]
+            out[f"w{i + 1}_t{t + 1}"] = ks_distance(cond.windows[:, t, i], paths[:, t, i])
+    out["norm"] = ks_distance(cond.norms(),
+                              np.linalg.norm(paths.reshape(len(limit), -1), axis=1))
     return out
 
 

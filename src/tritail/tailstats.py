@@ -18,7 +18,7 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .errors import DegenerateTail, EmptyTail
 
@@ -304,36 +304,52 @@ def tail_constant(
 def ks_distance(a, b, weights_a=None, weights_b=None) -> float:
     """Two-sample Kolmogorov distance sup_x |F_a(x) - F_b(x)|, optionally weighted.
 
-    Weights are normalized internally; uniform when omitted.  This is the raw
-    distance (for fixed-threshold gates); use :func:`ks_2sample` when a
-    significance level is wanted.
+    Weights are normalized internally; uniform when omitted.  Unweighted, the
+    distance equals the statistic of ``scipy.stats.ks_2samp(a, b,
+    method="asymp")`` bit for bit.  NaN when either sample holds a NaN.  This
+    is the raw distance (for fixed-threshold gates); use :func:`ks_2sample`
+    when a significance level is wanted.
     """
     a = np.asarray(a, dtype=float).reshape(-1)
     b = np.asarray(b, dtype=float).reshape(-1)
     if a.size == 0 or b.size == 0:
         raise ValueError("samples must be nonempty")
 
-    def _cdf_on(points, sample, weights):
-        order = np.argsort(sample, kind="stable")
-        s = sample[order]
+    def _sorted(sample, weights):
+        """The sample in ascending order and its normalized cumulative weights, or None."""
         if weights is None:
-            cum = np.arange(1, s.size + 1, dtype=float) / s.size
-        else:
-            w = np.asarray(weights, dtype=float).reshape(-1)[order]
-            if (w < 0).any() or w.sum() <= 0:
-                raise ValueError("weights must be nonnegative and not all zero")
-            cum = np.cumsum(w) / w.sum()
-        idx = np.searchsorted(s, points, side="right")
-        return np.where(idx > 0, cum[idx - 1], 0.0)
+            return np.sort(sample), None
+        order = np.argsort(sample, kind="stable")
+        w = np.asarray(weights, dtype=float).reshape(-1)[order]
+        if (w < 0).any() or w.sum() <= 0:
+            raise ValueError("weights must be nonnegative and not all zero")
+        return sample[order], np.cumsum(w) / w.sum()
 
-    pool = np.sort(np.concatenate([a, b]))
-    fa = _cdf_on(pool, a, weights_a)
-    fb = _cdf_on(pool, b, weights_b)
-    return float(np.abs(fa - fb).max())
+    (sa, cum_a), (sb, cum_b) = _sorted(a, weights_a), _sorted(b, weights_b)
+    # A sort puts NaN last, so the largest value is NaN exactly when a sample holds one.
+    if math.isnan(sa[-1]) or math.isnan(sb[-1]):
+        return math.nan
+    # Two sorted runs: searchsorted walks them far faster than shuffled points.
+    pool = np.concatenate([sa, sb])
+
+    def _cdf(s, cum):
+        idx = np.searchsorted(s, pool, side="right")
+        return idx / s.size if cum is None else np.where(idx > 0, cum[idx - 1], 0.0)
+
+    return float(np.abs(_cdf(sa, cum_a) - _cdf(sb, cum_b)).max())
 
 
 def ks_2sample(a, b) -> tuple[float, float]:
-    """Unweighted two-sample KS statistic and p-value (asymptotic)."""
-    res = stats.ks_2samp(np.asarray(a).reshape(-1), np.asarray(b).reshape(-1),
-                         method="asymp")
-    return float(res.statistic), float(res.pvalue)
+    """Unweighted two-sample KS statistic and its asymptotic p-value.
+
+    The statistic is :func:`ks_distance`.  The p-value is Kolmogorov's
+    limiting law at sqrt(n1 n2 / (n1 + n2)) D (Smirnov 1948), not the
+    finite-n law of ``scipy.stats.kstwo``, and it runs high against that law.
+    At an effective size n1 n2 / (n1 + n2) of 50 a true 0.05 reads about
+    0.057 and a true 0.001 about 0.0013; at 5x10^4 they read 0.0502 and
+    0.001006.  Both are NaN when either sample holds a NaN.
+    """
+    a = np.asarray(a, dtype=float).reshape(-1)
+    b = np.asarray(b, dtype=float).reshape(-1)
+    d = ks_distance(a, b)
+    return d, float(special.kolmogorov(math.sqrt(a.size * b.size / (a.size + b.size)) * d))

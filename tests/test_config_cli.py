@@ -2,7 +2,9 @@
 
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -1049,6 +1051,40 @@ def test_cli_solve_index_run(tmp_path, capsys):
     a = RunReport.load(out / "report.json")
     b = RunReport.load(out2 / "report.json")
     assert a.config_digest != b.config_digest
+
+
+_REPORTS_WITHOUT_SCIPY_STATS = """
+import sys
+import tritail.cli
+for path in sys.argv[1:]:
+    tritail.cli.main(["report", "--config", path])
+print("scipy.stats" in sys.modules)
+"""
+
+
+def test_reports_run_without_importing_scipy_stats(tmp_path):
+    # A fresh interpreter runs a full report of an A2 independent law and of
+    # the README GARCH law, which read every KS statistic and p-value.
+    a2 = base_config(pipeline="full_report", output_dir=str(tmp_path / "a2"),
+                     params=SMALL_REPORT_PARAMS)
+    a2["sim"].update(n_draws=100_000, burn_in=200)
+    gar = garch_config(pipeline="full_report", output_dir=str(tmp_path / "garch"),
+                       params={"limit_draws": 200, "u_quantile": 0.99})
+    gar["sim"].update(n_draws=50_000, burn_in=200)
+    paths = [str(_write_config(tmp_path, f"{name}.json", cfg))
+             for name, cfg in (("a2", a2), ("garch", gar))]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": pythonpath}
+    done = subprocess.run([sys.executable, "-c", _REPORTS_WITHOUT_SCIPY_STATS, *paths],
+                          capture_output=True, text=True, env=env, timeout=600)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"
+    names = {r.name for d in ("a2", "garch")
+             for r in RunReport.load(tmp_path / d / "report.json").results}
+    assert not [n for n in names if n.endswith("_error")]
+    assert {"crossval_w1_pvalue", "pareto_norm_pvalue", "ks_norm",
+            "spectral_ks_window_norm", "spectral_sign_symmetry_ks"} <= names
 
 
 def test_cli_gated_failure_exits_one(tmp_path, capsys):

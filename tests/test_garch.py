@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from tritail import garch
 from tritail.engine import SimConfig, slab_rows
 from tritail.errors import NonFiniteState, RegimeMismatch
 from tritail.garch import (
@@ -387,6 +388,22 @@ def test_return_spectral_check_cross_feed_branch():
     assert report.n_exceedances >= 1000 and report.threshold > 0
     assert report.max_ks <= 0.08
     assert report.all_passed
+
+
+def test_cross_feed_limit_windows_do_not_depend_on_the_row_block(monkeypatch):
+    # The limit windows are built in row blocks of the normal pair; blocks of
+    # 7 rows (the last one short) draw the same numbers as one whole block.
+    path = garch_path(GARCH_P10, 200_000, rng(10))
+    regime = classify_regime(GarchLaw(GARCH_P10))
+
+    def records():
+        report = return_spectral_check(GARCH_P10, regime, 2, rng(11), path,
+                                       u_quantile=0.99, n_limit=1000)
+        return [(r.name, r.value) for r in report.records]
+
+    whole = records()
+    monkeypatch.setattr(garch, "block_rows", lambda width: 7)
+    assert records() == whole
 
 
 def test_return_spectral_check_own_tail_branch():

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from tritail.engine import PathSample, SimConfig, stationary_sample
 from tritail.errors import RegimeMismatch, TooFewExceedances
 from tritail.laws import Constant
+from tritail.records import gate
 from tritail.spectral import (
     AngularSample,
     angular_ks,
@@ -239,6 +241,26 @@ def test_pareto_gof_detects_wrong_index():
     assert p < 1e-10
     with pytest.raises(ValueError):
         pareto_gof(y, -1.0)
+
+
+def test_pareto_gof_statistic_is_scipys():
+    g = rng(11)
+    for alpha, n in ((0.5, 10), (1.0, 1000), (1.5, 20_000), (2.0, 500), (2.7, 3000)):
+        # Off-index draws, with points at and below the support's edge.
+        y = np.r_[unit_pareto(alpha * 1.1, n, g), 1.0, 0.5]
+        stat, p = pareto_gof(y, alpha)
+        ref = stats.kstest(y, "pareto", args=(alpha,))
+        assert stat == ref.statistic
+        assert 0.0 <= p <= 1.0
+
+
+def test_pareto_gof_is_nan_when_the_sample_holds_a_nan():
+    y = np.r_[unit_pareto(1.5, 1000, rng(12)), math.nan]
+    stat, p = pareto_gof(y, 1.5)
+    assert math.isnan(stat) and math.isnan(p)
+    assert gate("pareto_norm_pvalue", p, 0.01).passed is False
+    with pytest.raises(ValueError):
+        pareto_gof(np.array([]), 1.5)
 
 
 def atom_angular(x=0.6, y=0.8):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from tritail.errors import DegenerateTail, EmptyTail
+from tritail.records import gate
 from tritail.tailstats import (
     _BLOCK,
     RunningTail,
@@ -286,9 +287,41 @@ def test_ks_distance_matches_scipy_when_unweighted():
     for _ in range(5):
         a = rng.lognormal(0.0, 1.0, 300)
         b = rng.lognormal(0.1, 1.1, 200)
-        mine = ks_distance(a, b)
-        ref = stats.ks_2samp(a, b).statistic
-        assert mine == pytest.approx(ref, abs=1e-12)
+        # The exact method rounds its statistic to the lattice of n1 n2
+        # steps; the asymptotic one keeps the raw distance.
+        assert ks_distance(a, b) == stats.ks_2samp(a, b, method="asymp").statistic
+
+
+def test_ks_2sample_statistic_is_scipys_with_ties_and_unequal_sizes():
+    rng = np.random.default_rng(15)
+    for n1, n2 in ((1, 7), (300, 200), (1000, 4321)):
+        # Rounded draws tie within and across the samples.
+        a = np.round(rng.normal(0.0, 1.0, n1), 1)
+        b = np.round(rng.normal(0.1, 1.2, n2), 1)
+        stat, _ = ks_2sample(a, b)
+        assert stat == stats.ks_2samp(a, b, method="asymp").statistic
+        assert ks_2sample(b, a)[0] == stat
+
+
+def test_ks_2sample_pvalue_is_within_one_percent_of_scipys():
+    # Kolmogorov's limiting law against scipy's finite-n one at n1 = n2 = 1e5.
+    rng = np.random.default_rng(16)
+    for shift in (0.0, 0.005, 0.01):
+        a, b = rng.random(100_000), rng.random(100_000) + shift
+        _, p = ks_2sample(a, b)
+        ref = stats.ks_2samp(a, b, method="asymp").pvalue
+        assert p == pytest.approx(ref, rel=0.01)
+
+
+def test_ks_statistics_are_nan_when_a_sample_holds_a_nan():
+    a, b = np.array([1.0, math.nan, 3.0, 4.0]), np.array([1.5, 2.5, 3.5])
+    assert np.isnan(stats.ks_2samp(a, b).statistic)
+    for x, y in ((a, b), (b, a)):
+        assert math.isnan(ks_distance(x, y))
+        assert math.isnan(ks_distance(x, y, np.ones(x.size), np.ones(y.size)))
+        assert all(math.isnan(v) for v in ks_2sample(x, y))
+    # A NaN distance fails the gate it is checked against.
+    assert gate("ks", ks_distance(a, b), 0.0, 0.05).passed is False
 
 
 def test_ks_distance_weighted_equals_replicated_sample():
