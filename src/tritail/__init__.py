@@ -73,6 +73,7 @@ from .renewal import (
     first_component_constant,
     series_weight,
     series_weight_bounds,
+    series_weights,
     univariate_constant,
 )
 from .spectral import (

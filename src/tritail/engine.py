@@ -8,12 +8,14 @@ Componentwise the recursion reads
 so the second coordinate runs autonomously and feeds the first through the
 coupling entry A2.  One slab kernel, :func:`forward_slabs`, applies that
 update everywhere: forward iteration past a burn-in, the truncated backward
-series (the same recursion from zero, one level per step), and the
+series (the same recursion from zero, one level per step), the
 coefficient products Pi_t theta of the spectral limit laws (the recursion
-with B = 0 started at theta), and the top-Lyapunov-exponent estimator (the
-recursion with B = 0 started at e2 carries the 2x2 product's second column,
-and its top-left entry, the product of the A1 draws, is multiplied as they
-are drawn).
+with B = 0 started at theta), the series-weight strips of
+:mod:`tritail.renewal` (the recursion with B = 0 started at (0, 1), whose
+first coordinate is the product's corner entry), and the
+top-Lyapunov-exponent estimator (the recursion with B = 0 started at e2
+carries the 2x2 product's second column, and its top-left entry, the
+product of the A1 draws, is multiplied as they are drawn).
 
 The forward sampler runs a group of chain blocks side by side: each block
 draws its coefficients from its own generator, exactly as a solo run of its

@@ -15,6 +15,11 @@ limit of the truncated coupling-series moments
     w_s = E( sum_{i=1..s} [A1 at strip slots 1..i-1] * A2_i * [A4 at slots i+1..s] )^alpha2
 
 together with the analytic bracket for w derived from tau = E A1^alpha2 < 1.
+The s slots of a strip are i.i.d., so relabelling slot i as s+1-i leaves the
+strip sum's law unchanged and turns it into the corner entry U_s of the
+product A_s ... A_1: the first coordinate of the recursion with B = 0 started
+at (0, 1), after s steps.  One run of max(s) steps therefore gives w_s at
+every s of a schedule, and those estimates share their strips.
 """
 
 import math
@@ -23,11 +28,11 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .engine import PathSample
+from .engine import PathSample, SimConfig, forward_slabs
 from .errors import NonPositiveM, RegimeMismatch, TauNotContracting
 from .laws import (
+    CoeffDraw,
     CoefficientLaw,
-    IndependentLaw,
     PositiveDistribution,
     log_weighted_moment,
     moment,
@@ -41,6 +46,7 @@ __all__ = [
     "univariate_constant",
     "first_component_constant",
     "series_weight",
+    "series_weights",
     "series_weight_bounds",
     "coupled_component_constant",
 ]
@@ -96,7 +102,7 @@ class SeriesWeightBounds:
 
 
 _STRIP_CHUNK = 50_000
-_STRIP_ELEMENTS = 1 << 16  # strip slots or renewal terms per block, 512 KiB of float64
+_STRIP_ELEMENTS = 1 << 16  # renewal terms per block, 512 KiB of float64
 
 
 def _fill(out: np.ndarray, write: Callable[[np.ndarray, slice], None]) -> np.ndarray:
@@ -235,63 +241,57 @@ def first_component_constant(
                              law.marginal("a1"), naive=True)
 
 
-def _joint_strip_values(d, alpha2: float) -> np.ndarray:
-    """The value (sum_i prefix1_i * A2_i * suffix4_i)^alpha2 of each strip of a joint draw.
+def series_weights(
+    law: CoefficientLaw,
+    alpha2: float,
+    schedule: Sequence[int],
+    n: int,
+    rng: np.random.Generator,
+) -> tuple[SeriesWeightEstimate, ...]:
+    """MC estimates of the coupling-series moments w_s at each s of ``schedule``.
 
-    ``d`` holds (m, s) coefficient arrays, one strip per row, drawn together
-    as a law with coupled coefficients (a GARCH law) must draw them.  The
-    rows are computed a few at a time, each by itself, so the temporaries
-    stay small; the caller drops the draw once this returns.
+    Each of the n strips is one path of the recursion with B = 0 started at
+    (0, 1): its W1 after s steps is the corner entry U_s of A_s ... A_1, which
+    has the law of the strip sum (see the module docstring).  The strips run
+    through :func:`~tritail.engine.forward_slabs` ``_STRIP_CHUNK`` at a time,
+    for max(schedule) steps, each step one joint draw
+    ``law.sample(rng, (1, m))`` (so a GARCH law keeps A2 and A4 coupled);
+    U_s^alpha2 is summed at every s in the schedule.  The estimates thus
+    share strips, each s reading a prefix of the same paths.  A strip that
+    overflows raises :class:`~tritail.errors.NonFiniteState`.
     """
-    m, s = d.a2.shape
-    rows = max(1, _STRIP_ELEMENTS // s)
-    vals = np.empty(m)
-    for lo in range(0, m, rows):
-        a1, a2, a4 = (x[lo:lo + rows] for x in (d.a1, d.a2, d.a4))
-        prefix1 = np.ones(a2.shape)
-        suffix4 = np.ones(a2.shape)
-        if s > 1:
-            np.cumprod(a1[:, :-1], axis=1, out=prefix1[:, 1:])
-            suffix4[:, :-1] = np.cumprod(a4[:, :0:-1], axis=1)[:, ::-1]
-        vals[lo:lo + rows] = (prefix1 * a2 * suffix4).sum(axis=1) ** alpha2
-    return vals
+    schedule = tuple(schedule)
+    if not schedule or schedule[0] < 1 or any(b <= a for a, b in zip(schedule, schedule[1:])):
+        raise ValueError("schedule needs strictly increasing entries >= 1")
+    if n < 2:
+        raise ValueError("n must be >= 2")
+    if alpha2 <= 0:
+        raise ValueError("alpha2 must be positive")
+    sums = {s: [0.0, 0.0] for s in schedule}  # s -> [sum of U_s^alpha2, sum of its squares]
+    for lo in range(0, n, _STRIP_CHUNK):
+        m = min(_STRIP_CHUNK, n - lo)
+        u = np.zeros((2, m))
+        p4 = np.zeros((2, m))
+        p4[0] = 1.0
+        zero = np.zeros((1, m))
 
+        def draw(rows: int) -> CoeffDraw:
+            return law.sample(rng, (rows, m))._replace(b1=zero, b2=zero)
 
-def _strip_values(law: IndependentLaw, m: int, s: int, alpha2: float,
-                  rng: np.random.Generator) -> np.ndarray:
-    """The values of :func:`_joint_strip_values` for m fresh strips of an independent law.
-
-    The draws are the numbers of ``law.sample(rng, (m, s))``, one strip per
-    row, but only one (m, s) slab is held.  A1 is drawn whole and turned
-    into shifted prefix products in place; A2, A4, B1 and B2 are then drawn
-    in blocks of ``_STRIP_ELEMENTS // s`` rows, A2 and the suffix products
-    of A4 multiplied into the slab (the B draws only keep the stream).  Each
-    product keeps the order of the three-array form prefix1 * A2 * suffix4,
-    and each row is summed by itself.
-    """
-    rows = max(1, _STRIP_ELEMENTS // s)
-    blocks = [slice(lo, min(lo + rows, m)) for lo in range(0, m, rows)]
-    slab = np.asarray(law.marginal("a1").sample(rng, (m, s)), dtype=float)
-    if not slab.flags.writeable:  # a constant's read-only view
-        slab = slab.copy()
-    for b in blocks:  # a whole-slab in-place cumprod would copy the slab
-        x = slab[b]
-        np.cumprod(x[:, :-1], axis=1, out=x[:, 1:])
-        x[:, 0] = 1.0
-    a2 = law.marginal("a2")
-    for b in blocks:
-        slab[b] *= a2.sample(rng, slab[b].shape)
-    a4 = law.marginal("a4")
-    vals = np.empty(m)
-    for b in blocks:
-        x = slab[b]
-        x[:, :-1] *= np.cumprod(a4.sample(rng, x.shape)[:, :0:-1], axis=1)[:, ::-1]
-        vals[b] = x.sum(axis=1) ** alpha2
-    for name in ("b1", "b2"):
-        dist = law.marginal(name)
-        for b in blocks:
-            dist.sample(rng, slab[b].shape)
-    return vals
+        for j, _ in forward_slabs(draw, u, p4, SimConfig(burn_in=0, n_draws=1), schedule[-1]):
+            acc = sums.get(j + 1)
+            if acc is not None:
+                vals = u[1] ** alpha2
+                acc[0] += float(vals.sum())
+                acc[1] += float((vals * vals).sum())
+    estimates = []
+    for s, (t, t_sq) in sums.items():
+        mean = t / n
+        var = max(t_sq / n - mean * mean, 0.0) * n / (n - 1)
+        estimates.append(SeriesWeightEstimate(
+            s=s, value=mean, std_error=math.sqrt(var / n), n_samples=n
+        ))
+    return tuple(estimates)
 
 
 def series_weight(
@@ -301,45 +301,11 @@ def series_weight(
     n: int,
     rng: np.random.Generator,
 ) -> SeriesWeightEstimate:
-    """MC estimate of the s-term coupling-series moment w_s.
+    """MC estimate of the s-term coupling-series moment w_s on n fresh strips.
 
-    Each of the n strips draws s fresh joint coefficient tuples; term i of the
-    inner sum multiplies the A1 draws at strip slots 1..i-1, the A2 draw at
-    slot i, and the A4 draws at slots i+1..s, exactly the layout of the
-    truncated transfer series.  Fresh strips per call keep the estimates
-    unbiased and their variances independent across s.  The strips are
-    drawn ``_STRIP_CHUNK`` at a time.  For an
-    :class:`~tritail.laws.IndependentLaw` each chunk holds one (m, s) slab
-    (see :func:`_strip_values`): A1 whole, turned into prefix products in
-    place; then A2, A4, B1 and B2 in blocks of rows through the marginals,
-    A2 and the A4 suffix products multiplied in; then each row summed.  Any
-    other law, whose coefficients may be coupled (a GARCH law couples A2
-    and A4), is drawn jointly, ``law.sample(rng, (m, s))``, and holds its
-    three slabs; both forms give the same numbers for an independent law.
+    The one-point case of :func:`series_weights`.
     """
-    if s < 1:
-        raise ValueError("s must be >= 1")
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    if alpha2 <= 0:
-        raise ValueError("alpha2 must be positive")
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    while done < n:
-        m = min(_STRIP_CHUNK, n - done)
-        if isinstance(law, IndependentLaw):
-            vals = _strip_values(law, m, s, alpha2, rng)
-        else:
-            vals = _joint_strip_values(law.sample(rng, (m, s)), alpha2)
-        total += float(vals.sum())
-        total_sq += float((vals * vals).sum())
-        done += m
-    mean = total / n
-    var = max(total_sq / n - mean * mean, 0.0) * n / (n - 1)
-    return SeriesWeightEstimate(
-        s=s, value=mean, std_error=math.sqrt(var / n), n_samples=n
-    )
+    return series_weights(law, alpha2, (s,), n, rng)[0]
 
 
 def series_weight_bounds(law: CoefficientLaw, alpha2: float) -> SeriesWeightBounds:
@@ -389,9 +355,12 @@ def coupled_component_constant(
 
     Evaluates the series weights along ``s_schedule`` (at least 3 increasing
     entries, typically doubling) and declares convergence when the last two
-    stabilize within ``rel_tol`` relative plus a 3-SE Monte Carlo allowance.
-    The constant is c2.c_hat times the last weight; never a hard error on a
-    non-converged schedule — the flag is the answer.
+    stabilize within ``rel_tol`` relative plus a 3-SE Monte Carlo allowance,
+    3 * (SE_a + SE_b).  The two estimates share strips (:func:`series_weights`),
+    so they are correlated; the allowance still holds, since by Cauchy-Schwarz
+    sd(a - b) <= sd(a) + sd(b) under any correlation.  The constant is
+    c2.c_hat times the last weight; never a hard error on a non-converged
+    schedule — the flag is the answer.
     """
     schedule = [int(s) for s in s_schedule]
     if len(schedule) < 3 or any(b <= a for a, b in zip(schedule, schedule[1:])):
@@ -400,7 +369,7 @@ def coupled_component_constant(
         raise RegimeMismatch(
             f"inherited constant needs alpha1 > alpha2, got {alpha1:.4g} <= {alpha2:.4g}"
         )
-    trace = tuple(series_weight(law, alpha2, s, n, rng) for s in schedule)
+    trace = series_weights(law, alpha2, schedule, n, rng)
     last, prev = trace[-1], trace[-2]
     allowance = 3.0 * (last.std_error + prev.std_error)
     converged = abs(last.value - prev.value) < rel_tol * abs(last.value) + allowance

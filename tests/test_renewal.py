@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from tritail.engine import SimConfig, backward_truncated
-from tritail.errors import NonPositiveM, RegimeMismatch, TauNotContracting
+from tritail.errors import NonFiniteState, NonPositiveM, RegimeMismatch, TauNotContracting
 from tritail.garch import GarchLaw
 from tritail.laws import (
     ChiSqAffine,
@@ -26,6 +26,7 @@ from tritail.renewal import (
     first_component_constant,
     series_weight,
     series_weight_bounds,
+    series_weights,
     univariate_constant,
 )
 
@@ -225,7 +226,7 @@ def test_series_weight_validation():
 
 
 def three_slab_series_weight(law, alpha2, s, n, rng):
-    """The series weight as the three-slab code computed it: the reference for the one-slab form."""
+    """(value, std_error) of w_s from fresh (m, s) strip slabs, prefix and suffix products by cumprod."""
     total = total_sq = 0.0
     done = 0
     while done < n:
@@ -253,36 +254,100 @@ KINDS = (LogNormal(-0.5, 0.5), ScaledUniformPow(1.2, 0.7), ParetoLomax(4.0, 0.5)
          ChiSqAffine(0.1, 0.8), Constant(0.7))
 
 
-@pytest.mark.parametrize("s", [1, 2, 64, 130])
-def test_series_weight_equals_the_three_slab_form_bit_for_bit(s):
-    # Each kind in each slot, a constant A1 among them, B terms that draw or
-    # not; n spans a partial chunk at small s and a partial row block at all s.
-    n = _STRIP_CHUNK + 1234 if s <= 2 else 3001
-    g = rng(s)
+def kind_laws(seed):
+    """Each kind in each slot, a constant A1 among them, B terms that draw or not."""
     laws = [IndependentLaw(*(KINDS[(k + j) % 5] for j in range(5))) for k in range(5)]
-    laws.append(IndependentLaw(*(KINDS[i] for i in g.integers(0, 5, size=5))))
-    for seed, law in enumerate(laws):
+    laws.append(IndependentLaw(*(KINDS[i] for i in rng(seed).integers(0, 5, size=5))))
+    return laws
+
+
+@pytest.mark.parametrize("s", [1])
+def test_series_weight_equals_the_three_slab_form_bit_for_bit(s):
+    # One slot: the corner entry is the A2 draw, as the slab form's sum is.
+    n = _STRIP_CHUNK + 1234
+    for seed, law in enumerate(kind_laws(s)):
         got = series_weight(law, 1.3, s, n, rng(seed))
         assert (got.value, got.std_error) == three_slab_series_weight(law, 1.3, s, n, rng(seed)), law
 
 
-def test_series_weight_holds_one_slab():
+def brute_force_series_weights(law, alpha2, schedule, n, rng):
+    """(value, std_error) at each s: the 2x2 product A_t ... A_1 multiplied level by level."""
+    total = dict.fromkeys(schedule, 0.0)
+    total_sq = dict.fromkeys(schedule, 0.0)
+    for lo in range(0, n, _STRIP_CHUNK):
+        m = min(_STRIP_CHUNK, n - lo)
+        p1, u, p4 = np.ones(m), np.zeros(m), np.ones(m)
+        for t in range(1, schedule[-1] + 1):
+            d = law.sample(rng, (1, m))
+            # [[a1, a2], [0, a4]] @ [[p1, u], [0, p4]]
+            p1, u, p4 = d.a1[0] * p1, d.a1[0] * u + d.a2[0] * p4, d.a4[0] * p4
+            if t in total:
+                vals = u**alpha2
+                total[t] += float(vals.sum())
+                total_sq[t] += float((vals * vals).sum())
+    out = []
+    for s in schedule:
+        mean = total[s] / n
+        var = max(total_sq[s] / n - mean * mean, 0.0) * n / (n - 1)
+        out.append((mean, math.sqrt(var / n)))
+    return out
+
+
+def test_series_weights_equal_the_brute_force_product_bit_for_bit():
+    # n spans a partial chunk; the GARCH law draws its coupled A2 and A4 jointly.
+    schedule, n = (1, 2, 64, 130), _STRIP_CHUNK + 77
+    for seed, law in enumerate([*kind_laws(2), GarchLaw(GARCH_P10)]):
+        got = [(w.value, w.std_error) for w in series_weights(law, 1.3, schedule, n, rng(seed))]
+        assert got == brute_force_series_weights(law, 1.3, schedule, n, rng(seed)), law
+
+
+@pytest.mark.parametrize("law", [LAW_C3, GarchLaw(GARCH_P10)], ids=["c3", "garch"])
+def test_series_weights_are_nested_prefixes_of_one_path(law):
+    # Within one chunk every w_s reads the first s levels of the same strips.
+    schedule, n = (1, 2, 5, 64), 3001
+    trace = series_weights(law, 1.5, schedule, n, rng(5))
+    assert [t.s for t in trace] == list(schedule)
+    for t in trace:
+        assert t == series_weight(law, 1.5, t.s, n, rng(5))
+
+
+def test_series_weights_agree_with_fresh_three_slab_strips():
+    # The corner entry has the strip sum's law: nested and fresh strips agree.
+    n = 20_000
+    for got in series_weights(LAW_C3, 1.5, (2, 16, 64), n, rng(21)):
+        value, se = three_slab_series_weight(LAW_C3, 1.5, got.s, n, rng(22))
+        assert abs(got.value - value) <= 4.0 * (got.std_error + se), (got, value, se)
+
+
+def test_series_weight_holds_no_strip_slab():
+    # Two (2, m) state buffers, the kernel's row, a zero row, one level's
+    # draws and the powers with their squares: a fixed number of m-arrays
+    # whatever s is.  An (m, s) slab alone is s of them.
     import tracemalloc
 
-    s, n = 64, _STRIP_CHUNK
-    tracemalloc.start()
-    try:
-        series_weight(LAW_C3, 1.5, s, n, rng(3))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.25 * n * s * 8, peak
+    n = _STRIP_CHUNK
+    for s in (2, 130):
+        tracemalloc.start()
+        try:
+            series_weight(LAW_C3, 1.5, s, n, rng(3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 14 * 8 * n, (s, peak / (8 * n))
 
 
-@pytest.mark.parametrize("s", [1, 3])
+def test_series_weight_overflow_raises():
+    # The strip sums overflow by the fourth level; the kernel's finite check
+    # catches it at the last (eighth).
+    law = make_law(Constant(1e120), Constant(1.0), Constant(1e120))
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteState, match="overflowed"):
+        series_weight(law, 1.5, 8, 16, rng(17))
+
+
+@pytest.mark.parametrize("s", [1])
 def test_series_weight_draws_a_coupled_law_jointly(s):
-    # A GARCH law couples A2 and A4 through one noise draw: its strips are
-    # drawn whole, as the three-slab form drew them.
+    # A GARCH law couples A2 and A4 through one noise draw: each level is one
+    # joint draw, the numbers the three-slab form drew at one slot.
     law = GarchLaw(GARCH_P10)
     n = _STRIP_CHUNK + 77
     got = series_weight(law, 1.5, s, n, rng(s))

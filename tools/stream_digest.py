@@ -10,8 +10,8 @@ states); the pipelines' chunked forward samplers (demo law and GARCH law)
 draw 2,200,517 states, eleven full chunks and a trimmed one, which the
 pipeline runs as two groups, every state kept; the backward sampler draws 10^5 states, the forward spectral limit 10^5
 draws of 16 steps on the demo law from a fixed angular sample (eight angles,
-uniform weights), the series weights 10^5 strips at each of
-s = 1, 4, 16, 64 on the C8 law, and the Lyapunov estimate 100 chains of
+uniform weights), the series weights at s = 1, 4, 16, 64 from one run
+of 10^5 strips on the C8 law, and the Lyapunov estimate 100 chains of
 1000 steps on the demo law (its ``gamma_hat`` and ``std_error``).  The
 digest covers the raw float64 bytes of every array the sampler returns, in
 order, so two checkouts print the same line for a sampler exactly when its
@@ -39,7 +39,7 @@ from tritail.garch import STORED, GarchLaw, GarchParams, stationary_garch_sample
 from tritail.laws import Constant, IndependentLaw, LogNormal
 from tritail.pipelines import _forward_chunked
 from tritail.reduction import Plan, PointSpec, WindowSpec, whole_plan
-from tritail.renewal import series_weight
+from tritail.renewal import series_weights
 from tritail.spectral import AngularSample, spectral_process_draws
 from tritail.streams import substream
 
@@ -163,10 +163,9 @@ def main() -> None:
         DEMO_LAW, DEMO_ALPHA2, 16, N_STATES, ANGULAR, substream(SEED, "stream_digest")
     )
     print(f"spectral_process_draws   {digest(limit.y0, limit.theta0, limit.path)}")
-    weights = [
-        series_weight(C8_LAW, C8_ALPHA2, s, N_STATES, substream(SEED, "stream_digest", s))
-        for s in (1, 4, 16, 64)
-    ]
+    weights = series_weights(
+        C8_LAW, C8_ALPHA2, (1, 4, 16, 64), N_STATES, substream(SEED, "stream_digest")
+    )
     values = [(w.value, w.std_error) for w in weights]
     print(f"series_weight            {digest(values)}")
     lyap = lyapunov_estimate(
