@@ -261,13 +261,37 @@ def kind_laws(seed):
     return laws
 
 
-@pytest.mark.parametrize("s", [1])
+def three_slab_corner_weight(law, alpha2, s, n, rng):
+    """(value, std_error) of w_s from (m, s) slabs of A1, A2, A4 drawn level by level.
+
+    Each strip's slabs are folded row by row into the corner entry of A_s ... A_1.
+    """
+    total = total_sq = 0.0
+    for lo in range(0, n, _STRIP_CHUNK):
+        m = min(_STRIP_CHUNK, n - lo)
+        levels = [law.sample(rng, (1, m)) for _ in range(s)]
+        a1, a2, a4 = (np.concatenate([getattr(d, k) for d in levels]).T for k in ("a1", "a2", "a4"))
+        u, p4 = np.zeros(m), np.ones(m)
+        for t in range(s):
+            u, p4 = a1[:, t] * u + a2[:, t] * p4, a4[:, t] * p4
+        vals = u**alpha2
+        total += float(vals.sum())
+        total_sq += float((vals * vals).sum())
+    mean = total / n
+    var = max(total_sq / n - mean * mean, 0.0) * n / (n - 1)
+    return mean, math.sqrt(var / n)
+
+
+@pytest.mark.parametrize("s", [1, 2, 64, 130])
 def test_series_weight_equals_the_three_slab_form_bit_for_bit(s):
-    # One slot: the corner entry is the A2 draw, as the slab form's sum is.
-    n = _STRIP_CHUNK + 1234
+    # n spans a partial chunk at small s.  At one slot the corner entry is
+    # the A2 draw, so the fresh-slab form draws and sums the same numbers.
+    n = _STRIP_CHUNK + 1234 if s <= 2 else 3001
     for seed, law in enumerate(kind_laws(s)):
         got = series_weight(law, 1.3, s, n, rng(seed))
-        assert (got.value, got.std_error) == three_slab_series_weight(law, 1.3, s, n, rng(seed)), law
+        assert (got.value, got.std_error) == three_slab_corner_weight(law, 1.3, s, n, rng(seed)), law
+        if s == 1:
+            assert (got.value, got.std_error) == three_slab_series_weight(law, 1.3, s, n, rng(seed)), law
 
 
 def brute_force_series_weights(law, alpha2, schedule, n, rng):
@@ -344,14 +368,16 @@ def test_series_weight_overflow_raises():
         series_weight(law, 1.5, 8, 16, rng(17))
 
 
-@pytest.mark.parametrize("s", [1])
+@pytest.mark.parametrize("s", [1, 3])
 def test_series_weight_draws_a_coupled_law_jointly(s):
     # A GARCH law couples A2 and A4 through one noise draw: each level is one
-    # joint draw, the numbers the three-slab form drew at one slot.
+    # joint draw, the numbers the fresh-slab form drew at one slot.
     law = GarchLaw(GARCH_P10)
     n = _STRIP_CHUNK + 77
     got = series_weight(law, 1.5, s, n, rng(s))
-    assert (got.value, got.std_error) == three_slab_series_weight(law, 1.5, s, n, rng(s))
+    assert (got.value, got.std_error) == three_slab_corner_weight(law, 1.5, s, n, rng(s))
+    if s == 1:
+        assert (got.value, got.std_error) == three_slab_series_weight(law, 1.5, s, n, rng(s))
 
 
 # ---------------------------------------------------------------------------
