@@ -14,7 +14,7 @@ sampler's coefficient source (:func:`_noise_slabs`) and the limit products
 of :func:`_prop_heavier_cross`; both feed :func:`tritail.engine.forward_slabs`.
 
 Besides the simulators this module verifies the model's tail chain — solver
-roots, Hill estimates of sigma^2 / X^2 / |X| with their doubling relation, the
+roots, Hill estimates of sigma^2 and |X|, the plateaus of sigma^2, the
 second component's renewal constant — and the two regime-specific limit laws
 of threshold-conditioned return windows.
 """
@@ -42,7 +42,7 @@ from .laws import (
     Constant,
     RegimeReport,
 )
-from .records import ResultRecord, gate
+from .records import ResultRecord, dispersion_gate, gate, hill_gate
 from .reduction import Plan, PointSpec, Reducer, WholeSample, WindowSpec, summarize
 from .renewal import univariate_constant
 from .spectral import MIN_EXCEEDANCES, unit_pareto
@@ -343,11 +343,6 @@ def stationary_garch_sample(
 # Tail-chain verification
 # ============================================================================
 
-def _band_record(name, estimate, se, target, se_mult, note="") -> ResultRecord:
-    half = se_mult * se
-    return gate(name, estimate, target - half, target + half, std_error=se, note=note)
-
-
 @dataclass(eq=False)
 class GarchVerifyReport:
     """Solver roots, regime, and the whole family of tail checks."""
@@ -406,17 +401,17 @@ def verify_tail_relations(
 
     Takes the two diagonal tail indices from ``regime``, the
     :func:`~tritail.laws.classify_regime` report on ``GarchLaw(params)``, and
-    checks, on the stationary ``path``:
+    gates each estimate once on the stationary ``path``:
 
-    * Hill estimates of sigma1^2, sigma2^2, X1^2, X2^2 against the solver
+    * Hill estimates of sigma1^2 and sigma2^2 at ``k`` against the solver
       targets (the first coordinate's index is min(alpha1, alpha2) in either
-      regime; the second's is alpha2), each within ``se_mult`` standard errors;
-    * the absolute returns' doubled indices 2*min and 2*alpha2 (derived from
-      the squared-return estimates — log|X| = log X^2 / 2 makes the doubling
-      exact, so these inherit the squared checks' verdicts at doubled scale);
-    * the second coordinate's renewal constant against its tail plateau
-      (relative tolerance ``rel_tol``), and the plateau's dispersion below
-      ``dispersion_max``;
+      regime; the second's is alpha2), and of |X1| and |X2| at ``k_x``
+      against twice those targets (X^2 = sigma^2 Z^2 has sigma^2's index,
+      so |X| has twice it), each within ``se_mult`` standard errors;
+    * the plateau of each volatility at its target, its dispersion below
+      ``dispersion_max``; sigma1^2's constant is reported, and sigma2^2's
+      is checked against the second coordinate's renewal constant
+      (relative tolerance ``rel_tol``);
     * regime coherence between the order of the two roots and the
       classifier's regime (equal roots leave the classifier unresolved).
 
@@ -429,35 +424,22 @@ def verify_tail_relations(
 
     n = len(path)
     reduced = summarize(path, verify_plan(n, k, k_x, constant_draws))
-    records: list[ResultRecord] = []
-    k_x_used = k_x or return_hill_k(n)
+    k_x = k_x or return_hill_k(n)
 
     def tail(name: str) -> UpperTail:
         return reduced.tail(name, series_depth(name, n, k_x if name.startswith("abs_x") else k))
 
-    def squared(name: str) -> UpperTail:
-        # Squaring is monotone on |X|, so the squares of its top order
-        # statistics are the top order statistics of X^2.
-        t = tail(name)
-        return replace(t, top=np.square(t.top), minimum=t.minimum**2)
-
-    hill_targets = [
-        ("hill_sigma1_sq", hill(tail("sigma1_sq"), k=k), a_min),
-        ("hill_sigma2_sq", hill(tail("sigma2_sq"), k=k), a2),
-        ("hill_x1_sq", hill(squared("abs_x1"), k=k_x_used), a_min),
-        ("hill_x2_sq", hill(squared("abs_x2"), k=k_x_used), a2),
+    records = [
+        hill_gate(f"hill_{name}", hill(tail(name), k=k_used), target, se_mult)
+        for name, k_used, target in (("sigma1_sq", k, a_min), ("sigma2_sq", k, a2),
+                                     ("abs_x1", k_x, 2.0 * a_min), ("abs_x2", k_x, 2.0 * a2))
     ]
-    for name, est, target in hill_targets:
-        records.append(
-            _band_record(name, est.alpha_hat, est.std_error, target, se_mult,
-                         note=f"k={est.k}")
-        )
-        abs_name = name.replace("hill_", "hill_abs_").replace("_sq", "")
-        if "x" in abs_name:
-            records.append(
-                _band_record(abs_name, 2.0 * est.alpha_hat, 2.0 * est.std_error,
-                             2.0 * target, se_mult, note="doubled from squares")
-            )
+    plateaus = {name: tail_constant(tail(name), alpha)
+                for name, alpha in (("sigma1_sq", a_min), ("sigma2_sq", a2))}
+    records += [dispersion_gate(f"plateau_{name}_dispersion", est, dispersion_max)
+                for name, est in plateaus.items()]
+    records.append(ResultRecord(name="plateau_sigma1_sq", value=plateaus["sigma1_sq"].c_hat,
+                                note=f"alpha={a_min:.6g}"))
 
     # Renewal constant of the autonomous coordinate vs its simulated plateau.
     c2 = univariate_constant(
@@ -467,22 +449,11 @@ def verify_tail_relations(
         reduced.head("sigma2_sq", constant_draws),
         rng,
     )
-    plateau = tail_constant(tail("sigma2_sq"), a2)
     records.append(
-        gate("sigma2_sq_constant_vs_plateau", plateau.c_hat, c2.c_hat * (1 - rel_tol),
+        gate("sigma2_sq_constant_vs_plateau", plateaus["sigma2_sq"].c_hat, c2.c_hat * (1 - rel_tol),
              c2.c_hat * (1 + rel_tol), std_error=c2.std_error,
              note=f"renewal constant {c2.c_hat:.6g}")
     )
-    records.append(
-        ResultRecord(
-            name="plateau_dispersion_sigma2_sq",
-            value=plateau.dispersion,
-            bound_low=0.0,
-            bound_high=dispersion_max,
-            passed=bool(plateau.dispersion < dispersion_max),
-        )
-    )
-
     records.append(
         gate("regime_coherent", 1.0 if regime.regime == ordered else 0.0, 1.0, 1.0,
              note=f"solver {ordered}, classifier {regime.regime}")

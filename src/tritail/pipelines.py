@@ -53,7 +53,6 @@ from .errors import ConfigInvalid, PipelineMismatch, TritailError
 from .garch import (
     GarchLaw,
     GarchPath,
-    return_hill_k,
     return_spectral_check,
     stationary_garch_sample,
     verify_tail_relations,
@@ -64,7 +63,7 @@ from .laws import (
     check_stationarity,
     classify_regime,
 )
-from .records import ResultRecord, gate
+from .records import ResultRecord, dispersion_gate, gate, hill_gate
 from .reduction import Plan, Summary
 from .streams import substream
 
@@ -358,23 +357,25 @@ class _Ctx:
         return self.jobs["sample"].result()
 
     def depth(self, name: str) -> int:
-        """Tail depth of a series: Hill at the run's k, the plateau and the 0.999 quantile."""
-        k = self.knob("hill_k_x" if name.startswith("abs_x") else "hill_k")
-        return garch.series_depth(name, self.cfg.sim.n_draws, k)
+        """Tail depth of a series of :attr:`pair` for Hill at ``hill_k``, the plateau and q999."""
+        return garch.series_depth(name, self.cfg.sim.n_draws, self.knob("hill_k"))
 
     def tail(self, name: str) -> tailstats.UpperTail:
-        """The run's one upper tail of a sample series, deep enough for every reader.
-
-        ``name`` is ``w1``/``w2`` for an independent law and ``sigma1_sq``,
-        ``sigma2_sq``, ``abs_x1`` or ``abs_x2`` for a GARCH path.
-        """
+        """The run's one upper tail of a series of :attr:`pair`, deep enough for every reader."""
         return self.sample().tail(name, self.depth(name))
 
     def plateau(self, name: str, alpha: float) -> tailstats.TailConstantEstimate:
-        """The plateau estimate of ``name`` at ``alpha``, computed once per run."""
+        """The plateau estimate of ``name`` at ``alpha``, computed once per run.
+
+        Its dispersion is gated where it is computed, as
+        ``plateau_<name>_dispersion``; a run estimates each series at one
+        alpha, so the name is unique.
+        """
         key = ("plateau", name, alpha)
         if key not in self.cache:
-            self.cache[key] = tailstats.tail_constant(self.tail(name), alpha)
+            est = self.cache[key] = tailstats.tail_constant(self.tail(name), alpha)
+            self.records.append(dispersion_gate(f"plateau_{name}_dispersion", est,
+                                                self.knob("dispersion_max")))
         return self.cache[key]
 
     def head(self, m: int):
@@ -509,24 +510,9 @@ def _step_simulate(ctx: _Ctx) -> None:
         _summary_stats(ctx, name)
 
 
-def _hill_record(ctx: _Ctx, name: str, est, target: float) -> None:
-    half = ctx.knob("se_mult") * est.std_error
-    ctx.records.append(gate(name, est.alpha_hat, target - half, target + half,
-                            std_error=est.std_error, note=f"k={est.k} target={target:.6g}"))
-
-
 def _plateau_record(ctx: _Ctx, name: str, est,
                     reference: Optional[float] = None, rel_tol: Optional[float] = None,
                     table: Optional[str] = None) -> None:
-    disp_max = ctx.knob("dispersion_max")
-    ctx.add(
-        name=f"{name}_dispersion",
-        value=est.dispersion,
-        bound_low=0.0,
-        bound_high=disp_max,
-        passed=bool(est.dispersion < disp_max),
-        note=f"alpha={est.alpha:.6g}",
-    )
     if reference is None:
         ctx.add(name=name, value=est.c_hat, passed=None, note=f"alpha={est.alpha:.6g}")
     else:
@@ -540,20 +526,15 @@ def _plateau_record(ctx: _Ctx, name: str, est,
 
 def _step_tails(ctx: _Ctx) -> None:
     rep = ctx.regime()
-    a1, a2 = rep.alpha1.alpha, rep.alpha2.alpha
-    a_min = min(a1, a2)
-    k = ctx.knob("hill_k")
-    garch = ctx.is_garch()
+    a2 = rep.alpha2.alpha
+    a_min = min(rep.alpha1.alpha, a2)
+    k, se_mult = ctx.knob("hill_k"), ctx.knob("se_mult")
     for name, target in zip(ctx.pair, (a_min, a2)):
-        _hill_record(ctx, f"hill_{name}", tailstats.hill(ctx.tail(name), k=k), target)
-    if garch:
-        k_x = ctx.knob("hill_k_x") or return_hill_k(len(ctx.sample()))
-        for name, target in (("abs_x1", a_min), ("abs_x2", a2)):
-            _hill_record(ctx, f"hill_{name}", tailstats.hill(ctx.tail(name), k=k_x),
-                         2.0 * target)
+        ctx.records.append(hill_gate(f"hill_{name}", tailstats.hill(ctx.tail(name), k=k), target,
+                                     se_mult))
     for name, target in zip(ctx.pair, (a_min, a2)):
         _plateau_record(ctx, f"plateau_{name}", ctx.plateau(name, target),
-                        table=None if garch else f"plateau_{name}.npy")
+                        table=f"plateau_{name}.npy")
 
 
 def _step_constants(ctx: _Ctx) -> None:
@@ -705,7 +686,7 @@ def _step_garch_verify(ctx: _Ctx) -> None:
         dispersion_max=ctx.knob("dispersion_max"),
     )
     # Prefixed so a full report keeps unique record names next to the
-    # solve-index and tails steps (diff matches records by name).
+    # solve-index step's roots and regime (diff matches records by name).
     ctx.add(name="verify_alpha1", value=verify.alpha1, passed=None, note="quadrature root")
     ctx.add(name="verify_alpha2", value=verify.alpha2, passed=None, note="quadrature root")
     ctx.add(name="verify_regime", value=None, passed=None, note=verify.regime)
@@ -748,8 +729,7 @@ def _plan_simulate(ctx: _Ctx) -> Plan:
 
 
 def _plan_tails(ctx: _Ctx) -> Plan:
-    series = ctx.pair + (("abs_x1", "abs_x2") if ctx.is_garch() else ())
-    return Plan(tails={s: ctx.depth(s) for s in series})
+    return Plan(tails={s: ctx.depth(s) for s in ctx.pair})
 
 
 def _plan_constants(ctx: _Ctx) -> Plan:
@@ -831,7 +811,7 @@ _STEPS = {
 # The steps of full_report on an independent law and on a GARCH law.
 _FULL_REPORT = ("solve_index", "stationarity", "simulate", "tails", "constants",
                 "cross_validate", "spectral")
-_GARCH_REPORT = ("solve_index", "stationarity", "simulate", "tails", "garch_verify")
+_GARCH_REPORT = ("solve_index", "stationarity", "simulate", "garch_verify")
 
 
 def run(config: ExperimentConfig) -> RunReport:

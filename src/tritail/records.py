@@ -4,7 +4,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-__all__ = ["ResultRecord", "gate"]
+__all__ = ["ResultRecord", "gate", "hill_gate", "dispersion_gate"]
 
 
 def _json_num(v: Optional[float]):
@@ -26,7 +26,7 @@ class ResultRecord:
     root's residual, ``stationarity_holds`` and ``cross_moment_finite`` are
     booleans with no bounds, ``c1_inherited`` gates the series weight's
     convergence, and ``lyapunov_gamma`` (< 0) and the ``*_dispersion``
-    records (< ``dispersion_max``) are strict.
+    records (< ``dispersion_max``, :func:`dispersion_gate`) are strict.
     """
 
     name: str
@@ -75,3 +75,16 @@ def gate(name: str, value: float, low: Optional[float] = None,
               and (high is None or value <= high))
     return ResultRecord(name=name, value=value, std_error=std_error, bound_low=low,
                         bound_high=high, passed=bool(passed), note=note)
+
+
+def hill_gate(name: str, est, target: float, se_mult: float) -> ResultRecord:
+    """The gate of a Hill estimate: its index within ``se_mult`` standard errors of ``target``."""
+    half = se_mult * est.std_error
+    return gate(name, est.alpha_hat, target - half, target + half, std_error=est.std_error,
+                note=f"k={est.k} target={target:.6g}")
+
+
+def dispersion_gate(name: str, est, dispersion_max: float) -> ResultRecord:
+    """The strict gate of a plateau estimate: its dispersion below ``dispersion_max``."""
+    return ResultRecord(name=name, value=est.dispersion, bound_low=0.0, bound_high=dispersion_max,
+                        passed=bool(est.dispersion < dispersion_max), note=f"alpha={est.alpha:.6g}")

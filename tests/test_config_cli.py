@@ -604,7 +604,7 @@ def small_garch_report(tmp_path, **overrides):
 
 def test_garch_verify_reads_dispersion_max(tmp_path):
     records = small_garch_report(tmp_path, tolerances={"dispersion_max": 0.01})
-    for name in ("plateau_sigma2_sq_dispersion", "verify_plateau_dispersion_sigma2_sq"):
+    for name in ("verify_plateau_sigma1_sq_dispersion", "verify_plateau_sigma2_sq_dispersion"):
         r = records[name]
         assert r.bound_high == 0.01
         assert r.passed == (r.value < 0.01)
@@ -684,8 +684,8 @@ def test_garch_constants_pipeline_reports_the_inherited_constant(tmp_path):
 
 def test_garch_full_report_computes_each_estimate_once(tmp_path, monkeypatch):
     # One streaming selection pass per series: sigma1^2 and sigma2^2 (summary
-    # quantile, Hill and plateau), |x1| and |x2| (Hill of |X| and of X^2),
-    # and the volatility norm of the cross-feed spectral check.
+    # quantile, Hill and plateau), |x1| and |x2| (Hill of |X|), and the
+    # volatility norm of the cross-feed spectral check.
     passes = _record_passes(monkeypatch)
     calls = _capture_args(monkeypatch, pipelines, "_forward_chunked")
     small_garch_report(tmp_path)
@@ -748,15 +748,19 @@ def _small_full_report(law, outdir, n, workers, **params):
     return report, {a: (outdir / a).read_bytes() for a in report.artifacts}
 
 
+def _report_laws() -> dict:
+    """An A1-regime, an A2-regime and a GARCH law, by name."""
+    a1 = base_config()["law"]
+    a1.update(a1=lognormal(-0.375, 0.5**0.5), a4=lognormal(-0.75, 0.5**0.5))
+    return {"A1": a1, "A2": base_config()["law"], "garch": garch_config()["law"]}
+
+
 def test_reports_do_not_depend_on_the_grouping(tmp_path, monkeypatch):
     # Three full chunks and a trimmed one; the first states the constants
     # read span two chunks.  One chunk per group splits the sample into four
     # groups, which must reduce to the bytes of the default single group.
     n = 3 * pipelines._CHUNK_DRAWS + 1017
-    a1 = base_config()["law"]
-    a1.update(a1=lognormal(-0.375, 0.5**0.5), a4=lognormal(-0.75, 0.5**0.5))
-    laws = {"A1": a1, "A2": base_config()["law"], "garch": garch_config()["law"]}
-    for name, law in laws.items():
+    for name, law in _report_laws().items():
         base, base_artifacts = _small_full_report(law, tmp_path / f"{name}-default", n, 1,
                                                   constant_draws=250_000)
         assert not [r.name for r in base.results if r.name.endswith("_error")]
@@ -798,17 +802,13 @@ def test_gate_passes_exactly_when_the_value_lies_in_its_bounds():
 _OWN_VERDICTS = {
     "alpha1", "alpha2", "stationarity_holds", "cross_moment_finite", "c1_inherited",
     "lyapunov_gamma", "plateau_w1_dispersion", "plateau_w2_dispersion",
-    "c1_plateau_dispersion", "c2_plateau_dispersion", "plateau_sigma1_sq_dispersion",
-    "plateau_sigma2_sq_dispersion", "verify_plateau_dispersion_sigma2_sq",
+    "verify_plateau_sigma1_sq_dispersion", "verify_plateau_sigma2_sq_dispersion",
 }
 
 
 def test_every_other_gated_record_passes_exactly_inside_its_bounds(tmp_path):
-    a1 = base_config()["law"]
-    a1.update(a1=lognormal(-0.375, 0.5**0.5), a4=lognormal(-0.75, 0.5**0.5))
-    laws = {"A1": a1, "A2": base_config()["law"], "garch": garch_config()["law"]}
     own, checked = set(), 0
-    for name, law in laws.items():
+    for name, law in _report_laws().items():
         report, _ = _small_full_report(law, tmp_path / name, pipelines._CHUNK_DRAWS, 1)
         assert not [r.name for r in report.results if r.name.endswith("_error")], name
         for r in report.results:
@@ -825,6 +825,53 @@ def test_every_other_gated_record_passes_exactly_inside_its_bounds(tmp_path):
     # Every exception is made by some law here, so none is listed by mistake.
     assert own == _OWN_VERDICTS
     assert checked > 30
+
+
+def _same_up_to_scale(r, s) -> bool:
+    """Whether (value, bound_low, bound_high) of ``s`` is a fixed multiple of ``r``'s."""
+    a, b = (r.value, r.bound_low, r.bound_high), (s.value, s.bound_low, s.bound_high)
+    if [x is None for x in a] != [x is None for x in b]:
+        return False
+    pairs = [(x, y) for x, y in zip(a, b) if x is not None]
+    scale = next((y / x for x, y in pairs if x != 0), None)
+    if scale is None:
+        return all(x == y for x, y in pairs)
+    return all(math.isclose(y, scale * x, rel_tol=1e-9, abs_tol=0.0) for x, y in pairs)
+
+
+def test_full_reports_gate_each_estimate_once(tmp_path):
+    # No two gated records of a full report estimate the same quantity: none
+    # shares its value and bounds with another or is a fixed multiple of it.
+    for name, law in _report_laws().items():
+        report, _ = _small_full_report(law, tmp_path / name, 100_000, 1)
+        assert not [r.name for r in report.results if r.name.endswith("_error")], name
+        gated = [r for r in report.results
+                 if r.passed is not None and (r.bound_low, r.bound_high) != (None, None)]
+        twins = [(r.name, s.name) for i, r in enumerate(gated) for s in gated[i + 1:]
+                 if _same_up_to_scale(r, s)]
+        assert not twins, name
+
+
+@pytest.mark.parametrize("law_name, pipeline", [
+    ("A1", "tails"), ("A1", "constants"), ("A2", "tails"), ("A2", "constants"),
+    ("garch", "tails"), ("garch", "constants"), ("garch", "garch_verify"),
+])
+def test_single_pipelines_gate_every_plateau_they_estimate(tmp_path, monkeypatch,
+                                                           law_name, pipeline):
+    captured = [_capture_returns(monkeypatch, module, "tail_constant")
+                for module in (tailstats, garch)]
+    cfg = base_config(pipeline=pipeline, law=_report_laws()[law_name], output_dir=str(tmp_path),
+                      params=SMALL_REPORT_PARAMS)
+    cfg["sim"].update(n_draws=100_000, burn_in=200)
+    report = run(parse_config(cfg))
+    assert not [r.name for r in report.results if r.name.endswith("_error")]
+    estimates = [est for calls in captured for est in calls]
+    dispersions = [r for r in report.results if r.name.endswith("_dispersion")]
+    assert estimates and len(dispersions) == len(estimates)
+    assert sorted(r.value for r in dispersions) == sorted(est.dispersion for est in estimates)
+    for r in dispersions:
+        assert r.bound_high == KNOBS["dispersion_max"][3]
+        assert r.passed == (r.value < r.bound_high)
 
 
 def test_run_holds_one_pool_of_exactly_workers_threads(tmp_path, monkeypatch):
