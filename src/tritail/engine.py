@@ -7,15 +7,17 @@ Componentwise the recursion reads
 
 so the second coordinate runs autonomously and feeds the first through the
 coupling entry A2.  One slab kernel, :func:`forward_slabs`, applies that
-update everywhere: forward iteration past a burn-in, the truncated backward
-series (the same recursion from zero, one level per step), the
-coefficient products Pi_t theta of the spectral limit laws (the recursion
+update everywhere but in the backward series: forward iteration past a
+burn-in, the coefficient products Pi_t theta of the spectral limit laws (the recursion
 with B = 0 started at theta), the series-weight strips of
 :mod:`tritail.renewal` (the recursion with B = 0 started at (0, 1), whose
 first coordinate is the product's corner entry), and the
 top-Lyapunov-exponent estimator (the recursion with B = 0 started at e2
 carries the 2x2 product's second column, and its top-left entry, the
-product of the A1 draws, is multiplied as they are drawn).
+product of the A1 draws, is multiplied as they are drawn).  The backward
+series, :func:`backward_truncated`, multiplies its coefficient product on
+the right, A_1 ... A_k, which no forward recursion carries: it is one short
+loop of its own that retires each draw at a certified remainder.
 
 The forward sampler runs a group of chain blocks side by side: each block
 draws its coefficients from its own generator, exactly as a solo run of its
@@ -52,16 +54,18 @@ __all__ = [
 _FINITE_CHECK_EVERY = 64
 _SLAB_ELEMENTS = 1 << 15  # coefficient draws per slab array (256 KiB of float64)
 _SLAB_ROWS = 64           # also the renormalization interval: a^n underflows near n ~ 1500 for a = 0.5
-_TAIL_MASS_TARGET = 1e-8  # (E A^eps)^depth below this picks the auto truncation depth
+_CERTIFIED_REMAINDER = 1e-8  # a backward draw retires once ||A_1 ... A_tau||_1 is below this
 
 
 @dataclass(frozen=True)
 class SimConfig:
     """Simulation plan: sizes, thinning, truncation, and the base seed.
 
-    ``truncation_depth=0`` means "derive it from the stationarity witness" in
-    :func:`backward_truncated`; ``burn_in`` is always literal here (pipeline
-    configs may resolve their own defaults before building one of these).
+    ``truncation_depth`` caps the terms of each draw of
+    :func:`backward_truncated`, which otherwise stops a draw at the first
+    level whose coefficient product has 1-norm at most 1e-8; 0, the default,
+    sets no cap.  ``burn_in`` is always literal here (pipeline configs may
+    resolve their own defaults before building one of these).
     """
 
     burn_in: int
@@ -265,40 +269,62 @@ def stationary_sample(
 # Backward (truncated series) simulation
 # ============================================================================
 
-def default_truncation_depth(law: CoefficientLaw) -> int:
-    """Depth making the neglected tail's eps-moment below 1e-8 at the witness."""
-    report = check_stationarity(law)
-    if not report.holds:
-        raise NotContracting(
-            "no stationarity witness on the default grid; cannot pick a depth"
-        )
-    return max(1, math.ceil(math.log(_TAIL_MASS_TARGET) / math.log(report.rho)))
-
-
 def backward_truncated(
     law: CoefficientLaw,
     config: SimConfig,
     rng: np.random.Generator,
 ) -> PathSample:
-    """Draw independent stationary states from the truncated backward series.
+    """Draw independent stationary states from the backward series, each stopped at a certificate.
 
-    The stationary vector is the series  B_0 + A_0 B_{-1} + A_0 A_{-1} B_{-2} + ...
-    truncated at ``config.truncation_depth`` terms (0 = derive the depth from
-    the stationarity witness).  Accumulation runs deepest-term-first (Horner
-    form), so no small term is lost to floating-point absorption: that is the
-    forward recursion from zero run ``depth`` steps, one level per slab.
+    The stationary vector is the series  W = B_1 + A_1 B_2 + A_1 A_2 B_3 + ...
+    = sum_k Pi_k B_{k+1}  with Pi_k = A_1 ... A_k.  It is summed front-first:
+    each draw carries Pi_k as its three entries (p1, u, p4), which the next
+    coefficients update to (p1 a1, p1 a2 + u a4, p4 a4), and retires at the
+    first level tau with ||Pi_tau||_1 = |p1| + |u| + |p4| <= 1e-8.  tau
+    depends only on the draw's own coefficients so far, so the part left out
+    is Pi_tau W' with W' a stationary copy independent of Pi_tau: every draw
+    carries its own bound on the remainder.  Front-first sums lose only terms
+    below machine epsilon times W, far under that bound.
+    ``config.truncation_depth`` caps tau (0: stop only at the certificate;
+    a law with no stationarity witness then raises :class:`NotContracting`
+    before anything is drawn, so the loop ends).
 
-    All ``config.n_draws`` draws are mutually independent (``chain_len == 1``).
+    Each level draws the coefficients of all live draws as one (1, live)
+    slab, in the order of their positions, and then drops the draws that
+    retired.  All ``config.n_draws`` draws are mutually independent
+    (``chain_len == 1``).
     """
-    depth = config.truncation_depth or default_truncation_depth(law)
+    cap = config.truncation_depth
+    if not cap and not check_stationarity(law).holds:
+        raise NotContracting(
+            "no stationarity witness on the default grid; the backward series has no certified stop"
+        )
     n = config.n_draws
-    w1 = np.zeros((2, n))
-    w2 = np.zeros((2, n))
-    levels = SimConfig(burn_in=depth - 1, n_draws=1)
-    for _ in forward_slabs(lambda rows: law.sample(rng, (rows, n)), w1, w2, levels, 1):
-        pass
-    return PathSample(w1=w1[1].copy(), w2=w2[1].copy(), mode="backward_truncated",
-                      config=config, chain_len=1)
+    out1, out2 = np.empty(n), np.empty(n)
+    lane = np.arange(n)
+    w1, w2 = np.zeros(n), np.zeros(n)
+    p1, u, p4 = np.ones(n), np.zeros(n), np.ones(n)
+    level = 0
+    while lane.size:
+        a1, a2, a4, b1, b2 = (x[0] for x in law.sample(rng, (1, lane.size)))
+        w1 += p1 * b1 + u * b2
+        w2 += p4 * b2
+        u = p1 * a2 + u * a4
+        p1 *= a1
+        p4 *= a4
+        level += 1
+        if level % _FINITE_CHECK_EVERY == 0:
+            _check_state_finite(w1, w2, level)
+        done = np.abs(p1) + np.abs(u) + np.abs(p4) <= _CERTIFIED_REMAINDER
+        if level == cap:
+            done[:] = True
+        if done.any():
+            out1[lane[done]] = w1[done]
+            out2[lane[done]] = w2[done]
+            keep = ~done
+            lane, w1, w2, p1, u, p4 = (x[keep] for x in (lane, w1, w2, p1, u, p4))
+    _check_state_finite(out1, out2, level)
+    return PathSample(w1=out1, w2=out2, mode="backward_truncated", config=config, chain_len=1)
 
 
 # ============================================================================

@@ -11,16 +11,17 @@ Every pipeline follows the same discipline:
 * a run with ``workers`` >= 2 holds one pool of exactly ``workers`` threads.
   When the run starts it submits, in the order the steps read them, the
   Lyapunov estimate, the stationary sample's groups and the cross-validation
-  samples (each step's side job in :data:`_STEPS`, resolved on the main
-  thread, a pure function of its substream); each step then reads its job's
-  result.  The main thread still runs the steps in order, waits for the groups,
+  backward sample (each step's side job in :data:`_STEPS`, resolved on the
+  main thread, a pure function of its substream); each step then reads its
+  job's result.  The main thread still runs the steps in order, waits for the groups,
   writes the tables and computes the series weights: their slabs, freed on a
   pool thread, would stay in that thread's malloc arena and raise the peak.
   With one worker there is no pool, and each job runs when its step reads it;
 * before sampling, a run plans every reduction its steps read (tails, sums,
-  first states and exceedance sets, :mod:`tritail.reduction`); each group's
-  sampler hands every slab's kept states straight to the group's reducer,
-  which writes them in place into the sample's one summary, and no
+  first states, strided states and exceedance sets,
+  :mod:`tritail.reduction`); each group's sampler hands every slab's kept
+  states straight to the group's reducer, which writes them in place into
+  the sample's one summary, and no
   reduction depends on the order the groups arrive in — so no step holds an
   array of n states, no group is ever copied out of the kernel's slabs, and
   every record is byte-identical for any worker count;
@@ -77,6 +78,7 @@ __all__ = [
 
 _CHUNK_DRAWS = reduction.SUM_SPAN  # one partial sum per chunk
 _CHUNK_CHAIN_LEN = 1000
+_BACKWARD_CHUNK = 1 << 15  # backward draws per chunk: its state arrays stay at cache size
 _GROUP_ELEMENTS = 1 << 17  # per group slab array: 10 chunks of 200 chains x 64 rows, about 1 MB
 
 _REPORT_FIELDS = ("name", "pipeline", "config_digest", "results", "artifacts")
@@ -239,15 +241,20 @@ def _forward_chunked(law, sim: SimConfig, plan: Plan, pool: Optional[ThreadPoolE
 
 
 def _backward_chunked(law, sim: SimConfig, plan: Plan) -> Summary:
+    """``sim.n_draws`` backward draws of ``law`` reduced under ``plan``, one chunk after another.
+
+    Chunk i holds draws ``[i*_BACKWARD_CHUNK, ...)`` and draws from
+    substream i; :func:`engine.backward_truncated` is looked up when called.
+    """
     n = sim.n_draws
 
     def one(summary: Summary, start: int) -> None:
-        cfg = replace(sim, n_draws=min(start + _CHUNK_DRAWS, n) - start)
+        cfg = replace(sim, n_draws=min(start + _BACKWARD_CHUNK, n) - start)
         sample = engine.backward_truncated(
-            law, cfg, substream(sim.base_seed, "backward", start // _CHUNK_DRAWS))
+            law, cfg, substream(sim.base_seed, "backward", start // _BACKWARD_CHUNK))
         reduction.reduce_group(summary, sample, start)
 
-    return _chunked(one, n, 1, plan, None)()
+    return _chunked(one, n, 1, plan, None, _BACKWARD_CHUNK)()
 
 
 # ============================================================================
@@ -706,20 +713,36 @@ def _step_garch_verify(ctx: _Ctx) -> None:
     ctx.records.extend(replace(r, name=f"spectral_{r.name}") for r in spect.records)
 
 
+def _crossval_stride(ctx: _Ctx) -> int:
+    """Kept states from one forward state the cross-validation reads to the next.
+
+    ceil(crossval_thinning / sim.thinning): at least ``crossval_thinning`` steps apart.
+    """
+    return -(-ctx.knob("crossval_thinning") // ctx.cfg.sim.thinning)
+
+
 def _step_cross_validate(ctx: _Ctx) -> None:
     """Forward vs backward marginals (independent laws only).
 
-    The forward side is drawn fresh with heavy thinning so consecutive kept
-    states are nearly independent — the KS p-value assumes i.i.d. samples, and
-    raw chain output would fail that assumption, not the distributional claim.
+    The forward side is the stationary sample the other steps read, heavily
+    thinned: every :func:`_crossval_stride`-th kept state of each chain, so
+    consecutive ones are nearly independent — the KS p-value assumes i.i.d.
+    samples, and raw chain output would fail that assumption, not the
+    distributional claim.  It takes the first ``crossval_draws`` of them, or
+    all the sample holds when that is fewer: the note gives both sides' n.
     """
-    n = ctx.knob("crossval_draws")
-    fwd, back = ctx.read("cross_validate")
+    n, stride = ctx.knob("crossval_draws"), _crossval_stride(ctx)
+    sample = ctx.sample()
+    back = ctx.read("cross_validate")
     level = ctx.knob("ks_level")
     for name in ("w1", "w2"):
-        stat, pvalue = tailstats.ks_2sample(fwd.head(name, n), back.head(name, n))
+        fwd = sample.strided(name, stride, n)
+        stat, pvalue = tailstats.ks_2sample(fwd, back.head(name, n))
         ctx.records.append(gate(f"crossval_{name}_pvalue", pvalue, level,
-                                note=f"ks_stat={stat:.4g} n={n}"))
+                                note=f"ks_stat={stat:.4g} n_forward={fwd.size} n_backward={n} "
+                                     f"stride={stride}"))
+    # No other step reads them: free them before the spectral step's peak.
+    sample.strides.clear()
 
 
 def _plan_simulate(ctx: _Ctx) -> Plan:
@@ -751,19 +774,16 @@ def _plan_spectral(ctx: _Ctx) -> Plan:
     return Plan(exceedances=frozenset(specs))
 
 
+def _plan_cross_validate(ctx: _Ctx) -> Plan:
+    stride = _crossval_stride(ctx)
+    return Plan(strides={(name, stride): ctx.knob("crossval_draws") for name in ("w1", "w2")})
+
+
 def _plan_garch_verify(ctx: _Ctx) -> Plan:
     verify = garch.verify_plan(ctx.cfg.sim.n_draws, ctx.knob("hill_k"), ctx.knob("hill_k_x"),
                                ctx.knob("constant_draws"))
     h = _by_step(ctx.knob("h"), "garch_verify")
     return verify | garch.spectral_plan(ctx.regime(), h, ctx.knob("u_quantile"))
-
-
-def _crossval_samples(law, forward: SimConfig, backward: SimConfig) -> tuple[Summary, Summary]:
-    """The forward and backward cross-validation samples, kept whole, one after the other."""
-    fwd = _forward_chunked(law, forward, reduction.whole_plan(("w1", "w2"), forward.n_draws), None,
-                           "crossval")()
-    back = _backward_chunked(law, backward, reduction.whole_plan(("w1", "w2"), backward.n_draws))
-    return fwd, back
 
 
 def _job_stationarity(ctx: _Ctx, pool) -> Callable:
@@ -772,10 +792,9 @@ def _job_stationarity(ctx: _Ctx, pool) -> Callable:
 
 
 def _job_cross_validate(ctx: _Ctx, pool) -> Callable:
-    backward = replace(ctx.cfg.sim, n_draws=ctx.knob("crossval_draws"))
-    thinning = max(ctx.cfg.sim.thinning, ctx.knob("crossval_thinning"))
-    return _submit(pool, _crossval_samples, ctx.cfg.law, replace(backward, thinning=thinning),
-                   backward)
+    n = ctx.knob("crossval_draws")
+    return _submit(pool, _backward_chunked, ctx.cfg.law, replace(ctx.cfg.sim, n_draws=n),
+                   reduction.whole_plan(("w1", "w2"), n))
 
 
 @dataclass(frozen=True)
@@ -803,7 +822,8 @@ _STEPS = {
     "simulate": _Step(_step_simulate, plan=_plan_simulate),
     "tails": _Step(_step_tails, plan=_plan_tails),
     "constants": _Step(_step_constants, plan=_plan_constants),
-    "cross_validate": _Step(_step_cross_validate, job=_job_cross_validate),
+    "cross_validate": _Step(_step_cross_validate, plan=_plan_cross_validate,
+                            job=_job_cross_validate),
     "spectral": _Step(_step_spectral, plan=_plan_spectral),
     "garch_verify": _Step(_step_garch_verify, plan=_plan_garch_verify),
 }

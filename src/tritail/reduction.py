@@ -1,6 +1,6 @@
 """Reductions of a chain-major sample, fed to them one block of steps at a time.
 
-Every estimator that reads a stationary sample reads one of four reductions
+Every estimator that reads a stationary sample reads one of five reductions
 of it:
 
 * the upper tail of a series (:class:`tritail.tailstats.RunningTail`);
@@ -9,6 +9,8 @@ of it:
   sample's start);
 * the first states of a series (the rows of the path table, the renewal
   constants' draws);
+* every stride-th kept state of each chain of a series, the first m of
+  them in chain-major order (the forward side of the cross-validation);
 * the exceedances of a threshold series: its top points, enough for a high
   quantile of it, each with its position and a payload.
 
@@ -23,8 +25,8 @@ next block.  :func:`reduce_group` feeds an array-backed sample
 (:class:`tritail.engine.PathSample` or :class:`tritail.garch.GarchPath`)
 through the same reducer as the step-major view of its chains.
 
-Nothing is merged.  Each chain's running total and first states have
-fixed places, and the tails and exceedance sets are locked top-m
+Nothing is merged.  Each chain's running total, first states and strided
+states have fixed places, and the tails and exceedance sets are locked top-m
 accumulators, whose top m does not depend on the order of their blocks (a
 tie at an exceedance set's cut may keep either point, but every reader
 goes through :meth:`Exceedances.above`, whose keys lie strictly above the
@@ -95,12 +97,17 @@ class WindowSpec:
 
 @dataclass(frozen=True)
 class Plan:
-    """The reductions a run reads: depth of each tail, length of each prefix."""
+    """The reductions a run reads: depth of each tail, length of each prefix.
+
+    ``strides`` maps ``(series, stride)`` to the number of strided states
+    kept (:meth:`Summary.strided`).
+    """
 
     tails: dict = field(default_factory=dict)
     heads: dict = field(default_factory=dict)
     sums: frozenset = frozenset()
     exceedances: frozenset = frozenset()
+    strides: dict = field(default_factory=dict)
 
     def __or__(self, other: "Plan") -> "Plan":
         def deepest(a, b):
@@ -111,6 +118,7 @@ class Plan:
             heads=deepest(self.heads, other.heads),
             sums=self.sums | other.sums,
             exceedances=self.exceedances | other.exceedances,
+            strides=deepest(self.strides, other.strides),
         )
 
 
@@ -149,10 +157,10 @@ class Summary:
     Every group of the sample writes into it in place through a
     :class:`Reducer`, in any order and from any thread: one
     :class:`~tritail.tailstats.RunningTail` per planned tail, one running
-    total per chain and series, the first states at their chain-major
-    positions and one :class:`_TopPoints` per exceedance set.  It is read
-    once every group is in.  Lookups of a reduction that was not planned
-    raise :class:`ValueError`.
+    total per chain and series, the first states and the strided states at
+    their chain-major positions and one :class:`_TopPoints` per exceedance
+    set.  It is read once every group is in.  Lookups of a reduction that
+    was not planned raise :class:`ValueError`.
     """
 
     def __init__(self, plan: Plan, n: int, chain_len: int):
@@ -161,6 +169,8 @@ class Summary:
         self.totals = {name: np.zeros(-(-n // chain_len)) for name in plan.sums}
         self.heads = {name: np.empty(min(n, length)) for name, length in plan.heads.items()}
         self.tops = {spec: _TopPoints(tail_depth(n, spec.u)) for spec in plan.exceedances}
+        self.strides = {key: np.empty(min(m, _strided_count(n, chain_len, key[1])))
+                        for key, m in plan.strides.items()}
         self._sets = {}
 
     def __len__(self) -> int:
@@ -195,6 +205,20 @@ class Summary:
             raise ValueError(f"the reduced sample holds {head.size} first states of {name!r}, not {m}")
         return head[:m]
 
+    def strided(self, name: str, stride: int, m: int) -> np.ndarray:
+        """Every stride-th kept state of each chain of ``name``: the first m, chain-major.
+
+        These are kept states stride, 2 stride, ... (counted from 1) of each
+        chain.  A chain of L states holds floor(L / stride) of them, so the
+        sample holds ``_strided_count`` in all; when that is under m, all of
+        them.
+        """
+        states = self._get(self.strides, (name, stride), "strided states of")
+        if states.size < min(m, _strided_count(self.n, self.chain_len, stride)):
+            raise ValueError(f"the reduced sample holds {states.size} strided states of "
+                             f"{name!r}, not {m}")
+        return states[:m]
+
     def exceedance_set(self, spec) -> Exceedances:
         """The exceedances of ``spec``; a point set with h = 0 is read from any planned h."""
         if spec not in self.tops and isinstance(spec, PointSpec) and spec.h == 0:
@@ -216,6 +240,12 @@ def valid_window_starts(n: int, chain_len: int, h: int, offset: int = 0) -> np.n
     mask = np.resize(np.arange(chain_len) + offset + h <= chain_len, n)
     mask[max(0, n - offset - h + 1):] = False
     return mask
+
+
+def _strided_count(n: int, chain_len: int, stride: int) -> int:
+    """Kept states stride, 2 stride, ... of every chain of an n-state chain-major sample."""
+    full, rem = divmod(n, chain_len)
+    return full * (chain_len // stride) + rem // stride
 
 
 def whole_plan(names, n: int) -> Plan:
@@ -405,6 +435,12 @@ class Reducer:
                 np.add(col, row, out=col)
         for name, head in s.heads.items():
             _store(head, s.chain_len, c0, j, part.series(name))
+        for (name, stride), states in s.strides.items():
+            # Kept state i*stride + stride - 1 of a chain is its strided state i.
+            first = (stride - 1 - j) % stride
+            if states.size and first < r:
+                _store(states, s.chain_len // stride, c0, (j + first) // stride,
+                       part.series(name)[first::stride])
         base = c0 * s.chain_len
         for spec, top in s.tops.items():
             point = isinstance(spec, PointSpec)

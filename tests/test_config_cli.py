@@ -725,7 +725,7 @@ def test_independent_full_report_streams_each_series_once(tmp_path, monkeypatch,
     cfg["sim"].update(n_draws=100_000, burn_in=200)
     report = run(parse_config(cfg))
     assert not [r.name for r in report.results if r.name.endswith("_error")]
-    law, sim, _, _, purpose = calls[0]  # the stationary sample starts before cross-validation
+    [(law, sim, _, _, purpose)] = calls  # one forward sample: cross-validation reads it too
     s = pipelines._forward_chunked(law, sim, reduction.whole_plan(("w1", "w2"), sim.n_draws), None,
                                    purpose)()
     w1, w2 = s.head("w1", len(s)), s.head("w2", len(s))
@@ -897,7 +897,7 @@ def test_run_holds_one_pool_of_exactly_workers_threads(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("module, name, step", [
     (pipelines.engine, "lyapunov_estimate", "stationarity"),
-    (pipelines, "_crossval_samples", "cross_validate"),
+    (pipelines, "_backward_chunked", "cross_validate"),
 ])
 def test_failing_side_job_gives_the_same_step_error_at_any_worker_count(
         tmp_path, monkeypatch, module, name, step):

@@ -16,7 +16,6 @@ from tritail.engine import (
     SimConfig,
     backward_truncated,
     chain_blocks,
-    default_truncation_depth,
     forward_slabs,
     lyapunov_estimate,
     product_path,
@@ -347,11 +346,11 @@ def test_backward_truncated_exact_partial_sums():
     np.testing.assert_allclose(two.w2, 1.5, rtol=0)
 
 
-def test_default_truncation_depth_from_witness():
-    # rho = E A4 = exp(-0.125) at eps = 1, so depth = ceil(18.42/0.125) = 148.
-    assert default_truncation_depth(LAW_C8) == 148
+def test_backward_truncated_without_witness_raises_before_drawing():
+    law = RecordingLaw(make_law(Constant(1.5), Constant(0.25), Constant(0.5)))
     with pytest.raises(NotContracting):
-        default_truncation_depth(make_law(Constant(1.5), Constant(0.25), Constant(0.5)))
+        backward_truncated(law, SimConfig(burn_in=0, n_draws=10, truncation_depth=0), rng())
+    assert law.slabs == []
 
 
 def test_forward_and_backward_routes_agree():
@@ -365,23 +364,79 @@ def test_forward_and_backward_routes_agree():
         assert pvalue > 0.01, f"{name}: KS={stat:.4f} p={pvalue:.4g}"
 
 
-def test_backward_truncated_matches_horner_loop():
-    # 70 levels cross the kernel's 64-step finite check; each level is one
-    # (1, n) slab holding the numbers of an n-sized draw.
-    n, depth = 300, 70
+CERTIFIED = 1e-8  # the backward series' bound on ||A_1 ... A_tau||_1
+
+
+def reference_backward(law, n, cap, g):
+    """Plain per-lane front-first sums over one (1, live) draw per level.
+
+    At each level the i-th lane still running takes column i of the draw.
+
+    Returns W1, W2, the level tau each lane stopped at and ||Pi_tau||_1,
+    the sum of |p1|, |u| and |p4|.
+    """
+    state = [[0.0, 0.0, 1.0, 0.0, 1.0] for _ in range(n)]  # w1, w2, p1, u, p4
+    tau, norm = [0] * n, [0.0] * n
+    live, level = list(range(n)), 0
+    while live:
+        d = law.sample(g, (1, len(live)))
+        level += 1
+        still = []
+        for col, lane in enumerate(live):
+            a1, a2, a4, b1, b2 = (float(x[0, col]) for x in d)
+            w1, w2, p1, u, p4 = state[lane]
+            w1 = w1 + (p1 * b1 + u * b2)
+            w2 = w2 + p4 * b2
+            u = p1 * a2 + u * a4
+            p1 = p1 * a1
+            p4 = p4 * a4
+            state[lane] = [w1, w2, p1, u, p4]
+            norm[lane] = abs(p1) + abs(u) + abs(p4)
+            if norm[lane] <= CERTIFIED or level == cap:
+                tau[lane] = level
+            else:
+                still.append(lane)
+        live = still
+    w1, w2 = (np.array([s[i] for s in state]) for i in (0, 1))
+    return w1, w2, np.array(tau), np.array(norm)
+
+
+@pytest.mark.parametrize("cap", [0, 60])
+def test_backward_truncated_matches_per_lane_loop(cap):
+    # C8's draws stop at 56 levels on average and at up to about 160, so
+    # the uncapped run crosses the 64-level finite check and a cap of 60
+    # stops some draws at the certificate and the rest at the cap.
+    n = 300
     law = RecordingLaw(LAW_C8)
-    got = backward_truncated(law, SimConfig(burn_in=0, n_draws=n, truncation_depth=depth), rng(5))
-    assert [d.a1.shape for d in law.slabs] == [(1, n)] * depth
-    g = rng(5)
-    acc1, acc2 = np.zeros(n), np.zeros(n)
-    for rows in step_rows(law.slabs):
-        a1, a2, a4, b1, b2 = LAW_C8.sample(g, n)
-        for drawn, recorded in zip((a1, a2, a4, b1, b2), rows):
-            np.testing.assert_array_equal(drawn, recorded)
-        acc1 = a1 * acc1 + a2 * acc2 + b1
-        acc2 = a4 * acc2 + b2
-    np.testing.assert_array_equal(got.w1, acc1)
-    np.testing.assert_array_equal(got.w2, acc2)
+    got = backward_truncated(law, SimConfig(burn_in=0, n_draws=n, truncation_depth=cap), rng(5))
+    w1, w2, tau, norm = reference_backward(LAW_C8, n, cap, rng(5))
+    np.testing.assert_array_equal(got.w1, w1)
+    np.testing.assert_array_equal(got.w2, w2)
+    # One (1, live) slab per level, for the lanes that have not stopped.
+    widths = [d.a1.shape for d in law.slabs]
+    assert widths == [(1, int((tau >= k).sum())) for k in range(1, tau.max() + 1)]
+    certified = norm <= CERTIFIED
+    assert (certified | (tau == cap)).all()
+    if cap:
+        assert tau.max() == cap and certified.any() and not certified.all()
+    else:
+        assert tau.max() > 64 and certified.all()
+
+
+def test_backward_truncated_stops_each_draw_at_the_first_certified_level():
+    # A constant law: Pi_k = [[0.5^k, k 0.25 0.5^(k-1)], [0, 0.5^k]], whose
+    # 1-norm first falls to 1e-8 at k = 31 (8.1e-9; 1.6e-8 at k = 30).  Every
+    # draw stops there and holds the sum of the terms Pi_k B, k < 31.
+    k = np.arange(64)
+    norm = 2 * 0.5**k + k * 0.5 ** (k + 1)
+    stop = int(np.argmax(norm <= CERTIFIED))
+    assert stop == 31 and norm[stop - 1] > CERTIFIED
+    terms1, terms2 = 0.5**k + k * 0.5 ** (k + 1), 0.5**k
+    for cap, levels in ((0, stop), (stop + 5, stop), (10, 10)):
+        got = backward_truncated(
+            CONST_LAW, SimConfig(burn_in=0, n_draws=4, truncation_depth=cap), rng())
+        np.testing.assert_allclose(got.w1, terms1[:levels].sum(), rtol=1e-15)
+        np.testing.assert_allclose(got.w2, terms2[:levels].sum(), rtol=1e-15)
 
 
 def test_backward_truncated_explosive_law_raises():

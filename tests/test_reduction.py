@@ -52,11 +52,14 @@ def test_merged_groups_equal_the_whole_array_code(data):
     bounds = [0, *sorted(c * chain_len for c in cuts if c < n_chains), n]
     depth = data.draw(st.integers(1, n + 2), label="depth")
     first = data.draw(st.integers(0, n + 2), label="first")
+    stride = data.draw(st.integers(1, 5), label="stride")
+    strided = data.draw(st.integers(0, n + 2), label="strided")
 
     point = PointSpec(PAIR, PAIR, h, u)
     windows = {name: WindowSpec(name, h, u) for name in PAIR}
     plan = Plan(tails={"w1": depth}, heads={"w2": first},
-                exceedances=frozenset({point, *windows.values()}))
+                exceedances=frozenset({point, *windows.values()}),
+                strides={("w1", stride): strided})
     with pytest.MonkeyPatch.context() as mp:
         # Small blocks take the running-cut path inside each group too.
         mp.setattr(tailstats, "_BLOCK", block)
@@ -66,6 +69,9 @@ def test_merged_groups_equal_the_whole_array_code(data):
     np.testing.assert_array_equal(tail.top, np.sort(w1)[n - min(depth, n):])
     assert (tail.n, tail.minimum) == (n, w1.min())
     np.testing.assert_array_equal(merged.head("w2", first), w2[:first])
+    # Kept states stride, 2 stride, ... of each chain, chain-major, as many as there are.
+    every = (np.arange(n) % chain_len + 1) % stride == 0
+    np.testing.assert_array_equal(merged.strided("w1", stride, strided), w1[every][:strided])
 
     # Norm exceedances: np.quantile, np.nonzero(r > x) and the next h states.
     r = np.hypot(w1, w2)
@@ -138,6 +144,7 @@ def test_unplanned_reductions_raise():
     assert summary.tail("w1", 5).top.size == 5
     for lookup in (lambda: summary.tail("w2", 5), lambda: summary.tail("w1", 6),
                    lambda: summary.head("w2", 4), lambda: summary.mean("w1"),
+                   lambda: summary.strided("w1", 2, 3),
                    lambda: summary.exceedance_set(WindowSpec("w1", 2, 0.9))):
         with pytest.raises(ValueError, match="holds"):
             lookup()
@@ -148,10 +155,13 @@ def test_unplanned_reductions_raise():
 
 
 def test_plans_union_at_the_deepest_reach():
-    a = Plan(tails={"w1": 5}, heads={"w1": 10}, sums=frozenset({"w1"}))
-    b = Plan(tails={"w1": 3, "w2": 7}, exceedances=frozenset({WindowSpec("w1", 2, 0.9)}))
+    a = Plan(tails={"w1": 5}, heads={"w1": 10}, sums=frozenset({"w1"}),
+             strides={("w1", 20): 4})
+    b = Plan(tails={"w1": 3, "w2": 7}, exceedances=frozenset({WindowSpec("w1", 2, 0.9)}),
+             strides={("w1", 20): 9, ("w1", 2): 1})
     both = a | b
     assert both.tails == {"w1": 5, "w2": 7} and both.heads == {"w1": 10}
+    assert both.strides == {("w1", 20): 9, ("w1", 2): 1}
     assert both.sums == {"w1"} and both.exceedances == b.exceedances
 
 
@@ -175,7 +185,7 @@ def test_summary_fed_from_threads_equals_the_serial_reduction(tied, monkeypatch)
     u = 0.7  # the tied keys' maximum holds less than 1 - u of them
     specs = (PointSpec(PAIR, PAIR, 2, u), *(WindowSpec(name, 3, u) for name in PAIR))
     plan = Plan(tails=dict.fromkeys(PAIR, 500), heads={"w1": n, "w2": 1234},
-                sums=frozenset(PAIR), exceedances=frozenset(specs))
+                sums=frozenset(PAIR), exceedances=frozenset(specs), strides={("w2", 7): 3000})
     serial = summarize(sample_of(w1, w2, chain_len), plan)
 
     bounds = [*range(0, n, per_group * chain_len), n]
@@ -202,6 +212,7 @@ def test_summary_fed_from_threads_equals_the_serial_reduction(tied, monkeypatch)
     assert threaded.sums == serial.sums
     for name, length in plan.heads.items():
         np.testing.assert_array_equal(threaded.head(name, length), serial.head(name, length))
+    np.testing.assert_array_equal(threaded.strided("w2", 7, 3000), serial.strided("w2", 7, 3000))
     for spec in specs:
         want, got = serial.exceedance_set(spec), threaded.exceedance_set(spec)
         assert (got.n, got.minimum) == (want.n, want.minimum)

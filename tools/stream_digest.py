@@ -8,8 +8,11 @@ Each sampler runs at a fixed seed on a fixed law.  The forward samplers keep
 the first 10^5 states in the pipeline's chain shape (100 chains of 1000 kept
 states); the pipelines' chunked forward samplers (demo law and GARCH law)
 draw 2,200,517 states, eleven full chunks and a trimmed one, which the
-pipeline runs as two groups, every state kept; the backward sampler draws 10^5 states, the forward spectral limit 10^5
-draws of 16 steps on the demo law from a fixed angular sample (eight angles,
+pipeline runs as two groups, every state kept; the backward sampler draws
+10^5 states of the demo law in one call, each stopped at its certified
+remainder (no depth cap), and the pipelines' chunked backward sampler the
+same 10^5 in chunks of 2^15; the forward spectral limit 10^5 draws of 16
+steps on the demo law from a fixed angular sample (eight angles,
 uniform weights), the series weights at s = 1, 4, 16, 64 from one run
 of 10^5 strips on the C8 law, and the Lyapunov estimate 100 chains of
 1000 steps on the demo law (its ``gamma_hat`` and ``std_error``).  The
@@ -37,7 +40,7 @@ import numpy as np
 from tritail.engine import SimConfig, backward_truncated, lyapunov_estimate, stationary_sample
 from tritail.garch import STORED, GarchLaw, GarchParams, stationary_garch_sample
 from tritail.laws import Constant, IndependentLaw, LogNormal
-from tritail.pipelines import _forward_chunked
+from tritail.pipelines import _backward_chunked, _forward_chunked
 from tritail.reduction import Plan, PointSpec, WindowSpec, whole_plan
 from tritail.renewal import series_weights
 from tritail.spectral import AngularSample, spectral_process_draws
@@ -159,6 +162,11 @@ def main() -> None:
         substream(SEED, "stream_digest"),
     )
     print(f"backward_truncated       {digest(backward.w1, backward.w2)}")
+    chunked = _backward_chunked(
+        DEMO_LAW, SimConfig(burn_in=0, n_draws=N_STATES, base_seed=SEED),
+        whole_plan(("w1", "w2"), N_STATES),
+    )
+    print(f"backward_chunked         {digest(*(chunked.head(s, N_STATES) for s in ('w1', 'w2')))}")
     limit = spectral_process_draws(
         DEMO_LAW, DEMO_ALPHA2, 16, N_STATES, ANGULAR, substream(SEED, "stream_digest")
     )
