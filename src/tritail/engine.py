@@ -87,7 +87,7 @@ class SimConfig:
 
 @dataclass(eq=False)
 class PathSample:
-    """Simulated states of (W1, W2).
+    """Simulated states of (W1, W2): the two arrays and ``chain_len``, nothing else.
 
     ``chain_len`` is the nominal per-chain length of a batch sample (the last
     chain may be shorter when the requested size does not fill it); consumers
@@ -100,8 +100,6 @@ class PathSample:
 
     w1: np.ndarray
     w2: np.ndarray
-    mode: str
-    config: SimConfig
     chain_len: int
 
     def __post_init__(self):
@@ -112,10 +110,6 @@ class PathSample:
 
     def __len__(self) -> int:
         return self.w1.size
-
-    @property
-    def n_chains(self) -> int:
-        return -(-self.w1.size // self.chain_len)
 
     def series(self, name: str, key=slice(None)) -> np.ndarray:
         """``w1`` or ``w2`` at ``key``, a slice or an index array."""
@@ -246,8 +240,7 @@ def stationary_sample(
     """
     n_chains, per_chain = chain_plan(config.n_draws, n_chains)
     if reducer is None:
-        reducer = WholeSample(PathSample, config.n_draws, per_chain, mode="forward_burnin",
-                              config=config)
+        reducer = WholeSample(PathSample, config.n_draws, per_chain)
     blocks, rows = chain_blocks(rng, n_chains)
     w1 = np.zeros((rows + 1, n_chains))
     w2 = np.zeros((rows + 1, n_chains))
@@ -260,8 +253,7 @@ def stationary_sample(
         return CoeffDraw(*coeffs[:, :rows])
 
     for j, sel in forward_slabs(draw, w1, w2, config, per_chain):
-        reducer.feed(j, PathSample(w1=w1[sel], w2=w2[sel], mode="forward_burnin",
-                                   config=config, chain_len=per_chain))
+        reducer.feed(j, PathSample(w1=w1[sel], w2=w2[sel], chain_len=per_chain))
     return reducer.summary()
 
 
@@ -324,22 +316,20 @@ def backward_truncated(
             keep = ~done
             lane, w1, w2, p1, u, p4 = (x[keep] for x in (lane, w1, w2, p1, u, p4))
     _check_state_finite(out1, out2, level)
-    return PathSample(w1=out1, w2=out2, mode="backward_truncated", config=config, chain_len=1)
+    return PathSample(w1=out1, w2=out2, chain_len=1)
 
 
 # ============================================================================
 # Coefficient products
 # ============================================================================
 
-def product_path(
-    draw, theta1: np.ndarray, theta2: np.ndarray, h: int
-) -> tuple[np.ndarray, np.ndarray]:
+def product_path(draw, theta1: np.ndarray, theta2: np.ndarray, h: int) -> np.ndarray:
     """The products Pi_t theta = A_t ... A_1 theta for t = 1..h, per chain.
 
     This is the recursion with B = 0 started at theta, run one step per slab:
     ``draw(1)`` returns the next step's coefficients as a :class:`CoeffDraw`
-    of (1, n) arrays, and its B entries are ignored.  Returns the two
-    coordinates as (n, h) arrays, column t-1 holding Pi_t theta; h may be 0.
+    of (1, n) arrays, and its B entries are ignored.  Returns one (n, h, 2)
+    array, ``[:, t-1]`` holding Pi_t theta; h may be 0.
     """
     if h < 0:
         raise ValueError("h must be >= 0")
@@ -351,16 +341,15 @@ def product_path(
     w1[0] = theta1
     w2[0] = theta2
     zero = np.zeros((1, n))
-    out1 = np.empty((n, h))
-    out2 = np.empty((n, h))
+    out = np.empty((n, h, 2))
 
     def draw_a(rows: int) -> CoeffDraw:
         return draw(rows)._replace(b1=zero, b2=zero)
 
     for j, _ in forward_slabs(draw_a, w1, w2, SimConfig(burn_in=0, n_draws=1), h):
-        out1[:, j] = w1[1]
-        out2[:, j] = w2[1]
-    return out1, out2
+        out[:, j, 0] = w1[1]
+        out[:, j, 1] = w2[1]
+    return out
 
 
 def triangular_opnorm(p: np.ndarray, u: np.ndarray, q: np.ndarray) -> np.ndarray:

@@ -16,7 +16,9 @@ of :func:`_prop_heavier_cross`; both feed :func:`tritail.engine.forward_slabs`.
 Besides the simulators this module verifies the model's tail chain — solver
 roots, Hill estimates of sigma^2 and |X|, the plateaus of sigma^2, the
 second component's renewal constant — and the two regime-specific limit laws
-of threshold-conditioned return windows.
+of threshold-conditioned return windows.  Both checks return a tuple of
+:class:`~tritail.records.ResultRecord`, the scorecard entries the pipelines
+report under a ``verify_`` or ``spectral_`` prefix.
 """
 
 import math
@@ -26,7 +28,6 @@ from typing import ClassVar, Optional
 import numpy as np
 
 from .engine import (
-    PathSample,
     SimConfig,
     chain_blocks,
     chain_plan,
@@ -60,8 +61,6 @@ __all__ = [
     "GarchParams",
     "GarchLaw",
     "GarchPath",
-    "GarchVerifyReport",
-    "GarchSpectralReport",
     "to_sre_coefficients",
     "return_hill_k",
     "series_depth",
@@ -123,20 +122,6 @@ class GarchParams:
             "rho": self.rho,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "GarchParams":
-        a0 = d["alpha0"]
-        return cls(
-            alpha0=(a0[0], a0[1]),
-            alpha11=d["alpha11"],
-            alpha12=d["alpha12"],
-            alpha22=d["alpha22"],
-            beta11=d["beta11"],
-            beta12=d["beta12"],
-            beta22=d["beta22"],
-            rho=d["rho"],
-        )
-
 
 def to_sre_coefficients(params: GarchParams, z, out=None):
     """Coefficient tuple (A1, A2, A4, B1, B2) from one noise pair (vectorized).
@@ -174,8 +159,6 @@ class GarchLaw:
 
     params: GarchParams
 
-    mode = "garch"
-
     def sample(self, rng: np.random.Generator, size=None) -> CoeffDraw:
         z = _correlated_normals(self.params.rho, size, rng)
         a1, a2, a4, b1, b2 = to_sre_coefficients(self.params, z)
@@ -206,9 +189,10 @@ class GarchLaw:
 class GarchPath:
     """Simulated squared volatilities and the driving noise.
 
-    The four stored arrays are chain-major like
-    :class:`tritail.engine.PathSample`; a sampler hands a reducer the same
-    class over (rows, chains) blocks of kept states.  The returns are not stored:
+    The four stored arrays and ``chain_len`` are all a path carries; the
+    arrays are chain-major like :class:`tritail.engine.PathSample`, and a
+    sampler hands a reducer the same class over (rows, chains) blocks of kept
+    states.  The returns are not stored:
     :meth:`series` derives ``x1``/``x2`` and ``abs_x1``/``abs_x2`` from
     (sigma_i^2, Z_i) for the states it is asked for, and the ``x1``/``x2``
     properties for the whole path.  The estimators read a path through
@@ -221,10 +205,7 @@ class GarchPath:
     sigma2_sq: np.ndarray
     z1: np.ndarray
     z2: np.ndarray
-    params: GarchParams
-    config: SimConfig
     chain_len: int
-    mode: str = "garch"
 
     def __len__(self) -> int:
         return self.sigma1_sq.size
@@ -233,8 +214,8 @@ class GarchPath:
         """A stored or derived series at ``key``, a slice or an index array.
 
         ``x1``/``x2`` are the returns sqrt(sigma_i^2) Z_i, ``abs_x1``/``abs_x2``
-        their absolute values, and ``w1``/``w2`` the squared volatilities, as
-        in :meth:`vol_sample`.
+        their absolute values, and ``w1``/``w2`` the squared volatilities
+        sigma1^2/sigma2^2.
         """
         name = {"w1": "sigma1_sq", "w2": "sigma2_sq"}.get(name, name)
         if name.startswith(("x", "abs_x")):
@@ -250,16 +231,6 @@ class GarchPath:
     @property
     def x2(self) -> np.ndarray:
         return self.series("x2")
-
-    def vol_sample(self) -> PathSample:
-        """The squared-volatility pair as a plain recursion sample."""
-        return PathSample(
-            w1=self.sigma1_sq,
-            w2=self.sigma2_sq,
-            mode="garch_vol",
-            config=self.config,
-            chain_len=self.chain_len,
-        )
 
 
 def _noise_slabs(params: GarchParams, blocks, z1: np.ndarray, z2: np.ndarray):
@@ -321,8 +292,7 @@ def stationary_garch_sample(
     """
     n_chains, per_chain = chain_plan(config.n_draws, n_chains)
     if reducer is None:
-        reducer = WholeSample(GarchPath, config.n_draws, per_chain, params=params,
-                              config=config)
+        reducer = WholeSample(GarchPath, config.n_draws, per_chain)
     blocks, rows = chain_blocks(rng, n_chains)
     s1 = np.empty((rows + 1, n_chains))
     s2 = np.empty((rows + 1, n_chains))
@@ -334,28 +304,13 @@ def stationary_garch_sample(
         z1[0, cols], z2[0, cols] = _correlated_normals(params.rho, cols.stop - cols.start, gen)
     draw = _noise_slabs(params, blocks, z1, z2)
     for j, sel in forward_slabs(draw, s1, s2, config, per_chain):
-        reducer.feed(j, GarchPath(s1[sel], s2[sel], z1[sel], z2[sel], params=params,
-                                  config=config, chain_len=per_chain))
+        reducer.feed(j, GarchPath(s1[sel], s2[sel], z1[sel], z2[sel], chain_len=per_chain))
     return reducer.summary()
 
 
 # ============================================================================
 # Tail-chain verification
 # ============================================================================
-
-@dataclass(eq=False)
-class GarchVerifyReport:
-    """Solver roots, regime, and the whole family of tail checks."""
-
-    alpha1: float
-    alpha2: float
-    regime: str
-    records: tuple[ResultRecord, ...]
-
-    @property
-    def all_passed(self) -> bool:
-        return all(r.passed is not False for r in self.records)
-
 
 def return_hill_k(n: int) -> int:
     """Default Hill k for return series: floor(n^0.5).
@@ -396,7 +351,7 @@ def verify_tail_relations(
     k_x: int = 0,
     constant_draws: int = 1_000_000,
     dispersion_max: float = 0.15,
-) -> GarchVerifyReport:
+) -> tuple[ResultRecord, ...]:
     """Verify the model's tail chain end to end on a simulated sample.
 
     Takes the two diagonal tail indices from ``regime``, the
@@ -416,7 +371,8 @@ def verify_tail_relations(
       classifier's regime (equal roots leave the classifier unresolved).
 
     ``path`` is a :class:`GarchPath` or its summary planned with
-    :func:`verify_plan` at the same arguments.
+    :func:`verify_plan` at the same arguments.  Returns the nine records in
+    that order; ``passed is False`` marks a FAIL.
     """
     a1, a2 = regime.alpha1.alpha, regime.alpha2.alpha
     ordered = REGIME_A1_DOMINANT if a1 < a2 else REGIME_A2_DOMINANT
@@ -458,35 +414,12 @@ def verify_tail_relations(
         gate("regime_coherent", 1.0 if regime.regime == ordered else 0.0, 1.0, 1.0,
              note=f"solver {ordered}, classifier {regime.regime}")
     )
-    return GarchVerifyReport(alpha1=a1, alpha2=a2, regime=ordered, records=tuple(records))
+    return tuple(records)
 
 
 # ============================================================================
 # Regime-specific limit laws of return windows
 # ============================================================================
-
-@dataclass(eq=False)
-class GarchSpectralReport:
-    """Distributional checks of conditioned return windows vs their limit law."""
-
-    branch: str
-    alpha1: float
-    alpha2: float
-    records: tuple[ResultRecord, ...]
-    threshold: float
-    n_exceedances: int
-
-    @property
-    def max_ks(self) -> float:
-        return max(
-            (r.value for r in self.records if r.name.startswith("ks_")),
-            default=math.nan,
-        )
-
-    @property
-    def all_passed(self) -> bool:
-        return all(r.passed is not False for r in self.records)
-
 
 def _sign_symmetry_records(coords: np.ndarray, ks_bound: float) -> list[ResultRecord]:
     """Antipodal-symmetry checks on signed window coordinates (m, d).
@@ -534,6 +467,7 @@ def spectral_plan(regime: RegimeReport, h: int, u_quantile: float) -> Plan:
 def _noise_products(params, theta0, z1, z2, h):
     """The volatility products Pi_t Theta0, t = 1..h, of one (rows, h + 1) noise pair.
 
+    Returned as one (rows, h, 2) array, as :func:`tritail.engine.product_path`.
     Step t's matrix A_t comes from noise column t-1 and the window value at
     t from column t: the last column is left for the window values, which
     couple to the NEXT matrix — the same shared index that links X_t to
@@ -569,9 +503,9 @@ def _cross_feed_limit(params, theta, h, n_limit, a2, rng):
         z2_rows = rng.standard_normal(z1_rows.shape)
         z2_rows *= c
         z2_rows += params.rho * z1_rows
-        vol1, vol2 = _noise_products(params, theta[pick[rows]], z1_rows, z2_rows, h)
-        limit[rows, :, 0] = v[rows, None] * np.sqrt(vol1) * z1_rows[:, 1:]
-        limit[rows, :, 1] = v[rows, None] * np.sqrt(vol2) * z2_rows[:, 1:]
+        vol = _noise_products(params, theta[pick[rows]], z1_rows, z2_rows, h)
+        limit[rows, :, 0] = v[rows, None] * np.sqrt(vol[..., 0]) * z1_rows[:, 1:]
+        limit[rows, :, 1] = v[rows, None] * np.sqrt(vol[..., 1]) * z2_rows[:, 1:]
     return limit
 
 
@@ -607,7 +541,7 @@ def _prop_heavier_cross(params, ex, h, u_quantile, n_limit, ks_bound, a2, rng):
     )
     records.append(gate("ks_window_norm", stat, 0.0, ks_bound))
     records.extend(_sign_symmetry_records(sim_win.reshape(idx.size, -1), ks_bound))
-    return records, x, idx.size
+    return records
 
 
 def _prop_heavier_own(params, sets, h, u_quantile, n_limit, ks_bound, alphas, rng):
@@ -619,10 +553,8 @@ def _prop_heavier_own(params, sets, h, u_quantile, n_limit, ks_bound, alphas, rn
     independent Bernoulli signs.
     """
     records = []
-    threshold = math.nan
-    count = 0
     for i, (ex, alpha_i) in enumerate(zip(sets, alphas), start=1):
-        x, keep = ex.above(u_quantile)
+        _, keep = ex.above(u_quantile)
         m = keep.size
         if m < MIN_EXCEEDANCES:
             raise TooFewExceedances(
@@ -648,9 +580,7 @@ def _prop_heavier_own(params, sets, h, u_quantile, n_limit, ks_bound, alphas, rn
             replace(r, name=f"{r.name}_x{i}")
             for r in _sign_symmetry_records(angles, ks_bound)
         )
-        if i == 1:
-            threshold, count = x, m
-    return records, threshold, count
+    return records
 
 
 def return_spectral_check(
@@ -663,7 +593,7 @@ def return_spectral_check(
     u_quantile: float = 0.999,
     n_limit: int = 200_000,
     ks_bound: float = 0.05,
-) -> GarchSpectralReport:
+) -> tuple[ResultRecord, ...]:
     """Check the regime-appropriate limit law of threshold-conditioned returns.
 
     Takes the two tail indices from ``regime`` (as in
@@ -674,6 +604,10 @@ def return_spectral_check(
     sign-symmetrized weighted product law.  Sign-symmetry statistics of the
     conditioned windows are reported in both branches.  ``path`` is a
     :class:`GarchPath` or its summary planned with :func:`spectral_plan`.
+
+    Returns an informational ``branch`` record, whose note names the branch
+    (``heavier_cross_feed`` or ``heavier_own_tail``), then the branch's
+    records; ``passed is False`` marks a FAIL.
     """
     if h < 1:
         raise ValueError("h must be >= 1")
@@ -689,20 +623,9 @@ def return_spectral_check(
     reduced = summarize(path, Plan(exceedances=frozenset(specs)))
     sets = [reduced.exceedance_set(spec) for spec in specs]
     if a1 > a2:
-        records, x, m = _prop_heavier_cross(
-            params, sets[0], h, u_quantile, n_limit, ks_bound, a2, rng
-        )
         branch = "heavier_cross_feed"
+        records = _prop_heavier_cross(params, sets[0], h, u_quantile, n_limit, ks_bound, a2, rng)
     else:
-        records, x, m = _prop_heavier_own(
-            params, sets, h, u_quantile, n_limit, ks_bound, (a1, a2), rng
-        )
         branch = "heavier_own_tail"
-    return GarchSpectralReport(
-        branch=branch,
-        alpha1=a1,
-        alpha2=a2,
-        records=tuple(records),
-        threshold=x,
-        n_exceedances=m,
-    )
+        records = _prop_heavier_own(params, sets, h, u_quantile, n_limit, ks_bound, (a1, a2), rng)
+    return (ResultRecord(name="branch", note=branch), *records)

@@ -184,8 +184,6 @@ class IndependentLaw:
     b1: PositiveDistribution
     b2: PositiveDistribution
 
-    mode = "independent"
-
     def sample(self, rng: np.random.Generator, size=None) -> CoeffDraw:
         return CoeffDraw(
             a1=np.asarray(self.a1.sample(rng, size), dtype=float),
@@ -204,8 +202,6 @@ class IndependentLaw:
 @runtime_checkable
 class CoefficientLaw(Protocol):
     """Anything that can draw joint coefficient tuples and name its marginals."""
-
-    mode: str
 
     def sample(self, rng: np.random.Generator, size=None) -> CoeffDraw: ...
 

@@ -389,11 +389,8 @@ class _Ctx:
         """The first m states as an array-backed sample: a PathSample, or a GarchPath."""
         s = self.sample()
         if self.is_garch():
-            return GarchPath(*(s.head(name, m) for name in garch.STORED),
-                             params=self.cfg.law.params, config=self.cfg.sim,
-                             chain_len=s.chain_len)
-        return PathSample(w1=s.head("w1", m), w2=s.head("w2", m), mode="forward_burnin",
-                          config=self.cfg.sim, chain_len=s.chain_len)
+            return GarchPath(*(s.head(name, m) for name in garch.STORED), chain_len=s.chain_len)
+        return PathSample(w1=s.head("w1", m), w2=s.head("w2", m), chain_len=s.chain_len)
 
     def regime(self):
         if "regime" not in self.cache:
@@ -638,7 +635,7 @@ def _step_spectral(ctx: _Ctx) -> None:
 
     if rep.regime == REGIME_A2_DOMINANT:
         h = _by_step(ctx.knob("h"), "spectral_cross_feed")
-        ang = spectral.angular_measure_threshold(sample, u_quantile)
+        ang = spectral.angular_measure_threshold(sample, u_quantile, h)
         _write_angular(ctx, "angular.npy", ang)
         cond = spectral.conditional_exceedance_windows(sample, h, u_quantile)
         limit = spectral.spectral_process_draws(
@@ -680,9 +677,10 @@ def _step_spectral(ctx: _Ctx) -> None:
 def _step_garch_verify(ctx: _Ctx) -> None:
     path = ctx.sample()
     params = ctx.cfg.law.params
+    rep = ctx.regime()
     verify = verify_tail_relations(
         params,
-        ctx.regime(),
+        rep,
         substream(ctx.seed, "verify"),
         path,
         se_mult=ctx.knob("se_mult"),
@@ -694,14 +692,16 @@ def _step_garch_verify(ctx: _Ctx) -> None:
     )
     # Prefixed so a full report keeps unique record names next to the
     # solve-index step's roots and regime (diff matches records by name).
-    ctx.add(name="verify_alpha1", value=verify.alpha1, passed=None, note="quadrature root")
-    ctx.add(name="verify_alpha2", value=verify.alpha2, passed=None, note="quadrature root")
-    ctx.add(name="verify_regime", value=None, passed=None, note=verify.regime)
-    ctx.records.extend(replace(r, name=f"verify_{r.name}") for r in verify.records)
+    # The standalone garch_verify pipeline has no solve-index step, so the
+    # roots and regime are repeated here.
+    ctx.add(name="verify_alpha1", value=rep.alpha1.alpha, note="quadrature root")
+    ctx.add(name="verify_alpha2", value=rep.alpha2.alpha, note="quadrature root")
+    ctx.add(name="verify_regime", note=rep.regime)
+    ctx.records.extend(replace(r, name=f"verify_{r.name}") for r in verify)
 
     spect = return_spectral_check(
         params,
-        ctx.regime(),
+        rep,
         _by_step(ctx.knob("h"), "garch_verify"),
         substream(ctx.seed, "garch_spectral"),
         path,
@@ -709,8 +709,7 @@ def _step_garch_verify(ctx: _Ctx) -> None:
         n_limit=ctx.knob("limit_draws"),
         ks_bound=ctx.knob("ks_bound"),
     )
-    ctx.add(name="spectral_branch", value=None, passed=None, note=spect.branch)
-    ctx.records.extend(replace(r, name=f"spectral_{r.name}") for r in spect.records)
+    ctx.records.extend(replace(r, name=f"spectral_{r.name}") for r in spect)
 
 
 def _crossval_stride(ctx: _Ctx) -> int:

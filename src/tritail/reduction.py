@@ -40,7 +40,6 @@ first states are the whole sample.
 """
 
 import math
-import functools
 import threading
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -220,10 +219,7 @@ class Summary:
         return states[:m]
 
     def exceedance_set(self, spec) -> Exceedances:
-        """The exceedances of ``spec``; a point set with h = 0 is read from any planned h."""
-        if spec not in self.tops and isinstance(spec, PointSpec) and spec.h == 0:
-            spec = next((s for s in self.tops if isinstance(s, PointSpec)
-                         and (s.anchors, s.after, s.u) == (spec.anchors, spec.after, spec.u)), spec)
+        """The exceedances of ``spec``, which the plan must name."""
         if spec not in self._sets:
             self._sets[spec] = self._get(self.tops, spec, "exceedances for").exceedances(spec)
         return self._sets[spec]
@@ -528,16 +524,16 @@ class WholeSample(Reducer):
     """Gathers a whole n-state sample of ``cls`` from its step-major blocks.
 
     The sample's ``cls.STORED`` arrays are the first states of a
-    :func:`whole_plan`; :meth:`summary` returns them as a ``cls``, whose
-    other fields are ``chain_len`` and ``fields``.
+    :func:`whole_plan`; :meth:`summary` returns them as a ``cls`` whose one
+    other field is ``chain_len``.
     """
 
-    def __init__(self, cls, n: int, chain_len: int, **fields):
+    def __init__(self, cls, n: int, chain_len: int):
         super().__init__(Summary(whole_plan(cls.STORED, n), n, chain_len), n)
-        self._build = functools.partial(cls, chain_len=chain_len, **fields)
+        self._cls = cls
 
     def summary(self):
-        return self._build(**self._summary.heads)
+        return self._cls(**self._summary.heads, chain_len=self._summary.chain_len)
 
 
 def reduce_group(summary: Summary, sample, start: int) -> None:

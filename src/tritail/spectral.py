@@ -108,7 +108,7 @@ def window_spec(component: int, h: int, u_quantile: float) -> WindowSpec:
 
 
 def angular_measure_threshold(
-    draws: PathSample, u_quantile: float = 0.999
+    draws: PathSample, u_quantile: float = 0.999, h: int = 0
 ) -> AngularSample:
     """Threshold estimate of the angular law of the stationary pair.
 
@@ -117,11 +117,12 @@ def angular_measure_threshold(
     Raises :class:`TooFewExceedances` below 200 exceedances — angular CDFs
     from fewer points are too noisy to compare against anything.  ``draws``
     is a sample or its :class:`~tritail.reduction.Summary` planned with
-    :func:`norm_spec`.
+    :func:`norm_spec` at this ``h``; the angles do not depend on ``h``, which
+    only names the planned point set to read.
     """
     if not 0.0 < u_quantile < 1.0:
         raise ValueError("u_quantile must lie in (0, 1)")
-    ex = exceedances(draws, norm_spec(u_quantile))
+    ex = exceedances(draws, norm_spec(u_quantile, h))
     x, sel = ex.above(u_quantile)
     if sel.size < MIN_EXCEEDANCES:
         raise TooFewExceedances(
@@ -342,8 +343,8 @@ def spectral_process_draws(
     y0 = unit_pareto(alpha2, n, rng)
     pick = rng.choice(len(angular), size=n, p=angular.weights)
     theta0 = angular.points[pick]
-    y1, y2 = product_path(lambda rows: law.sample(rng, (rows, n)), theta0[:, 0], theta0[:, 1], h)
-    return SpectralProcessSample(y0=y0, theta0=theta0, path=np.stack((y1, y2), axis=2))
+    path = product_path(lambda rows: law.sample(rng, (rows, n)), theta0[:, 0], theta0[:, 1], h)
+    return SpectralProcessSample(y0=y0, theta0=theta0, path=path)
 
 
 def pareto_gof(sample, alpha: float) -> tuple[float, float]:

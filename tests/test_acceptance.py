@@ -372,13 +372,13 @@ def test_criterion_07_forward_backward_agreement():
         # size showed no distributional difference (p = 0.93 / 0.83).
         sf, sb = (62, 72) if name == "garch" else (61, 71)
         if name == "garch":
-            fwd_path = stationary_garch_sample(
+            # series("w1"/"w2") of a GARCH path are its squared volatilities.
+            fwd = stationary_garch_sample(
                 GARCH_P10,
                 SimConfig(burn_in=1000, n_draws=n, base_seed=sf),
                 substream(sf, "acceptance", i),
                 n_chains=n,
             )
-            fwd = fwd_path.vol_sample()
             law = GarchLaw(GARCH_P10)
         else:
             # One retained draw per chain: the forward draws are independent,
@@ -395,8 +395,8 @@ def test_criterion_07_forward_backward_agreement():
             substream(sb, "acceptance", i),
         )
         p_min = 1.0
-        for coord, f, b in (("w1", fwd.w1, back.w1), ("w2", fwd.w2, back.w2)):
-            _, p = ks_2sample(f, b)
+        for coord in ("w1", "w2"):
+            _, p = ks_2sample(fwd.series(coord), back.series(coord))
             p_min = min(p_min, p)
             checks.append((f"{name}/{coord} KS level 0.01", p >= 0.01))
         details.append(f"{name} p>={p_min:.3f}")
@@ -465,22 +465,25 @@ def test_criterion_10_garch_tail_relations(garch_thinned, garch_windows):
         path=garch_windows,
     )
     igarch = solve_tail_index(ChiSqAffine(0.35, 0.65))
-    failed_records = [r.name for r in verify.records if r.passed is False]
-    failed_spect = [r.name for r in spect.records if r.passed is False]
+    alpha1, alpha2 = regime.alpha1.alpha, regime.alpha2.alpha
+    branch = next(r.note for r in spect if r.name == "branch")
+    max_ks = max((r.value for r in spect if r.name.startswith("ks_")), default=math.nan)
+    failed_records = [r.name for r in verify if r.passed is False]
+    failed_spect = [r.name for r in spect if r.passed is False]
     checks = [
-        ("vol root alpha1", abs(verify.alpha1 - 4.535886853606) <= 1e-6),
-        ("vol root alpha2", abs(verify.alpha2 - 1.458478087721) <= 1e-6),
+        ("vol root alpha1", abs(alpha1 - 4.535886853606) <= 1e-6),
+        ("vol root alpha2", abs(alpha2 - 1.458478087721) <= 1e-6),
         ("tail relation records", not failed_records),
         ("integrated marginal alpha=1", abs(igarch.alpha - 1.0) <= 1e-6),
-        ("cross-feed spectral branch", spect.branch == "heavier_cross_feed"),
-        ("return windows KS<=0.05", spect.max_ks <= 0.05),
+        ("cross-feed spectral branch", branch == "heavier_cross_feed"),
+        ("return windows KS<=0.05", max_ks <= 0.05),
         ("sign symmetry and windows", not failed_spect),
     ]
     _criterion(
         10,
         checks,
-        f"alpha ({verify.alpha1:.4f}, {verify.alpha2:.4f}), "
-        f"max KS {spect.max_ks:.4f}"
+        f"alpha ({alpha1:.4f}, {alpha2:.4f}), "
+        f"max KS {max_ks:.4f}"
         + (f", failed {failed_records + failed_spect}" if failed_records or failed_spect else ""),
     )
 

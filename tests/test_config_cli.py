@@ -25,7 +25,7 @@ from tritail.config import (
 )
 from tritail.engine import SimConfig, slab_rows
 from tritail.errors import ConfigInvalid, PipelineMismatch
-from tritail.garch import GarchLaw, GarchParams, GarchPath
+from tritail.garch import GarchLaw, GarchPath
 from tritail.laws import IndependentLaw
 from tritail.pipelines import ResultRecord, RunReport, compare_reports, run
 from tritail.records import gate
@@ -599,7 +599,48 @@ def small_garch_report(tmp_path, **overrides):
     cfg["sim"].update(n_draws=50_000, burn_in=200)
     report = run(parse_config(cfg))
     assert not [r.name for r in report.results if r.name.endswith("_error")]
-    return {r.name: r for r in report.results}
+    records = {r.name: r for r in report.results}
+    assert len(records) == len(report.results)  # every name once
+    return records
+
+
+def test_garch_full_report_record_names_and_order(tmp_path):
+    # The solve-index, stationarity and simulate records, then the GARCH
+    # checks' records under their verify_/spectral_ prefixes in the order the
+    # checks return them; the roots and regime repeated as verify_* equal the
+    # solve-index step's.
+    records = small_garch_report(tmp_path)
+    assert list(records) == [
+        "alpha1", "alpha2", "cross_moment_finite", "regime",
+        "stationarity_holds", "lyapunov_gamma", "lyapunov_bound_slack",
+        "n_draws", "sigma1_sq_mean", "sigma1_sq_q999", "sigma2_sq_mean", "sigma2_sq_q999",
+        "verify_alpha1", "verify_alpha2", "verify_regime",
+        "verify_hill_sigma1_sq", "verify_hill_sigma2_sq", "verify_hill_abs_x1",
+        "verify_hill_abs_x2", "verify_plateau_sigma1_sq_dispersion",
+        "verify_plateau_sigma2_sq_dispersion", "verify_plateau_sigma1_sq",
+        "verify_sigma2_sq_constant_vs_plateau", "verify_regime_coherent",
+        "spectral_branch", "spectral_ks_x1_t1", "spectral_ks_x2_t1", "spectral_ks_x1_t2",
+        "spectral_ks_x2_t2", "spectral_ks_window_norm", "spectral_sign_symmetry_ks",
+        "spectral_sign_symmetry_z",
+    ]
+    for name in ("alpha1", "alpha2"):
+        assert records[f"verify_{name}"].value == records[name].value
+    assert records["verify_regime"].note == records["regime"].note == "a2_dominant"
+    branch = records["spectral_branch"]
+    assert (branch.value, branch.passed, branch.note) == (None, None, "heavier_cross_feed")
+
+
+def test_garch_verify_at_equal_roots_reports_the_unresolved_regime(tmp_path):
+    # Equal own and cross-fed channels give equal roots: the repeated
+    # verify_regime is the classifier's, and the window check has no branch.
+    cfg = garch_config(output_dir=str(tmp_path), params={"limit_draws": 200, "u_quantile": 0.99})
+    cfg["law"].update(alpha11=0.35, beta11=0.60)
+    cfg["sim"].update(n_draws=50_000, burn_in=200)
+    records = {r.name: r for r in run(parse_config(cfg)).results}
+    assert records["verify_alpha1"].value == records["verify_alpha2"].value
+    assert records["verify_regime"].note == "unresolved"
+    assert records["verify_regime_coherent"].passed is False
+    assert records["garch_verify_error"].note.startswith("RegimeMismatch: ")
 
 
 def test_garch_verify_reads_dispersion_max(tmp_path):
@@ -692,8 +733,7 @@ def test_garch_full_report_computes_each_estimate_once(tmp_path, monkeypatch):
     ((law, sim, _, _, purpose),) = calls
     s = pipelines._forward_chunked(law, sim, reduction.whole_plan(garch.STORED, sim.n_draws), None,
                                    purpose)()
-    path = GarchPath(*(s.head(name, len(s)) for name in garch.STORED), params=law.params,
-                     config=sim, chain_len=s.chain_len)
+    path = GarchPath(*(s.head(name, len(s)) for name in garch.STORED), chain_len=s.chain_len)
     series = {
         "sigma1_sq": path.sigma1_sq,
         "sigma2_sq": path.sigma2_sq,
@@ -960,7 +1000,7 @@ def test_garch_reduction_memory_does_not_grow_with_the_group_width(monkeypatch):
 
     n = 10 * pipelines._CHUNK_DRAWS
     sim = SimConfig(burn_in=200, n_draws=n, base_seed=3)
-    law = GarchLaw(GarchParams.from_dict(garch_config()["law"]))
+    law = parse_config(garch_config()).law
     pair = ("sigma1_sq", "sigma2_sq")
     simulate = Plan(tails={s: garch.series_depth(s, n) for s in pair}, sums=frozenset(pair),
                     heads=dict.fromkeys(garch.STORED, KNOBS["csv_rows"][3]))
@@ -1044,6 +1084,17 @@ def _report_of(values, pipeline="tails", passed=True):
         artifacts=(),
         wall_time=0.0,
     )
+
+
+def test_all_passed_treats_informational_as_pass():
+    def report(*passed):
+        return RunReport(name="r", pipeline="tails", config_digest="d", artifacts=(),
+                         wall_time=0.0,
+                         results=tuple(ResultRecord(name=f"r{i}", value=0.0, passed=p)
+                                       for i, p in enumerate(passed)))
+
+    assert report(True, None).all_passed
+    assert not report(True, False).all_passed
 
 
 def test_compare_reports():

@@ -63,14 +63,12 @@ def test_sim_config_validation():
 
 
 def test_path_sample_validation():
-    cfg = SimConfig(burn_in=0, n_draws=4)
     with pytest.raises(ValueError):
-        PathSample(w1=np.zeros(3), w2=np.zeros(4), mode="x", config=cfg, chain_len=1)
+        PathSample(w1=np.zeros(3), w2=np.zeros(4), chain_len=1)
     with pytest.raises(ValueError):
-        PathSample(w1=np.zeros(4), w2=np.zeros(4), mode="x", config=cfg, chain_len=0)
-    ps = PathSample(w1=np.zeros(10), w2=np.zeros(10), mode="x", config=cfg, chain_len=4)
+        PathSample(w1=np.zeros(4), w2=np.zeros(4), chain_len=0)
+    ps = PathSample(w1=np.zeros(10), w2=np.zeros(10), chain_len=4)
     assert len(ps) == 10
-    assert ps.n_chains == 3  # two full chains plus a remainder of two
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +85,6 @@ def test_iterate_forward_exact_trajectory():
     path = one_chain(CONST_LAW, SimConfig(burn_in=0, n_draws=4))
     np.testing.assert_array_equal(path.w2, [1.0, 1.5, 1.75, 1.875])
     np.testing.assert_array_equal(path.w1, [1.0, 1.75, 2.25, 2.5625])
-    assert path.mode == "forward_burnin"
     assert path.chain_len == 4
 
 
@@ -118,8 +115,6 @@ def test_stationary_sample_layout():
     path = stationary_sample(LAW_C8, cfg, rng(1), n_chains=3)
     assert len(path) == 1001
     assert path.chain_len == 334  # ceil(1001/3); the last chain is trimmed
-    assert path.n_chains == 3
-    assert path.mode == "forward_burnin"
     assert np.isfinite(path.w1).all() and (path.w1 > 0).all()
     assert np.isfinite(path.w2).all() and (path.w2 > 0).all()
 
@@ -135,7 +130,6 @@ class RecordingLaw:
 
     def __init__(self, law):
         self.law = law
-        self.mode = law.mode
         self.slabs = []
 
     def sample(self, rng, size=None):
@@ -249,8 +243,7 @@ def test_chunked_sample_independent_of_workers():
     plan = whole_plan(("w1", "w2"), n)
 
     def path(s):
-        return PathSample(w1=s.head("w1", n), w2=s.head("w2", n), mode="forward_burnin",
-                          config=sim, chain_len=s.chain_len)
+        return PathSample(w1=s.head("w1", n), w2=s.head("w2", n), chain_len=s.chain_len)
 
     one = path(_forward_chunked(LAW_C8, sim, plan, None, "stationary")())
     for workers in (2, 3):  # 3 threads on fewer cores
@@ -337,7 +330,7 @@ def test_backward_truncated_exact_partial_sums():
     )
     np.testing.assert_array_equal(one.w1, 1.0)
     np.testing.assert_array_equal(one.w2, 1.0)
-    assert one.chain_len == 1 and one.mode == "backward_truncated"
+    assert one.chain_len == 1
 
     two = backward_truncated(
         CONST_LAW, SimConfig(burn_in=0, n_draws=5, truncation_depth=2), rng()
@@ -458,6 +451,7 @@ def test_limit_path_matches_product_loop():
                             weights=np.ones(5), threshold_u=None, n_exceedances=5)
     sample = spectral_process_draws(law, 1.5, h, n, angular, rng(6))
     assert [d.a1.shape for d in law.slabs] == [(1, n)] * h
+    assert sample.path.shape == (n, h, 2)
     w1, w2 = sample.theta0[:, 0], sample.theta0[:, 1]
     for t, (a1, a2, a4, _, _) in enumerate(step_rows(law.slabs)):
         w1, w2 = a1 * w1 + a2 * w2, a4 * w2
@@ -474,8 +468,7 @@ def test_product_chain_validation():
         product_path(draw, theta, theta, -1)
     with pytest.raises(ValueError):
         product_path(draw, theta, np.ones(2), 2)
-    y1, y2 = product_path(draw, theta, theta, 0)
-    assert y1.shape == y2.shape == (3, 0)
+    assert product_path(draw, theta, theta, 0).shape == (3, 0, 2)
 
 
 @settings(max_examples=200, deadline=None)

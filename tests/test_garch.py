@@ -15,7 +15,6 @@ from tritail.garch import (
     GarchLaw,
     GarchParams,
     GarchPath,
-    GarchVerifyReport,
     _correlated_normals,
     return_hill_k,
     return_spectral_check,
@@ -36,8 +35,7 @@ from tritail.pipelines import (
     _GROUP_ELEMENTS,
     _forward_chunked,
 )
-from tritail.reduction import whole_plan
-from tritail.records import ResultRecord
+from tritail.reduction import PointSpec, exceedances, whole_plan
 from tritail.spectral import valid_window_starts
 from tritail.streams import substream
 
@@ -70,12 +68,12 @@ def test_params_validation():
     for field in ("alpha11", "alpha12", "alpha22", "beta11", "beta12", "beta22"):
         bad = dict(good, **{field: 0.0})
         with pytest.raises(ValueError, match=field):
-            GarchParams.from_dict(bad)
+            GarchParams(**bad)
     with pytest.raises(ValueError, match="alpha0"):
-        GarchParams.from_dict(dict(good, alpha0=[0.05, -0.05]))
+        GarchParams(**dict(good, alpha0=[0.05, -0.05]))
     with pytest.raises(ValueError, match="rho"):
-        GarchParams.from_dict(dict(good, rho=1.0))
-    assert GarchParams.from_dict(good) == GARCH_P10
+        GarchParams(**dict(good, rho=1.0))
+    assert GarchParams(**good) == GARCH_P10
 
 
 def test_to_sre_coefficients_anchor_points():
@@ -228,8 +226,7 @@ def chunked_path(sim, workers):
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             s = _forward_chunked(law, sim, plan, pool, "garch")()
-    return GarchPath(*(s.head(name, len(s)) for name in STORED), params=GARCH_P10,
-                     config=sim, chain_len=s.chain_len)
+    return GarchPath(*(s.head(name, len(s)) for name in STORED), chain_len=s.chain_len)
 
 
 def test_garch_chunked_independent_of_workers():
@@ -271,9 +268,8 @@ def test_volatility_floor_and_chain_layout():
     assert len(path) == 1001 and path.chain_len == 334
     assert path.sigma1_sq.min() >= GARCH_P10.alpha0[0]
     assert path.sigma2_sq.min() >= GARCH_P10.alpha0[1]
-    vol = path.vol_sample()
-    assert vol.mode == "garch_vol" and vol.chain_len == 334
-    assert np.shares_memory(vol.w1, path.sigma1_sq)
+    assert np.shares_memory(path.series("w1"), path.sigma1_sq)
+    assert np.shares_memory(path.series("w2"), path.sigma2_sq)
 
 
 def test_single_chain_mode():
@@ -325,12 +321,12 @@ def garch_path(params, n, g):
 
 def test_verify_tail_relations_structure():
     g = rng(8)
-    report = verify_tail_relations(GARCH_P10, classify_regime(GarchLaw(GARCH_P10)), g,
-                                   garch_path(GARCH_P10, 400_000, g), k=5000, k_x=3000)
-    assert isinstance(report, GarchVerifyReport)
-    assert report.regime == "a2_dominant"
-    assert report.alpha1 > report.alpha2
-    names = [r.name for r in report.records]
+    regime = classify_regime(GarchLaw(GARCH_P10))
+    records = verify_tail_relations(GARCH_P10, regime, g, garch_path(GARCH_P10, 400_000, g),
+                                    k=5000, k_x=3000)
+    assert isinstance(records, tuple)
+    assert regime.alpha1.alpha > regime.alpha2.alpha
+    names = [r.name for r in records]
     assert names == [
         "hill_sigma1_sq",
         "hill_sigma2_sq",
@@ -342,20 +338,12 @@ def test_verify_tail_relations_structure():
         "sigma2_sq_constant_vs_plateau",
         "regime_coherent",
     ]
-    by_name = {r.name: r for r in report.records}
+    by_name = {r.name: r for r in records}
     assert by_name["hill_sigma1_sq"].note.startswith("k=5000 ")
     assert by_name["hill_abs_x1"].note.startswith("k=3000 ")
     assert by_name["plateau_sigma1_sq"].passed is None
     assert by_name["regime_coherent"].passed is True
-
-
-def test_all_passed_treats_informational_as_pass():
-    def rec(passed):
-        return ResultRecord(name="r", value=0.0, bound_low=0.0, bound_high=0.0,
-                            passed=passed)
-
-    assert GarchVerifyReport(1.0, 0.5, "x", (rec(True), rec(None))).all_passed
-    assert not GarchVerifyReport(1.0, 0.5, "x", (rec(True), rec(False))).all_passed
+    assert by_name["regime_coherent"].note == "solver a2_dominant, classifier a2_dominant"
 
 
 # ---------------------------------------------------------------------------
@@ -368,26 +356,29 @@ def test_return_spectral_check_cross_feed_branch():
     # The release gate (0.05 at 1e7 draws) lives in the acceptance suite.
     g = rng(9)
     path = garch_path(GARCH_P10, 2_000_000, g)
-    report = return_spectral_check(
+    branch, *records = return_spectral_check(
         GARCH_P10, classify_regime(GarchLaw(GARCH_P10)), 2, g,
         path, u_quantile=0.999, n_limit=100_000, ks_bound=0.08,
     )
-    assert report.branch == "heavier_cross_feed"
-    # The blockwise threshold and exceedances equal the whole-array ones.
+    assert (branch.name, branch.note, branch.passed) == ("branch", "heavier_cross_feed", None)
+    # The blockwise threshold and exceedances the branch reads equal the whole-array ones.
+    spec = PointSpec(anchors=("sigma1_sq", "sigma2_sq"), after=("x1", "x2"), h=2, u=0.999)
+    ex = exceedances(path, spec)
+    threshold, sel = ex.above(0.999)
+    n_exceedances = np.count_nonzero(ex.valid[sel])
     r = np.hypot(path.sigma1_sq, path.sigma2_sq)
     x = float(np.quantile(r, 0.999))
     valid = valid_window_starts(len(path), path.chain_len, 2, offset=1)
-    assert report.threshold == x
-    assert report.n_exceedances == np.count_nonzero(valid & (r > x))
-    assert report.alpha1 > report.alpha2
-    names = {r.name for r in report.records}
+    assert threshold == x
+    assert n_exceedances == np.count_nonzero(valid & (r > x))
+    names = {r.name for r in records}
     assert names == {
         "ks_x1_t1", "ks_x2_t1", "ks_x1_t2", "ks_x2_t2", "ks_window_norm",
         "sign_symmetry_ks", "sign_symmetry_z",
     }
-    assert report.n_exceedances >= 1000 and report.threshold > 0
-    assert report.max_ks <= 0.08
-    assert report.all_passed
+    assert n_exceedances >= 1000 and threshold > 0
+    assert max(r.value for r in records if r.name.startswith("ks_")) <= 0.08
+    assert all(r.passed is not False for r in records)
 
 
 def test_cross_feed_limit_windows_do_not_depend_on_the_row_block(monkeypatch):
@@ -397,9 +388,9 @@ def test_cross_feed_limit_windows_do_not_depend_on_the_row_block(monkeypatch):
     regime = classify_regime(GarchLaw(GARCH_P10))
 
     def records():
-        report = return_spectral_check(GARCH_P10, regime, 2, rng(11), path,
-                                       u_quantile=0.99, n_limit=1000)
-        return [(r.name, r.value) for r in report.records]
+        records = return_spectral_check(GARCH_P10, regime, 2, rng(11), path,
+                                        u_quantile=0.99, n_limit=1000)
+        return [(r.name, r.value) for r in records]
 
     whole = records()
     monkeypatch.setattr(garch, "block_rows", lambda width: 7)
@@ -411,21 +402,22 @@ def test_return_spectral_check_own_tail_branch():
     # return series cluster heavily, so the mirror-KS spread across streams
     # reaches ~0.09 at ~2000 exceedances (measured over four seeds).
     g = rng(30)
-    report = return_spectral_check(
-        OWN_TAIL_PARAMS, classify_regime(GarchLaw(OWN_TAIL_PARAMS)), 2, g,
+    regime = classify_regime(GarchLaw(OWN_TAIL_PARAMS))
+    branch, *records = return_spectral_check(
+        OWN_TAIL_PARAMS, regime, 2, g,
         garch_path(OWN_TAIL_PARAMS, 2_000_000, g), u_quantile=0.999,
         n_limit=200_000, ks_bound=0.10,
     )
-    assert report.branch == "heavier_own_tail"
-    assert report.alpha1 < report.alpha2
-    names = {r.name for r in report.records}
+    assert (branch.name, branch.note) == ("branch", "heavier_own_tail")
+    assert regime.alpha1.alpha < regime.alpha2.alpha
+    names = {r.name for r in records}
     assert names == {
         "ks_x1_angle_t1", "ks_x1_angle_t2", "ks_x2_angle_t1", "ks_x2_angle_t2",
         "sign_symmetry_ks_x1", "sign_symmetry_z_x1",
         "sign_symmetry_ks_x2", "sign_symmetry_z_x2",
     }
-    assert report.all_passed, [
-        (r.name, r.value, r.bound_high) for r in report.records if r.passed is False
+    assert all(r.passed is not False for r in records), [
+        (r.name, r.value, r.bound_high) for r in records if r.passed is False
     ]
 
 

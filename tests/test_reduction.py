@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tritail import reduction, tailstats
-from tritail.engine import PathSample, SimConfig
+from tritail.engine import PathSample
 from tritail.reduction import (
     Plan,
     PointSpec,
@@ -22,8 +22,7 @@ PAIR = ("w1", "w2")
 
 
 def sample_of(w1, w2, chain_len):
-    return PathSample(w1=w1, w2=w2, mode="synthetic",
-                      config=SimConfig(burn_in=0, n_draws=max(1, w1.size)), chain_len=chain_len)
+    return PathSample(w1=w1, w2=w2, chain_len=chain_len)
 
 
 def reduce_in_groups(plan, w1, w2, chain_len, bounds):
@@ -148,10 +147,12 @@ def test_unplanned_reductions_raise():
                    lambda: summary.exceedance_set(WindowSpec("w1", 2, 0.9))):
         with pytest.raises(ValueError, match="holds"):
             lookup()
-    # A point set without windows is read from any planned h.
+    # A point set is read only at its planned h: h = 0 names another set.
     spec = PointSpec(PAIR, PAIR, 3, 0.9)
     summary = summarize(sample_of(w, w, 10), Plan(exceedances=frozenset({spec})))
-    assert summary.exceedance_set(PointSpec(PAIR, PAIR, 0, 0.9)) is summary.exceedance_set(spec)
+    assert summary.exceedance_set(spec).index.size > 0
+    with pytest.raises(ValueError, match="holds"):
+        summary.exceedance_set(PointSpec(PAIR, PAIR, 0, 0.9))
 
 
 def test_plans_union_at_the_deepest_reach():

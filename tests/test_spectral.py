@@ -35,10 +35,8 @@ def rng(seed=0):
 
 
 def path_of(w1, w2, chain_len):
-    w1 = np.asarray(w1, dtype=float)
-    cfg = SimConfig(burn_in=0, n_draws=w1.size)
-    return PathSample(w1=w1, w2=np.asarray(w2, dtype=float), mode="synthetic",
-                      config=cfg, chain_len=chain_len)
+    return PathSample(w1=np.asarray(w1, dtype=float), w2=np.asarray(w2, dtype=float),
+                      chain_len=chain_len)
 
 
 # ---------------------------------------------------------------------------
