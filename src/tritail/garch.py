@@ -11,12 +11,13 @@ with the A entries built from the PREVIOUS step's noise and the return pair
 assembled from the fresh one (X_t = sigma_t Z_t).  Getting that off-by-one
 wrong silently shifts every tail constant.  Two places here apply it: the
 sampler's coefficient source (:func:`_noise_slabs`) and the limit products
-of :func:`_prop_heavier_cross`; both feed :func:`tritail.engine.forward_slabs`.
+of :func:`_noise_products`; both feed :func:`tritail.engine.forward_slabs`.
 
 Besides the simulators this module verifies the model's tail chain — solver
 roots, Hill estimates of sigma^2 and |X|, the plateaus of sigma^2, the
 second component's renewal constant — and the two regime-specific limit laws
-of threshold-conditioned return windows.  Both checks return a tuple of
+of threshold-conditioned return windows, whose exceedances and KS battery
+are those of :mod:`tritail.spectral`.  Both checks return a tuple of
 :class:`~tritail.records.ResultRecord`, the scorecard entries the pipelines
 report under a ``verify_`` or ``spectral_`` prefix.
 """
@@ -34,7 +35,7 @@ from .engine import (
     forward_slabs,
     product_path,
 )
-from .errors import RegimeMismatch, TooFewExceedances
+from .errors import RegimeMismatch
 from .laws import (
     REGIME_A1_DOMINANT,
     REGIME_A2_DOMINANT,
@@ -46,7 +47,13 @@ from .laws import (
 from .records import ResultRecord, dispersion_gate, gate, hill_gate
 from .reduction import Plan, PointSpec, Reducer, WholeSample, WindowSpec, summarize
 from .renewal import univariate_constant
-from .spectral import MIN_EXCEEDANCES, unit_pareto
+from .spectral import (
+    MIN_EXCEEDANCES,
+    exceedance_angles,
+    forward_limit_ks,
+    select_exceedances,
+    unit_pareto,
+)
 from .tailstats import (
     UpperTail,
     block_rows,
@@ -517,30 +524,13 @@ def _prop_heavier_cross(params, ex, h, u_quantile, n_limit, ks_bound, a2, rng):
     Pareto(2 alpha2) factor, Theta0 resampled from the volatility angles, and
     the noise z shared between each window value and the next matrix.
     """
-    x, sel = ex.above(u_quantile)
-    idx = sel[ex.valid[sel]]
-    if idx.size < MIN_EXCEEDANCES:
-        raise TooFewExceedances(
-            f"{idx.size} in-chain volatility exceedances; need {MIN_EXCEEDANCES}"
-        )
-    scale = 1.0 / math.sqrt(x)
-    sim_win = ex.after[idx] * scale
-
-    # Empirical angle of the conditioning volatility vector.
-    theta = ex.rows[idx] / ex.key[idx][:, None]
-    limit = _cross_feed_limit(params, theta, h, n_limit, a2, rng)
-
-    records = []
-    for t in range(h):
-        for i in range(2):
-            stat = ks_distance(sim_win[:, t, i], limit[:, t, i])
-            records.append(gate(f"ks_x{i + 1}_t{t + 1}", stat, 0.0, ks_bound))
-    stat = ks_distance(
-        np.linalg.norm(sim_win.reshape(idx.size, -1), axis=1),
-        np.linalg.norm(limit.reshape(n_limit, -1), axis=1),
-    )
-    records.append(gate("ks_window_norm", stat, 0.0, ks_bound))
-    records.extend(_sign_symmetry_records(sim_win.reshape(idx.size, -1), ks_bound))
+    x, sel = select_exceedances(ex, u_quantile, "in-chain volatility exceedances", in_chain=True)
+    sim_win = ex.after[sel] * (1.0 / math.sqrt(x))
+    limit = _cross_feed_limit(params, exceedance_angles(ex, sel), h, n_limit, a2, rng)
+    records = [gate(f"ks_{name}", stat, 0.0, ks_bound)
+               for name, stat in forward_limit_ks(sim_win, limit, coord="x",
+                                                  norm="window_norm").items()]
+    records.extend(_sign_symmetry_records(sim_win.reshape(sel.size, -1), ks_bound))
     return records
 
 
@@ -554,13 +544,8 @@ def _prop_heavier_own(params, sets, h, u_quantile, n_limit, ks_bound, alphas, rn
     """
     records = []
     for i, (ex, alpha_i) in enumerate(zip(sets, alphas), start=1):
-        _, keep = ex.above(u_quantile)
-        m = keep.size
-        if m < MIN_EXCEEDANCES:
-            raise TooFewExceedances(
-                f"{m} window-norm exceedances on X{i}; need {MIN_EXCEEDANCES}"
-            )
-        angles = ex.rows[keep] / ex.key[keep][:, None]
+        _, keep = select_exceedances(ex, u_quantile, f"window-norm exceedances on X{i}")
+        angles = exceedance_angles(ex, keep)
 
         z1, z2 = _correlated_normals(params.rho, (n_limit, h + 1), rng)
         # A_t from noise column t-1, the window value at t from column t.

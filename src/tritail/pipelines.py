@@ -176,34 +176,9 @@ def _expect(value, path: str, types, what: str) -> None:
 # Deterministic chunked sampling
 # ============================================================================
 
-def _chunked(reduce_span: Callable, n: int, chain_len: int, plan: Plan,
-             pool: Optional[ThreadPoolExecutor], span: int = _CHUNK_DRAWS) -> Callable[[], Summary]:
-    """Reduce n states in chains of ``chain_len`` under ``plan``, sampled ``span`` states at a time.
-
-    ``reduce_span(summary, start)`` samples states ``[start, min(start +
-    span, n))``, a pure function of its bounds, and writes their reductions
-    into ``summary``, the sample's one :class:`Summary`.  No reduction
-    depends on the order in which the spans write, so neither the pool nor
-    its size changes the result.  With a pool every span is submitted now;
-    without one, the returned function samples the spans one by one.  The
-    returned function waits for the spans and returns the summary.
-    """
-    summary = Summary(plan, n, chain_len)
-    one = functools.partial(reduce_span, summary)
-    starts = range(0, n, span)
-    spans = map(one, starts) if pool is None else pool.map(one, starts)
-
-    def wait() -> Summary:
-        for _ in spans:
-            pass
-        return summary
-
-    return wait
-
-
 def _forward_chunked(law, sim: SimConfig, plan: Plan, pool: Optional[ThreadPoolExecutor],
                      purpose: str) -> Callable[[], Summary]:
-    """The forward sample of ``law`` reduced under ``plan``, as :func:`_chunked` gives it.
+    """The forward sample of ``law`` reduced under ``plan``: the function that waits for it.
 
     A GARCH law runs :func:`stationary_garch_sample` on its parameters and
     any other law :func:`engine.stationary_sample`; both are looked up when
@@ -213,11 +188,13 @@ def _forward_chunked(law, sim: SimConfig, plan: Plan, pool: Optional[ThreadPoolE
     side by side as one group, a single sampler call whose generator blocks
     are the chunks, up to _GROUP_ELEMENTS per slab array; the sampler hands
     each slab's kept states to the group's :class:`reduction.Reducer`,
-    which writes them into the sample's summary.  A chunk's states equal a
-    solo run's, so neither the grouping nor the worker count changes the
-    result.  Only the final chunk can be a non-multiple; its last chain is
-    trimmed, so the sample keeps the chain-major invariant with that chain
-    length.
+    which writes them into the sample's one :class:`Summary`.  A chunk's
+    states equal a solo run's and no reduction depends on the order in
+    which the groups write, so neither the grouping, the pool nor its size
+    changes the result.  With a pool every group is submitted now; without
+    one, the returned function samples the groups one by one.  Only the
+    final chunk can be a non-multiple; its last chain is trimmed, so the
+    sample keeps the chain-major invariant with that chain length.
     """
     if isinstance(law, GarchLaw):
         sampler, model = stationary_garch_sample, law.params
@@ -226,8 +203,9 @@ def _forward_chunked(law, sim: SimConfig, plan: Plan, pool: Optional[ThreadPoolE
     chunk_chains = _CHUNK_DRAWS // _CHUNK_CHAIN_LEN
     per_group = max(1, _GROUP_ELEMENTS // (engine.slab_rows(chunk_chains) * chunk_chains))
     span, n = per_group * _CHUNK_DRAWS, sim.n_draws
+    summary = Summary(plan, n, _CHUNK_CHAIN_LEN)
 
-    def one(summary: Summary, start: int) -> None:
+    def one(start: int) -> None:
         stop = min(start + span, n)
         blocks = [(substream(sim.base_seed, purpose, c // _CHUNK_DRAWS),
                    -(-(min(c + _CHUNK_DRAWS, stop) - c) // _CHUNK_CHAIN_LEN))
@@ -237,24 +215,32 @@ def _forward_chunked(law, sim: SimConfig, plan: Plan, pool: Optional[ThreadPoolE
         sampler(model, cfg, blocks, n_chains=n_chains,
                 reducer=reduction.Reducer(summary, stop - start, start))
 
-    return _chunked(one, n, _CHUNK_CHAIN_LEN, plan, pool, span)
+    starts = range(0, n, span)
+    groups = map(one, starts) if pool is None else pool.map(one, starts)
+
+    def wait() -> Summary:
+        for _ in groups:
+            pass
+        return summary
+
+    return wait
 
 
-def _backward_chunked(law, sim: SimConfig, plan: Plan) -> Summary:
-    """``sim.n_draws`` backward draws of ``law`` reduced under ``plan``, one chunk after another.
+def _backward_chunked(law, sim: SimConfig) -> PathSample:
+    """``sim.n_draws`` independent backward draws of ``law``, one chunk after another.
 
     Chunk i holds draws ``[i*_BACKWARD_CHUNK, ...)`` and draws from
     substream i; :func:`engine.backward_truncated` is looked up when called.
     """
     n = sim.n_draws
-
-    def one(summary: Summary, start: int) -> None:
+    sample = PathSample(w1=np.empty(n), w2=np.empty(n), chain_len=1)
+    for start in range(0, n, _BACKWARD_CHUNK):
         cfg = replace(sim, n_draws=min(start + _BACKWARD_CHUNK, n) - start)
-        sample = engine.backward_truncated(
+        chunk = engine.backward_truncated(
             law, cfg, substream(sim.base_seed, "backward", start // _BACKWARD_CHUNK))
-        reduction.reduce_group(summary, sample, start)
-
-    return _chunked(one, n, 1, plan, None, _BACKWARD_CHUNK)()
+        sample.w1[start : start + cfg.n_draws] = chunk.w1
+        sample.w2[start : start + cfg.n_draws] = chunk.w2
+    return sample
 
 
 # ============================================================================
@@ -645,7 +631,7 @@ def _step_spectral(ctx: _Ctx) -> None:
         level = ctx.knob("pareto_level")
         ctx.records.append(gate("pareto_norm_pvalue", pvalue, level,
                                 note=f"ks_stat={stat:.4g}"))
-        for fname, stat in spectral.forward_limit_ks(cond, limit).items():
+        for fname, stat in spectral.forward_limit_ks(cond.windows, limit.path, limit.y0).items():
             ctx.records.append(gate(f"ks_{fname}", stat, 0.0, ks_bound,
                                     note=f"exceedances={cond.n_exceedances}"))
         m = min(len(limit), 10_000)
@@ -736,7 +722,7 @@ def _step_cross_validate(ctx: _Ctx) -> None:
     level = ctx.knob("ks_level")
     for name in ("w1", "w2"):
         fwd = sample.strided(name, stride, n)
-        stat, pvalue = tailstats.ks_2sample(fwd, back.head(name, n))
+        stat, pvalue = tailstats.ks_2sample(fwd, back.series(name))
         ctx.records.append(gate(f"crossval_{name}_pvalue", pvalue, level,
                                 note=f"ks_stat={stat:.4g} n_forward={fwd.size} n_backward={n} "
                                      f"stride={stride}"))
@@ -792,8 +778,7 @@ def _job_stationarity(ctx: _Ctx, pool) -> Callable:
 
 def _job_cross_validate(ctx: _Ctx, pool) -> Callable:
     n = ctx.knob("crossval_draws")
-    return _submit(pool, _backward_chunked, ctx.cfg.law, replace(ctx.cfg.sim, n_draws=n),
-                   reduction.whole_plan(("w1", "w2"), n))
+    return _submit(pool, _backward_chunked, ctx.cfg.law, replace(ctx.cfg.sim, n_draws=n))
 
 
 @dataclass(frozen=True)

@@ -57,7 +57,6 @@ __all__ = [
     "Exceedances",
     "Summary",
     "valid_window_starts",
-    "whole_plan",
     "Reducer",
     "WholeSample",
     "reduce_group",
@@ -242,11 +241,6 @@ def _strided_count(n: int, chain_len: int, stride: int) -> int:
     """Kept states stride, 2 stride, ... of every chain of an n-state chain-major sample."""
     full, rem = divmod(n, chain_len)
     return full * (chain_len // stride) + rem // stride
-
-
-def whole_plan(names, n: int) -> Plan:
-    """A plan that keeps all n states of each series."""
-    return Plan(heads=dict.fromkeys(names, n))
 
 
 def _arrays(sample, fn):
@@ -523,13 +517,13 @@ class Reducer:
 class WholeSample(Reducer):
     """Gathers a whole n-state sample of ``cls`` from its step-major blocks.
 
-    The sample's ``cls.STORED`` arrays are the first states of a
-    :func:`whole_plan`; :meth:`summary` returns them as a ``cls`` whose one
-    other field is ``chain_len``.
+    The sample's ``cls.STORED`` arrays are all n first states of each
+    series; :meth:`summary` returns them as a ``cls`` whose one other field
+    is ``chain_len``.
     """
 
     def __init__(self, cls, n: int, chain_len: int):
-        super().__init__(Summary(whole_plan(cls.STORED, n), n, chain_len), n)
+        super().__init__(Summary(Plan(heads=dict.fromkeys(cls.STORED, n)), n, chain_len), n)
         self._cls = cls
 
     def summary(self):

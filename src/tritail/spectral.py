@@ -14,6 +14,10 @@ In the opposite regime (alpha1 > alpha2) the module builds draws from the
 forward limit of scaled post-exceedance windows: an exact unit-Pareto norm
 factor, an angle resampled from an angular sample, and an independent
 coefficient product chain pushed through the angle.
+
+Every threshold estimate, here and in :mod:`tritail.garch`, selects its
+points with :func:`select_exceedances`, and both cross-feed checks compare
+windows with their limit through one KS battery, :func:`forward_limit_ks`.
 """
 
 import math
@@ -27,14 +31,16 @@ from scipy import special
 from .engine import PathSample, product_path
 from .errors import RegimeMismatch, TooFewExceedances
 from .laws import CoefficientLaw
-from .reduction import PointSpec, WindowSpec, exceedances, valid_window_starts
-from .tailstats import ks_distance
+from .reduction import Exceedances, PointSpec, WindowSpec, exceedances, valid_window_starts
+from .tailstats import block_rows, ks_distance
 
 __all__ = [
     "AngularSample",
     "SpectralProcessSample",
     "ConditionalWindows",
     "MIN_EXCEEDANCES",
+    "select_exceedances",
+    "exceedance_angles",
     "angular_measure_threshold",
     "valid_window_starts",
     "norm_spec",
@@ -107,6 +113,37 @@ def window_spec(component: int, h: int, u_quantile: float) -> WindowSpec:
     return WindowSpec(series=_PAIR[component - 1], h=h, u=u_quantile)
 
 
+def select_exceedances(ex: Exceedances, u_quantile: float, what: str,
+                       in_chain: bool = False) -> tuple[float, np.ndarray]:
+    """The u-quantile x of a set's series and its points above x; ``in_chain`` keeps in-chain ones.
+
+    Raises :class:`TooFewExceedances`, naming the points ``what``, below
+    ``MIN_EXCEEDANCES``: laws from fewer points are too noisy to compare.
+    """
+    x, sel = ex.above(u_quantile) if ex.n else (math.nan, np.empty(0, dtype=np.intp))
+    if in_chain:
+        sel = sel[ex.valid[sel]]
+    if sel.size < MIN_EXCEEDANCES:
+        raise TooFewExceedances(
+            f"{sel.size} {what} above the {u_quantile:.4%} quantile; "
+            f"need at least {MIN_EXCEEDANCES}"
+        )
+    return x, sel
+
+
+def exceedance_angles(ex: Exceedances, sel: np.ndarray) -> np.ndarray:
+    """The payload rows of points ``sel`` divided by their keys: unit vectors."""
+    return ex.rows[sel] / ex.key[sel][:, None]
+
+
+def _threshold_angular(ex: Exceedances, u_quantile: float, what: str) -> AngularSample:
+    """The angles of the points above the u-quantile, uniformly weighted."""
+    x, sel = select_exceedances(ex, u_quantile, what)
+    m = sel.size
+    return AngularSample(points=exceedance_angles(ex, sel), weights=np.full(m, 1.0 / m),
+                         threshold_u=x, n_exceedances=m)
+
+
 def angular_measure_threshold(
     draws: PathSample, u_quantile: float = 0.999, h: int = 0
 ) -> AngularSample:
@@ -114,26 +151,14 @@ def angular_measure_threshold(
 
     Keeps every draw whose Euclidean norm exceeds the empirical ``u_quantile``
     norm quantile and returns the normalized exceedances with uniform weights.
-    Raises :class:`TooFewExceedances` below 200 exceedances — angular CDFs
-    from fewer points are too noisy to compare against anything.  ``draws``
-    is a sample or its :class:`~tritail.reduction.Summary` planned with
-    :func:`norm_spec` at this ``h``; the angles do not depend on ``h``, which
-    only names the planned point set to read.
+    ``draws`` is a sample or its :class:`~tritail.reduction.Summary` planned
+    with :func:`norm_spec` at this ``h``; the angles do not depend on ``h``,
+    which only names the planned point set to read.
     """
     if not 0.0 < u_quantile < 1.0:
         raise ValueError("u_quantile must lie in (0, 1)")
-    ex = exceedances(draws, norm_spec(u_quantile, h))
-    x, sel = ex.above(u_quantile)
-    if sel.size < MIN_EXCEEDANCES:
-        raise TooFewExceedances(
-            f"{sel.size} norm exceedances above the {u_quantile:.4%} quantile; "
-            f"need at least {MIN_EXCEEDANCES}"
-        )
-    points = ex.rows[sel] / ex.key[sel][:, None]
-    weights = np.full(sel.size, 1.0 / sel.size)
-    return AngularSample(
-        points=points, weights=weights, threshold_u=x, n_exceedances=sel.size
-    )
+    return _threshold_angular(exceedances(draws, norm_spec(u_quantile, h)), u_quantile,
+                              "norm exceedances")
 
 
 # ============================================================================
@@ -173,22 +198,8 @@ def window_angles(
         raise ValueError("u_quantile must lie in (0, 1)")
     if h < 1:
         raise ValueError("h must be >= 1")
-    ex = exceedances(draws, window_spec(component, h, u_quantile))
-    if ex.n < MIN_EXCEEDANCES:
-        raise TooFewExceedances(f"only {ex.n} windows of length {h} fit within chains")
-    x, sel = ex.above(u_quantile)
-    m = sel.size
-    if m < MIN_EXCEEDANCES:
-        raise TooFewExceedances(
-            f"{m} window-norm exceedances; need at least {MIN_EXCEEDANCES}"
-        )
-    points = ex.rows[sel] / ex.key[sel][:, None]
-    return AngularSample(
-        points=points,
-        weights=np.full(m, 1.0 / m),
-        threshold_u=x,
-        n_exceedances=m,
-    )
+    return _threshold_angular(exceedances(draws, window_spec(component, h, u_quantile)),
+                              u_quantile, "window-norm exceedances")
 
 
 @dataclass(eq=False)
@@ -202,13 +213,6 @@ class ConditionalWindows:
     windows: np.ndarray
     threshold: float
     n_exceedances: int
-
-    def __len__(self) -> int:
-        return self.windows.shape[0]
-
-    def norms(self) -> np.ndarray:
-        """Euclidean norm over both coordinates and all h steps, per window."""
-        return np.linalg.norm(self.windows.reshape(len(self), -1), axis=1)
 
 
 def conditional_exceedance_windows(
@@ -226,13 +230,7 @@ def conditional_exceedance_windows(
     if not 0.0 < u_quantile < 1.0:
         raise ValueError("u_quantile must lie in (0, 1)")
     ex = exceedances(draws, norm_spec(u_quantile, h))
-    x, sel = ex.above(u_quantile)
-    sel = sel[ex.valid[sel]]
-    if sel.size < MIN_EXCEEDANCES:
-        raise TooFewExceedances(
-            f"{sel.size} in-chain exceedances above the {u_quantile:.4%} "
-            f"quantile; need at least {MIN_EXCEEDANCES}"
-        )
+    x, sel = select_exceedances(ex, u_quantile, "in-chain exceedances", in_chain=True)
     return ConditionalWindows(windows=ex.after[sel] / x, threshold=x, n_exceedances=sel.size)
 
 
@@ -295,8 +293,8 @@ class SpectralProcessSample:
     ``path[k, t-1] = Pi_t theta0[k]`` for the k-th drawn coefficient chain,
     computed as the recursion ``w_t = A_t w_{t-1}`` from ``w_0 = theta0[k]``
     (:func:`tritail.engine.product_path`); the limiting window itself is
-    ``y0`` times the path (see :meth:`limit_paths`), matching windows scaled
-    by the conditioning threshold.
+    ``y0`` times the path (formed by :func:`forward_limit_ks`), matching
+    windows scaled by the conditioning threshold.
     """
 
     y0: np.ndarray
@@ -305,10 +303,6 @@ class SpectralProcessSample:
 
     def __len__(self) -> int:
         return self.y0.size
-
-    def limit_paths(self) -> np.ndarray:
-        """The limit windows y0 * (Pi_t theta0)_t, shape (n, h, 2)."""
-        return self.y0[:, None, None] * self.path
 
 
 def spectral_process_draws(
@@ -325,8 +319,7 @@ def spectral_process_draws(
     Requires the cross-feed-dominant regime alpha1 > alpha2 (pass ``alpha1``
     to have the precondition checked; the construction itself only needs
     ``alpha2``).  The three ingredients are mutually independent; ``path``
-    stores the bare products ``Pi_t theta0`` and :meth:`limit_paths` applies
-    the Pareto factor.
+    stores the bare products ``Pi_t theta0`` and ``y0`` the Pareto factor.
     """
     if h < 0:
         raise ValueError("h must be >= 0")
@@ -370,25 +363,37 @@ def pareto_gof(sample, alpha: float) -> tuple[float, float]:
     return d, float(special.kolmogorov(math.sqrt(n) * d))
 
 
-def forward_limit_ks(
-    cond: ConditionalWindows, limit: SpectralProcessSample
-) -> dict[str, float]:
-    """Two-sample KS distance per scalar functional between windows and their limit law.
+def _window_norms(windows: np.ndarray, y0: Optional[np.ndarray] = None) -> np.ndarray:
+    """|y0 * window| per (h, 2) window, in row blocks, as ``np.linalg.norm(..., axis=1)``."""
+    flat = windows.reshape(windows.shape[0], -1)
+    norms = np.empty(flat.shape[0])
+    step = block_rows(flat.shape[1])
+    for lo in range(0, flat.shape[0], step):
+        rows = flat[lo : lo + step]
+        if y0 is not None:
+            rows = y0[lo : lo + step, None] * rows
+        norms[lo : lo + step] = np.linalg.norm(rows, axis=1)
+    return norms
 
-    Functionals: each coordinate at each step (keys ``w{i}_t{t}``) and the
-    whole-window Euclidean norm (key ``norm``), all read from one array of
-    limit windows.
+
+def forward_limit_ks(windows: np.ndarray, path: np.ndarray, y0: Optional[np.ndarray] = None,
+                     coord: str = "w", norm: str = "norm") -> dict[str, float]:
+    """Two-sample KS distance per scalar functional between (m, h, 2) windows and their limit.
+
+    The limit windows are ``y0[k] * path[k]`` for an (n, h, 2) ``path``
+    (``path`` itself without ``y0``), formed one column or row block at a
+    time.  Functionals: each coordinate at each step (keys
+    ``{coord}{i}_t{t}``, step-major) and the whole-window norm (key ``norm``).
     """
-    paths = limit.limit_paths()
-    h = cond.windows.shape[1]
-    if paths.shape[1] != h:
-        raise ValueError(f"window length mismatch: {h} vs {paths.shape[1]}")
+    h = windows.shape[1]
+    if path.shape[1] != h:
+        raise ValueError(f"window length mismatch: {h} vs {path.shape[1]}")
     out: dict[str, float] = {}
     for t in range(h):
         for i in range(2):
-            out[f"w{i + 1}_t{t + 1}"] = ks_distance(cond.windows[:, t, i], paths[:, t, i])
-    out["norm"] = ks_distance(cond.norms(),
-                              np.linalg.norm(paths.reshape(len(limit), -1), axis=1))
+            limit = path[:, t, i] if y0 is None else y0 * path[:, t, i]
+            out[f"{coord}{i + 1}_t{t + 1}"] = ks_distance(windows[:, t, i], limit)
+    out[norm] = ks_distance(_window_norms(windows), _window_norms(path, y0))
     return out
 
 

@@ -413,7 +413,7 @@ def test_criterion_08_conditional_limit_law(c8_sample):
     limit = spectral_process_draws(
         LAW_C8, alpha2, h, 200_000, ang, substream(51, "acceptance", 3), alpha1=alpha1
     )
-    ks = forward_limit_ks(cond, limit)
+    ks = forward_limit_ks(cond.windows, limit.path, limit.y0)
     stat, pvalue = pareto_gof(limit.y0, alpha2)
     checks = [(f"{key} KS<=0.05", val <= 0.05) for key, val in sorted(ks.items())]
     checks.append(("radial part exactly Pareto", pvalue >= 0.01))

@@ -731,8 +731,8 @@ def test_garch_full_report_computes_each_estimate_once(tmp_path, monkeypatch):
     calls = _capture_args(monkeypatch, pipelines, "_forward_chunked")
     small_garch_report(tmp_path)
     ((law, sim, _, _, purpose),) = calls
-    s = pipelines._forward_chunked(law, sim, reduction.whole_plan(garch.STORED, sim.n_draws), None,
-                                   purpose)()
+    whole = reduction.Plan(heads=dict.fromkeys(garch.STORED, sim.n_draws))
+    s = pipelines._forward_chunked(law, sim, whole, None, purpose)()
     path = GarchPath(*(s.head(name, len(s)) for name in garch.STORED), chain_len=s.chain_len)
     series = {
         "sigma1_sq": path.sigma1_sq,
@@ -766,8 +766,8 @@ def test_independent_full_report_streams_each_series_once(tmp_path, monkeypatch,
     report = run(parse_config(cfg))
     assert not [r.name for r in report.results if r.name.endswith("_error")]
     [(law, sim, _, _, purpose)] = calls  # one forward sample: cross-validation reads it too
-    s = pipelines._forward_chunked(law, sim, reduction.whole_plan(("w1", "w2"), sim.n_draws), None,
-                                   purpose)()
+    whole = reduction.Plan(heads=dict.fromkeys(("w1", "w2"), sim.n_draws))
+    s = pipelines._forward_chunked(law, sim, whole, None, purpose)()
     w1, w2 = s.head("w1", len(s)), s.head("w2", len(s))
     for w in (w1, w2):
         assert sum(p(w) for p in passes) == 1
@@ -793,6 +793,33 @@ def _report_laws() -> dict:
     a1 = base_config()["law"]
     a1.update(a1=lognormal(-0.375, 0.5**0.5), a4=lognormal(-0.75, 0.5**0.5))
     return {"A1": a1, "A2": base_config()["law"], "garch": garch_config()["law"]}
+
+
+@pytest.mark.parametrize("case", ["equal_indices", "no_root"])
+def test_full_report_on_a_law_with_no_regime(tmp_path, case):
+    law = base_config()["law"]
+    if case == "equal_indices":
+        # A1 = A4: alpha1 = alpha2, so neither regime's construction applies.
+        law["a4"] = law["a1"]
+    else:
+        # A bounded A4 whose moments never reach 1: no alpha2 (NoPositiveRoot).
+        law["a4"] = {"kind": "scaled_uniform_pow", "scale": 0.9, "power": 1.0}
+    report, _ = _small_full_report(law, tmp_path, pipelines._CHUNK_DRAWS, 1)
+    records = {r.name: r for r in report.results}
+    errors = [name for name in records if name.endswith("_error")]
+    assert (tmp_path / "report.json").exists()
+    if case == "equal_indices":
+        assert errors == []
+        assert records["regime"].note == "unresolved"
+        for name in ("c1_skipped", "spectral_skipped"):
+            assert records[name].passed is None and "regime unresolved" in records[name].note
+    else:
+        # The steps that need the roots fail alone; the others still run.
+        assert errors == ["solve_index_error", "tails_error", "constants_error", "spectral_error"]
+        assert all(records[name].note.startswith("NoPositiveRoot") for name in errors)
+        for name in ("stationarity_holds", "lyapunov_gamma", "n_draws", "w1_mean",
+                     "crossval_w1_pvalue", "crossval_w2_pvalue"):
+            assert name in records, name
 
 
 def test_reports_do_not_depend_on_the_grouping(tmp_path, monkeypatch):

@@ -26,7 +26,7 @@ from tritail.engine import (
 from tritail.errors import NonFiniteState, NotContracting
 from tritail.laws import Constant, IndependentLaw
 from tritail import pipelines
-from tritail.reduction import Plan, Reducer, Summary, whole_plan
+from tritail.reduction import Plan, Reducer, Summary
 from tritail.pipelines import (
     _CHUNK_CHAIN_LEN,
     _CHUNK_DRAWS,
@@ -240,7 +240,7 @@ def test_chunked_sample_independent_of_workers():
     n = (per_group + 1) * _CHUNK_DRAWS + _CHUNK_CHAIN_LEN + 17
     sim = SimConfig(burn_in=30, n_draws=n, thinning=2, base_seed=5)
 
-    plan = whole_plan(("w1", "w2"), n)
+    plan = Plan(heads=dict.fromkeys(("w1", "w2"), n))
 
     def path(s):
         return PathSample(w1=s.head("w1", n), w2=s.head("w2", n), chain_len=s.chain_len)

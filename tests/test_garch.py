@@ -35,7 +35,7 @@ from tritail.pipelines import (
     _GROUP_ELEMENTS,
     _forward_chunked,
 )
-from tritail.reduction import PointSpec, exceedances, whole_plan
+from tritail.reduction import Plan, PointSpec, exceedances
 from tritail.spectral import valid_window_starts
 from tritail.streams import substream
 
@@ -219,7 +219,7 @@ def test_stationary_garch_sample_equals_per_step_recursion(burn_in, n_draws, thi
 
 def chunked_path(sim, workers):
     """The pipeline's chunked GARCH path, every state kept, on a pool of ``workers`` threads."""
-    plan = whole_plan(STORED, sim.n_draws)
+    plan = Plan(heads=dict.fromkeys(STORED, sim.n_draws))
     law = GarchLaw(GARCH_P10)
     if workers == 1:
         s = _forward_chunked(law, sim, plan, None, "garch")()

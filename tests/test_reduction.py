@@ -39,7 +39,7 @@ def test_merged_groups_equal_the_whole_array_code(data):
     chain_len = data.draw(st.integers(1, 12), label="chain_len")
     n_chains = data.draw(st.integers(1, 30), label="n_chains")
     n = chain_len * n_chains - data.draw(st.integers(0, chain_len - 1), label="trim")
-    h = data.draw(st.integers(1, 4), label="h")
+    h = data.draw(st.integers(1, 10), label="h")
     u = data.draw(st.floats(0.3, 0.995), label="u")
     block = data.draw(st.integers(1, 40), label="block")
     g = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))

@@ -156,7 +156,8 @@ def test_conditional_windows_respect_chain_boundaries():
     np.testing.assert_allclose(cond.windows[:, 1, 0], 2.0 / x)
     np.testing.assert_allclose(cond.windows[:, :, 1], 0.1 / x)
     np.testing.assert_allclose(
-        cond.norms(), np.sqrt(1 + 4 + 2 * 0.01) / x, rtol=1e-12
+        np.linalg.norm(cond.windows.reshape(400, -1), axis=1), np.sqrt(1 + 4 + 2 * 0.01) / x,
+        rtol=1e-12,
     )
 
 
@@ -218,6 +219,9 @@ def test_window_angles_validation():
         window_angles(draws, component=0, h=2)
     with pytest.raises(TooFewExceedances):
         window_angles(draws, component=1, h=2, u_quantile=0.99)
+    # No window of length 2 fits in a chain of one state.
+    with pytest.raises(TooFewExceedances):
+        window_angles(path_of(np.ones(1000), np.ones(1000), chain_len=1), component=1, h=2)
 
 
 # ---------------------------------------------------------------------------
@@ -283,9 +287,6 @@ def test_spectral_process_draws_deterministic_chain():
                                    rtol=1e-12)
     stat, p = pareto_gof(sample.y0, 1.5)
     assert p > 0.001
-    np.testing.assert_allclose(
-        sample.limit_paths(), sample.y0[:, None, None] * sample.path
-    )
 
 
 def test_spectral_process_draws_constant_law_closed_form():
@@ -335,18 +336,57 @@ def test_spectral_process_draws_h0_and_validation():
 def test_forward_limit_ks_keys_and_self_distance():
     law = make_law(Constant(0.5), Constant(0.25), Constant(0.5))
     sample = spectral_process_draws(law, 1.5, 3, 500, atom_angular(), rng(10))
-    from tritail.spectral import ConditionalWindows
-
-    cond = ConditionalWindows(windows=sample.limit_paths(), threshold=1.0,
-                              n_exceedances=500)
-    ks = forward_limit_ks(cond, sample)
-    assert set(ks) == {"w1_t1", "w1_t2", "w1_t3", "w2_t1", "w2_t2", "w2_t3",
-                       "norm"}
+    windows = sample.y0[:, None, None] * sample.path
+    ks = forward_limit_ks(windows, sample.path, sample.y0)
+    assert list(ks) == ["w1_t1", "w2_t1", "w1_t2", "w2_t2", "w1_t3", "w2_t3", "norm"]
     assert all(v == 0.0 for v in ks.values())
-    short = ConditionalWindows(windows=sample.limit_paths()[:, :2, :],
-                               threshold=1.0, n_exceedances=500)
+    # Without a factor the path is the limit; the keys take the given names.
+    ks = forward_limit_ks(windows, windows, coord="x", norm="window_norm")
+    assert list(ks)[:2] == ["x1_t1", "x2_t1"] and list(ks)[-1] == "window_norm"
+    assert all(v == 0.0 for v in ks.values())
     with pytest.raises(ValueError):
-        forward_limit_ks(short, sample)
+        forward_limit_ks(windows[:, :2, :], sample.path, sample.y0)
+
+
+@pytest.mark.parametrize("h", [1, 3, 12])
+def test_forward_limit_ks_equals_the_whole_array_battery(monkeypatch, h):
+    # Columns y0 * path[:, t, i] and norms formed in row blocks (7 rows here,
+    # the last one short) give the statistics of the whole (n, h, 2) limit array.
+    from tritail import tailstats
+
+    g = rng(12)
+    n, m = 1000, 300
+    path, y0 = g.lognormal(size=(n, h, 2)), g.pareto(1.5, n) + 1.0
+    windows = 3.0 * g.lognormal(size=(m, h, 2))
+    whole = y0[:, None, None] * path
+    expected = [tailstats.ks_distance(windows[:, t, i], whole[:, t, i])
+                for t in range(h) for i in range(2)]
+    expected.append(tailstats.ks_distance(np.linalg.norm(windows.reshape(m, -1), axis=1),
+                                          np.linalg.norm(whole.reshape(n, -1), axis=1)))
+    monkeypatch.setattr(tailstats, "_BLOCK", 7 * 2 * h)
+    assert list(forward_limit_ks(windows, path, y0).values()) == expected
+
+
+def test_forward_limit_ks_memory_does_not_grow_with_the_window():
+    # The battery holds a few sample-sized columns, never the (n, h, 2) limit
+    # windows or their squares: its traced peak at h = 6 is that at h = 2.
+    import tracemalloc
+
+    n = 200_000
+
+    def peak(h):
+        g = rng(13)
+        path, y0 = g.lognormal(size=(n, h, 2)), g.pareto(1.5, n) + 1.0
+        windows = g.lognormal(size=(4000, h, 2))
+        tracemalloc.start()
+        try:
+            forward_limit_ks(windows, path, y0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    low, high = peak(2), peak(6)
+    assert high <= 1.1 * low, (low, high)
 
 
 def test_angular_ks():

@@ -41,7 +41,7 @@ from tritail.engine import SimConfig, backward_truncated, lyapunov_estimate, sta
 from tritail.garch import STORED, GarchLaw, GarchParams, stationary_garch_sample
 from tritail.laws import Constant, IndependentLaw, LogNormal
 from tritail.pipelines import _backward_chunked, _forward_chunked
-from tritail.reduction import Plan, PointSpec, WindowSpec, whole_plan
+from tritail.reduction import Plan, PointSpec, WindowSpec
 from tritail.renewal import series_weights
 from tritail.spectral import AngularSample, spectral_process_draws
 from tritail.streams import substream
@@ -148,12 +148,12 @@ def main() -> None:
     print(f"stationary_garch_sample  {digest(*arrays)}")
     chunked = _forward_chunked(
         DEMO_LAW, SimConfig(burn_in=2000, n_draws=N_CHUNKED, base_seed=SEED),
-        whole_plan(("w1", "w2"), N_CHUNKED), None, "stationary",
+        Plan(heads=dict.fromkeys(("w1", "w2"), N_CHUNKED)), None, "stationary",
     )()
     print(f"stationary_chunked       {digest(*(chunked.head(s, N_CHUNKED) for s in ('w1', 'w2')))}")
     garch = _forward_chunked(
         GarchLaw(GARCH_PARAMS), SimConfig(burn_in=1000, n_draws=N_CHUNKED, base_seed=SEED),
-        whole_plan(STORED, N_CHUNKED), None, "garch",
+        Plan(heads=dict.fromkeys(STORED, N_CHUNKED)), None, "garch",
     )()
     print(f"garch_chunked            {digest(*(garch.head(s, N_CHUNKED) for s in STORED))}")
     backward = backward_truncated(
@@ -162,11 +162,8 @@ def main() -> None:
         substream(SEED, "stream_digest"),
     )
     print(f"backward_truncated       {digest(backward.w1, backward.w2)}")
-    chunked = _backward_chunked(
-        DEMO_LAW, SimConfig(burn_in=0, n_draws=N_STATES, base_seed=SEED),
-        whole_plan(("w1", "w2"), N_STATES),
-    )
-    print(f"backward_chunked         {digest(*(chunked.head(s, N_STATES) for s in ('w1', 'w2')))}")
+    chunked = _backward_chunked(DEMO_LAW, SimConfig(burn_in=0, n_draws=N_STATES, base_seed=SEED))
+    print(f"backward_chunked         {digest(chunked.w1, chunked.w2)}")
     limit = spectral_process_draws(
         DEMO_LAW, DEMO_ALPHA2, 16, N_STATES, ANGULAR, substream(SEED, "stream_digest")
     )
