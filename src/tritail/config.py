@@ -95,7 +95,6 @@ KNOBS = {
     "c1_rel_tol": ("tolerances", "positive", None, 0.25),
     "c2_rel_tol": ("tolerances", "positive", None, {"constants": 0.2, "garch_verify": 0.25}),
     "ks_bound": ("tolerances", "positive", None, 0.05),
-    "pareto_level": ("tolerances", "positive", None, 0.01),
     "ks_level": ("tolerances", "positive", None, 0.01),
 }
 

@@ -36,14 +36,7 @@ from .engine import (
     product_path,
 )
 from .errors import RegimeMismatch
-from .laws import (
-    REGIME_A1_DOMINANT,
-    REGIME_A2_DOMINANT,
-    ChiSqAffine,
-    CoeffDraw,
-    Constant,
-    RegimeReport,
-)
+from .laws import ChiSqAffine, CoeffDraw, Constant, RegimeReport
 from .records import ResultRecord, dispersion_gate, gate, hill_gate
 from .reduction import Plan, PointSpec, Reducer, WholeSample, WindowSpec, summarize
 from .renewal import univariate_constant
@@ -373,16 +366,13 @@ def verify_tail_relations(
     * the plateau of each volatility at its target, its dispersion below
       ``dispersion_max``; sigma1^2's constant is reported, and sigma2^2's
       is checked against the second coordinate's renewal constant
-      (relative tolerance ``rel_tol``);
-    * regime coherence between the order of the two roots and the
-      classifier's regime (equal roots leave the classifier unresolved).
+      (relative tolerance ``rel_tol``).
 
     ``path`` is a :class:`GarchPath` or its summary planned with
-    :func:`verify_plan` at the same arguments.  Returns the nine records in
+    :func:`verify_plan` at the same arguments.  Returns the eight records in
     that order; ``passed is False`` marks a FAIL.
     """
     a1, a2 = regime.alpha1.alpha, regime.alpha2.alpha
-    ordered = REGIME_A1_DOMINANT if a1 < a2 else REGIME_A2_DOMINANT
     a_min = min(a1, a2)
 
     n = len(path)
@@ -416,10 +406,6 @@ def verify_tail_relations(
         gate("sigma2_sq_constant_vs_plateau", plateaus["sigma2_sq"].c_hat, c2.c_hat * (1 - rel_tol),
              c2.c_hat * (1 + rel_tol), std_error=c2.std_error,
              note=f"renewal constant {c2.c_hat:.6g}")
-    )
-    records.append(
-        gate("regime_coherent", 1.0 if regime.regime == ordered else 0.0, 1.0, 1.0,
-             note=f"solver {ordered}, classifier {regime.regime}")
     )
     return tuple(records)
 

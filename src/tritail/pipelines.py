@@ -559,13 +559,13 @@ def _step_constants(ctx: _Ctx) -> None:
             law, a2, c2, ctx.knob("s_schedule"), ctx.knob("weight_draws"),
             substream(ctx.seed, "weight"),
         )
+        # The one gate on the weight: converged, and inside its bracket where one exists.
         w, se = coupled.weight, coupled.weight_std_error
-        note = f"converged={coupled.converged} {bounds_note}"
-        if bounds is None:
-            ctx.add(name="series_weight", value=w, std_error=se, passed=None, note=note)
-        else:
-            ctx.records.append(gate("series_weight", w, bounds.lower - 3 * se,
-                                    bounds.upper + 3 * se, std_error=se, note=note))
+        low, high = (None, None) if bounds is None else (bounds.lower - 3 * se,
+                                                         bounds.upper + 3 * se)
+        weight = gate("series_weight", w, low, high, std_error=se,
+                      note=f"converged={coupled.converged} {bounds_note}")
+        ctx.records.append(replace(weight, passed=weight.passed and bool(coupled.converged)))
         trace = coupled.trace
         ctx.write_table(
             "weight_trace.npy",
@@ -576,8 +576,8 @@ def _step_constants(ctx: _Ctx) -> None:
             name="c1_inherited",
             value=coupled.constant.c_hat,
             std_error=coupled.constant.std_error,
-            passed=bool(coupled.converged),
-            note="c2 * series weight; gate is weight convergence",
+            passed=None,
+            note="c2 * series weight; series_weight gates the weight",
         )
         _plateau_record(ctx, "c1_plateau", ctx.plateau("w1", a2),
                         reference=coupled.constant.c_hat, rel_tol=rel_tol1)
@@ -627,10 +627,6 @@ def _step_spectral(ctx: _Ctx) -> None:
         limit = spectral.spectral_process_draws(
             law, a2, h, n_limit, ang, substream(ctx.seed, "limit"), alpha1=a1
         )
-        stat, pvalue = spectral.pareto_gof(limit.y0, a2)
-        level = ctx.knob("pareto_level")
-        ctx.records.append(gate("pareto_norm_pvalue", pvalue, level,
-                                note=f"ks_stat={stat:.4g}"))
         for fname, stat in spectral.forward_limit_ks(cond.windows, limit.path, limit.y0).items():
             ctx.records.append(gate(f"ks_{fname}", stat, 0.0, ks_bound,
                                     note=f"exceedances={cond.n_exceedances}"))
@@ -676,13 +672,13 @@ def _step_garch_verify(ctx: _Ctx) -> None:
         constant_draws=ctx.knob("constant_draws"),
         dispersion_max=ctx.knob("dispersion_max"),
     )
-    # Prefixed so a full report keeps unique record names next to the
-    # solve-index step's roots and regime (diff matches records by name).
-    # The standalone garch_verify pipeline has no solve-index step, so the
-    # roots and regime are repeated here.
-    ctx.add(name="verify_alpha1", value=rep.alpha1.alpha, note="quadrature root")
-    ctx.add(name="verify_alpha2", value=rep.alpha2.alpha, note="quadrature root")
-    ctx.add(name="verify_regime", note=rep.regime)
+    # A run with no solve-index step (the standalone garch_verify pipeline)
+    # reports the roots and regime here.  Every record is prefixed, so a full
+    # report keeps unique names (diff matches records by name).
+    if "solve_index" not in ctx.steps:
+        ctx.add(name="verify_alpha1", value=rep.alpha1.alpha, note="quadrature root")
+        ctx.add(name="verify_alpha2", value=rep.alpha2.alpha, note="quadrature root")
+        ctx.add(name="verify_regime", note=rep.regime)
     ctx.records.extend(replace(r, name=f"verify_{r.name}") for r in verify)
 
     spect = return_spectral_check(

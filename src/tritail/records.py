@@ -24,9 +24,11 @@ class ResultRecord:
     lies in ``[bound_low, bound_high]``.  Five verdicts are not "value within
     its bounds" and keep their own expression: ``alpha1``/``alpha2`` gate the
     root's residual, ``stationarity_holds`` and ``cross_moment_finite`` are
-    booleans with no bounds, ``c1_inherited`` gates the series weight's
-    convergence, and ``lyapunov_gamma`` (< 0) and the ``*_dispersion``
-    records (< ``dispersion_max``, :func:`dispersion_gate`) are strict.
+    booleans with no bounds, ``series_weight`` also needs the weight to have
+    converged (its bounds, when the weight has a bracket, are the bracket
+    ± 3 standard errors), and ``lyapunov_gamma`` (< 0) and the
+    ``*_dispersion`` records (< ``dispersion_max``, :func:`dispersion_gate`)
+    are strict.
     """
 
     name: str

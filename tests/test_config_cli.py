@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,11 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tritail import cli, garch, pipelines, reduction, tailstats
+from tritail import cli, garch, pipelines, reduction, renewal, tailstats
 from tritail.cli import main
 from tritail.config import (
     KNOBS,
     PIPELINES,
+    ExperimentConfig,
     apply_overrides,
     canonical_json,
     load_config,
@@ -146,7 +148,7 @@ def test_knob_table_rows():
     )
     assert sorted(n for n, row in KNOBS.items() if row[0] == "tolerances") == sorted(
         "alpha_residual se_mult dispersion_max c1_rel_tol c2_rel_tol ks_bound "
-        "pareto_level ks_level".split()
+        "ks_level".split()
     )
     for name, (_, kind, _, default) in KNOBS.items():
         defaults = default.values() if isinstance(default, dict) else [default]
@@ -607,40 +609,40 @@ def small_garch_report(tmp_path, **overrides):
 def test_garch_full_report_record_names_and_order(tmp_path):
     # The solve-index, stationarity and simulate records, then the GARCH
     # checks' records under their verify_/spectral_ prefixes in the order the
-    # checks return them; the roots and regime repeated as verify_* equal the
-    # solve-index step's.
+    # checks return them.  The roots and regime come once, from the
+    # solve-index step.
     records = small_garch_report(tmp_path)
     assert list(records) == [
         "alpha1", "alpha2", "cross_moment_finite", "regime",
         "stationarity_holds", "lyapunov_gamma", "lyapunov_bound_slack",
         "n_draws", "sigma1_sq_mean", "sigma1_sq_q999", "sigma2_sq_mean", "sigma2_sq_q999",
-        "verify_alpha1", "verify_alpha2", "verify_regime",
         "verify_hill_sigma1_sq", "verify_hill_sigma2_sq", "verify_hill_abs_x1",
         "verify_hill_abs_x2", "verify_plateau_sigma1_sq_dispersion",
         "verify_plateau_sigma2_sq_dispersion", "verify_plateau_sigma1_sq",
-        "verify_sigma2_sq_constant_vs_plateau", "verify_regime_coherent",
+        "verify_sigma2_sq_constant_vs_plateau",
         "spectral_branch", "spectral_ks_x1_t1", "spectral_ks_x2_t1", "spectral_ks_x1_t2",
         "spectral_ks_x2_t2", "spectral_ks_window_norm", "spectral_sign_symmetry_ks",
         "spectral_sign_symmetry_z",
     ]
-    for name in ("alpha1", "alpha2"):
-        assert records[f"verify_{name}"].value == records[name].value
-    assert records["verify_regime"].note == records["regime"].note == "a2_dominant"
+    assert records["regime"].note == "a2_dominant"
     branch = records["spectral_branch"]
     assert (branch.value, branch.passed, branch.note) == (None, None, "heavier_cross_feed")
 
 
 def test_garch_verify_at_equal_roots_reports_the_unresolved_regime(tmp_path):
-    # Equal own and cross-fed channels give equal roots: the repeated
-    # verify_regime is the classifier's, and the window check has no branch.
+    # Equal own and cross-fed channels give equal roots: the standalone
+    # pipeline's verify_regime is the classifier's, and the window check has
+    # no branch, so the step fails and with it the run.
     cfg = garch_config(output_dir=str(tmp_path), params={"limit_draws": 200, "u_quantile": 0.99})
     cfg["law"].update(alpha11=0.35, beta11=0.60)
     cfg["sim"].update(n_draws=50_000, burn_in=200)
-    records = {r.name: r for r in run(parse_config(cfg)).results}
+    report = run(parse_config(cfg))
+    records = {r.name: r for r in report.results}
     assert records["verify_alpha1"].value == records["verify_alpha2"].value
     assert records["verify_regime"].note == "unresolved"
-    assert records["verify_regime_coherent"].passed is False
+    assert records["garch_verify_error"].passed is False
     assert records["garch_verify_error"].note.startswith("RegimeMismatch: ")
+    assert not report.all_passed
 
 
 def test_garch_verify_reads_dispersion_max(tmp_path):
@@ -721,6 +723,60 @@ def test_garch_constants_pipeline_reports_the_inherited_constant(tmp_path):
     for name in ("series_weight", "c1_inherited"):
         assert math.isfinite(records[name].value) and records[name].value > 0, name
     assert (tmp_path / "weight_trace.npy").exists()
+
+
+def _constants_records(tmp_path, law) -> dict:
+    cfg = base_config(pipeline="constants", law=law, output_dir=str(tmp_path),
+                      params={"weight_draws": 2000})
+    cfg["sim"].update(n_draws=200_000, base_seed=3)
+    records = {r.name: r for r in run(parse_config(cfg)).results}
+    assert not [name for name in records if name.endswith("_error")]
+    return records
+
+
+def test_series_weight_without_a_bracket_gates_convergence(tmp_path):
+    # A2 = Lomax(1.2) has no moment of order alpha2 = 1.5, so the weight has
+    # no bracket: its one gate is convergence, and c1_inherited is reported.
+    law = base_config()["law"]
+    law["a2"] = {"kind": "pareto_lomax", "alpha": 1.2, "scale": 0.3}
+    records = _constants_records(tmp_path, law)
+    weight = records["series_weight"]
+    assert weight.note.startswith("converged=True bounds unavailable: E X^")
+    assert (weight.bound_low, weight.bound_high) == (None, None)
+    assert weight.passed is True
+    assert records["c1_inherited"].passed is None
+
+
+def test_series_weight_fails_when_the_weight_does_not_converge(tmp_path, monkeypatch):
+    # The suite's C3 law, whose strips stay healthy: the same weight, in its
+    # bracket, fails once its strips are not converged.
+    law = base_config()["law"]
+    law.update(a1=lognormal(-0.375, 0.5), a4=lognormal(-0.016875, 0.15))
+    converged = _constants_records(tmp_path / "converged", law)["series_weight"]
+    real = renewal.coupled_component_constant
+    monkeypatch.setattr(renewal, "coupled_component_constant",
+                        lambda *args, **kwargs: replace(real(*args, **kwargs), converged=False))
+    weight = _constants_records(tmp_path / "not", law)["series_weight"]
+    assert converged.bound_low <= converged.value <= converged.bound_high
+    assert converged.passed is True and converged.note.startswith("converged=True [")
+    assert (weight.value, weight.bound_low, weight.bound_high) == (
+        converged.value, converged.bound_low, converged.bound_high)
+    assert weight.passed is False and weight.note.startswith("converged=False [")
+
+
+def test_lyapunov_bound_slack_is_reported_without_a_witness(tmp_path):
+    # E log A1 = 0.1 > 0: no grid epsilon contracts, so the Lyapunov bound
+    # is infinite and its slack is an informational record.
+    law = base_config()["law"]
+    law["a1"] = lognormal(0.1, 0.5)
+    cfg = base_config(pipeline="stationarity", law=law, output_dir=str(tmp_path),
+                      params={"lyapunov_steps": 100})
+    records = {r.name: r for r in run(parse_config(cfg)).results}
+    assert records["stationarity_holds"].passed is False
+    assert records["lyapunov_gamma"].passed is False
+    slack = records["lyapunov_bound_slack"]
+    assert (slack.value, slack.passed) == (None, None)
+    assert slack.note == "no small-moment witness on the default grid"
 
 
 def test_garch_full_report_computes_each_estimate_once(tmp_path, monkeypatch):
@@ -864,10 +920,11 @@ def test_gate_passes_exactly_when_the_value_lies_in_its_bounds():
 
 
 # The gated records whose verdict is not "value within its bounds": the
-# roots gate their residual, two booleans have no bounds, c1_inherited gates
-# the weight's convergence, and lyapunov_gamma and the dispersions are strict.
+# roots gate their residual, two booleans have no bounds, series_weight also
+# gates the weight's convergence, and lyapunov_gamma and the dispersions are
+# strict.
 _OWN_VERDICTS = {
-    "alpha1", "alpha2", "stationarity_holds", "cross_moment_finite", "c1_inherited",
+    "alpha1", "alpha2", "stationarity_holds", "cross_moment_finite", "series_weight",
     "lyapunov_gamma", "plateau_w1_dispersion", "plateau_w2_dispersion",
     "verify_plateau_sigma1_sq_dispersion", "verify_plateau_sigma2_sq_dispersion",
 }
@@ -962,6 +1019,24 @@ def test_run_holds_one_pool_of_exactly_workers_threads(tmp_path, monkeypatch):
     assert reports[3].canonical_bytes() == reports[1].canonical_bytes()
 
 
+def _assert_one_step_error(tmp_path, step: str, note: str) -> None:
+    """At workers 1 and 2 the full report has one error record, ``step``'s, with ``note``."""
+    law = base_config()["law"]
+    reports = [_small_full_report(law, tmp_path / f"w{workers}", 100_000, workers)[0]
+               for workers in (1, 2)]
+    assert reports[0].canonical_bytes() == reports[1].canonical_bytes()
+    records = {r.name: r for r in reports[0].results}
+    assert [r for r in records if r.endswith("_error")] == [f"{step}_error"]
+    assert records[f"{step}_error"].passed is False
+    assert records[f"{step}_error"].note == note
+    # The sibling steps still ran.
+    for sibling in ("alpha1", "stationarity_holds", "n_draws", "hill_w1", "series_weight",
+                    "ks_norm"):
+        assert sibling in records, sibling
+    assert ("lyapunov_gamma" in records) == (step != "stationarity")
+    assert ("crossval_w1_pvalue" in records) == (step != "cross_validate")
+
+
 @pytest.mark.parametrize("module, name, step", [
     (pipelines.engine, "lyapunov_estimate", "stationarity"),
     (pipelines, "_backward_chunked", "cross_validate"),
@@ -972,20 +1047,34 @@ def test_failing_side_job_gives_the_same_step_error_at_any_worker_count(
         raise FloatingPointError("side job failed")
 
     monkeypatch.setattr(module, name, fail)
-    law = base_config()["law"]
-    reports = [_small_full_report(law, tmp_path / f"w{workers}", 100_000, workers)[0]
-               for workers in (1, 2)]
-    assert reports[0].canonical_bytes() == reports[1].canonical_bytes()
-    records = {r.name: r for r in reports[0].results}
-    assert [r for r in records if r.endswith("_error")] == [f"{step}_error"]
-    assert records[f"{step}_error"].passed is False
-    assert records[f"{step}_error"].note == "FloatingPointError: side job failed"
-    # The sibling steps still ran.
-    for sibling in ("alpha1", "stationarity_holds", "n_draws", "hill_w1", "c1_inherited",
-                    "pareto_norm_pvalue"):
-        assert sibling in records, sibling
-    assert ("lyapunov_gamma" in records) == (step != "stationarity")
-    assert ("crossval_w1_pvalue" in records) == (step != "cross_validate")
+    _assert_one_step_error(tmp_path, step, "FloatingPointError: side job failed")
+
+
+@pytest.mark.parametrize("step", ["stationarity", "cross_validate"])
+def test_side_job_that_fails_to_start_gives_the_same_step_error(tmp_path, monkeypatch, step):
+    # The job raises while the run starts it, before anything is submitted.
+    def fail(ctx, pool):
+        raise FloatingPointError("side job did not start")
+
+    monkeypatch.setitem(pipelines._STEPS, step, replace(pipelines._STEPS[step], job=fail))
+    _assert_one_step_error(tmp_path, step, "FloatingPointError: side job did not start")
+
+
+def test_full_reports_read_every_knob(tmp_path, monkeypatch):
+    # Across an A1, an A2 and a GARCH full report, some step reads each knob:
+    # no key a config may set is silently ignored.
+    read = set()
+    real = ExperimentConfig.knob
+
+    def knob(cfg, name):
+        read.add(name)
+        return real(cfg, name)
+
+    monkeypatch.setattr(ExperimentConfig, "knob", knob)
+    for name, law in _report_laws().items():
+        report, _ = _small_full_report(law, tmp_path / name, 100_000, 1)
+        assert not [r.name for r in report.results if r.name.endswith("_error")], name
+    assert read == set(KNOBS)
 
 
 def test_garch_peak_memory_does_not_grow_with_the_sample(tmp_path, monkeypatch):
@@ -1208,7 +1297,7 @@ def test_reports_run_without_importing_scipy_stats(tmp_path):
     names = {r.name for d in ("a2", "garch")
              for r in RunReport.load(tmp_path / d / "report.json").results}
     assert not [n for n in names if n.endswith("_error")]
-    assert {"crossval_w1_pvalue", "pareto_norm_pvalue", "ks_norm",
+    assert {"crossval_w1_pvalue", "ks_norm",
             "spectral_ks_window_norm", "spectral_sign_symmetry_ks"} <= names
 
 
@@ -1301,6 +1390,8 @@ def test_cli_unusable_output_dir_exits_two(tmp_path, capsys, where):
         ("params", "s_schedule", [1, 4, 2], "/params/s_schedule/2"),
         pytest.param("tolerances", "ks_bound", 10**400, "/tolerances/ks_bound",
                      id="integer_too_large_for_a_float"),
+        pytest.param("tolerances", "pareto_level", 0.01, "/tolerances/pareto_level",
+                     id="retired_knob"),
     ],
 )
 def test_cli_bad_knob_exits_two_before_running(tmp_path, capsys, section, key, value, pointer):

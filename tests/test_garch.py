@@ -336,14 +336,11 @@ def test_verify_tail_relations_structure():
         "plateau_sigma2_sq_dispersion",
         "plateau_sigma1_sq",
         "sigma2_sq_constant_vs_plateau",
-        "regime_coherent",
     ]
     by_name = {r.name: r for r in records}
     assert by_name["hill_sigma1_sq"].note.startswith("k=5000 ")
     assert by_name["hill_abs_x1"].note.startswith("k=3000 ")
     assert by_name["plateau_sigma1_sq"].passed is None
-    assert by_name["regime_coherent"].passed is True
-    assert by_name["regime_coherent"].note == "solver a2_dominant, classifier a2_dominant"
 
 
 # ---------------------------------------------------------------------------

@@ -200,6 +200,24 @@ def test_root_beyond_divergence_hunt():
     assert_within_se(mean, 1.0, se, 4, "lomax root certificate")
 
 
+def test_root_below_a_divergent_probe():
+    # m(1) = 0.2 and m(2) = +inf: the bisection between the probes steps
+    # down from divergent midpoints (h >= 1.5) and up from finite ones below 1.
+    dist = ParetoLomax(alpha=1.5, scale=0.1)
+    assert moment(dist, 1.0).value == pytest.approx(0.2, rel=1e-12)
+    with pytest.raises(DivergentMoment):
+        moment(dist, 2.0)
+    sol = solve_tail_index(dist)
+    assert sol.method == "closed_form"
+    assert sol.bracket == (1.4375, 1.46875)
+    assert sol.alpha == pytest.approx(1.449944, abs=1e-6)
+    assert abs(sol.residual) < 1e-15
+    # Lomax: E X^h = scale^h * Gamma(h + 1) * Gamma(alpha - h) / Gamma(alpha).
+    a = sol.alpha
+    assert 0.1**a * math.gamma(a + 1) * math.gamma(1.5 - a) / math.gamma(1.5) == pytest.approx(
+        1.0, rel=1e-12)
+
+
 @settings(max_examples=30, deadline=None)
 @given(mu=st.floats(-2.0, -0.05), sigma=st.floats(0.3, 1.5))
 def test_root_lognormal_formula(mu, sigma):

@@ -9,10 +9,13 @@ GARCH laws at full size) runs the full report at every seed and worker
 count, in this process, into ``DIR/<workload>-s<seed>-w<workers>``.  A line
 reads the workload, seed and worker count, then ``report=`` the SHA-256 of
 the report's canonical bytes (everything but its wall time) and
-``<artifact>=`` the SHA-256 of each artifact file, in the report's order.
-Two checkouts give the same output exactly when every report and artifact
-agrees byte for byte, so one diff of their outputs checks a refactor that
-must not change any result.
+``<artifact>=`` the SHA-256 of each artifact file, in the report's order,
+then ``fails=`` the names of the report's gated FAIL records, comma
+separated in the report's order (empty when none fails).  Two checkouts
+give the same output exactly when every report and artifact agrees byte for
+byte, so one diff of their outputs checks a refactor that must not change
+any result; where a change does alter records, the same diff shows whether
+any FAIL appeared or went away.
 """
 
 import argparse
@@ -48,6 +51,8 @@ def main(argv=None) -> None:
                 cells = [f"report={hashlib.sha256(report.canonical_bytes()).hexdigest()}"]
                 cells += [f"{a}={hashlib.sha256((outdir / a).read_bytes()).hexdigest()}"
                           for a in report.artifacts]
+                cells.append("fails=" + ",".join(r.name for r in report.results
+                                                 if r.passed is False))
                 print(name, f"s{seed}", f"w{workers}", *cells, flush=True)
 
 
