@@ -14,22 +14,15 @@ config (or a diff input) was unusable.
 import argparse
 import sys
 
-from .config import apply_overrides, parse_config, read_config_object
+from .config import PIPELINES, apply_overrides, parse_config, read_config_object
 from .errors import ConfigInvalid, PipelineMismatch
 from .pipelines import RunReport, compare_reports, run
 
 __all__ = ["main"]
 
-_SUBCOMMAND_PIPELINES = {
-    "solve-index": "solve_index",
-    "stationarity": "stationarity",
-    "simulate": "simulate",
-    "tails": "tails",
-    "constants": "constants",
-    "spectral": "spectral",
-    "garch-verify": "garch_verify",
-    "report": "full_report",
-}
+# Each pipeline's subcommand: its name with dashes, and "report" for full_report.
+_SUBCOMMAND_PIPELINES = {"report" if p == "full_report" else p.replace("_", "-"): p
+                         for p in PIPELINES}
 
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:

@@ -37,7 +37,7 @@ from typing import ClassVar, Optional
 import numpy as np
 
 from .errors import NonFiniteState, NotContracting
-from .laws import CoeffDraw, CoefficientLaw, check_stationarity
+from .laws import CoeffDraw, CoefficientLaw, check_stationarity, log_moment
 from .reduction import Reducer, WholeSample
 
 __all__ = [
@@ -53,7 +53,10 @@ __all__ = [
 
 _FINITE_CHECK_EVERY = 64
 _SLAB_ELEMENTS = 1 << 15  # coefficient draws per slab array (256 KiB of float64)
-_SLAB_ROWS = 64           # also the renormalization interval: a^n underflows near n ~ 1500 for a = 0.5
+_SLAB_ROWS = 64  # steps per slab, and the longest renormalization interval of lyapunov_estimate
+# Log-drift of one renormalization interval: half of the quarter of the float range's log that
+# triangular_opnorm's 4th powers leave, the other half left to the spread around the drift.
+_MAX_LOG_DRIFT = math.log(np.finfo(float).max) / 8
 _CERTIFIED_REMAINDER = 1e-8  # a backward draw retires once ||A_1 ... A_tau||_1 is below this
 
 
@@ -395,8 +398,10 @@ def lyapunov_estimate(
     is the recursion with B = 0 started at e2, run by :func:`forward_slabs`,
     and P1 is the running product of the A1 draws.  Each chain accumulates
     ``log ||Pi_n||`` with the product renormalized at the end of every
-    coefficient slab of at most 64 steps (the running log-scale is carried
-    separately, so no entry ever under- or overflows).  ``upper_bound`` is ``log(rho)/eps`` from the stationarity
+    coefficient slab, cut below 64 steps only where the norm's drift of
+    max(E log A1, E log A4) a step would pass ``_MAX_LOG_DRIFT`` (the
+    running log-scale is carried separately, so no entry under- or
+    overflows).  ``upper_bound`` is ``log(rho)/eps`` from the stationarity
     witness, or +inf when no grid point qualifies; for any witness eps in
     (0, 1] the bound dominates the true exponent.
     """
@@ -406,6 +411,9 @@ def lyapunov_estimate(
         raise ValueError("n_chains must be >= 1")
 
     rows = slab_rows(n_chains)
+    drift = abs(max(log_moment(law.marginal("a1")), log_moment(law.marginal("a4"))))
+    if rows * drift > _MAX_LOG_DRIFT:
+        rows = max(1, int(_MAX_LOG_DRIFT / drift))
     p1 = np.ones(n_chains)
     u = np.zeros((rows + 1, n_chains))
     p4 = np.zeros((rows + 1, n_chains))

@@ -9,9 +9,11 @@ reverse) follows exactly the triangular recursion of :mod:`tritail.engine`:
 
 with the A entries built from the PREVIOUS step's noise and the return pair
 assembled from the fresh one (X_t = sigma_t Z_t).  Getting that off-by-one
-wrong silently shifts every tail constant.  Two places here apply it: the
+wrong silently shifts every tail constant.  Three places here apply it: the
 sampler's coefficient source (:func:`_noise_slabs`) and the limit products
-of :func:`_noise_products`; both feed :func:`tritail.engine.forward_slabs`.
+of :func:`_noise_products`, which both feed
+:func:`tritail.engine.forward_slabs`, and the weighted window limit of
+:func:`_prop_heavier_own`.
 
 Besides the simulators this module verifies the model's tail chain — solver
 roots, Hill estimates of sigma^2 and |X|, the plateaus of sigma^2, the
@@ -48,7 +50,6 @@ from .spectral import (
     unit_pareto,
 )
 from .tailstats import (
-    UpperTail,
     block_rows,
     default_hill_k,
     estimator_depth,
@@ -335,7 +336,7 @@ def verify_plan(n: int, k: int = 0, k_x: int = 0, constant_draws: int = 1_000_00
     return Plan(
         tails={name: series_depth(name, n, k_x if name.startswith("abs_x") else k)
                for name in ("sigma1_sq", "sigma2_sq", "abs_x1", "abs_x2")},
-        heads={"sigma2_sq": min(constant_draws, n)},
+        strides={("sigma2_sq", 1): min(constant_draws, n)},
     )
 
 
@@ -378,16 +379,12 @@ def verify_tail_relations(
     n = len(path)
     reduced = summarize(path, verify_plan(n, k, k_x, constant_draws))
     k_x = k_x or return_hill_k(n)
-
-    def tail(name: str) -> UpperTail:
-        return reduced.tail(name, series_depth(name, n, k_x if name.startswith("abs_x") else k))
-
     records = [
-        hill_gate(f"hill_{name}", hill(tail(name), k=k_used), target, se_mult)
+        hill_gate(f"hill_{name}", hill(reduced.tail(name), k=k_used), target, se_mult)
         for name, k_used, target in (("sigma1_sq", k, a_min), ("sigma2_sq", k, a2),
                                      ("abs_x1", k_x, 2.0 * a_min), ("abs_x2", k_x, 2.0 * a2))
     ]
-    plateaus = {name: tail_constant(tail(name), alpha)
+    plateaus = {name: tail_constant(reduced.tail(name), alpha)
                 for name, alpha in (("sigma1_sq", a_min), ("sigma2_sq", a2))}
     records += [dispersion_gate(f"plateau_{name}_dispersion", est, dispersion_max)
                 for name, est in plateaus.items()]

@@ -221,37 +221,40 @@ class MomentValue:
 
 
 def _closed_moment(dist: PositiveDistribution, h: float) -> Optional[float]:
-    """Closed-form E X^h, +inf when divergent, None when no closed form exists."""
-    match dist:
-        case LogNormal(mu=mu, sigma=sigma):
-            return math.exp(h * mu + 0.5 * (h * sigma) ** 2)
-        case Constant(value=v):
-            return v**h
-        case ScaledUniformPow(scale=c, power=p):
-            if p * h <= -1.0:
-                return math.inf
-            return c**h / (p * h + 1.0)
-        case ParetoLomax(alpha=a, scale=s):
-            if h >= a or h <= -1.0:
-                return math.inf
-            # E X^h = s^h * Gamma(1+h) Gamma(a-h) / Gamma(a)
-            return math.exp(
-                h * math.log(s)
-                + special.gammaln(1.0 + h)
-                + special.gammaln(a - h)
-                - special.gammaln(a)
-            )
-        case ChiSqAffine(a=a, b=b):
-            if h == 0.0:
-                return 1.0
-            if h == 1.0:
-                return a + b
-            if h == 2.0:
-                return 3.0 * a * a + 2.0 * a * b + b * b
-            if a == 0.0:
-                return b**h
-            return None
-    return None
+    """Closed-form E X^h, +inf when divergent or past the float range, None when none exists."""
+    try:
+        match dist:
+            case LogNormal(mu=mu, sigma=sigma):
+                return math.exp(h * mu + 0.5 * (h * sigma) ** 2)
+            case Constant(value=v):
+                return v**h
+            case ScaledUniformPow(scale=c, power=p):
+                if p * h <= -1.0:
+                    return math.inf
+                return c**h / (p * h + 1.0)
+            case ParetoLomax(alpha=a, scale=s):
+                if h >= a or h <= -1.0:
+                    return math.inf
+                # E X^h = s^h * Gamma(1+h) Gamma(a-h) / Gamma(a)
+                return math.exp(
+                    h * math.log(s)
+                    + special.gammaln(1.0 + h)
+                    + special.gammaln(a - h)
+                    - special.gammaln(a)
+                )
+            case ChiSqAffine(a=a, b=b):
+                if h == 0.0:
+                    return 1.0
+                if h == 1.0:
+                    return a + b
+                if h == 2.0:
+                    return 3.0 * a * a + 2.0 * a * b + b * b
+                if a == 0.0:
+                    return b**h
+                return None
+        return None
+    except OverflowError:
+        return math.inf
 
 
 def _chisq_affine_quad(dist: ChiSqAffine, h: float, weight=None) -> float:
@@ -424,7 +427,7 @@ def solve_tail_index(dist: PositiveDistribution, *, tol: float = 1e-10) -> TailI
                 mid = 0.5 * (lo_d + hi_d)
                 try:
                     mmid = m(mid)
-                except (DivergentMoment, OverflowError):
+                except DivergentMoment:
                     hi_d = mid
                     continue
                 if abs(mmid - 1.0) <= tol:

@@ -355,7 +355,7 @@ class _Ctx:
 
     def tail(self, name: str) -> tailstats.UpperTail:
         """The run's one upper tail of a series of :attr:`pair`, deep enough for every reader."""
-        return self.sample().tail(name, self.depth(name))
+        return self.sample().tail(name)
 
     def plateau(self, name: str, alpha: float) -> tailstats.TailConstantEstimate:
         """The plateau estimate of ``name`` at ``alpha``, computed once per run.
@@ -722,14 +722,14 @@ def _step_cross_validate(ctx: _Ctx) -> None:
         ctx.records.append(gate(f"crossval_{name}_pvalue", pvalue, level,
                                 note=f"ks_stat={stat:.4g} n_forward={fwd.size} n_backward={n} "
                                      f"stride={stride}"))
-    # No other step reads them: free them before the spectral step's peak.
-    sample.strides.clear()
+        # No later step reads this store: free it before the spectral step's peak.
+        del sample.strides[(name, stride)]
 
 
 def _plan_simulate(ctx: _Ctx) -> Plan:
     stored = garch.STORED if ctx.is_garch() else ctx.pair
     return Plan(tails={s: ctx.depth(s) for s in ctx.pair}, sums=frozenset(ctx.pair),
-                heads=dict.fromkeys(stored, ctx.knob("csv_rows")))
+                strides={(s, 1): ctx.knob("csv_rows") for s in stored})
 
 
 def _plan_tails(ctx: _Ctx) -> Plan:
@@ -740,7 +740,7 @@ def _plan_constants(ctx: _Ctx) -> Plan:
     # c1 reads the first states of both coordinates only in the A1 regime.
     first = ("w1", "w2") if ctx.regime().regime == REGIME_A1_DOMINANT else ("w2",)
     return Plan(tails={s: ctx.depth(s) for s in ("w1", "w2")},
-                heads=dict.fromkeys(first, ctx.knob("constant_draws")))
+                strides={(s, 1): ctx.knob("constant_draws") for s in first})
 
 
 def _plan_spectral(ctx: _Ctx) -> Plan:
@@ -866,12 +866,12 @@ def run(config: ExperimentConfig) -> RunReport:
 
 @dataclass(frozen=True)
 class DiffEntry:
-    """One differing field between two reports."""
+    """One differing field between two reports: a number, the pass flag or the note."""
 
     record: str
     field: str
-    a: Optional[float]
-    b: Optional[float]
+    a: Optional[float | str]
+    b: Optional[float | str]
     status: str  # "within_tol" or "differs"
 
     def __str__(self) -> str:
@@ -890,11 +890,12 @@ def _num_close(a: Optional[float], b: Optional[float], rel_tol: float) -> str:
 
 
 def compare_reports(a: RunReport, b: RunReport, rel_tol: float = 1e-9) -> list:
-    """Field-by-field numeric diff of two same-pipeline reports.
+    """Field-by-field diff of two same-pipeline reports.
 
-    Returns only the entries that are not exactly identical; each is tagged
-    ``within_tol`` or ``differs`` against the relative tolerance.  Records
-    missing on one side always count as differing.
+    Returns only the entries that are not exactly identical; each number is
+    tagged ``within_tol`` or ``differs`` against the relative tolerance.
+    Missing records and flipped pass flags always differ, a note only on a
+    record with no value (a regime, a branch, a skip or an error).
     """
     if a.pipeline != b.pipeline:
         raise PipelineMismatch(f"cannot diff {a.pipeline!r} against {b.pipeline!r}")
@@ -920,4 +921,7 @@ def compare_reports(a: RunReport, b: RunReport, rel_tol: float = 1e-9) -> list:
                                    a=None if ra.passed is None else float(ra.passed),
                                    b=None if rb.passed is None else float(rb.passed),
                                    status="differs"))
+        if ra.note != rb.note:
+            diffs.append(DiffEntry(record=name, field="note", a=ra.note, b=rb.note,
+                                   status="differs" if ra.value is None else "within_tol"))
     return diffs

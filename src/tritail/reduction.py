@@ -1,16 +1,16 @@
 """Reductions of a chain-major sample, fed to them one block of steps at a time.
 
-Every estimator that reads a stationary sample reads one of five reductions
+Every estimator that reads a stationary sample reads one of four reductions
 of it:
 
 * the upper tail of a series (:class:`tritail.tailstats.RunningTail`);
 * the sum of a series, kept as one running total per chain and read as one
   partial sum per span of ``SUM_SPAN`` states (whole chains, cut from the
   sample's start);
-* the first states of a series (the rows of the path table, the renewal
-  constants' draws);
 * every stride-th kept state of each chain of a series, the first m of
-  them in chain-major order (the forward side of the cross-validation);
+  them in chain-major order: at stride 1 the first m states of the series
+  (the rows of the path table, the renewal constants' draws), at a larger
+  stride the forward side of the cross-validation;
 * the exceedances of a threshold series: its top points, enough for a high
   quantile of it, each with its position and a payload.
 
@@ -25,18 +25,17 @@ next block.  :func:`reduce_group` feeds an array-backed sample
 (:class:`tritail.engine.PathSample` or :class:`tritail.garch.GarchPath`)
 through the same reducer as the step-major view of its chains.
 
-Nothing is merged.  Each chain's running total, first states and strided
-states have fixed places, and the tails and exceedance sets are locked top-m
+Nothing is merged.  Each chain's running total and strided states have
+fixed places, and the tails and exceedance sets are locked top-m
 accumulators, whose top m does not depend on the order of their blocks (a
-tie at an exceedance set's cut may keep either point, but every reader
-goes through :meth:`Exceedances.above`, whose keys lie strictly above the
-cut).  So the summary depends neither on how the sample is split into
+tie at an exceedance set's cut may keep either point, but every reader goes
+through :meth:`Exceedances.above`, whose keys lie strictly above the cut).  So the summary depends neither on how the sample is split into
 groups nor on the order in which the groups write.
 
 The estimators take either form: :func:`summarize` reduces an array-backed
 sample as one group through the same code, as ``upper_tail`` streams an
 array.  A sampler called without a reducer gets a :class:`WholeSample`, whose
-first states are the whole sample.
+stride-1 states are the whole sample.
 """
 
 import math
@@ -95,14 +94,14 @@ class WindowSpec:
 
 @dataclass(frozen=True)
 class Plan:
-    """The reductions a run reads: depth of each tail, length of each prefix.
+    """The reductions a run reads, and the one place that states their sizes.
 
-    ``strides`` maps ``(series, stride)`` to the number of strided states
-    kept (:meth:`Summary.strided`).
+    ``tails`` maps a series to the depth of its tail; ``strides`` maps
+    ``(series, stride)`` to the number of strided states kept
+    (:meth:`Summary.strided`), so ``(series, 1)`` keeps its first states.
     """
 
     tails: dict = field(default_factory=dict)
-    heads: dict = field(default_factory=dict)
     sums: frozenset = frozenset()
     exceedances: frozenset = frozenset()
     strides: dict = field(default_factory=dict)
@@ -113,7 +112,6 @@ class Plan:
 
         return Plan(
             tails=deepest(self.tails, other.tails),
-            heads=deepest(self.heads, other.heads),
             sums=self.sums | other.sums,
             exceedances=self.exceedances | other.exceedances,
             strides=deepest(self.strides, other.strides),
@@ -155,18 +153,17 @@ class Summary:
     Every group of the sample writes into it in place through a
     :class:`Reducer`, in any order and from any thread: one
     :class:`~tritail.tailstats.RunningTail` per planned tail, one running
-    total per chain and series, the first states and the strided states at
-    their chain-major positions and one :class:`_TopPoints` per exceedance
-    set.  It is read once every group is in.  Lookups of a reduction that
-    was not planned raise :class:`ValueError`.
+    total per chain and series, the strided states at their chain-major
+    positions and one :class:`_TopPoints` per exceedance set.  It is read
+    once every group is in.  Lookups of a reduction that was not planned
+    raise :class:`ValueError`.
     """
 
     def __init__(self, plan: Plan, n: int, chain_len: int):
         self.n, self.chain_len = n, chain_len
         self.tails = {name: RunningTail(depth) for name, depth in plan.tails.items()}
         self.totals = {name: np.zeros(-(-n // chain_len)) for name in plan.sums}
-        self.heads = {name: np.empty(min(n, length)) for name, length in plan.heads.items()}
-        self.tops = {spec: _TopPoints(tail_depth(n, spec.u)) for spec in plan.exceedances}
+        self.tops = {spec: _TopPoints(spec, tail_depth(n, spec.u)) for spec in plan.exceedances}
         self.strides = {key: np.empty(min(m, _strided_count(n, chain_len, key[1])))
                         for key, m in plan.strides.items()}
         self._sets = {}
@@ -179,12 +176,9 @@ class Summary:
             raise ValueError(f"the reduced sample holds no {what} {key!r}")
         return table[key]
 
-    def tail(self, name: str, depth: int) -> UpperTail:
-        """The upper tail of ``name``, at least ``depth`` deep (a deeper one reads the same)."""
-        tail = self._get(self.tails, name, "tail of").tail()
-        if tail.top.size < min(depth, tail.n):
-            raise ValueError(f"the tail of {name!r} holds {tail.top.size} points, not {depth}")
-        return tail
+    def tail(self, name: str) -> UpperTail:
+        """The upper tail of ``name``, as deep as the plan asked."""
+        return self._get(self.tails, name, "tail of").tail()
 
     @property
     def sums(self) -> dict:
@@ -197,11 +191,8 @@ class Summary:
         return float(np.sum(self._get(self.sums, name, "sum of"))) / self.n
 
     def head(self, name: str, m: int) -> np.ndarray:
-        """The first min(m, n) states of ``name``."""
-        head = self._get(self.heads, name, "first states of")
-        if head.size < min(m, self.n):
-            raise ValueError(f"the reduced sample holds {head.size} first states of {name!r}, not {m}")
-        return head[:m]
+        """The first min(m, n) states of ``name``: its strided states at stride 1."""
+        return self.strided(name, 1, m)
 
     def strided(self, name: str, stride: int, m: int) -> np.ndarray:
         """Every stride-th kept state of each chain of ``name``: the first m, chain-major.
@@ -220,7 +211,7 @@ class Summary:
     def exceedance_set(self, spec) -> Exceedances:
         """The exceedances of ``spec``, which the plan must name."""
         if spec not in self._sets:
-            self._sets[spec] = self._get(self.tops, spec, "exceedances for").exceedances(spec)
+            self._sets[spec] = self._get(self.tops, spec, "exceedances for").exceedances()
         return self._sets[spec]
 
 
@@ -260,7 +251,7 @@ def _join(a, b):
 
 
 def _store(dst: np.ndarray, chain_len: int, c0: int, j: int, block: np.ndarray) -> None:
-    """Write kept states ``j..`` of chains ``c0..`` into the chain-major first states ``dst``.
+    """Write kept states ``j..`` of chains ``c0..`` into the chain-major states ``dst``.
 
     ``block`` rows are kept steps and its columns chains; only positions
     below ``dst.size`` are written.
@@ -303,16 +294,21 @@ class _TopPoints:
     NaN, +inf for no point).  Once m keys are held, ``cut`` is the m-th
     largest and only keys above it can enter, as in
     :class:`tritail.tailstats.RunningTail`; the payload of a block is
-    gathered only for its keys that enter the top m.
+    gathered only for its keys that enter the top m.  ``fields`` starts as
+    the empty payload of ``spec``'s points.
     """
 
-    def __init__(self, m: int):
+    def __init__(self, spec, m: int):
         self.m = m
         self.count = 0
         self.minimum = math.inf
         self.cut = None
         self.key = np.empty(0)
-        self.fields = None
+        point = isinstance(spec, PointSpec)
+        self.fields = {"index": np.empty(0, dtype=np.intp),
+                       "rows": np.empty((0, 2 if point else spec.h))}
+        if point:
+            self.fields.update(after=np.empty((0, spec.h, 2)), valid=np.empty(0, dtype=bool))
         self._lock = threading.Lock()
 
     def add(self, count: int, low: float, key: np.ndarray, gather) -> None:
@@ -352,17 +348,11 @@ class _TopPoints:
             old, new = top[top < held], top[top >= held] - held
         fresh = gather(new)
         self.key = np.concatenate((self.key[old], key[new]))
-        self.fields = fresh if self.fields is None else {
-            f: np.concatenate((v[old], fresh[f])) for f, v in self.fields.items()}
+        self.fields = {f: np.concatenate((v[old], fresh[f])) for f, v in self.fields.items()}
 
-    def exceedances(self, spec) -> Exceedances:
+    def exceedances(self) -> Exceedances:
         """The held points in position order."""
         f = self.fields
-        if f is None:
-            width = 2 if isinstance(spec, PointSpec) else spec.h
-            f = {"index": np.empty(0, dtype=np.intp), "rows": np.empty((0, width))}
-            if isinstance(spec, PointSpec):
-                f.update(after=np.empty((0, spec.h, 2)), valid=np.empty(0, dtype=bool))
         order = np.argsort(f["index"], kind="stable")
         return Exceedances(index=f["index"][order], key=self.key[order], rows=f["rows"][order],
                            n=self.count, minimum=self.minimum,
@@ -423,8 +413,6 @@ class Reducer:
             col = total[c0 : c0 + chains]
             for row in part.series(name):
                 np.add(col, row, out=col)
-        for name, head in s.heads.items():
-            _store(head, s.chain_len, c0, j, part.series(name))
         for (name, stride), states in s.strides.items():
             # Kept state i*stride + stride - 1 of a chain is its strided state i.
             first = (stride - 1 - j) % stride
@@ -517,17 +505,20 @@ class Reducer:
 class WholeSample(Reducer):
     """Gathers a whole n-state sample of ``cls`` from its step-major blocks.
 
-    The sample's ``cls.STORED`` arrays are all n first states of each
+    The sample's ``cls.STORED`` arrays are all n stride-1 states of each
     series; :meth:`summary` returns them as a ``cls`` whose one other field
     is ``chain_len``.
     """
 
     def __init__(self, cls, n: int, chain_len: int):
-        super().__init__(Summary(Plan(heads=dict.fromkeys(cls.STORED, n)), n, chain_len), n)
+        plan = Plan(strides={(name, 1): n for name in cls.STORED})
+        super().__init__(Summary(plan, n, chain_len), n)
         self._cls = cls
 
     def summary(self):
-        return self._cls(**self._summary.heads, chain_len=self._summary.chain_len)
+        s = self._summary
+        return self._cls(**{name: s.strides[(name, 1)] for name in self._cls.STORED},
+                         chain_len=s.chain_len)
 
 
 def reduce_group(summary: Summary, sample, start: int) -> None:

@@ -296,6 +296,18 @@ def _dist_rejected(c):
     c["law"]["a1"] = {"kind": "lognormal", "mu": 0.0, "sigma": -1.0}
 
 
+def _dist_not_object(c):
+    c["law"]["a1"] = [0.5]
+
+
+def _dist_no_kind(c):
+    c["law"]["a1"] = {"mu": 0.0, "sigma": 1.0}
+
+
+def _garch_rejected(c):
+    c["law"] = {**garch_config()["law"], "rho": 1.0}
+
+
 def _sim_missing_seed(c):
     del c["sim"]["base_seed"]
 
@@ -314,6 +326,10 @@ def _sim_bool(c):
 
 def _sim_negative(c):
     c["sim"]["thinning"] = -1
+
+
+def _sim_no_draws(c):
+    c["sim"]["n_draws"] = 0
 
 
 def _tol_not_object(c):
@@ -365,11 +381,15 @@ INVALID_CASES = [
     ("dist-extra-field", _dist_extra_field, "/law/a1/junk", "unknown field"),
     ("dist-bool-param", _dist_bool_param, "/law/a1/mu", "expected a number"),
     ("dist-rejected", _dist_rejected, "/law/a1", "sigma"),
+    ("dist-not-object", _dist_not_object, "/law/a1", "expected an object, got list"),
+    ("dist-no-kind", _dist_no_kind, "/law/a1/kind", "missing required field"),
+    ("garch-rejected", _garch_rejected, "/law", "rho"),
     ("sim-missing-seed", _sim_missing_seed, "/sim/base_seed", "missing required field"),
     ("sim-unknown-field", _sim_unknown_field, "/sim/junk", "unknown field"),
     ("sim-fractional", _sim_fractional, "/sim/burn_in", "expected an integer"),
     ("sim-bool", _sim_bool, "/sim/n_draws", "expected an integer"),
     ("sim-negative", _sim_negative, "/sim/thinning", ">= 0"),
+    ("sim-no-draws", _sim_no_draws, "/sim", "n_draws must be >= 1"),
     ("tol-not-object", _tol_not_object, "/tolerances", "expected an object"),
     ("tol-nonpositive", _tol_nonpositive, "/tolerances/ks_bound", "positive"),
     ("param-nested", _param_nested, "/params/grid", "unknown field (allowed: "),
@@ -676,8 +696,8 @@ def _record_passes(monkeypatch) -> list:
         acc.blocks.append(np.array(block))
         real_add(acc, block)
 
-    def top(points, m):
-        real_top(points, m)
+    def top(points, spec, m):
+        real_top(points, spec, m)
         passes.append(lambda s: points.count == s.size and np.array_equal(
             np.sort(points.key), np.sort(s)[s.size - points.key.size:]))
 
@@ -764,6 +784,19 @@ def test_series_weight_fails_when_the_weight_does_not_converge(tmp_path, monkeyp
     assert weight.passed is False and weight.note.startswith("converged=False [")
 
 
+def test_stationarity_step_on_a_strongly_contracting_law(tmp_path, capsys):
+    # alpha1 = 26 and alpha2 = 25: the coefficient products shrink by about
+    # e^-12.5 a step, and the Lyapunov estimate still reads that exponent.
+    law = base_config()["law"]
+    law.update(a1=lognormal(-13.0, 1.0), a2=lognormal(-0.5, 0.5), a4=lognormal(-12.5, 1.0))
+    cfg_path = _write_config(tmp_path, "exp.json", base_config(law=law))
+    assert main(["stationarity", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
+    out = capsys.readouterr().out
+    assert "stationarity_error" not in out
+    gamma = re.search(r"^\[PASS\] lyapunov_gamma = (\S+) \(se \S+\) in \[-inf, 0\]", out, re.M)
+    assert float(gamma.group(1)) == pytest.approx(-12.5, abs=0.05)
+
+
 def test_lyapunov_bound_slack_is_reported_without_a_witness(tmp_path):
     # E log A1 = 0.1 > 0: no grid epsilon contracts, so the Lyapunov bound
     # is infinite and its slack is an informational record.
@@ -787,7 +820,7 @@ def test_garch_full_report_computes_each_estimate_once(tmp_path, monkeypatch):
     calls = _capture_args(monkeypatch, pipelines, "_forward_chunked")
     small_garch_report(tmp_path)
     ((law, sim, _, _, purpose),) = calls
-    whole = reduction.Plan(heads=dict.fromkeys(garch.STORED, sim.n_draws))
+    whole = reduction.Plan(strides={(s, 1): sim.n_draws for s in garch.STORED})
     s = pipelines._forward_chunked(law, sim, whole, None, purpose)()
     path = GarchPath(*(s.head(name, len(s)) for name in garch.STORED), chain_len=s.chain_len)
     series = {
@@ -822,7 +855,7 @@ def test_independent_full_report_streams_each_series_once(tmp_path, monkeypatch,
     report = run(parse_config(cfg))
     assert not [r.name for r in report.results if r.name.endswith("_error")]
     [(law, sim, _, _, purpose)] = calls  # one forward sample: cross-validation reads it too
-    whole = reduction.Plan(heads=dict.fromkeys(("w1", "w2"), sim.n_draws))
+    whole = reduction.Plan(strides={(s, 1): sim.n_draws for s in ("w1", "w2")})
     s = pipelines._forward_chunked(law, sim, whole, None, purpose)()
     w1, w2 = s.head("w1", len(s)), s.head("w2", len(s))
     for w in (w1, w2):
@@ -1119,7 +1152,7 @@ def test_garch_reduction_memory_does_not_grow_with_the_group_width(monkeypatch):
     law = parse_config(garch_config()).law
     pair = ("sigma1_sq", "sigma2_sq")
     simulate = Plan(tails={s: garch.series_depth(s, n) for s in pair}, sums=frozenset(pair),
-                    heads=dict.fromkeys(garch.STORED, KNOBS["csv_rows"][3]))
+                    strides={(s, 1): KNOBS["csv_rows"][3] for s in garch.STORED})
     chunk_chains = pipelines._CHUNK_DRAWS // pipelines._CHUNK_CHAIN_LEN
 
     class NoOpSink:
@@ -1211,6 +1244,34 @@ def test_all_passed_treats_informational_as_pass():
 
     assert report(True, None).all_passed
     assert not report(True, False).all_passed
+
+
+def test_compare_reports_lists_differing_notes(tmp_path, capsys):
+    # On a record with no value (a regime, an error) the note is the
+    # outcome, so a differing one counts; on a valued record it is listed
+    # within tolerance, since the value carries the outcome.
+    def report(regime, error, note):
+        return RunReport(name="cmp", pipeline="tails", config_digest="d", artifacts=(),
+                         wall_time=0.0,
+                         results=(ResultRecord(name="regime", note=regime),
+                                  ResultRecord(name="tails_error", passed=False, note=error),
+                                  ResultRecord(name="alpha", value=1.5, note=note)))
+
+    a = report("a1_dominant", "EmptyTail: no points", "k=10")
+    assert compare_reports(a, report("a1_dominant", "EmptyTail: no points", "k=10"), 0.0) == []
+    b = report("unresolved", "DegenerateTail: tied", "k=11")
+    assert [(d.record, d.field, d.a, d.b, d.status) for d in compare_reports(a, b, 0.0)] == [
+        ("alpha", "note", "k=10", "k=11", "within_tol"),
+        ("regime", "note", "a1_dominant", "unresolved", "differs"),
+        ("tails_error", "note", "EmptyTail: no points", "DegenerateTail: tied", "differs"),
+    ]
+    a.save(tmp_path / "a.json")
+    b.save(tmp_path / "b.json")
+    assert main(["diff", str(tmp_path / "a.json"), str(tmp_path / "b.json"),
+                 "--rel-tol", "0"]) == 1
+    out = capsys.readouterr().out
+    assert "regime.note: 'a1_dominant' vs 'unresolved' [differs]" in out
+    assert out.endswith("3 differing fields (2 beyond tolerance)\n")
 
 
 def test_compare_reports():

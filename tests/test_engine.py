@@ -24,7 +24,7 @@ from tritail.engine import (
     triangular_opnorm,
 )
 from tritail.errors import NonFiniteState, NotContracting
-from tritail.laws import Constant, IndependentLaw
+from tritail.laws import Constant, IndependentLaw, LogNormal
 from tritail import pipelines
 from tritail.reduction import Plan, Reducer, Summary
 from tritail.pipelines import (
@@ -223,14 +223,14 @@ def test_stationary_sample_feeds_a_reducer():
     # by default into its summary.
     cfg = SimConfig(burn_in=20, n_draws=500)
     full = stationary_sample(LAW_C8, cfg, rng(4), n_chains=4)
-    plan = Plan(tails={"w2": 7}, heads={"w1": 333, "w2": 333})
+    plan = Plan(tails={"w2": 7}, strides={("w1", 1): 333, ("w2", 1): 333})
     summary = Summary(plan, cfg.n_draws, full.chain_len)
     part = stationary_sample(LAW_C8, cfg, rng(4), n_chains=4,
                              reducer=Reducer(summary, cfg.n_draws))
     assert part is summary and len(part) == 500 and part.chain_len == 125
     np.testing.assert_array_equal(part.head("w1", 333), full.w1[:333])
     np.testing.assert_array_equal(part.head("w2", 333), full.w2[:333])
-    np.testing.assert_array_equal(part.tail("w2", 7).top, np.sort(full.w2)[-7:])
+    np.testing.assert_array_equal(part.tail("w2").top, np.sort(full.w2)[-7:])
 
 
 def test_chunked_sample_independent_of_workers():
@@ -240,7 +240,7 @@ def test_chunked_sample_independent_of_workers():
     n = (per_group + 1) * _CHUNK_DRAWS + _CHUNK_CHAIN_LEN + 17
     sim = SimConfig(burn_in=30, n_draws=n, thinning=2, base_seed=5)
 
-    plan = Plan(heads=dict.fromkeys(("w1", "w2"), n))
+    plan = Plan(strides={(s, 1): n for s in ("w1", "w2")})
 
     def path(s):
         return PathSample(w1=s.head("w1", n), w2=s.head("w2", n), chain_len=s.chain_len)
@@ -511,6 +511,16 @@ def test_lyapunov_unbounded_witness():
     assert math.isinf(est.upper_bound)
     # The coupling column only contributes an O(log n / n) correction.
     assert est.gamma_hat == pytest.approx(math.log(1.5), abs=1e-3)
+
+
+def test_lyapunov_on_a_strongly_contracting_law():
+    # The product shrinks by e^-12.5 a step, so a 64-step slab would
+    # underflow it: the law cuts its renormalization interval to 7 steps.
+    law = RecordingLaw(make_law(LogNormal(-13.0, 1.0), LogNormal(-0.5, 0.5),
+                                LogNormal(-12.5, 1.0)))
+    est = lyapunov_estimate(law, n=2000, n_chains=20, rng=rng(3))
+    assert {d.a1.shape[0] for d in law.slabs} == {7, 2000 % 7}
+    assert est.gamma_hat == pytest.approx(-12.5, abs=0.05)
 
 
 def test_lyapunov_validation():

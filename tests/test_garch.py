@@ -219,7 +219,7 @@ def test_stationary_garch_sample_equals_per_step_recursion(burn_in, n_draws, thi
 
 def chunked_path(sim, workers):
     """The pipeline's chunked GARCH path, every state kept, on a pool of ``workers`` threads."""
-    plan = Plan(heads=dict.fromkeys(STORED, sim.n_draws))
+    plan = Plan(strides={(s, 1): sim.n_draws for s in STORED})
     law = GarchLaw(GARCH_P10)
     if workers == 1:
         s = _forward_chunked(law, sim, plan, None, "garch")()

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tritail.errors import DivergentMoment, NoPositiveRoot, NotContracting
+from tritail.errors import DivergentBeforeRoot, DivergentMoment, NoPositiveRoot, NotContracting
 from tritail.laws import (
     DEFAULT_EPS_GRID,
     REGIME_A1_DOMINANT,
@@ -57,11 +57,13 @@ def test_lognormal_moment_monte_carlo_agrees_with_closed_form():
 
 def test_chisq_affine_special_orders_match_quadrature():
     dist = ChiSqAffine(0.4, 0.7)
-    for h, exact in ((1.0, 0.4 + 0.7), (2.0, 3 * 0.4**2 + 2 * 0.4 * 0.7 + 0.7**2)):
+    for h, exact in ((0.0, 1.0), (1.0, 0.4 + 0.7), (2.0, 3 * 0.4**2 + 2 * 0.4 * 0.7 + 0.7**2)):
         closed = moment(dist, h)
         assert closed.method == "closed_form"
         assert closed.value == pytest.approx(exact, rel=1e-14)
         assert _chisq_affine_quad(dist, h) == pytest.approx(exact, rel=1e-9)
+    # a = 0 leaves the constant b at every order.
+    assert moment(ChiSqAffine(0.0, 0.5), 1.7) == moment(Constant(0.5), 1.7)
 
 
 def test_chisq_affine_general_order_uses_quadrature():
@@ -127,9 +129,10 @@ def test_log_weighted_moment_closed_forms():
         for h in orders:
             slope = (moment(dist, h + eps).value - moment(dist, h - eps).value) / (2 * eps)
             assert log_weighted_moment(dist, h) == pytest.approx(slope, rel=1e-7), (dist, h)
-    for h in (4.0, 5.0):
+    for dist, h in ((ParetoLomax(4.0, 0.5), 4.0), (ParetoLomax(4.0, 0.5), 5.0),
+                    (ScaledUniformPow(1.2, 0.7), -1.5)):
         with pytest.raises(DivergentMoment):
-            log_weighted_moment(ParetoLomax(4.0, 0.5), h)
+            log_weighted_moment(dist, h)
 
 
 def test_log_weighted_moment_sampled_cross_check():
@@ -235,6 +238,24 @@ def test_root_errors():
     with pytest.raises(NoPositiveRoot):
         # m(h) = 0.9^h / (h + 1) is strictly decreasing: no crossing ever.
         solve_tail_index(ScaledUniformPow(0.9, 1.0))
+    with pytest.raises(DivergentBeforeRoot):
+        # m(h) stays near 0 below the moment boundary h = 2.
+        solve_tail_index(ParetoLomax(2.0, 1e-10))
+
+
+def test_root_of_a_wide_lognormal_whose_moments_overflow():
+    # m(1) = e^799 is past the float range: the closed form reads +inf, so
+    # the solver hunts below h = 1 for the exact root -2 mu / sigma^2.
+    dist = LogNormal(-1.0, 40.0)
+    with pytest.raises(DivergentMoment):
+        moment(dist, 1.0)
+    sol = solve_tail_index(dist)
+    assert sol.alpha == pytest.approx(0.00125, rel=1e-12)
+    assert abs(sol.residual) <= 1e-15
+    assert sol.bracket == (0.0009765625, 0.001953125)
+    # No grid epsilon reaches below the root: a report, not an error.
+    rep = check_stationarity(dataclasses.replace(LAW_C8, a1=dist))
+    assert not rep.holds and math.isinf(rep.rho)
 
 
 # ---------------------------------------------------------------------------

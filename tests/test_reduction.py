@@ -56,15 +56,14 @@ def test_merged_groups_equal_the_whole_array_code(data):
 
     point = PointSpec(PAIR, PAIR, h, u)
     windows = {name: WindowSpec(name, h, u) for name in PAIR}
-    plan = Plan(tails={"w1": depth}, heads={"w2": first},
-                exceedances=frozenset({point, *windows.values()}),
-                strides={("w1", stride): strided})
+    plan = Plan(tails={"w1": depth}, exceedances=frozenset({point, *windows.values()}),
+                strides={("w1", stride): strided, ("w2", 1): first})
     with pytest.MonkeyPatch.context() as mp:
         # Small blocks take the running-cut path inside each group too.
         mp.setattr(tailstats, "_BLOCK", block)
         merged = reduce_in_groups(plan, w1, w2, chain_len, bounds)
 
-    tail = merged.tail("w1", depth)
+    tail = merged.tail("w1")
     np.testing.assert_array_equal(tail.top, np.sort(w1)[n - min(depth, n):])
     assert (tail.n, tail.minimum) == (n, w1.min())
     np.testing.assert_array_equal(merged.head("w2", first), w2[:first])
@@ -139,14 +138,19 @@ def test_empty_and_nan_parts_merge_like_the_whole_array():
 
 def test_unplanned_reductions_raise():
     w = np.arange(1.0, 101.0)
-    summary = summarize(sample_of(w, w, 10), Plan(tails={"w1": 5}, heads={"w2": 3}))
-    assert summary.tail("w1", 5).top.size == 5
-    for lookup in (lambda: summary.tail("w2", 5), lambda: summary.tail("w1", 6),
+    summary = summarize(sample_of(w, w, 10), Plan(tails={"w1": 5}, strides={("w2", 1): 3}))
+    assert summary.tail("w1").top.size == 5
+    for lookup in (lambda: summary.tail("w2"),
                    lambda: summary.head("w2", 4), lambda: summary.mean("w1"),
                    lambda: summary.strided("w1", 2, 3),
                    lambda: summary.exceedance_set(WindowSpec("w1", 2, 0.9))):
         with pytest.raises(ValueError, match="holds"):
             lookup()
+    # A tail planned too shallow is refused by the estimators that read it.
+    with pytest.raises(ValueError, match="cannot give Hill at k=5"):
+        tailstats.hill(summary.tail("w1"), k=5)
+    with pytest.raises(ValueError, match="cannot give the 0.9 quantile"):
+        summary.tail("w1").quantile(0.9)
     # A point set is read only at its planned h: h = 0 names another set.
     spec = PointSpec(PAIR, PAIR, 3, 0.9)
     summary = summarize(sample_of(w, w, 10), Plan(exceedances=frozenset({spec})))
@@ -156,13 +160,12 @@ def test_unplanned_reductions_raise():
 
 
 def test_plans_union_at_the_deepest_reach():
-    a = Plan(tails={"w1": 5}, heads={"w1": 10}, sums=frozenset({"w1"}),
-             strides={("w1", 20): 4})
+    a = Plan(tails={"w1": 5}, sums=frozenset({"w1"}), strides={("w1", 20): 4, ("w1", 1): 10})
     b = Plan(tails={"w1": 3, "w2": 7}, exceedances=frozenset({WindowSpec("w1", 2, 0.9)}),
              strides={("w1", 20): 9, ("w1", 2): 1})
     both = a | b
-    assert both.tails == {"w1": 5, "w2": 7} and both.heads == {"w1": 10}
-    assert both.strides == {("w1", 20): 9, ("w1", 2): 1}
+    assert both.tails == {"w1": 5, "w2": 7}
+    assert both.strides == {("w1", 20): 9, ("w1", 2): 1, ("w1", 1): 10}
     assert both.sums == {"w1"} and both.exceedances == b.exceedances
 
 
@@ -185,8 +188,8 @@ def test_summary_fed_from_threads_equals_the_serial_reduction(tied, monkeypatch)
         w1, w2 = g.pareto(1.5, n) + 1.0, g.pareto(3.0, n) + 1.0
     u = 0.7  # the tied keys' maximum holds less than 1 - u of them
     specs = (PointSpec(PAIR, PAIR, 2, u), *(WindowSpec(name, 3, u) for name in PAIR))
-    plan = Plan(tails=dict.fromkeys(PAIR, 500), heads={"w1": n, "w2": 1234},
-                sums=frozenset(PAIR), exceedances=frozenset(specs), strides={("w2", 7): 3000})
+    plan = Plan(tails=dict.fromkeys(PAIR, 500), sums=frozenset(PAIR), exceedances=frozenset(specs),
+                strides={("w1", 1): n, ("w2", 1): 1234, ("w2", 7): 3000})
     serial = summarize(sample_of(w1, w2, chain_len), plan)
 
     bounds = [*range(0, n, per_group * chain_len), n]
@@ -207,13 +210,13 @@ def test_summary_fed_from_threads_equals_the_serial_reduction(tied, monkeypatch)
         sys.setswitchinterval(interval)
 
     for name in PAIR:
-        want, got = serial.tail(name, 500), threaded.tail(name, 500)
+        want, got = serial.tail(name), threaded.tail(name)
         np.testing.assert_array_equal(got.top, want.top)
         assert (got.n, got.minimum) == (want.n, want.minimum)
     assert threaded.sums == serial.sums
-    for name, length in plan.heads.items():
-        np.testing.assert_array_equal(threaded.head(name, length), serial.head(name, length))
-    np.testing.assert_array_equal(threaded.strided("w2", 7, 3000), serial.strided("w2", 7, 3000))
+    for (name, stride), m in plan.strides.items():
+        np.testing.assert_array_equal(threaded.strided(name, stride, m),
+                                      serial.strided(name, stride, m))
     for spec in specs:
         want, got = serial.exceedance_set(spec), threaded.exceedance_set(spec)
         assert (got.n, got.minimum) == (want.n, want.minimum)

@@ -414,6 +414,8 @@ def test_series_weight_bounds_tau_not_contracting():
     law = make_law(LogNormal(0.0, 0.5), LogNormal(-0.5, 0.5), LogNormal(-0.6, 0.3))
     with pytest.raises(TauNotContracting):
         series_weight_bounds(law, 1.5)
+    with pytest.raises(ValueError, match="alpha2 must be positive"):
+        series_weight_bounds(LAW_C3, 0.0)
 
 
 # ---------------------------------------------------------------------------

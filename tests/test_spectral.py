@@ -215,8 +215,12 @@ def test_componentwise_spectral_validation():
 def test_window_angles_validation():
     draws = stationary_sample(LAW_C8, SimConfig(burn_in=100, n_draws=1000),
                               rng(5), n_chains=10)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="component"):
         window_angles(draws, component=0, h=2)
+    with pytest.raises(ValueError, match="u_quantile"):
+        window_angles(draws, component=1, h=2, u_quantile=1.0)
+    with pytest.raises(ValueError, match="h must be"):
+        window_angles(draws, component=1, h=0)
     with pytest.raises(TooFewExceedances):
         window_angles(draws, component=1, h=2, u_quantile=0.99)
     # No window of length 2 fits in a chain of one state.

@@ -134,6 +134,17 @@ def test_upper_tail_too_shallow_for_the_quantile():
         hill(tail, k=tail.top.size)
     with pytest.raises(ValueError):
         upper_tail(x, 0)
+    with pytest.raises(ValueError, match="q must lie in"):
+        tail.quantile(1.5)
+
+
+def test_running_tail_of_empty_blocks_is_empty():
+    acc = RunningTail(5)
+    acc.add(np.empty((0, 3)))
+    tail = acc.tail()
+    assert (tail.top.size, tail.n) == (0, 0) and np.isnan(tail.minimum)
+    with pytest.raises(ValueError, match="quantile of an empty series"):
+        tail.quantile(0.5)
 
 
 @settings(max_examples=30, deadline=None)

@@ -111,12 +111,12 @@ def summary_digest() -> tuple[str, str]:
     for law, burn_in, purpose, tails, heads, anchors, after, extra in runs:
         specs = (PointSpec(anchors, after, 3, 0.999), PointSpec(anchors, after, 2, 0.99),
                  *(WindowSpec(name, 2, 0.999) for name in after), *extra)
-        plan = Plan(tails=dict.fromkeys(tails, 2000), heads=dict.fromkeys(heads, 250_000),
+        plan = Plan(tails=dict.fromkeys(tails, 2000), strides={(s, 1): 250_000 for s in heads},
                     sums=frozenset(tails), exceedances=frozenset(specs))
         sim = SimConfig(burn_in=burn_in, n_draws=N_SUMMARY, base_seed=SEED)
         s = _forward_chunked(law, sim, plan, None, purpose)()
         for name in tails:
-            tail = s.tail(name, 2000)
+            tail = s.tail(name)
             update(tail.top, (tail.n, tail.minimum))
         for name in heads:
             update(s.head(name, 250_000))
@@ -148,12 +148,12 @@ def main() -> None:
     print(f"stationary_garch_sample  {digest(*arrays)}")
     chunked = _forward_chunked(
         DEMO_LAW, SimConfig(burn_in=2000, n_draws=N_CHUNKED, base_seed=SEED),
-        Plan(heads=dict.fromkeys(("w1", "w2"), N_CHUNKED)), None, "stationary",
+        Plan(strides={(s, 1): N_CHUNKED for s in ("w1", "w2")}), None, "stationary",
     )()
     print(f"stationary_chunked       {digest(*(chunked.head(s, N_CHUNKED) for s in ('w1', 'w2')))}")
     garch = _forward_chunked(
         GarchLaw(GARCH_PARAMS), SimConfig(burn_in=1000, n_draws=N_CHUNKED, base_seed=SEED),
-        Plan(heads=dict.fromkeys(STORED, N_CHUNKED)), None, "garch",
+        Plan(strides={(s, 1): N_CHUNKED for s in STORED}), None, "garch",
     )()
     print(f"garch_chunked            {digest(*(garch.head(s, N_CHUNKED) for s in STORED))}")
     backward = backward_truncated(
