@@ -371,7 +371,8 @@ def solve_tail_index(dist: PositiveDistribution, *, tol: float = 1e-10) -> TailI
     The map ``h -> E X^h`` is convex with slope ``E log X < 0`` at zero, so on a
     contracting law it dips below 1 and (if it ever recovers) crosses 1 exactly
     once from below.  The solver brackets that crossing by doubling h up to 64,
-    halves down when m(1) >= 1 already, and finishes with Brent's method.
+    halves down when m(1) >= 1 already, and finishes with Brent's method, so
+    a root is certified only by a sign change of m(h) - 1 across its bracket.
 
     Moments come from the closed form, or from adaptive quadrature for
     :class:`ChiSqAffine`, whose closed forms exist only at special orders.
@@ -430,8 +431,6 @@ def solve_tail_index(dist: PositiveDistribution, *, tol: float = 1e-10) -> TailI
                 except DivergentMoment:
                     hi_d = mid
                     continue
-                if abs(mmid - 1.0) <= tol:
-                    return solution(h_prev, hi_d, mid)
                 if mmid > 1.0:
                     lo, hi = h_prev, mid
                     break
@@ -441,9 +440,6 @@ def solve_tail_index(dist: PositiveDistribution, *, tol: float = 1e-10) -> TailI
                     f"m(h) diverges near h={hi_d:.6g} while still below 1"
                 ) from None
             break
-        if abs(mh - 1.0) <= tol:
-            # Exact (or tol-close) root at a probe point; certificate already met.
-            return solution(0.5 * h, 2.0 * h, h)
         if mh > 1.0:
             lo, hi = h_prev, h
             break
@@ -459,8 +455,6 @@ def solve_tail_index(dist: PositiveDistribution, *, tol: float = 1e-10) -> TailI
         lo = 0.5 * hi
         for _ in range(80):
             mlo = m(lo)
-            if abs(mlo - 1.0) <= tol:
-                return solution(0.5 * lo, hi, lo)
             if mlo < 1.0:
                 break
             hi = lo

@@ -881,7 +881,7 @@ class DiffEntry:
 def _num_close(a: Optional[float], b: Optional[float], rel_tol: float) -> str:
     if a is None or b is None:
         return "identical" if a is b else "differs"
-    if a == b:
+    if a == b or (math.isnan(a) and math.isnan(b)):
         return "identical"
     scale = max(abs(a), abs(b))
     if abs(a - b) <= rel_tol * max(scale, 1.0):

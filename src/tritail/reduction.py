@@ -3,7 +3,7 @@
 Every estimator that reads a stationary sample reads one of four reductions
 of it:
 
-* the upper tail of a series (:class:`tritail.tailstats.RunningTail`);
+* the upper tail of a series: its top values;
 * the sum of a series, kept as one running total per chain and read as one
   partial sum per span of ``SUM_SPAN`` states (whole chains, cut from the
   sample's start);
@@ -13,6 +13,10 @@ of it:
   stride the forward side of the cross-validation;
 * the exceedances of a threshold series: its top points, enough for a high
   quantile of it, each with its position and a payload.
+
+Tails and exceedance sets are kept by one accumulator,
+:class:`tritail.tailstats.RunningTail`: the top keys of a series, which
+carry the points' payload in an exceedance set and none in a tail.
 
 A :class:`Plan` lists the reductions a run reads before it samples, and a
 :class:`Summary` holds them for the whole sample.  Every group of
@@ -26,11 +30,11 @@ next block.  :func:`reduce_group` feeds an array-backed sample
 through the same reducer as the step-major view of its chains.
 
 Nothing is merged.  Each chain's running total and strided states have
-fixed places, and the tails and exceedance sets are locked top-m
-accumulators, whose top m does not depend on the order of their blocks (a
-tie at an exceedance set's cut may keep either point, but every reader goes
-through :meth:`Exceedances.above`, whose keys lie strictly above the cut).  So the summary depends neither on how the sample is split into
-groups nor on the order in which the groups write.
+fixed places, and the accumulator is locked and keeps a top m that does not
+depend on the order of its blocks (a tie at an exceedance set's cut may keep
+either point, but every reader goes through :meth:`Exceedances.above`, whose
+keys lie strictly above the cut).  So the summary depends neither on how the
+sample is split into groups nor on the order in which the groups write.
 
 The estimators take either form: :func:`summarize` reduces an array-backed
 sample as one group through the same code, as ``upper_tail`` streams an
@@ -39,7 +43,6 @@ stride-1 states are the whole sample.
 """
 
 import math
-import threading
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -152,18 +155,19 @@ class Summary:
 
     Every group of the sample writes into it in place through a
     :class:`Reducer`, in any order and from any thread: one
-    :class:`~tritail.tailstats.RunningTail` per planned tail, one running
-    total per chain and series, the strided states at their chain-major
-    positions and one :class:`_TopPoints` per exceedance set.  It is read
-    once every group is in.  Lookups of a reduction that was not planned
-    raise :class:`ValueError`.
+    :class:`~tritail.tailstats.RunningTail` per planned tail and one, whose
+    keys carry the points' payload, per exceedance set, one running total
+    per chain and series and the strided states at their chain-major
+    positions.  It is read once every group is in.  Lookups of a reduction
+    that was not planned raise :class:`ValueError`.
     """
 
     def __init__(self, plan: Plan, n: int, chain_len: int):
         self.n, self.chain_len = n, chain_len
         self.tails = {name: RunningTail(depth) for name, depth in plan.tails.items()}
         self.totals = {name: np.zeros(-(-n // chain_len)) for name in plan.sums}
-        self.tops = {spec: _TopPoints(spec, tail_depth(n, spec.u)) for spec in plan.exceedances}
+        self.tops = {spec: RunningTail(tail_depth(n, spec.u), _payload(spec))
+                     for spec in plan.exceedances}
         self.strides = {key: np.empty(min(m, _strided_count(n, chain_len, key[1])))
                         for key, m in plan.strides.items()}
         self._sets = {}
@@ -211,8 +215,20 @@ class Summary:
     def exceedance_set(self, spec) -> Exceedances:
         """The exceedances of ``spec``, which the plan must name."""
         if spec not in self._sets:
-            self._sets[spec] = self._get(self.tops, spec, "exceedances for").exceedances()
+            top = self._get(self.tops, spec, "exceedances for")
+            order = np.argsort(top.fields["index"], kind="stable")
+            self._sets[spec] = Exceedances(key=top.key[order], n=top.n, minimum=top.minimum,
+                                           **{f: v[order] for f, v in top.fields.items()})
         return self._sets[spec]
+
+
+def _payload(spec) -> dict:
+    """The empty payload of ``spec``'s points, named as the fields of :class:`Exceedances`."""
+    point = isinstance(spec, PointSpec)
+    fields = {"index": np.empty(0, dtype=np.intp), "rows": np.empty((0, 2 if point else spec.h))}
+    if point:
+        fields.update(after=np.empty((0, spec.h, 2)), valid=np.empty(0, dtype=bool))
+    return fields
 
 
 def valid_window_starts(n: int, chain_len: int, h: int, offset: int = 0) -> np.ndarray:
@@ -283,81 +299,6 @@ def _window_norms(x: np.ndarray, h: int) -> np.ndarray:
     for i in range(2, h):
         acc += sq[i : i + starts]
     return np.sqrt(acc, out=acc)
-
-
-class _TopPoints:
-    """The top m keys of a threshold series, with the positions and payloads of their points.
-
-    Keys arrive in blocks, in any order, and :meth:`add` holds a lock, so
-    the groups of a sample may feed one set from several threads.  ``count``
-    counts every point and ``minimum`` is the least key (NaN when one is
-    NaN, +inf for no point).  Once m keys are held, ``cut`` is the m-th
-    largest and only keys above it can enter, as in
-    :class:`tritail.tailstats.RunningTail`; the payload of a block is
-    gathered only for its keys that enter the top m.  ``fields`` starts as
-    the empty payload of ``spec``'s points.
-    """
-
-    def __init__(self, spec, m: int):
-        self.m = m
-        self.count = 0
-        self.minimum = math.inf
-        self.cut = None
-        self.key = np.empty(0)
-        point = isinstance(spec, PointSpec)
-        self.fields = {"index": np.empty(0, dtype=np.intp),
-                       "rows": np.empty((0, 2 if point else spec.h))}
-        if point:
-            self.fields.update(after=np.empty((0, spec.h, 2)), valid=np.empty(0, dtype=bool))
-        self._lock = threading.Lock()
-
-    def add(self, count: int, low: float, key: np.ndarray, gather) -> None:
-        """Count ``count`` more points, whose least key is ``low``, and offer candidate keys.
-
-        The candidates passed the cut the feeder read, which is never above
-        the current one.  ``gather(sel)`` returns the fields of candidates
-        ``sel`` as a dict of arrays: their ``index`` in the sample and their
-        payload.  Once m points are held, an entering point takes the slot
-        of one it evicts.
-        """
-        with self._lock:
-            self.count += count
-            self.minimum = float(np.minimum(self.minimum, low))
-            if key.size:
-                self._offer(key, gather)
-
-    def _offer(self, key: np.ndarray, gather) -> None:
-        held = self.key.size
-        both = np.concatenate((self.key, key))
-        if both.size <= self.m:
-            old, new = np.arange(held), np.arange(key.size)
-        else:
-            top = np.argpartition(both, both.size - self.m)[both.size - self.m:]
-            self.cut = both[top].min()
-            if held == self.m:
-                kept = np.zeros(both.size, dtype=bool)
-                kept[top] = True
-                new = np.nonzero(kept[held:])[0]
-                if new.size:
-                    slots = np.nonzero(~kept[:held])[0]
-                    fresh = gather(new)
-                    self.key[slots] = key[new]
-                    for f, v in self.fields.items():
-                        v[slots] = fresh[f]
-                return
-            old, new = top[top < held], top[top >= held] - held
-        fresh = gather(new)
-        self.key = np.concatenate((self.key[old], key[new]))
-        self.fields = {f: np.concatenate((v[old], fresh[f])) for f, v in self.fields.items()}
-
-    def exceedances(self) -> Exceedances:
-        """The held points in position order."""
-        f = self.fields
-        order = np.argsort(f["index"], kind="stable")
-        return Exceedances(index=f["index"][order], key=self.key[order], rows=f["rows"][order],
-                           n=self.count, minimum=self.minimum,
-                           after=f["after"][order] if "after" in f else None,
-                           valid=f["valid"][order] if "valid" in f else None)
 
 
 def _all(shape) -> tuple:
@@ -444,7 +385,7 @@ class Reducer:
                                                                             np.nan))))
                 self._exceed(spec, top, pad, c, base + length - c, False)
 
-    def _exceed(self, spec, top: _TopPoints, seg, starts: int, pos0: int, valid: bool) -> None:
+    def _exceed(self, spec, top: RunningTail, seg, starts: int, pos0: int, valid: bool) -> None:
         """Offer the spans that start in the first ``starts`` rows of ``seg``.
 
         Row 0 of ``seg`` is at position ``pos0`` of the sample.
@@ -495,7 +436,7 @@ class Reducer:
                 return {"index": pos0 + c * L + r,
                         "rows": x[r[:, None] + np.arange(spec.h), c[:, None]]}
 
-        top.add(count, low, key, gather)
+        top.offer(count, low, key, gather)
 
     def summary(self) -> Summary:
         """The summary the reducer writes into, whole once every group of the sample is in."""

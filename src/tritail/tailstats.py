@@ -10,12 +10,15 @@ one streaming pass (a :class:`RunningTail` fed block by block, or
 :func:`upper_tail` over fixed blocks of an array).  A run builds one tail per
 series, deep enough for every estimator and quantile that reads it, from the
 sampler's slabs as they are drawn, so no series of a run is materialised;
-passing a plain array builds one through the same pass.
+passing a plain array builds one through the same pass.  :class:`RunningTail`
+is the one top-m accumulator of the package: a run's exceedance sets
+(:mod:`tritail.reduction`) are the same accumulator with a payload per key.
 """
 
 import math
 import threading
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 from scipy import special
@@ -121,67 +124,99 @@ def block_rows(width: int) -> int:
 
 
 class RunningTail:
-    """The running top m of a series fed one block at a time, in any order.
+    """The running top m keys of a series fed one block at a time, in any order.
 
-    Once m values are held, only block values above the current m-th
-    largest (the cut) are merged in.  Ties at the cut leave the values of
-    the top m unchanged, so they need no merging, and the top m of a series
-    does not depend on the order of its blocks.  The values are held at the
-    end of one buffer: a block's values are written below them and the
-    whole is partitioned back to m in place.  A block that arrives before
-    there is a cut is taken m values at a time, so the buffer then holds at
-    most 2m values; after that it holds m plus one block's values above the
-    cut.  :meth:`add` holds a lock, so the groups of a sample may feed one
-    tail from several threads.
+    ``n`` counts every point of the series and ``minimum`` is its least key
+    (NaN when one is NaN, +inf for no point).  Once m keys are held, ``cut``
+    is the m-th largest and only keys above it can enter.  Ties at the cut
+    leave the top m keys unchanged, so the top m of a series does not depend
+    on the order of its blocks.  Each key may carry a payload: ``fields``
+    maps a name to an empty array whose rows are its points' values (their
+    position in the sample, say), gathered only for keys that enter the top
+    m; a tail has none.  :meth:`add` and :meth:`offer` hold a lock, so the
+    groups of a sample may feed one accumulator from several threads.
     """
 
-    def __init__(self, m: int):
+    def __init__(self, m: int, fields: Optional[dict] = None):
         if m < 1:
             raise ValueError("m must be >= 1")
         self.m = m
         self.n = 0
-        self.minimum = math.nan
-        self._buf = np.empty(0)
-        self._lo = 0  # the values held are self._buf[self._lo:]
-        self._cut = None
+        self.minimum = math.inf
+        self.cut = None
+        self.key = np.empty(0)
+        self.fields = fields or {}
         self._lock = threading.Lock()
 
     def add(self, block: np.ndarray) -> None:
-        """Merge in a float block of any shape."""
+        """Merge in the values of a float block of any shape, as keys with no payload.
+
+        A block that arrives before there is a cut is taken m values at a
+        time, so at most 2m keys are held at once; after that only its
+        values above the cut are offered.
+        """
         if not block.size:
             return
         low = block.min()
         with self._lock:
-            self.minimum = float(low if self.n == 0 else np.minimum(self.minimum, low))
-            self.n += block.size
-            if self._cut is not None:
-                self._push(block[block > self._cut])
+            self._count(block.size, low)
+            if self.cut is not None:
+                self._offer(block[block > self.cut])
                 return
             for lo in range(0, block.size, self.m):
                 piece = block.flat[lo : lo + self.m]
-                self._push(piece if self._cut is None else piece[piece > self._cut])
+                self._offer(piece if self.cut is None else piece[piece > self.cut])
 
-    def _push(self, new: np.ndarray) -> None:
-        """Write the 1-d values ``new`` below the held ones and partition back to m."""
-        k = new.size
-        if not k:
+    def offer(self, count: int, low: float, key: np.ndarray, gather) -> None:
+        """Count ``count`` more points, whose least key is ``low``, and offer candidate keys.
+
+        The candidates passed the cut the feeder read, which is never above
+        the current one.  ``gather(sel)`` returns the fields of candidates
+        ``sel`` as a dict of arrays.
+        """
+        with self._lock:
+            self._count(count, low)
+            self._offer(key, gather)
+
+    def _count(self, count: int, low: float) -> None:
+        self.n += count
+        self.minimum = float(np.minimum(self.minimum, low))
+
+    def _offer(self, key: np.ndarray, gather=lambda sel: {}) -> None:
+        """Merge the 1-d candidate ``key`` into the top m.
+
+        Once m points are held, an entering point takes the slot of one it
+        evicts.
+        """
+        if not key.size:
             return
-        if k > self._lo:
-            held = self._buf[self._lo:]
-            buf = np.empty(self.m + k)  # room for another such block once back to m
-            buf[buf.size - held.size:] = held
-            self._buf, self._lo = buf, buf.size - held.size
-        self._buf[self._lo - k : self._lo] = new
-        self._lo -= k
-        held = self._buf[self._lo:]
-        if held.size > self.m:
-            held.partition(held.size - self.m)
-            self._lo = self._buf.size - self.m
-            self._cut = self._buf[self._lo]
+        held = self.key.size
+        both = np.concatenate((self.key, key))
+        if both.size <= self.m:
+            old, new = np.arange(held), np.arange(key.size)
+        else:
+            top = np.argpartition(both, both.size - self.m)[both.size - self.m:]
+            self.cut = both[top[0]]
+            if held == self.m:
+                kept = np.zeros(both.size, dtype=bool)
+                kept[top] = True
+                new = np.nonzero(kept[held:])[0]
+                if new.size:
+                    slots = np.nonzero(~kept[:held])[0]
+                    fresh = gather(new)
+                    self.key[slots] = key[new]
+                    for f, v in self.fields.items():
+                        v[slots] = fresh[f]
+                return
+            old, new = top[top < held], top[top >= held] - held
+        fresh = gather(new)
+        self.key = np.concatenate((self.key[old], key[new]))
+        self.fields = {f: np.concatenate((v[old], fresh[f])) for f, v in self.fields.items()}
 
     def tail(self) -> UpperTail:
         """The series' :class:`UpperTail`: its top min(m, n) values, n and minimum."""
-        return UpperTail(top=np.sort(self._buf[self._lo:]), n=self.n, minimum=self.minimum)
+        return UpperTail(top=np.sort(self.key), n=self.n,
+                         minimum=self.minimum if self.n else math.nan)
 
 
 def upper_tail(series, m: int) -> UpperTail:

@@ -676,18 +676,21 @@ def test_garch_verify_reads_dispersion_max(tmp_path):
 def _record_passes(monkeypatch) -> list:
     """Patch the streaming passes to record the series each one reads.
 
-    A tail pass (a ``RunningTail``) and an exceedance pass (the top points
-    of a threshold series) are both fed blocks.  Each pass is recorded as a
-    test of whether it read a given series: a tail pass was fed exactly the
-    series' values, and an exceedance pass counted every point of it and
-    holds its top keys.
+    A tail pass and an exceedance pass (the top points of a threshold
+    series) are both a ``RunningTail``; an exceedance pass is the one whose
+    keys carry ``fields``.  Each pass is recorded as a test of whether it
+    read a given series: a tail pass was fed exactly the series' values,
+    and an exceedance pass counted every point of it and holds its top keys.
     """
     passes = []
     real_init, real_add = tailstats.RunningTail.__init__, tailstats.RunningTail.add
-    real_top = reduction._TopPoints.__init__
 
-    def init(acc, m):
-        real_init(acc, m)
+    def init(acc, m, fields=None):
+        real_init(acc, m, fields)
+        if fields:
+            passes.append(lambda s: acc.n == s.size and np.array_equal(
+                np.sort(acc.key), np.sort(s)[s.size - acc.key.size:]))
+            return
         acc.blocks = []
         passes.append(lambda s: np.array_equal(
             np.sort(np.concatenate([b.reshape(-1) for b in acc.blocks])), np.sort(s)))
@@ -696,14 +699,8 @@ def _record_passes(monkeypatch) -> list:
         acc.blocks.append(np.array(block))
         real_add(acc, block)
 
-    def top(points, spec, m):
-        real_top(points, spec, m)
-        passes.append(lambda s: points.count == s.size and np.array_equal(
-            np.sort(points.key), np.sort(s)[s.size - points.key.size:]))
-
     monkeypatch.setattr(tailstats.RunningTail, "__init__", init)
     monkeypatch.setattr(tailstats.RunningTail, "add", add)
-    monkeypatch.setattr(reduction._TopPoints, "__init__", top)
     return passes
 
 
@@ -1295,6 +1292,12 @@ def test_compare_reports():
     flipped = compare_reports(a, _report_of({"alpha": 1.5, "beta": 2.0}, passed=False))
     assert {(d.record, d.field) for d in flipped} == {("alpha", "pass"), ("beta", "pass")}
     assert all(d.status == "differs" for d in flipped)
+
+    # Two NaNs are identical even at zero tolerance; a NaN against a number differs.
+    nan = _report_of({"alpha": math.nan, "beta": 2.0})
+    assert compare_reports(nan, _report_of({"alpha": math.nan, "beta": 2.0}), rel_tol=0) == []
+    assert [(d.record, d.status) for d in compare_reports(nan, a, rel_tol=0)] == [
+        ("alpha", "differs")]
 
     with pytest.raises(PipelineMismatch):
         compare_reports(a, _report_of({"alpha": 1.5}, pipeline="spectral"))

@@ -221,6 +221,21 @@ def test_root_below_a_divergent_probe():
         1.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("dist, alpha, bracket", [
+    # m(1) = 1 at a doubling probe.
+    (ChiSqAffine(0.35, 0.65), 1.0, (1.0, 2.0)),
+    # m(2.5) = 1 at a midpoint of the bisection below the divergence at h = 3.
+    (ParetoLomax(3.0, 0.6491596842809317), 2.5, (2.5, 2.75)),
+    # m(0.5) = 1 at a step of the halving toward 0.
+    (LogNormal(-0.25, 1.0), 0.5, (0.25, 0.5)),
+])
+def test_root_at_a_probe_point_is_bracketed_by_a_sign_change(dist, alpha, bracket):
+    sol = solve_tail_index(dist)
+    assert sol.alpha == pytest.approx(alpha, abs=1e-12)
+    assert sol.bracket == bracket
+    assert moment(dist, bracket[0]).value <= 1.0 <= moment(dist, bracket[1]).value
+
+
 @settings(max_examples=30, deadline=None)
 @given(mu=st.floats(-2.0, -0.05), sigma=st.floats(0.3, 1.5))
 def test_root_lognormal_formula(mu, sigma):
@@ -238,6 +253,10 @@ def test_root_errors():
     with pytest.raises(NoPositiveRoot):
         # m(h) = 0.9^h / (h + 1) is strictly decreasing: no crossing ever.
         solve_tail_index(ScaledUniformPow(0.9, 1.0))
+    with pytest.raises(NoPositiveRoot):
+        # The root -2 mu / sigma^2 = 2e-30 lies below every halving step:
+        # there m(h) - 1 is under 1e-10 but never changes sign.
+        solve_tail_index(LogNormal(-1e-30, 1.0))
     with pytest.raises(DivergentBeforeRoot):
         # m(h) stays near 0 below the moment boundary h = 2.
         solve_tail_index(ParetoLomax(2.0, 1e-10))

@@ -114,11 +114,20 @@ def test_running_tail_fed_from_threads_equals_the_array_pass():
 
 def test_running_tail_holds_at_most_2m_after_a_wide_first_block():
     # A block that arrives before there is a cut is taken m values at a
-    # time, each piece above the cut once there is one.
+    # time, each piece above the cut once there is one, so no offer joins
+    # more than 2m keys.
     x = pareto(1.5, 64 * 2000, seed=8)
     acc = RunningTail(1000)
+    joined = []
+    real_offer = acc._offer
+
+    def offer(key, *args):
+        joined.append(acc.key.size + key.size)
+        real_offer(key, *args)
+
+    acc._offer = offer
     acc.add(x.reshape(64, 2000))
-    assert acc._buf.size <= 2 * 1000
+    assert joined and max(joined) <= 2 * 1000
     want, got = upper_tail(x, 1000), acc.tail()
     np.testing.assert_array_equal(got.top, want.top)
     assert (got.n, got.minimum) == (want.n, want.minimum)
