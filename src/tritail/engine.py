@@ -390,7 +390,6 @@ def lyapunov_estimate(
     n: int,
     n_chains: int,
     rng: np.random.Generator,
-    eps_grid=None,
 ) -> LyapunovEstimate:
     """Estimate the top Lyapunov exponent of the coefficient products.
 
@@ -402,8 +401,9 @@ def lyapunov_estimate(
     max(E log A1, E log A4) a step would pass ``_MAX_LOG_DRIFT`` (the
     running log-scale is carried separately, so no entry under- or
     overflows).  ``upper_bound`` is ``log(rho)/eps`` from the stationarity
-    witness, or +inf when no grid point qualifies; for any witness eps in
-    (0, 1] the bound dominates the true exponent.
+    witness on :data:`~tritail.laws.DEFAULT_EPS_GRID`, or +inf when no grid
+    point qualifies; for any witness eps in (0, 1] the bound dominates the
+    true exponent.
     """
     if n < 100:
         raise ValueError("n must be >= 100")
@@ -442,7 +442,7 @@ def lyapunov_estimate(
     gamma_hat = float(per_chain.mean())
     se = float(per_chain.std(ddof=1) / math.sqrt(n_chains)) if n_chains > 1 else 0.0
 
-    report = check_stationarity(law, eps_grid)
+    report = check_stationarity(law)
     if report.holds:
         bound = math.log(report.rho) / report.witness_eps
     else:

@@ -160,17 +160,11 @@ class GarchLaw:
 
     params: GarchParams
 
-    def sample(self, rng: np.random.Generator, size=None) -> CoeffDraw:
+    def sample(self, rng: np.random.Generator, size) -> CoeffDraw:
         z = _correlated_normals(self.params.rho, size, rng)
         a1, a2, a4, b1, b2 = to_sre_coefficients(self.params, z)
-        shape = () if size is None else size
-        return CoeffDraw(
-            a1=np.asarray(a1, dtype=float),
-            a2=np.asarray(a2, dtype=float),
-            a4=np.asarray(a4, dtype=float),
-            b1=np.broadcast_to(b1, shape),
-            b2=np.broadcast_to(b2, shape),
-        )
+        return CoeffDraw(a1=a1, a2=a2, a4=a4, b1=np.broadcast_to(b1, size),
+                         b2=np.broadcast_to(b2, size))
 
     def marginal(self, name: str):
         p = self.params

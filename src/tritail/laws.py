@@ -65,6 +65,9 @@ _QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-11, limit=200)
 
 # ============================================================================
 # Distribution kinds
+#
+# Each kind's ``sample(rng, size)`` returns draws of shape ``size`` (an int or
+# a shape tuple; ``()`` for one draw).  ``size`` is required.
 # ============================================================================
 
 @dataclass(frozen=True)
@@ -78,10 +81,10 @@ class LogNormal:
         if not (self.sigma > 0 and math.isfinite(self.sigma) and math.isfinite(self.mu)):
             raise ValueError("LogNormal requires finite mu and sigma > 0")
 
-    def sample(self, rng: np.random.Generator, size=None) -> np.ndarray:
+    def sample(self, rng: np.random.Generator, size) -> np.ndarray:
         # exp of a normal buffer, in place: cheaper than rng.lognormal and
         # within 1 ulp of it (numpy's exp, not libm's).
-        x = np.asarray(rng.standard_normal(size))
+        x = rng.standard_normal(size)
         x *= self.sigma
         x += self.mu
         return np.exp(x, out=x)
@@ -98,7 +101,7 @@ class ScaledUniformPow:
         if not (self.scale > 0 and self.power > 0):
             raise ValueError("ScaledUniformPow requires scale > 0 and power > 0")
 
-    def sample(self, rng: np.random.Generator, size=None) -> np.ndarray:
+    def sample(self, rng: np.random.Generator, size) -> np.ndarray:
         # 1 - random() lies in (0, 1]: keeps every draw strictly positive.
         u = 1.0 - rng.random(size)
         return self.scale * u**self.power
@@ -115,7 +118,7 @@ class ParetoLomax:
         if not (self.alpha > 0 and self.scale > 0):
             raise ValueError("ParetoLomax requires alpha > 0 and scale > 0")
 
-    def sample(self, rng: np.random.Generator, size=None) -> np.ndarray:
+    def sample(self, rng: np.random.Generator, size) -> np.ndarray:
         u = 1.0 - rng.random(size)
         return self.scale * (u ** (-1.0 / self.alpha) - 1.0)
 
@@ -130,9 +133,9 @@ class Constant:
         if not (self.value > 0 and math.isfinite(self.value)):
             raise ValueError("Constant requires a finite value > 0")
 
-    def sample(self, rng: np.random.Generator, size=None) -> np.ndarray:
+    def sample(self, rng: np.random.Generator, size) -> np.ndarray:
         # A read-only view of one float: no buffer, no random numbers.
-        return np.broadcast_to(np.float64(self.value), () if size is None else size)
+        return np.broadcast_to(np.float64(self.value), size)
 
 
 @dataclass(frozen=True)
@@ -149,7 +152,7 @@ class ChiSqAffine:
         if self.a < 0 or self.b < 0 or (self.a == 0 and self.b == 0):
             raise ValueError("ChiSqAffine requires a >= 0, b >= 0, not both zero")
 
-    def sample(self, rng: np.random.Generator, size=None) -> np.ndarray:
+    def sample(self, rng: np.random.Generator, size) -> np.ndarray:
         z = rng.standard_normal(size)
         return self.a * z * z + self.b
 
@@ -184,13 +187,13 @@ class IndependentLaw:
     b1: PositiveDistribution
     b2: PositiveDistribution
 
-    def sample(self, rng: np.random.Generator, size=None) -> CoeffDraw:
+    def sample(self, rng: np.random.Generator, size) -> CoeffDraw:
         return CoeffDraw(
-            a1=np.asarray(self.a1.sample(rng, size), dtype=float),
-            a2=np.asarray(self.a2.sample(rng, size), dtype=float),
-            a4=np.asarray(self.a4.sample(rng, size), dtype=float),
-            b1=np.asarray(self.b1.sample(rng, size), dtype=float),
-            b2=np.asarray(self.b2.sample(rng, size), dtype=float),
+            a1=self.a1.sample(rng, size),
+            a2=self.a2.sample(rng, size),
+            a4=self.a4.sample(rng, size),
+            b1=self.b1.sample(rng, size),
+            b2=self.b2.sample(rng, size),
         )
 
     def marginal(self, name: str) -> PositiveDistribution:
@@ -201,9 +204,13 @@ class IndependentLaw:
 
 @runtime_checkable
 class CoefficientLaw(Protocol):
-    """Anything that can draw joint coefficient tuples and name its marginals."""
+    """Anything that can draw joint coefficient tuples and name its marginals.
 
-    def sample(self, rng: np.random.Generator, size=None) -> CoeffDraw: ...
+    ``sample(rng, size)`` returns a :class:`CoeffDraw` whose five arrays have
+    shape ``size``; ``size`` is required.
+    """
+
+    def sample(self, rng: np.random.Generator, size) -> CoeffDraw: ...
 
     def marginal(self, name: str) -> PositiveDistribution: ...
 
@@ -365,14 +372,15 @@ class TailIndexSolution:
 _MAX_POWER = 64.0
 
 
-def solve_tail_index(dist: PositiveDistribution, *, tol: float = 1e-10) -> TailIndexSolution:
+def solve_tail_index(dist: PositiveDistribution) -> TailIndexSolution:
     """Solve E X^alpha = 1 for the unique positive root.
 
     The map ``h -> E X^h`` is convex with slope ``E log X < 0`` at zero, so on a
     contracting law it dips below 1 and (if it ever recovers) crosses 1 exactly
     once from below.  The solver brackets that crossing by doubling h up to 64,
-    halves down when m(1) >= 1 already, and finishes with Brent's method, so
-    a root is certified only by a sign change of m(h) - 1 across its bracket.
+    halves down when m(1) >= 1 already, and finishes with Brent's method at
+    ``xtol = 1e-12`` and ``rtol = 8.9e-16``, so a root is certified only by a
+    sign change of m(h) - 1 across its bracket.
 
     Moments come from the closed form, or from adaptive quadrature for
     :class:`ChiSqAffine`, whose closed forms exist only at special orders.
@@ -409,10 +417,6 @@ def solve_tail_index(dist: PositiveDistribution, *, tol: float = 1e-10) -> TailI
         if math.isinf(val):
             raise DivergentMoment(f"E X^{h} = +inf")
         return val
-
-    def solution(lo: float, hi: float, root: float) -> TailIndexSolution:
-        return TailIndexSolution(alpha=root, residual=m(root) - 1.0, method=method,
-                                 bracket=(lo, hi))
 
     # --- bracket the crossing -------------------------------------------------
     lo, hi = None, None
@@ -462,8 +466,8 @@ def solve_tail_index(dist: PositiveDistribution, *, tol: float = 1e-10) -> TailI
         else:
             raise NoPositiveRoot("m(h) >= 1 arbitrarily close to h = 0")
 
-    root = float(optimize.brentq(lambda t: m(t) - 1.0, lo, hi, xtol=min(tol, 1e-12), rtol=8.9e-16))
-    return solution(lo, hi, root)
+    root = float(optimize.brentq(lambda t: m(t) - 1.0, lo, hi, xtol=1e-12, rtol=8.9e-16))
+    return TailIndexSolution(alpha=root, residual=m(root) - 1.0, method=method, bracket=(lo, hi))
 
 
 # ============================================================================
@@ -497,21 +501,15 @@ def _finite_moment(dist: PositiveDistribution, h: float) -> Optional[float]:
         return None
 
 
-def check_stationarity(law: CoefficientLaw, eps_grid=None) -> StationarityReport:
+def check_stationarity(law: CoefficientLaw) -> StationarityReport:
     """Find a witness epsilon for the contraction condition of the model.
 
-    Scans ``eps_grid`` (descending by default, so witnesses deliver the
-    tightest geometric truncation rate) for the first epsilon in (0, 1] with
+    Scans :data:`DEFAULT_EPS_GRID` (descending, so witnesses deliver the
+    tightest geometric truncation rate) for the first epsilon with
     E A1^eps < 1, E A4^eps < 1 and E A2^eps finite.  A False result is an
     answer, not an error.
     """
-    grid = DEFAULT_EPS_GRID if eps_grid is None else tuple(eps_grid)
-    if len(grid) == 0:
-        raise ValueError("eps_grid must be nonempty")
-    if any(not (0.0 < e <= 1.0) for e in grid):
-        raise ValueError("eps_grid values must lie in (0, 1]")
-
-    for eps in grid:
+    for eps in DEFAULT_EPS_GRID:
         m1 = _finite_moment(law.marginal("a1"), eps)
         m4 = _finite_moment(law.marginal("a4"), eps)
         m2 = _finite_moment(law.marginal("a2"), eps)
@@ -538,16 +536,16 @@ class RegimeReport:
     cross_moment: Optional[MomentValue]
 
 
-def classify_regime(law: CoefficientLaw, *, tol: float = 1e-10) -> RegimeReport:
-    """Solve both diagonal tail indices and compare them.
+def classify_regime(law: CoefficientLaw) -> RegimeReport:
+    """Solve both diagonal tail indices with :func:`solve_tail_index` and compare them.
 
     The roots are deterministic, so any strict inequality decides the regime;
     equal roots give "unresolved", which callers must treat as out of scope.
     ``cross_moment_ok`` records whether E A2^min(alpha1,alpha2) is finite —
     the hypothesis that lets the lighter channel be neglected.
     """
-    sol1 = solve_tail_index(law.marginal("a1"), tol=tol)
-    sol2 = solve_tail_index(law.marginal("a4"), tol=tol)
+    sol1 = solve_tail_index(law.marginal("a1"))
+    sol2 = solve_tail_index(law.marginal("a4"))
     if sol1.alpha < sol2.alpha:
         regime = REGIME_A1_DOMINANT
     elif sol1.alpha > sol2.alpha:

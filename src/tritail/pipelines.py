@@ -371,13 +371,6 @@ class _Ctx:
                                                 self.knob("dispersion_max")))
         return self.cache[key]
 
-    def head(self, m: int):
-        """The first m states as an array-backed sample: a PathSample, or a GarchPath."""
-        s = self.sample()
-        if self.is_garch():
-            return GarchPath(*(s.head(name, m) for name in garch.STORED), chain_len=s.chain_len)
-        return PathSample(w1=s.head("w1", m), w2=s.head("w2", m), chain_len=s.chain_len)
-
     def regime(self):
         if "regime" not in self.cache:
             self.cache["regime"] = classify_regime(self.cfg.law)
@@ -484,18 +477,18 @@ def _summary_stats(ctx: _Ctx, name: str) -> None:
 
 
 def _step_simulate(ctx: _Ctx) -> None:
-    n = len(ctx.sample())
-    head = ctx.head(ctx.knob("csv_rows"))
-    m = len(head)
+    s = ctx.sample()
+    rows = ctx.knob("csv_rows")
     if ctx.is_garch():
-        ctx.write_table(
-            "garch_path.npy",
-            ("t", "x1", "x2", "sigma1_sq", "sigma2_sq"),
-            (np.arange(m), head.x1, head.x2, head.sigma1_sq, head.sigma2_sq),
-        )
+        # The returns x1, x2 are derived from the first states of every stored array.
+        head = GarchPath(*(s.head(name, rows) for name in garch.STORED), chain_len=s.chain_len)
+        filename, names = "garch_path.npy", ("x1", "x2", *ctx.pair)
+        columns = [head.series(name) for name in names]
     else:
-        ctx.write_table("path.npy", ("t", "w1", "w2"), (np.arange(m), head.w1, head.w2))
-    ctx.add(name="n_draws", value=float(n), passed=None)
+        filename, names = "path.npy", ctx.pair
+        columns = [s.head(name, rows) for name in names]
+    ctx.write_table(filename, ("t", *names), (np.arange(len(columns[0])), *columns))
+    ctx.add(name="n_draws", value=float(len(s)), passed=None)
     for name in ctx.pair:
         _summary_stats(ctx, name)
 
@@ -531,12 +524,13 @@ def _step_constants(ctx: _Ctx) -> None:
     rep = ctx.regime()
     a1, a2 = rep.alpha1.alpha, rep.alpha2.alpha
     law = ctx.cfg.law
+    p1, p2 = ctx.pair
+    s = ctx.sample()
     draws = ctx.knob("constant_draws")
     rel_tol = _by_step(ctx.knob("c2_rel_tol"), "constants")
 
     c2 = renewal.univariate_constant(
-        law.marginal("a4"), law.marginal("b2"), a2,
-        ctx.sample().head("w2", draws), substream(ctx.seed, "c2"),
+        law.marginal("a4"), law.marginal("b2"), a2, s.head(p2, draws), substream(ctx.seed, "c2"),
     )
     ctx.add(
         name="c2_renewal",
@@ -545,7 +539,7 @@ def _step_constants(ctx: _Ctx) -> None:
         passed=None,
         note=f"m_alpha={c2.m_alpha:.6g} cramer_residual={c2.cramer_residual:.3g}",
     )
-    _plateau_record(ctx, "c2_plateau", ctx.plateau("w2", a2),
+    _plateau_record(ctx, "c2_plateau", ctx.plateau(p2, a2),
                     reference=c2.c_hat, rel_tol=rel_tol)
 
     rel_tol1 = ctx.knob("c1_rel_tol")
@@ -560,7 +554,7 @@ def _step_constants(ctx: _Ctx) -> None:
             substream(ctx.seed, "weight"),
         )
         # The one gate on the weight: converged, and inside its bracket where one exists.
-        w, se = coupled.weight, coupled.weight_std_error
+        w, se = coupled.trace[-1].value, coupled.trace[-1].std_error
         low, high = (None, None) if bounds is None else (bounds.lower - 3 * se,
                                                          bounds.upper + 3 * se)
         weight = gate("series_weight", w, low, high, std_error=se,
@@ -579,12 +573,11 @@ def _step_constants(ctx: _Ctx) -> None:
             passed=None,
             note="c2 * series weight; series_weight gates the weight",
         )
-        _plateau_record(ctx, "c1_plateau", ctx.plateau("w1", a2),
+        _plateau_record(ctx, "c1_plateau", ctx.plateau(p1, a2),
                         reference=coupled.constant.c_hat, rel_tol=rel_tol1)
     elif rep.regime == REGIME_A1_DOMINANT:
-        goldie = renewal.first_component_constant(
-            law, a1, a2, ctx.head(draws), substream(ctx.seed, "c1")
-        )
+        first = PathSample(w1=s.head(p1, draws), w2=s.head(p2, draws), chain_len=s.chain_len)
+        goldie = renewal.first_component_constant(law, a1, a2, first, substream(ctx.seed, "c1"))
         ctx.add(
             name="c1_renewal",
             value=goldie.c_hat,
@@ -598,7 +591,7 @@ def _step_constants(ctx: _Ctx) -> None:
             passed=None,
             note="literal 2/alpha1 prefactor; informational — plateau adjudicates",
         )
-        _plateau_record(ctx, "c1_plateau", ctx.plateau("w1", a1),
+        _plateau_record(ctx, "c1_plateau", ctx.plateau(p1, a1),
                         reference=goldie.c_hat, rel_tol=rel_tol1)
     else:
         ctx.add(name="c1_skipped", value=None, passed=None,
@@ -738,8 +731,8 @@ def _plan_tails(ctx: _Ctx) -> Plan:
 
 def _plan_constants(ctx: _Ctx) -> Plan:
     # c1 reads the first states of both coordinates only in the A1 regime.
-    first = ("w1", "w2") if ctx.regime().regime == REGIME_A1_DOMINANT else ("w2",)
-    return Plan(tails={s: ctx.depth(s) for s in ("w1", "w2")},
+    first = ctx.pair if ctx.regime().regime == REGIME_A1_DOMINANT else (ctx.pair[1],)
+    return Plan(tails={s: ctx.depth(s) for s in ctx.pair},
                 strides={(s, 1): ctx.knob("constant_draws") for s in first})
 
 

@@ -103,6 +103,7 @@ class SeriesWeightBounds:
 
 _STRIP_CHUNK = 50_000
 _STRIP_ELEMENTS = 1 << 16  # renewal terms per block, 512 KiB of float64
+_WEIGHT_REL_TOL = 0.05  # relative change of the last two series weights read as converged
 
 
 def _fill(out: np.ndarray, write: Callable[[np.ndarray, slice], None]) -> np.ndarray:
@@ -185,8 +186,8 @@ def univariate_constant(
         raise ValueError("need at least 2 stationary draws")
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    a = np.asarray(a_dist.sample(rng, w.size), dtype=float)
-    b = np.asarray(b_dist.sample(rng, w.size), dtype=float)
+    a = a_dist.sample(rng, w.size)
+    b = b_dist.sample(rng, w.size)
 
     def numerator(out: np.ndarray, s: slice) -> None:  # (a w + b)**alpha - (a w)**alpha
         aw = a[s] * w[s]
@@ -332,13 +333,14 @@ def series_weight_bounds(law: CoefficientLaw, alpha2: float) -> SeriesWeightBoun
 
 @dataclass(frozen=True)
 class CoupledConstantResult:
-    """Inherited first-coordinate constant c2 * w with its convergence trace."""
+    """Inherited first-coordinate constant c2 * w with its convergence trace.
+
+    The weight w and its standard error are ``trace[-1]``.
+    """
 
     constant: RenewalConstant
     trace: tuple[SeriesWeightEstimate, ...]
     converged: bool
-    weight: float
-    weight_std_error: float
 
 
 def coupled_component_constant(
@@ -348,19 +350,18 @@ def coupled_component_constant(
     s_schedule: Sequence[int],
     n: int,
     rng: np.random.Generator,
-    rel_tol: float = 0.05,
     alpha1: Optional[float] = None,
 ) -> CoupledConstantResult:
     """Tail constant of the first coordinate in the regime alpha1 > alpha2.
 
     Evaluates the series weights along ``s_schedule`` (at least 3 increasing
     entries, typically doubling) and declares convergence when the last two
-    stabilize within ``rel_tol`` relative plus a 3-SE Monte Carlo allowance,
-    3 * (SE_a + SE_b).  The two estimates share strips (:func:`series_weights`),
-    so they are correlated; the allowance still holds, since by Cauchy-Schwarz
-    sd(a - b) <= sd(a) + sd(b) under any correlation.  The constant is
-    c2.c_hat times the last weight; never a hard error on a non-converged
-    schedule — the flag is the answer.
+    stabilize within ``_WEIGHT_REL_TOL`` (5%) relative plus a 3-SE Monte Carlo
+    allowance, 3 * (SE_a + SE_b).  The two estimates share strips
+    (:func:`series_weights`), so they are correlated; the allowance still
+    holds, since by Cauchy-Schwarz sd(a - b) <= sd(a) + sd(b) under any
+    correlation.  The constant is c2.c_hat times the last weight; never a
+    hard error on a non-converged schedule — the flag is the answer.
     """
     schedule = [int(s) for s in s_schedule]
     if len(schedule) < 3 or any(b <= a for a, b in zip(schedule, schedule[1:])):
@@ -372,7 +373,7 @@ def coupled_component_constant(
     trace = series_weights(law, alpha2, schedule, n, rng)
     last, prev = trace[-1], trace[-2]
     allowance = 3.0 * (last.std_error + prev.std_error)
-    converged = abs(last.value - prev.value) < rel_tol * abs(last.value) + allowance
+    converged = abs(last.value - prev.value) < _WEIGHT_REL_TOL * abs(last.value) + allowance
     c_hat = c2.c_hat * last.value
     se = math.sqrt(
         (last.value * c2.std_error) ** 2 + (c2.c_hat * last.std_error) ** 2
@@ -385,10 +386,4 @@ def coupled_component_constant(
         n_samples=n,
         cramer_residual=c2.cramer_residual,
     )
-    return CoupledConstantResult(
-        constant=constant,
-        trace=trace,
-        converged=converged,
-        weight=last.value,
-        weight_std_error=last.std_error,
-    )
+    return CoupledConstantResult(constant=constant, trace=trace, converged=converged)

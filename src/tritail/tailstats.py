@@ -43,6 +43,7 @@ __all__ = [
 
 _BLOCK = 1 << 18  # elements per block of the streaming pass, about 2 MB
 _PLATEAU_RANGE = (0.999, 0.9999)
+_PLATEAU_POINTS = 25  # log-spaced thresholds of the tail-constant plateau
 
 
 @dataclass(frozen=True)
@@ -296,13 +297,13 @@ def tail_constant(
     sample,
     alpha: float,
     quantile_range: tuple[float, float] = _PLATEAU_RANGE,
-    grid_points: int = 25,
 ) -> TailConstantEstimate:
     """Estimate the tail constant via the x^alpha * CCDF plateau.
 
-    Evaluates x^alpha * P_hat(X > x) on a log-spaced grid between the two
-    empirical quantiles.  The median (not the mean) defines ``c_hat`` so the
-    noisiest extreme-threshold grid points cannot drag the estimate.
+    Evaluates x^alpha * P_hat(X > x) on a log-spaced grid of
+    ``_PLATEAU_POINTS`` (25) thresholds between the two empirical quantiles.
+    The median (not the mean) defines ``c_hat`` so the noisiest
+    extreme-threshold grid points cannot drag the estimate.
     ``sample`` is an :class:`UpperTail` deep enough for the lower quantile,
     or an array, which is streamed to that depth.
     """
@@ -311,8 +312,6 @@ def tail_constant(
         raise ValueError("quantile_range must satisfy 0.5 <= lo < hi < 1")
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    if grid_points < 3:
-        raise ValueError("grid_points must be >= 3")
     sample = _positive_tail(sample, lambda n: tail_depth(n, lo))
     n = sample.n
     x_lo, x_hi = sample.quantile(lo), sample.quantile(hi)
@@ -323,7 +322,7 @@ def tail_constant(
         raise EmptyTail(f"only {tail.size} sample points above the {lo} quantile")
     if not x_hi > x_lo:
         raise DegenerateTail("tail quantiles are tied")
-    grid = np.geomspace(x_lo, x_hi, grid_points)
+    grid = np.geomspace(x_lo, x_hi, _PLATEAU_POINTS)
     plateau = grid**alpha * ((tail.size - np.searchsorted(tail, grid, side="right")) / n)
     q25, med, q75 = np.percentile(plateau, [25.0, 50.0, 75.0])
     return TailConstantEstimate(

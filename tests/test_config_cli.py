@@ -881,6 +881,13 @@ def _report_laws() -> dict:
     return {"A1": a1, "A2": base_config()["law"], "garch": garch_config()["law"]}
 
 
+def _garch_a1_law() -> dict:
+    """A GARCH law in the A1 regime: alpha1 = 1.458 < alpha2 = 4.536."""
+    law = garch_config()["law"]
+    law.update(alpha11=0.35, beta11=0.60, alpha22=0.10, beta22=0.85)
+    return law
+
+
 @pytest.mark.parametrize("case", ["equal_indices", "no_root"])
 def test_full_report_on_a_law_with_no_regime(tmp_path, case):
     law = base_config()["law"]
@@ -1009,12 +1016,14 @@ def test_full_reports_gate_each_estimate_once(tmp_path):
 @pytest.mark.parametrize("law_name, pipeline", [
     ("A1", "tails"), ("A1", "constants"), ("A2", "tails"), ("A2", "constants"),
     ("garch", "tails"), ("garch", "constants"), ("garch", "garch_verify"),
+    ("garch_A1", "constants"),
 ])
 def test_single_pipelines_gate_every_plateau_they_estimate(tmp_path, monkeypatch,
                                                            law_name, pipeline):
     captured = [_capture_returns(monkeypatch, module, "tail_constant")
                 for module in (tailstats, garch)]
-    cfg = base_config(pipeline=pipeline, law=_report_laws()[law_name], output_dir=str(tmp_path),
+    law = {**_report_laws(), "garch_A1": _garch_a1_law()}[law_name]
+    cfg = base_config(pipeline=pipeline, law=law, output_dir=str(tmp_path),
                       params=SMALL_REPORT_PARAMS)
     cfg["sim"].update(n_draws=100_000, burn_in=200)
     report = run(parse_config(cfg))

@@ -286,8 +286,6 @@ def test_tail_constant_validation():
         tail_constant(x, alpha=2.0, quantile_range=(0.4, 0.9))
     with pytest.raises(ValueError):
         tail_constant(x, alpha=2.0, quantile_range=(0.99, 0.98))
-    with pytest.raises(ValueError):
-        tail_constant(x, alpha=2.0, grid_points=2)
     with pytest.raises(EmptyTail):
         tail_constant(pareto(2.0, 2000, seed=7), alpha=2.0,
                       quantile_range=(0.999, 0.9999))
@@ -295,7 +293,7 @@ def test_tail_constant_validation():
         # Both quantiles land inside the tied block of 2s while 60 points
         # still sit above it, so the tie check fires rather than EmptyTail.
         tied = np.r_[np.ones(50), np.full(50, 2.0), np.full(60, 5.0)]
-        tail_constant(tied, alpha=1.0, quantile_range=(0.5, 0.55), grid_points=3)
+        tail_constant(tied, alpha=1.0, quantile_range=(0.5, 0.55))
 
 
 # ---------------------------------------------------------------------------
